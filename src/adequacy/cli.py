@@ -2,14 +2,13 @@
 
 Subcommands: ingest, fit, dnw, fleet, risk, uncertainty, study, demo.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure. ADEQUACY_THREADS caps worker threads for bootstrap replications.
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -50,14 +49,6 @@ _STUDY_DEFAULTS = {
 }
 
 _KIND_ALIASES = {"evt": dnw.EVT, "hindcast": dnw.HINDCAST, "ind": dnw.INDEPENDENCE}
-
-
-def worker_count() -> int:
-    raw = os.environ.get("ADEQUACY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"ADEQUACY_THREADS={raw!r} is not an integer") from None
 
 
 def _window(args) -> SeasonWindow:
@@ -188,7 +179,6 @@ def cmd_risk(args) -> int:
         replications=args.reps,
         ci_level=args.level,
         allow_gaps=args.allow_gaps,
-        max_workers=worker_count(),
         include_pooled=args.pooled,
     )
     result, extras = run_study_computation(cfg, progress=_progress(args))
@@ -233,7 +223,7 @@ def cmd_uncertainty(args) -> int:
     else:
         pipeline = pooled_pipeline(functionals, kind, args.threshold_quantile, n_hours)
         point = pipeline(traces)[metric_key]
-        ci = block_bootstrap(traces, pipeline, cfg, max_workers=worker_count()).intervals[metric_key]
+        ci = block_bootstrap(traces, pipeline, cfg).intervals[metric_key]
 
     payload = {
         "metric": args.metric,
@@ -299,7 +289,6 @@ def cmd_study(args) -> int:
         rescale_quantile=float(merged["rescale_quantile"]),
         installed_wind_mw=merged["installed_wind_mw"],
         allow_gaps=bool(merged["allow_gaps"]),
-        max_workers=worker_count(),
     )
     result = run_full_study(cfg, progress=_progress(args))
     print(f"study complete: {len(result.outputs)} artifacts in {cfg.output_dir}")

@@ -82,7 +82,7 @@ def load_fleet(path) -> list[GeneratingUnit]:
     if not path.exists():
         raise DataError(f"fleet file not found: {path}")
     units = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         missing = {"name", "capacity_mw", "availability"} - set(reader.fieldnames or ())
         if missing:

@@ -180,7 +180,7 @@ def load_traces(
         raise DataError(f"trace file not found: {path}")
 
     per_season: dict[str, list[tuple[datetime, float, float]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         _require_columns(reader.fieldnames, TRACE_COLUMNS, path)
         for row in reader:
@@ -377,7 +377,7 @@ def load_quantile_history(path) -> list[tuple[str, float]]:
     if not path.exists():
         raise DataError(f"quantile history file not found: {path}")
     out = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         _require_columns(reader.fieldnames, QUANTILE_COLUMNS, path)
         for row in reader:

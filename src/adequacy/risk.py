@@ -75,6 +75,7 @@ class ShortfallFunctionals:
     """
 
     def __init__(self, fleet: DiscretePmf):
+        self.fleet = fleet
         self._origin = fleet.origin_mw
         p = fleet.probabilities
         x = fleet.values_mw.astype(float)

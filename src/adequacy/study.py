@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .ingest import (
     load_quantile_history,
     load_traces,
 )
+from .pmf import convolve, pmf_from_samples
 from .risk import (
     RiskMetrics,
     ShortfallFunctionals,
@@ -63,7 +65,6 @@ class RunConfig:
     rescale_quantile: float = 0.90
     installed_wind_mw: float | None = None
     allow_gaps: bool = False
-    max_workers: int = 1
     include_pooled: bool = True
 
     def __post_init__(self):
@@ -77,6 +78,13 @@ class RunConfig:
                 raise ConfigError(f"threshold quantile {q} outside (0.5, 1)")
         if dnw.EVT in self.model_kinds and not self.threshold_quantiles:
             raise ConfigError("evt models need at least one threshold quantile")
+        labels = [label for label, _, _ in self.columns()]
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise ConfigError(
+                f"threshold quantiles {list(self.threshold_quantiles)} give repeated "
+                f"column labels {repeated}; labels are the quantile in whole percent"
+            )
 
     def window(self) -> SeasonWindow:
         return SeasonWindow(weeks=self.window_weeks, anchor_rule=self.anchor_rule)
@@ -129,12 +137,70 @@ def _pooled_model(traces: list[SeasonTrace], kind: str, threshold_quantile: floa
 
 def pooled_pipeline(functionals: ShortfallFunctionals, kind: str,
                     threshold_quantile: float | None, n_hours: int):
-    """Season-set -> {'lole', 'eeu'} mapping for the block bootstrap."""
+    """Season-set -> {'lole', 'eeu'} mapping for the block bootstrap.
+
+    evt refits the pooled sample on every call: a GPD fit is not linear. The
+    metrics are linear in the demand-net-of-wind pmf, and the pooled hindcast
+    pmf is the hours-weighted mix of the per-season pmfs, so a hindcast call
+    mixes per-season metrics. For ind the pooled demand and wind pmfs are such
+    mixes too, and P(X < D - W) = P(X + W < D), so an ind call mixes the
+    metrics of season a's demand against the fleet plus season b's wind over
+    the pairs (a, b) it drew. Each season's pmfs are built the first time a
+    call contains it, and each pair's metrics once. A wind season's fleet-sized
+    functionals serve every season seen so far and are then dropped, so a
+    season first seen after others costs one convolution per wind season it
+    pairs with; a first call holding every season makes it one per season.
+    """
+    if kind == dnw.EVT:
+
+        def run(traces):
+            model = _pooled_model(list(traces), kind, threshold_quantile)
+            metrics = functionals.metrics(dnw.discretize(model), n_hours)
+            return {"lole": metrics.lole_hours, "eeu": metrics.eeu_mwh}
+
+        return run
+
+    # traces are unhashable; holding each one keeps its id from being reused
+    slots: dict[int, tuple[SeasonTrace, int]] = {}  # id(trace) -> (trace, slot)
+    hours: list[int] = []  # per slot
+    pieces: list = []  # per slot: hindcast metrics, or ind (demand pmf, wind pmf)
+    pairs: dict[tuple[int, int], tuple[float, float]] = {}  # ind metrics per (demand, wind) slot
+
+    def as_tuple(m: RiskMetrics) -> tuple[float, float]:
+        return m.lole_hours, m.eeu_mwh
+
+    def slot(trace: SeasonTrace) -> int:
+        if id(trace) not in slots:
+            slots[id(trace)] = (trace, len(pieces))
+            hours.append(trace.n_hours)
+            if kind == dnw.HINDCAST:
+                pmf = dnw.discretize(build_model(trace, kind))
+                pieces.append(as_tuple(functionals.metrics(pmf, n_hours)))
+            else:
+                pieces.append((pmf_from_samples(trace.demand_mw), pmf_from_samples(trace.wind_mw)))
+        return slots[id(trace)][1]
+
+    def fill(b: int) -> None:
+        # fleet + wind functionals are fleet-sized: use them for every season seen, then drop
+        total = ShortfallFunctionals(convolve(functionals.fleet, pieces[b][1]))
+        for a, (demand, _) in enumerate(pieces):
+            if (a, b) not in pairs:
+                pairs[(a, b)] = as_tuple(total.metrics(demand, n_hours))
 
     def run(traces):
-        model = _pooled_model(list(traces), kind, threshold_quantile)
-        metrics = functionals.metrics(dnw.discretize(model), n_hours)
-        return {"lole": metrics.lole_hours, "eeu": metrics.eeu_mwh}
+        counts = Counter(slot(t) for t in traces)
+        drawn = list(counts)
+        weights = np.array([counts[a] * hours[a] for a in drawn], dtype=float)
+        weights /= weights.sum()
+        if kind == dnw.HINDCAST:
+            lole, eeu = weights @ np.array([pieces[a] for a in drawn])
+        else:
+            for b in drawn:
+                if any((a, b) not in pairs for a in drawn):
+                    fill(b)
+            mixed = np.array([[pairs[(a, b)] for b in drawn] for a in drawn])
+            lole, eeu = np.einsum("a,b,abm->m", weights, weights, mixed)
+        return {"lole": float(lole), "eeu": float(eeu)}
 
     return run
 
@@ -219,11 +285,14 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
     progress("season bootstrap")
     lole_values = {c: [m.lole_hours for m in per_season[c]] for c in col_labels}
     eeu_values = {c: [m.eeu_gwh for m in per_season[c]] for c in col_labels}
+    # one config per column, so its index matrix is drawn once and shared by
+    # both season CIs and the block bootstrap; for hindcast the block bootstrap
+    # then reproduces the season bootstrap exactly (pooling is linear)
+    boots = {c: cfg.bootstrap(seed=(cfg.seed, 101, i)) for i, c in enumerate(col_labels)}
     lole_cis, eeu_cis = {}, {}
-    for i, c in enumerate(col_labels):
-        boot = cfg.bootstrap(seed=(cfg.seed, 101, i))
-        lole_cis[c] = season_bootstrap(lole_values[c], boot)
-        eeu_cis[c] = season_bootstrap(eeu_values[c], boot)
+    for c in col_labels:
+        lole_cis[c] = season_bootstrap(lole_values[c], boots[c])
+        eeu_cis[c] = season_bootstrap(eeu_values[c], boots[c])
 
     lole_table = MetricTable(
         metric="lole_hours",
@@ -244,19 +313,15 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
 
     progress("pooled estimates and block bootstrap")
     pooled_lole, pooled_lole_ci, pooled_eeu, pooled_eeu_ci = {}, {}, {}, {}
-    for i, (label, kind, q) in enumerate(columns if cfg.include_pooled else []):
+    for label, kind, q in columns if cfg.include_pooled else []:
         model = _pooled_model(traces, kind, q)
         metrics = compute_metrics(
             balance_distribution(fleet, dnw.discretize(model)), n_hours
         )
         pooled_lole[label] = metrics.lole_hours
         pooled_eeu[label] = metrics.eeu_gwh
-        # same substream as the season CIs: for hindcast the block bootstrap
-        # then reproduces the season bootstrap exactly (pooling is linear)
-        boot = cfg.bootstrap(seed=(cfg.seed, 101, i))
         result = block_bootstrap(
-            traces, pooled_pipeline(functionals, kind, q, n_hours), boot,
-            max_workers=cfg.max_workers,
+            traces, pooled_pipeline(functionals, kind, q, n_hours), boots[label]
         )
         pooled_lole_ci[label] = result.intervals["lole"]
         ci = result.intervals["eeu"]

@@ -6,19 +6,19 @@ independent blocks:
 * season bootstrap -- resample the per-season metric estimates themselves and
   take percentile quantiles of the resample means;
 * block bootstrap  -- resample whole season datasets, rerun the pooled
-  pipeline (model fit, convolution, metrics) on each replication, and take
-  percentile quantiles of the replicated metrics.
+  pipeline (model fit, convolution, metrics) on each distinct season
+  multiset, and take percentile quantiles of the replicated metrics.
 
 Randomness comes from numpy's PCG64 with a per-replication substream
 (SeedSequence entropy = (seed, replication index)), so replication r draws
-the same indices whether replications run sequentially or in parallel, and
-both schemes see identical index matrices for a given seed.
+the same indices however many replications are asked for. A BootstrapConfig
+builds its index matrix once per season count, so every scheme run with the
+same config object sees the same matrix without drawing it again.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,12 +32,21 @@ class BootstrapConfig:
     seed: int | tuple[int, ...]
     replications: int = 10_000
     ci_level: float = 0.95
+    _indices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.replications < 100:
             raise ValueError("bootstrap needs at least 100 replications")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must lie strictly between 0 and 1")
+
+    def indices(self, n: int) -> np.ndarray:
+        """Read-only resample_indices(n, replications, seed), drawn once per n."""
+        if n not in self._indices:
+            idx = resample_indices(n, self.replications, self.seed)
+            idx.flags.writeable = False
+            self._indices[n] = idx
+        return self._indices[n]
 
 
 @dataclass(frozen=True)
@@ -85,49 +94,39 @@ def season_bootstrap(per_season_values, cfg: BootstrapConfig) -> ConfidenceInter
     values = np.asarray(per_season_values, dtype=float)
     if values.size < 2:
         raise ValueError("season bootstrap needs at least 2 values")
-    idx = resample_indices(values.size, cfg.replications, cfg.seed)
+    idx = cfg.indices(values.size)
     means = values[idx].mean(axis=1)
     return percentile_interval(means, cfg.ci_level)
 
 
-def block_bootstrap(
-    seasons,
-    pipeline,
-    cfg: BootstrapConfig,
-    max_workers: int = 1,
-) -> BlockBootstrapResult:
+def block_bootstrap(seasons, pipeline, cfg: BootstrapConfig) -> BlockBootstrapResult:
     """Percentile CIs from rerunning ``pipeline`` on resampled season blocks.
 
     ``pipeline`` maps a list of season datasets to a mapping of metric name to
-    value. Failing replications are dropped and counted; more than
-    MAX_DROP_RATE of them is an error.
+    value. It runs once per distinct season multiset, on the seasons in index
+    order, so its result depends only on which seasons a replication drew.
+    Failing replications are dropped and counted; more than MAX_DROP_RATE of
+    them is an error.
     """
     seasons = list(seasons)
     if len(seasons) < 2:
         raise ValueError("block bootstrap needs at least 2 seasons")
-    idx = resample_indices(len(seasons), cfg.replications, cfg.seed)
-
-    results: list[dict | None] = [None] * cfg.replications
+    outcomes: dict[tuple[int, ...], dict | Exception] = {}
+    kept: list[dict] = []
     errors: list[str] = []
-
-    def run_one(r: int):
-        try:
-            return dict(pipeline([seasons[i] for i in idx[r]]))
-        except Exception as exc:  # recorded, not fatal unless widespread
-            return exc
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(run_one, range(cfg.replications)))
-    else:
-        outcomes = [run_one(r) for r in range(cfg.replications)]
-    for r, outcome in enumerate(outcomes):
+    for r, row in enumerate(np.sort(cfg.indices(len(seasons)), axis=1).tolist()):
+        key = tuple(row)
+        if key not in outcomes:
+            try:
+                outcomes[key] = dict(pipeline([seasons[i] for i in key]))
+            except Exception as exc:  # recorded, not fatal unless widespread
+                outcomes[key] = exc
+        outcome = outcomes[key]
         if isinstance(outcome, Exception):
             errors.append(f"replication {r}: {outcome}")
         else:
-            results[r] = outcome
+            kept.append(outcome)
 
-    kept = [m for m in results if m is not None]
     dropped = cfg.replications - len(kept)
     if dropped > MAX_DROP_RATE * cfg.replications:
         raise NumericalError(

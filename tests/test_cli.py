@@ -242,6 +242,19 @@ class TestStudyCommand:
         assert code == 2
         assert "seed" in err
 
+    def test_colliding_column_labels_are_config_error(self, demo_dataset_dir, tmp_path, capsys):
+        # 0.951 and 0.954 both round to the label evt_95
+        code, _, err = run_cli(
+            capsys, "study",
+            "--traces", str(demo_dataset_dir["traces"]),
+            "--fleet", str(demo_dataset_dir["fleet"]),
+            "--threshold-quantiles", "0.951", "0.954",
+            "--seed", "1", "--out", str(tmp_path / "z"),
+        )
+        assert code == 2
+        assert "evt_95" in err
+        assert not (tmp_path / "z").exists()
+
     def test_unknown_config_key_rejected_before_compute(self, demo_dataset_dir, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"modles": ["evt"], "seed": 1}))
@@ -255,14 +268,3 @@ class TestStudyCommand:
         assert "modles" in err
         assert not (tmp_path / "y").exists()
 
-
-def test_threads_env_validation(monkeypatch):
-    from adequacy.cli import worker_count
-
-    monkeypatch.setenv("ADEQUACY_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("ADEQUACY_THREADS", "soon")
-    from adequacy.errors import ConfigError
-
-    with pytest.raises(ConfigError):
-        worker_count()

@@ -123,6 +123,18 @@ class TestLoadFleet:
         with pytest.raises(DataError, match="not found"):
             load_fleet(tmp_path / "missing.csv")
 
+    @pytest.mark.parametrize(
+        "encoding, newline", [("utf-8-sig", "\n"), ("utf-8", "\r\n")], ids=["bom", "crlf"]
+    )
+    def test_byte_order_mark_and_crlf(self, tmp_path, encoding, newline):
+        path = tmp_path / "fleet.csv"
+        rows = ["name,capacity_mw,availability", "gt1,400,0.93", "hydro,55,0.97"]
+        path.write_bytes((newline.join(rows) + newline).encode(encoding))
+        units = load_fleet(path)
+        assert [(u.name, u.capacity_mw, u.availability) for u in units] == [
+            ("gt1", 400, 0.93), ("hydro", 55, 0.97)
+        ]
+
 
 def test_fleet_summary():
     fleet = [GeneratingUnit("a", 100, 0.9), GeneratingUnit("b", 300, 0.8)]

@@ -134,6 +134,21 @@ class TestLoadTraces:
         with pytest.raises(DataError, match="not found"):
             load_traces(tmp_path / "nope.csv", small_window)
 
+    @pytest.mark.parametrize(
+        "encoding, newline", [("utf-8-sig", "\n"), ("utf-8", "\r\n")], ids=["bom", "crlf"]
+    )
+    def test_byte_order_mark_and_crlf(self, tmp_path, small_window, encoding, newline):
+        rng = np.random.default_rng(4)
+        trace = make_trace("2007-08", rng.uniform(30e3, 50e3, 168), rng.uniform(0, 10e3, 168),
+                           small_window)
+        path = write_trace_csv(tmp_path / "traces.csv", [trace])
+        text = path.read_text(encoding="utf-8")
+        path.write_bytes(text.replace("\n", newline).encode(encoding))
+        loaded = load_traces(path, small_window)
+        assert [t.season_label for t in loaded] == ["2007-08"]
+        np.testing.assert_array_equal(loaded[0].demand_mw, trace.demand_mw)
+        np.testing.assert_array_equal(loaded[0].wind_mw, trace.wind_mw)
+
     def test_wind_capacity_warning(self, tmp_path, small_window):
         wind = np.zeros(168)
         wind[10] = 15_000.0
@@ -297,6 +312,11 @@ class TestApplyRescaling:
 
 
 class TestQuantileHistory:
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_bytes("season,quantile_mw\n2007-08,51000.5\n".encode("utf-8-sig"))
+        assert load_quantile_history(path) == [("2007-08", 51000.5)]
+
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "hist.csv"
         path.write_text("season,quantile_mw\n1991-92,52000\n1992-93,52500.5\n")

@@ -1,11 +1,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from adequacy import dnw
 from adequacy.errors import ConfigError, DataError
 from adequacy.study import (
     MetricTable,
     RunConfig,
+    _pooled_model,
     config_digest,
     emit_table,
     pooled_pipeline,
@@ -133,6 +136,28 @@ class TestHindcastBootstrapIdentity:
         # the agreement is float-reordering tight, not merely within 2%
         assert block_ci.lower == pytest.approx(season_ci.lower, rel=1e-9)
         assert block_ci.upper == pytest.approx(season_ci.upper, rel=1e-9)
+
+
+class TestPooledClosedForms:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from([dnw.HINDCAST, dnw.INDEPENDENCE]),
+        drawn=st.lists(st.integers(0, 6), min_size=1, max_size=10),
+    )
+    def test_matches_generic_rebuild(self, demo_system, kind, drawn):
+        # hindcast and ind replications mix cached per-season pieces; they must
+        # equal rebuilding the pooled model from the concatenated seasons
+        traces = demo_system["traces"]
+        n_hours = traces[0].n_hours
+        functionals = ShortfallFunctionals(demo_system["fleet"])
+        pipeline = pooled_pipeline(functionals, kind, None, n_hours)
+        pipeline(traces[::-1])  # cache every season, in another order than drawn
+        seasons = [traces[i] for i in drawn]
+        got = pipeline(seasons)
+        model = _pooled_model(seasons, kind, None)
+        want = functionals.metrics(dnw.discretize(model), n_hours)
+        assert got["lole"] == pytest.approx(want.lole_hours, rel=1e-9)
+        assert got["eeu"] == pytest.approx(want.eeu_mwh, rel=1e-9)
 
 
 class TestManifestOnFailure:

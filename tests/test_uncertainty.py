@@ -6,6 +6,7 @@ import pytest
 
 from adequacy.errors import NumericalError
 from adequacy.uncertainty import (
+    MAX_DROP_RATE,
     BootstrapConfig,
     ConfidenceInterval,
     block_bootstrap,
@@ -43,6 +44,13 @@ class TestResampleIndices:
         few = resample_indices(5, 10, seed=4)
         many = resample_indices(5, 300, seed=4)
         np.testing.assert_array_equal(few, many[:10])
+
+    def test_config_draws_matrix_once(self):
+        cfg = BootstrapConfig(seed=(4, 101, 2), replications=300)
+        idx = cfg.indices(7)
+        assert cfg.indices(7) is idx
+        np.testing.assert_array_equal(idx, resample_indices(7, 300, (4, 101, 2)))
+        assert not idx.flags.writeable  # shared by every scheme run with cfg
 
     def test_uniformity_chi_square(self):
         idx = resample_indices(7, 143_000, seed=42)  # just over 1e6 draws
@@ -133,19 +141,36 @@ class TestBlockBootstrap:
         assert block.upper == pytest.approx(season.upper, rel=1e-12)
 
     def test_failures_counted_and_bounded(self):
-        calls = {"n": 0}
+        # the pipeline fails on exactly the multiset that draws season 0 every
+        # time, so the drop count is fixed by the index matrix alone
+        seasons = [np.full(3, float(i)) for i in range(4)]
 
-        def flaky(seasons):
-            calls["n"] += 1
-            if calls["n"] % 200 == 0:
+        def flaky(drawn):
+            if all(s[0] == 0.0 for s in drawn):
                 raise RuntimeError("numerical hiccup")
             return {"m": 1.0}
 
-        result = block_bootstrap(
-            [np.arange(3.0)] * 4, flaky, BootstrapConfig(seed=1, replications=1000)
-        )
-        assert result.replications_dropped == 5
-        assert result.replications_used == 995
+        cfg = BootstrapConfig(seed=1, replications=1000)
+        expected = int((resample_indices(4, cfg.replications, cfg.seed) == 0).all(axis=1).sum())
+        assert 0 < expected <= MAX_DROP_RATE * cfg.replications
+        result = block_bootstrap(seasons, flaky, cfg)
+        assert result.replications_dropped == expected
+        assert result.replications_used == cfg.replications - expected
+
+    def test_pipeline_runs_once_per_distinct_sorted_row(self):
+        seasons = [np.array([float(i)]) for i in range(5)]
+        calls = []
+
+        def recording(drawn):
+            calls.append(tuple(int(s[0]) for s in drawn))
+            return {"m": float(np.mean(drawn))}
+
+        cfg = BootstrapConfig(seed=8, replications=400)
+        result = block_bootstrap(seasons, recording, cfg)
+        rows = {tuple(row) for row in np.sort(resample_indices(5, cfg.replications, cfg.seed), axis=1).tolist()}
+        assert len(calls) == len(set(calls)) == len(rows) < cfg.replications
+        assert set(calls) == rows  # seasons passed in sorted index order
+        assert result.replications_used == cfg.replications
 
     def test_widespread_failure_is_error(self):
         def broken(seasons):
@@ -153,14 +178,6 @@ class TestBlockBootstrap:
 
         with pytest.raises(NumericalError, match="replications failed"):
             block_bootstrap([np.arange(3.0)] * 4, broken, BootstrapConfig(seed=1, replications=200))
-
-    def test_parallel_equals_sequential(self):
-        rng = np.random.default_rng(12)
-        seasons = [rng.uniform(0.0, 5.0, 30) for _ in range(5)]
-        cfg = BootstrapConfig(seed=8, replications=400)
-        seq = block_bootstrap(seasons, self.mean_pipeline, cfg, max_workers=1)
-        par = block_bootstrap(seasons, self.mean_pipeline, cfg, max_workers=4)
-        assert seq.intervals["mean"] == par.intervals["mean"]
 
     def test_needs_two_seasons(self):
         with pytest.raises(ValueError):
