@@ -205,7 +205,7 @@ def cmd_uncertainty(args) -> int:
     fleet = convolve_fleet(load_fleet(args.fleet))
     functionals = ShortfallFunctionals(fleet)
     kind = _KIND_ALIASES[args.model]
-    n_hours = traces[0].n_hours
+    n_hours = _window(args).expected_hours
     cfg = BootstrapConfig(seed=args.seed, replications=args.reps, ci_level=args.level)
     metric_key = {"lole": "lole", "eeu": "eeu"}[args.metric]
 

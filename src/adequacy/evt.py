@@ -6,8 +6,11 @@ two-parameter GPD with scale sigma > 0 and shape xi:
     H(y) = 1 - (1 + xi * y / sigma) ** (-1 / xi)
 
 on y >= 0 with 1 + xi * y / sigma > 0; xi = 0 is the exponential limit
-1 - exp(-y / sigma). Parameters are estimated by maximum likelihood with a
-derivative-free simplex search over (ln sigma, xi).
+1 - exp(-y / sigma). Parameters are estimated by maximum likelihood: the
+likelihood is maximised in closed form for fixed theta = xi / sigma
+(Grimshaw 1993), and a bounded one-dimensional search over theta finishes the
+fit, confined to xi >= -1. Standard errors come from the analytic observed
+information.
 """
 
 from __future__ import annotations
@@ -27,9 +30,12 @@ XI_ZERO_GUARD = 1e-6
 # Fits on fewer exceedances than this are refused.
 MIN_FIT_SIZE = 30
 
-_MAX_ITER = 2000
-_XATOL = 1e-8  # simplex diameter in (ln sigma, xi) coordinates
-_FATOL = 1e-9
+# Profile search over s = log1p(theta * max(y)), theta = xi / sigma.
+_S_FLOOR = -40.0  # expm1(s) rounds to -1 below this
+_S_CEIL = 700.0  # expm1 overflows past 709
+_S_TINY = 1e-200  # |s| below this is the exponential limit theta -> 0
+_S_XTOL = 1e-12
+_MAX_EVALUATIONS = 500
 
 
 @dataclass(frozen=True)
@@ -136,53 +142,28 @@ def gpd_loglik(params: GpdParams, excesses) -> float:
         raise ValueError("empty excess sample")
     if np.any(y <= 0.0):
         raise ValueError("excesses must be strictly positive")
-    return _loglik_raw(np.log(params.sigma), params.xi, y)
-
-
-def _loglik_raw(log_sigma: float, xi: float, y: np.ndarray) -> float:
-    k = y.size
-    sigma = np.exp(log_sigma)
+    sigma, xi = params.sigma, params.xi
     if abs(xi) < XI_ZERO_GUARD:
-        return -k * log_sigma - y.sum() / sigma
+        return -y.size * np.log(sigma) - y.sum() / sigma
     z = xi * y / sigma
     if z.min() <= -1.0:
         return -np.inf
-    return -k * log_sigma - (1.0 + 1.0 / xi) * np.log1p(z).sum()
-
-
-def _moment_start(y: np.ndarray) -> tuple[float, float]:
-    m = y.mean()
-    v = y.var(ddof=1)
-    xi = 0.5 * (1.0 - m * m / v)
-    xi = float(np.clip(xi, -0.9, 0.45))
-    sigma = m * (1.0 - xi)
-    return max(sigma, 1e-12), xi
-
-
-def _feasible(sigma: float, xi: float, y_max: float) -> tuple[float, float]:
-    # the support requires sigma > -xi * max(y) when xi < 0
-    if xi < 0.0 and sigma <= -xi * y_max:
-        sigma = 1.05 * (-xi * y_max)
-    return sigma, xi
-
-
-def _gradient_norm(fun, theta: np.ndarray, h: float = 1e-6) -> float:
-    g = np.zeros_like(theta)
-    for i in range(theta.size):
-        e = np.zeros_like(theta)
-        e[i] = h
-        g[i] = (fun(theta + e) - fun(theta - e)) / (2.0 * h)
-    return float(np.linalg.norm(g))
+    return -y.size * np.log(sigma) - (1.0 + 1.0 / xi) * np.log1p(z).sum()
 
 
 def fit_gpd(excesses) -> GpdMle:
     """Fit GPD parameters to a sample of positive excesses by maximum likelihood.
 
-    The search runs Nelder-Mead over (ln sigma, xi) from three fixed starting
-    points (moment estimator, exponential fit, heavy-tail guess) and keeps the
-    best converged result. Standard errors come from the inverse
-    finite-difference Hessian of the negative log-likelihood at the optimum;
-    they assume i.i.d. excesses and should be read as approximations.
+    For fixed theta = xi / sigma the likelihood is maximised in closed form by
+    xi(theta) = mean(log1p(theta * y)), sigma = xi / theta (Grimshaw 1993,
+    Technometrics 35(2)), which leaves a one-dimensional profile likelihood.
+    A bounded Brent search minimises its negative over s = log1p(theta *
+    max(y)), confined to xi >= -1: below that the likelihood is unbounded.
+    When no point of the profile beats the xi = -1 edge, the fit is its
+    uniform limit xi = -1, sigma = max(y). ``iterations`` counts profile
+    evaluations. Standard errors come from the inverse analytic observed
+    information at the optimum (NaN at the xi = -1 edge); they assume i.i.d.
+    excesses and should be read as approximations.
     """
     y = np.asarray(excesses, dtype=float)
     if y.size < MIN_FIT_SIZE:
@@ -194,126 +175,109 @@ def fit_gpd(excesses) -> GpdMle:
     if np.ptp(y) == 0.0:
         raise NumericalError("degenerate sample: all excesses identical")
 
+    k = y.size
     y_max = y.max()
+    r = y / y_max
+    rest = r[r < 1.0]  # log1p(theta * max(y)) is s itself: never log1p(-1)
+    n_top = k - rest.size
+    evaluations = 0
 
-    def nll(theta):
-        val = _loglik_raw(theta[0], theta[1], y)
-        return np.inf if val == -np.inf else -val
+    def profile(s):
+        """(xi, sigma) maximising the likelihood at theta = expm1(s) / max(y)."""
+        nonlocal evaluations
+        evaluations += 1
+        if abs(s) < _S_TINY:
+            return 0.0, float(y.mean())  # the exponential limit theta -> 0
+        e = np.expm1(s)
+        xi = (n_top * s + np.log1p(e * rest).sum()) / k
+        return xi, xi * y_max / e
 
-    m = y.mean()
-    sig_mom, xi_mom = _feasible(*_moment_start(y), y_max)
-    starts = [
-        (np.log(sig_mom), xi_mom),
-        (np.log(m), 0.0),
-        (np.log(0.8 * m), 0.2),
-    ]
+    def nll(s):
+        xi, sigma = profile(s)
+        if xi < -1.0:  # past the edge the best shape is -1, at sigma = -1/theta
+            return k * np.log(-sigma / xi)
+        return k * (np.log(sigma) + xi + 1.0)
 
-    best = None
-    total_iter = 0
-    for theta0 in starts:
-        res = optimize.minimize(
-            nll,
-            np.asarray(theta0),
-            method="Nelder-Mead",
-            options={
-                "xatol": _XATOL,
-                "fatol": _FATOL,
-                "maxiter": _MAX_ITER,
-                "maxfev": 2 * _MAX_ITER,
-            },
-        )
-        total_iter += res.nit
-        if res.success and np.isfinite(res.fun):
-            if best is None or res.fun < best.fun:
-                best = res
-
-    if best is None:
-        # report the closest final point so the failure is diagnosable
-        fallback = min(
-            (
-                optimize.minimize(nll, np.asarray(t), method="Nelder-Mead",
-                                  options={"maxiter": _MAX_ITER})
-                for t in starts
-            ),
-            key=lambda r: r.fun,
-        )
+    # The search interval. Below _S_FLOOR theta is -1/max(y) to machine
+    # precision and the profile falls as s grows, so the optimum is not there.
+    # xi(s) increases with s and xi(0) = 0, so if xi(_S_FLOOR) < -1 the edge
+    # xi = -1 is the one root in (_S_FLOOR, 0). Past log(max(y)/min(y)) + 10
+    # the profile rises with s.
+    s_lo = _S_FLOOR
+    if profile(_S_FLOOR)[0] < -1.0:
+        s_lo = optimize.brentq(lambda s: profile(s)[0] + 1.0, _S_FLOOR, 0.0, xtol=_S_XTOL)
+    s_hi = min(np.log(y_max / y.min()) + 10.0, _S_CEIL)
+    s_hat, f_hat, ierr, _ = optimize.fminbound(
+        nll, s_lo, s_hi, xtol=_S_XTOL, maxfun=_MAX_EVALUATIONS, full_output=True
+    )
+    if ierr != 0:
         raise NumericalError(
-            "GPD fit did not converge after "
-            f"{total_iter} iterations (final gradient norm "
-            f"{_gradient_norm(nll, fallback.x):.3e})"
+            f"GPD profile search did not converge after {evaluations} evaluations"
         )
 
-    sigma_hat = float(np.exp(best.x[0]))
-    xi_hat = float(best.x[1])
-    if abs(xi_hat) < XI_ZERO_GUARD:
-        xi_hat = 0.0
-    params = GpdParams(sigma_hat, xi_hat)
-    se_sigma, se_xi = _standard_errors(y, sigma_hat, xi_hat)
+    if f_hat >= k * np.log(y_max):
+        sigma_hat, xi_hat, log_lik = float(y_max), -1.0, -k * float(np.log(y_max))
+        se_sigma = se_xi = np.nan  # the information is infinite at the edge
+    else:
+        xi_hat, sigma_hat = profile(s_hat)
+        xi_hat, sigma_hat, log_lik = float(xi_hat), float(sigma_hat), -float(f_hat)
+        if abs(xi_hat) < XI_ZERO_GUARD:
+            xi_hat = 0.0
+        se_sigma, se_xi = _standard_errors(y, sigma_hat, xi_hat)
     return GpdMle(
-        params=params,
+        params=GpdParams(sigma_hat, xi_hat),
         se_sigma=se_sigma,
         se_xi=se_xi,
-        log_likelihood=float(-best.fun),
-        n_excesses=int(y.size),
-        iterations=int(total_iter),
+        log_likelihood=log_lik,
+        n_excesses=int(k),
+        iterations=int(evaluations),
     )
 
 
+# Taylor coefficients, highest power first, of
+# (-2 log1p(t) + 2t/(1+t) + t^2/(1+t)^2) / t^3 = sum_m (-1)^(m+1) (m+1)(m+2)/(m+3) t^m
+_CUBIC_SERIES = np.array([(-1) ** (m + 1) * (m + 1) * (m + 2) / (m + 3) for m in range(12)])[::-1]
+_SERIES_RADIUS = 0.05  # |t| below this uses the series: truncation < 1e-14
+
+
+def _cubic_remainder(t: np.ndarray) -> np.ndarray:
+    """(-2 log1p(t) + 2t/(1+t) + t^2/(1+t)^2) / t^3, finite through t = 0."""
+    near = np.abs(t) < _SERIES_RADIUS
+    out = np.empty_like(t)
+    out[near] = np.polyval(_CUBIC_SERIES, t[near])
+    tf = t[~near]
+    u = tf / (1.0 + tf)
+    out[~near] = (-2.0 * np.log1p(tf) + 2.0 * u + u * u) / (tf * tf * tf)
+    return out
+
+
 def _standard_errors(y: np.ndarray, sigma: float, xi: float) -> tuple[float, float]:
-    """Inverse observed information via central finite differences."""
+    """Inverse analytic observed information of the GPD at (sigma, xi).
 
-    def nll(p):
-        if p[0] <= 0.0:
-            return np.inf
-        val = _loglik_raw(np.log(p[0]), p[1], y)
-        return np.inf if val == -np.inf else -val
-
-    p0 = np.array([sigma, xi])
-    steps = 1e-5 * (1.0 + np.abs(p0))
-    for _ in range(3):
-        hess = np.empty((2, 2))
-        ok = True
-        for i in range(2):
-            for j in range(2):
-                ei = np.zeros(2)
-                ej = np.zeros(2)
-                ei[i] = steps[i]
-                ej[j] = steps[j]
-                if i == j:
-                    vals = [nll(p0 + ei), nll(p0), nll(p0 - ei)]
-                else:
-                    vals = [
-                        nll(p0 + ei + ej),
-                        nll(p0 + ei - ej),
-                        nll(p0 - ei + ej),
-                        nll(p0 - ei - ej),
-                    ]
-                if not all(np.isfinite(v) for v in vals):
-                    ok = False
-                    hess[i, j] = np.nan
-                elif i == j:
-                    hess[i, i] = (vals[0] - 2.0 * vals[1] + vals[2]) / steps[i] ** 2
-                else:
-                    hess[i, j] = (vals[0] - vals[1] - vals[2] + vals[3]) / (
-                        4.0 * steps[i] * steps[j]
-                    )
-        if ok:
-            break
-        steps = steps / 10.0  # optimum near the support boundary; tighten stencil
-    else:
-        warnings.warn("Hessian evaluation failed; standard errors unavailable")
-        return np.nan, np.nan
-
-    try:
-        cov = np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
+    With z = y/sigma, t = xi z and w = 1 + t, the second derivatives of the
+    log-likelihood are
+      l_ss = (k - (1 + xi) sum(z/w + z/w^2)) / sigma^2,
+      l_sx = (sum(z/w) - (1 + xi) sum(z^2/w^2)) / sigma,
+      l_xx = sum(z^3 c(t)) + sum(z^2/w^2),
+    with c from ``_cubic_remainder``; at xi = 0 l_xx is sum(z^2) - 2/3 sum(z^3).
+    """
+    z = y / sigma
+    t = xi * z
+    zw = z / (1.0 + t)
+    zw2 = zw * zw
+    l_ss = (y.size - (1.0 + xi) * (zw.sum() + (zw / (1.0 + t)).sum())) / sigma**2
+    l_sx = (zw.sum() - (1.0 + xi) * zw2.sum()) / sigma
+    l_xx = (z**3 * _cubic_remainder(t)).sum() + zw2.sum()
+    # observed information [[a, b], [b, d]] = minus the Hessian
+    a, b, d = -l_ss, -l_sx, -l_xx
+    det = a * d - b * b
+    if det == 0.0 or not np.isfinite(det):
         warnings.warn("observed information is singular; standard errors unavailable")
         return np.nan, np.nan
-    diag = np.diag(cov)
-    if np.any(diag <= 0.0):
+    if not (a > 0.0 and det > 0.0):
         warnings.warn("observed information is not positive definite at the optimum")
         return np.nan, np.nan
-    return float(np.sqrt(diag[0])), float(np.sqrt(diag[1]))
+    return float(np.sqrt(d / det)), float(np.sqrt(a / det))
 
 
 def select_threshold(values, quantile_level: float) -> float:

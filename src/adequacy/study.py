@@ -238,6 +238,8 @@ class StudyResult:
     pooled_table: PooledTable
     parameter_fits: dict[float, dict[str, evt.GpdFit]]  # quantile -> label/pooled -> fit
     rescale_factors: dict[str, float]
+    # column -> {"used", "dropped", "first_error"} of its block bootstrap
+    bootstrap: dict[str, dict] = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
 
 
@@ -257,10 +259,9 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
         traces, history, cfg.reference_season, cfg.lowess_span, cfg.lowess_iterations,
         cfg.rescale_quantile,
     )
-    n_hours_set = {t.n_hours for t in traces}
-    if len(n_hours_set) != 1:
-        raise DataError(f"seasons have unequal lengths {sorted(n_hours_set)}; cannot pool")
-    n_hours = n_hours_set.pop()
+    # n is the length of the target season, whatever a historical season lost
+    # to gaps; pooled models weight each season by its observed hours
+    n_hours = window.expected_hours
     labels = [t.season_label for t in traces]
 
     progress("building fleet distribution")
@@ -313,6 +314,7 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
 
     progress("pooled estimates and block bootstrap")
     pooled_lole, pooled_lole_ci, pooled_eeu, pooled_eeu_ci = {}, {}, {}, {}
+    bootstrap_counts = {}
     for label, kind, q in columns if cfg.include_pooled else []:
         model = _pooled_model(traces, kind, q)
         metrics = compute_metrics(
@@ -324,6 +326,11 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
             traces, pooled_pipeline(functionals, kind, q, n_hours), boots[label]
         )
         pooled_lole_ci[label] = result.intervals["lole"]
+        bootstrap_counts[label] = {
+            "used": result.replications_used,
+            "dropped": result.replications_dropped,
+            "first_error": result.first_error,
+        }
         ci = result.intervals["eeu"]
         pooled_eeu_ci[label] = ConfidenceInterval(ci.lower / 1000.0, ci.upper / 1000.0, ci.level)
 
@@ -358,11 +365,13 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
         pooled_table=pooled_table,
         parameter_fits=parameter_fits,
         rescale_factors=factors,
+        bootstrap=bootstrap_counts,
     )
     extras = {
         "traces": traces,
         "fleet": fleet,
         "season_models": season_models,
+        "per_season": per_season,
         "n_hours": n_hours,
     }
     return result, extras
@@ -583,6 +592,7 @@ def run_full_study(cfg: RunConfig, progress=lambda msg: None) -> StudyResult:
         result.outputs = sorted(str(p.name) for p in outputs)
         manifest["status"] = "complete"
         manifest["outputs"] = result.outputs
+        manifest["bootstrap"] = result.bootstrap
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         return result
     except Exception as exc:

@@ -65,6 +65,7 @@ class BlockBootstrapResult:
     intervals: dict[str, ConfidenceInterval]
     replications_used: int
     replications_dropped: int
+    first_error: str | None = None  # "replication <r>: <message>" of the first drop
 
 
 def resample_indices(n: int, replications: int, seed) -> np.ndarray:
@@ -142,4 +143,5 @@ def block_bootstrap(seasons, pipeline, cfg: BootstrapConfig) -> BlockBootstrapRe
         intervals=intervals,
         replications_used=len(kept),
         replications_dropped=dropped,
+        first_error=errors[0] if errors else None,
     )

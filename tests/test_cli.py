@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adequacy.cli import main
+from adequacy.study import RunConfig, run_study_computation
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +207,47 @@ class TestUncertaintyCommand:
         assert payload["ci_lower"] <= payload["ci_upper"]
 
 
+class TestGappedSeason:
+    """n is the target season's length even when a historical season has gaps."""
+
+    @pytest.fixture(scope="class")
+    def gapped_traces(self, demo_dataset_dir, tmp_path_factory):
+        header, *rows = demo_dataset_dir["traces"].read_text().splitlines()
+        season = rows[0].split(",")[0]
+        first = next(i for i, row in enumerate(rows) if row.split(",")[0] == season)
+        del rows[first + 1000:first + 1005]  # 5 hours; --allow-gaps drops their day
+        path = tmp_path_factory.mktemp("gapped") / "traces.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        return path
+
+    def test_study_uses_target_season_length(self, demo_dataset_dir, gapped_traces, tmp_path, capsys):
+        common = ["--traces", str(gapped_traces), "--fleet", str(demo_dataset_dir["fleet"]),
+                  "--quantiles", str(demo_dataset_dir["quantiles"]), "--allow-gaps"]
+        code, _, err = run_cli(
+            capsys, "study", *common, "--models", "hindcast", "--reps", "100",
+            "--seed", "5", "--out", str(tmp_path / "out"), "--quiet",
+        )
+        assert code == 0, err
+        table = json.loads((tmp_path / "out" / "lole_per_season.json").read_text())
+
+        cfg = RunConfig(
+            traces_path=str(gapped_traces), fleet_path=str(demo_dataset_dir["fleet"]),
+            quantiles_path=str(demo_dataset_dir["quantiles"]), seed=5,
+            output_dir=str(tmp_path / "unused"), model_kinds=("hindcast",),
+            replications=100, allow_gaps=True, include_pooled=False,
+        )
+        _, extras = run_study_computation(cfg)
+        assert sorted({t.n_hours for t in extras["traces"]}) == [3504, 3528]
+        assert [m.n_hours for m in extras["per_season"]["hindcast"]] == [3528] * 7
+
+        code, out, err = run_cli(
+            capsys, "uncertainty", *common, "--metric", "lole", "--mode", "season",
+            "--model", "hindcast", "--reps", "100", "--seed", "5",
+        )
+        assert code == 0, err
+        assert json.loads(out)["point_estimate"] == pytest.approx(table["mean"]["hindcast"], rel=1e-9)
+
+
 class TestStudyCommand:
     def test_config_file_with_flag_override(self, demo_dataset_dir, tmp_path, capsys):
         config = {
@@ -231,6 +273,27 @@ class TestStudyCommand:
         table = json.loads((outdir / "lole_per_season.json").read_text())
         assert table["columns"] == ["hindcast", "ind"]
         assert len(table["seasons"]) == 7
+
+    def test_manifest_reports_bootstrap_replications(self, demo_dataset_dir, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        code, _, _ = run_cli(
+            capsys, "study",
+            "--traces", str(demo_dataset_dir["traces"]),
+            "--fleet", str(demo_dataset_dir["fleet"]),
+            "--quantiles", str(demo_dataset_dir["quantiles"]),
+            "--reps", "100", "--seed", "3", "--out", str(outdir), "--quiet",
+        )
+        assert code == 0
+        counts = json.loads((outdir / "manifest.json").read_text())["bootstrap"]
+        assert list(counts) == ["evt_90", "evt_95", "evt_98", "hindcast", "ind"]
+        for column in ("hindcast", "ind"):  # closed-form mixes: nothing can fail
+            assert counts[column] == {"used": 100, "dropped": 0, "first_error": None}
+        for column, c in counts.items():
+            assert c["used"] + c["dropped"] == 100, column
+            if c["dropped"]:
+                assert c["first_error"].startswith("replication "), column
+            else:
+                assert c["first_error"] is None, column
 
     def test_missing_seed_is_config_error(self, demo_dataset_dir, tmp_path, capsys):
         code, _, err = run_cli(

@@ -151,11 +151,13 @@ class TestBlockBootstrap:
             return {"m": 1.0}
 
         cfg = BootstrapConfig(seed=1, replications=1000)
-        expected = int((resample_indices(4, cfg.replications, cfg.seed) == 0).all(axis=1).sum())
+        failing = np.flatnonzero((resample_indices(4, cfg.replications, cfg.seed) == 0).all(axis=1))
+        expected = failing.size
         assert 0 < expected <= MAX_DROP_RATE * cfg.replications
         result = block_bootstrap(seasons, flaky, cfg)
         assert result.replications_dropped == expected
         assert result.replications_used == cfg.replications - expected
+        assert result.first_error == f"replication {failing[0]}: numerical hiccup"
 
     def test_pipeline_runs_once_per_distinct_sorted_row(self):
         seasons = [np.array([float(i)]) for i in range(5)]
@@ -171,6 +173,7 @@ class TestBlockBootstrap:
         assert len(calls) == len(set(calls)) == len(rows) < cfg.replications
         assert set(calls) == rows  # seasons passed in sorted index order
         assert result.replications_used == cfg.replications
+        assert result.first_error is None
 
     def test_widespread_failure_is_error(self):
         def broken(seasons):
