@@ -1,7 +1,7 @@
 """Capacity-adequacy risk metrics from demand and wind traces.
 
-Estimates LoLE and EEU for a future peak season by convolving a two-state
-conventional fleet model with a tail model of demand-net-of-wind (extreme-
+Estimates LoLE and EEU for a future peak season from a two-state
+conventional fleet model and a tail model of demand-net-of-wind (extreme-
 value, hindcast, or demand-wind-independence), with bootstrap confidence
 intervals over historical seasons.
 """
@@ -41,6 +41,7 @@ from .ingest import (  # noqa: F401
 from .pmf import DiscretePmf  # noqa: F401
 from .risk import (  # noqa: F401
     RiskMetrics,
+    ShortfallFunctionals,
     balance_distribution,
     compute_metrics,
     long_run_mean,

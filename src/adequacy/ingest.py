@@ -14,9 +14,10 @@ import re
 import warnings
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
+from itertools import compress
 from math import ceil
+from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,12 +31,6 @@ _ANCHOR_RE = re.compile(r"^(first|last)\s+(\w+)\s+in\s+(\w+)$", re.IGNORECASE)
 
 TRACE_COLUMNS = ("season", "timestamp", "demand_mw", "wind_mw")
 QUANTILE_COLUMNS = ("season", "quantile_mw")
-
-
-class HourlyObservation(NamedTuple):
-    timestamp: datetime
-    demand_mw: float
-    wind_mw: float
 
 
 @dataclass(frozen=True)
@@ -130,11 +125,6 @@ class SeasonTrace:
         """Demand net of wind, the tail-modelled quantity."""
         return self.demand_mw - self.wind_mw
 
-    def hours(self):
-        """Iterate observations as (timestamp, demand, wind) tuples."""
-        for ts, d, w in zip(self.timestamps.astype(object), self.demand_mw, self.wind_mw):
-            yield HourlyObservation(ts, float(d), float(w))
-
 
 def _parse_timestamp(raw: str, line_num: int) -> datetime:
     try:
@@ -162,6 +152,140 @@ def _require_columns(fieldnames, required, path):
         raise DataError(f"{path}: missing required columns {sorted(missing)}")
 
 
+# rows parsed per batch: column-wise parsing holds a batch's strings in memory,
+# and the whole file's would cost tens of MB on long histories
+_CHUNK_ROWS = 1 << 14
+_HOUR_US = 3_600_000_000
+_DAY_US = 24 * _HOUR_US
+# the one timestamp form numpy parses exactly as datetime.fromisoformat does:
+# a digit wherever the template has a 0, and not year 0000; anything else
+# (offsets, Z, a space separator, fractions) takes the slow path
+_PLAIN_ISO = np.array("0000-00-00T00:00:00").reshape(1).view(np.uint32)
+_PLAIN_DIGIT = _PLAIN_ISO == ord("0")
+
+
+def _field(row: list[str], index: int) -> str | None:
+    """A row's field as csv.DictReader gives it: None when the row is short."""
+    return row[index] if index < len(row) else None
+
+
+def _check_row(row: list[str], line: int, index: dict[str, int]) -> None:
+    """Raise the DataError a faulty row earns, checking its fields in order."""
+    season = (_field(row, index["season"]) or "").strip()
+    if not season:
+        raise DataError(f"line {line}: empty season label")
+    _parse_timestamp(_field(row, index["timestamp"]) or "", line)
+    demand = _parse_float(_field(row, index["demand_mw"]), "demand_mw", line)
+    wind = _parse_float(_field(row, index["wind_mw"]), "wind_mw", line)
+    if demand < 0.0 or wind < 0.0:
+        raise DataError(f"line {line}: negative demand or wind")
+
+
+def _parse_timestamps(texts: list[str]) -> np.ndarray | None:
+    """Stripped ISO timestamps as naive-UTC datetime64[us]; None if one is bad.
+
+    Plain ``YYYY-MM-DDTHH:MM:SS`` text goes through numpy's parser and is kept
+    where it formats back to the same text. Every other entry is parsed by
+    ``datetime.fromisoformat`` (via _parse_timestamp), which also converts
+    offsets to UTC; no text with an offset reaches numpy.
+    """
+    out = np.empty(len(texts), dtype="datetime64[us]")
+    # only texts of the plain length become a fixed-width array: one long
+    # field must not widen the whole batch's
+    sized = [len(t) == _PLAIN_ISO.size for t in texts]
+    where = np.flatnonzero(sized)
+    candidates = np.array(list(compress(texts, sized)), dtype=f"U{_PLAIN_ISO.size}")
+    chars = candidates.view(np.uint32).reshape(-1, _PLAIN_ISO.size)
+    plain = np.where(_PLAIN_DIGIT, chars - ord("0") <= 9, chars == _PLAIN_ISO).all(axis=1)
+    plain &= (chars[:, :4] != ord("0")).any(axis=1)
+    where, candidates = where[plain], candidates[plain]
+    try:
+        parsed = candidates.astype("datetime64[s]")
+    except ValueError:  # e.g. hour 24 or 31 November: leave them all to the slow path
+        where = where[:0]
+    else:
+        same = np.datetime_as_string(parsed, unit="s") == candidates
+        where = where[same]
+        out[where] = parsed[same]
+    slow = np.ones(len(texts), dtype=bool)
+    slow[where] = False
+    for i in np.flatnonzero(slow):
+        try:
+            out[i] = _parse_timestamp(texts[i], 0)
+        except DataError:
+            return None
+    return out
+
+
+def _parse_floats(texts: list[str | None]) -> np.ndarray | None:
+    """Finite floats with Python's float() grammar; None if one is bad."""
+    try:
+        values = np.array(list(map(float, texts)))
+    except (TypeError, ValueError):
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _parse_chunk(rows, lines, index, codes_of):
+    """One batch of rows as (season code, timestamp, demand, wind) arrays.
+
+    Each column is parsed as a whole. If any row is faulty, the batch is
+    walked row by row to raise the first fault in file order.
+    """
+    try:
+        columns = [list(map(itemgetter(index[name]), rows)) for name in TRACE_COLUMNS]
+    except IndexError:  # a short row: its missing fields read as None
+        columns = [[_field(r, index[name]) for r in rows] for name in TRACE_COLUMNS]
+    try:
+        labels = list(map(str.strip, columns[0]))
+        stamps = list(map(str.strip, columns[1]))
+    except TypeError:  # a short row lacks one
+        labels = None
+    ts = demand = wind = None
+    if labels is not None and all(labels):
+        ts = _parse_timestamps(stamps)
+        demand = _parse_floats(columns[2])
+        wind = _parse_floats(columns[3])
+    if ts is None or demand is None or wind is None or (demand < 0.0).any() or (wind < 0.0).any():
+        for row, line in zip(rows, lines):
+            _check_row(row, line, index)
+        raise AssertionError("a faulty batch without a faulty row")
+    for label in dict.fromkeys(labels):
+        codes_of.setdefault(label, len(codes_of))
+    codes = np.fromiter(map(codes_of.__getitem__, labels), np.int64, len(labels))
+    return codes, ts, demand, wind
+
+
+def _read_columns(path: Path):
+    """All rows of a traces CSV as (label -> code, code, timestamp, demand, wind)."""
+    codes_of: dict[str, int] = {}
+    parts = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        _require_columns(header, TRACE_COLUMNS, path)
+        # a repeated column name reads its last occurrence, as csv.DictReader does
+        index = {name: i for i, name in enumerate(header)}
+        rows, lines = [], []
+        for row in reader:
+            if not row:
+                continue  # blank line
+            rows.append(row)
+            lines.append(reader.line_num)
+            if len(rows) == _CHUNK_ROWS:
+                parts.append(_parse_chunk(rows, lines, index, codes_of))
+                rows, lines = [], []
+        if rows:
+            parts.append(_parse_chunk(rows, lines, index, codes_of))
+    if not parts:
+        return codes_of, *(np.empty(0, dtype=d) for d in ("int64", "datetime64[us]", float, float))
+    return codes_of, *(np.concatenate(column) for column in zip(*parts))
+
+
+def _iso(t: np.datetime64) -> str:
+    return t.astype(object).isoformat()
+
+
 def load_traces(
     path,
     window: SeasonWindow | None = None,
@@ -178,48 +302,38 @@ def load_traces(
     path = Path(path)
     if not path.exists():
         raise DataError(f"trace file not found: {path}")
-
-    per_season: dict[str, list[tuple[datetime, float, float]]] = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader.fieldnames, TRACE_COLUMNS, path)
-        for row in reader:
-            line = reader.line_num
-            season = (row.get("season") or "").strip()
-            if not season:
-                raise DataError(f"line {line}: empty season label")
-            ts = _parse_timestamp(row.get("timestamp") or "", line)
-            demand = _parse_float(row.get("demand_mw"), "demand_mw", line)
-            wind = _parse_float(row.get("wind_mw"), "wind_mw", line)
-            if demand < 0.0 or wind < 0.0:
-                raise DataError(f"line {line}: negative demand or wind")
-            per_season.setdefault(season, []).append((ts, demand, wind))
+    codes_of, codes, ts, demand, wind = _read_columns(path)
 
     traces = []
     wind_violations = 0
-    for season in sorted(per_season):
-        lo, hi = window.bounds(season)
-        rows = sorted((r for r in per_season[season] if lo <= r[0] < hi), key=lambda r: r[0])
-        if not rows:
+    for season in sorted(codes_of):
+        lo, hi = (np.datetime64(b, "us") for b in window.bounds(season))
+        rows = np.flatnonzero((codes == codes_of[season]) & (ts >= lo) & (ts < hi))
+        if not rows.size:
             continue  # season present in the file but entirely outside the window
-        for (t1, *_), (t2, *_) in zip(rows, rows[1:]):
-            if t1 == t2:
-                raise DataError(f"season {season}: duplicate timestamp {t1.isoformat()}")
+        rows = rows[np.argsort(ts[rows], kind="stable")]
+        steps = np.diff(ts[rows]).astype(np.int64)
+        repeated = np.flatnonzero(steps == 0)
+        if repeated.size:
+            raise DataError(
+                f"season {season}: duplicate timestamp {_iso(ts[rows[repeated[0]]])}"
+            )
         if allow_gaps:
-            rows = _drop_incomplete_days(rows)
-            if not rows:
+            days = ts[rows].astype(np.int64) // _DAY_US
+            _, day_of, day_hours = np.unique(days, return_inverse=True, return_counts=True)
+            rows = rows[day_hours[day_of] == 24]
+            if not rows.size:
                 raise DataError(f"season {season}: no complete days inside the window")
         else:
-            _check_complete(rows, season, lo, hi)
-        ts, demand, wind = zip(*rows)
+            _check_complete(ts[rows], steps, season, lo, hi)
         if installed_wind_mw is not None:
-            wind_violations += sum(w > installed_wind_mw for w in wind)
+            wind_violations += int(np.count_nonzero(wind[rows] > installed_wind_mw))
         traces.append(
             SeasonTrace(
                 season_label=season,
-                timestamps=np.array(ts, dtype="datetime64[s]"),
-                demand_mw=np.array(demand),
-                wind_mw=np.array(wind),
+                timestamps=ts[rows].astype("datetime64[s]"),
+                demand_mw=demand[rows],
+                wind_mw=wind[rows],
                 rescale_factor=1.0,
             )
         )
@@ -231,30 +345,24 @@ def load_traces(
     return traces
 
 
-def _check_complete(rows, season, lo, hi):
-    expected = int((hi - lo).total_seconds() // 3600)
-    if rows[0][0] != lo:
+def _check_complete(ts, steps, season, lo, hi):
+    expected = int((hi - lo) // np.timedelta64(1, "h"))
+    if ts[0] != lo:
         raise DataError(
-            f"season {season}: window starts {lo.isoformat()} but first "
-            f"observation is {rows[0][0].isoformat()} (use allow_gaps to tolerate)"
+            f"season {season}: window starts {_iso(lo)} but first "
+            f"observation is {_iso(ts[0])} (use allow_gaps to tolerate)"
         )
-    for (t1, *_), (t2, *_) in zip(rows, rows[1:]):
-        if t2 - t1 != timedelta(hours=1):
-            raise DataError(
-                f"season {season}: non-hourly gap between {t1.isoformat()} "
-                f"and {t2.isoformat()} (use allow_gaps to tolerate)"
-            )
-    if len(rows) != expected:
+    gaps = np.flatnonzero(steps != _HOUR_US)
+    if gaps.size:
+        t1, t2 = ts[gaps[0]], ts[gaps[0] + 1]
         raise DataError(
-            f"season {season}: {len(rows)} hours inside the window, expected {expected}"
+            f"season {season}: non-hourly gap between {_iso(t1)} "
+            f"and {_iso(t2)} (use allow_gaps to tolerate)"
         )
-
-
-def _drop_incomplete_days(rows):
-    by_day: dict = {}
-    for r in rows:
-        by_day.setdefault(r[0].date(), []).append(r)
-    return [r for day in sorted(by_day) if len(by_day[day]) == 24 for r in by_day[day]]
+    if ts.size != expected:
+        raise DataError(
+            f"season {season}: {ts.size} hours inside the window, expected {expected}"
+        )
 
 
 def clip_to_window(trace: SeasonTrace, window: SeasonWindow) -> SeasonTrace:

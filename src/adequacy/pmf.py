@@ -69,11 +69,6 @@ class DiscretePmf:
         out = suffix[idx]
         return float(out) if np.isscalar(v) or v_arr.ndim == 0 else out
 
-    def prob_below(self, v: float) -> float:
-        """P(V < v), strict."""
-        idx = int(np.searchsorted(self.values_mw, v, side="left"))
-        return float(self.probabilities[:idx].sum())
-
 
 def pmf_from_samples(values) -> DiscretePmf:
     """Empirical pmf: each observation contributes mass 1/n to its floor-MW bin."""

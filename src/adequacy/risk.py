@@ -1,10 +1,16 @@
 """Supply-demand balance and the LoLE / EEU risk metrics.
 
-The balance Z is available conventional capacity minus demand-net-of-wind;
-with the two independent, its distribution is the convolution of the fleet
-pmf with the reflected demand-net-of-wind pmf. LoLE is n * P(Z < 0) hours per
-season and EEU is n * E[max(-Z, 0)] MWh per season, where n is the number of
-hours in the season under study. Mass exactly at Z = 0 counts as adequate.
+The balance Z is available conventional capacity X minus demand-net-of-wind
+V, the two independent. LoLE is n * P(Z < 0) hours per season and EEU is
+n * E[max(-Z, 0)] MWh per season, where n is the number of hours in the
+season under study. Mass exactly at Z = 0 counts as adequate.
+
+The definition is the balance pmf, the convolution of the fleet pmf with the
+reflected V pmf (``balance_distribution`` + ``compute_metrics``). Every
+production path instead uses ``ShortfallFunctionals``: P(Z < 0) and
+E[max(-Z, 0)] are the V-expectations of the fleet's cdf P(X < v) and partial
+moment E[(v - X)+], read in one pass over each V pmf. The convolution stays
+as the test oracle.
 """
 
 from __future__ import annotations
@@ -66,12 +72,16 @@ def compute_metrics(z: DiscretePmf, n_hours: int) -> RiskMetrics:
 
 
 class ShortfallFunctionals:
-    """Fast LoLE/EEU evaluation against a fixed fleet.
+    """LoLE/EEU against a fixed fleet, in one pass over each pmf.
 
-    Precomputes P(X < v) and E[(v - X)+] on the integer grid so that metrics
-    for many demand-net-of-wind pmfs (e.g. bootstrap replications) cost one
-    dot product each. Results match balance_distribution + compute_metrics to
-    floating-point reordering.
+    With X the available capacity, P(X < v) and E[(v - X)+] are precomputed
+    on the fleet's integer grid: for v = origin + j + 1 they are cdf[j] and
+    G[j] = v * cdf[j] - E[X ; X <= origin + j]. A demand-net-of-wind pmf's
+    atoms are one contiguous integer range, so its metrics are two dot
+    products over the slice inside the fleet's support plus closed forms
+    above it (P = 1, E = v - E[X]); atoms at or below the fleet's origin
+    contribute nothing. Results match balance_distribution + compute_metrics,
+    the definition, to floating-point reordering.
     """
 
     def __init__(self, fleet: DiscretePmf):
@@ -79,27 +89,22 @@ class ShortfallFunctionals:
         self._origin = fleet.origin_mw
         p = fleet.probabilities
         x = fleet.values_mw.astype(float)
-        self._cdf = np.cumsum(p)  # P(X <= origin + k)
-        self._first_moment = np.cumsum(x * p)  # E[X ; X <= origin + k]
-        self._total = float(x[-1])
-
-    def _prob_below(self, v: np.ndarray) -> np.ndarray:
-        idx = np.clip(v - self._origin - 1, -1, self._cdf.size - 1).astype(np.int64)
-        out = np.where(idx >= 0, self._cdf[np.clip(idx, 0, None)], 0.0)
-        return np.where(v - self._origin - 1 >= self._cdf.size, 1.0, out)
-
-    def _partial_moment(self, v: np.ndarray) -> np.ndarray:
-        idx = np.clip(v - self._origin - 1, -1, self._first_moment.size - 1).astype(np.int64)
-        out = np.where(idx >= 0, self._first_moment[np.clip(idx, 0, None)], 0.0)
-        full = self._first_moment[-1]
-        return np.where(v - self._origin - 1 >= self._first_moment.size, full, out)
+        first_moment = np.cumsum(x * p)  # E[X ; X <= origin + j]
+        self._cdf = np.cumsum(p)  # P(X <= origin + j)
+        self._gap = (x + 1.0) * self._cdf - first_moment  # E[(origin + j + 1 - X)+]
+        self._mean = float(first_moment[-1])
 
     def metrics(self, dnw_pmf: DiscretePmf, n_hours: int) -> RiskMetrics:
-        v = dnw_pmf.values_mw
         pv = dnw_pmf.probabilities
-        below = self._prob_below(v)
-        p_shortfall = float(np.dot(pv, below))
-        energy = float(np.dot(pv, v * below - self._partial_moment(v)))
+        # atom i sits at v = dnw origin + i and reads fleet index k0 + i = v - origin - 1
+        k0 = dnw_pmf.origin_mw - self._origin - 1
+        lo = min(max(-k0, 0), pv.size)
+        hi = min(max(self._cdf.size - k0, lo), pv.size)
+        inside = pv[lo:hi]
+        above = pv[hi:]
+        excess = dnw_pmf.origin_mw + np.arange(hi, pv.size) - self._mean  # v - E[X]
+        p_shortfall = float(inside @ self._cdf[k0 + lo : k0 + hi] + above.sum())
+        energy = float(inside @ self._gap[k0 + lo : k0 + hi] + above @ excess)
         return RiskMetrics(
             lole_hours=n_hours * p_shortfall,
             eeu_mwh=n_hours * energy,
@@ -115,9 +120,9 @@ def model_risk(
     lo: float | None = None,
     hi: float | None = None,
 ) -> RiskMetrics:
-    """Discretize a demand-net-of-wind model and convolve it against the fleet."""
+    """Discretize a demand-net-of-wind model and evaluate it against the fleet."""
     pmf = dnw.discretize(model, lo, hi)
-    return compute_metrics(balance_distribution(fleet, pmf), n_hours)
+    return ShortfallFunctionals(fleet).metrics(pmf, n_hours)
 
 
 def build_model(trace: SeasonTrace, kind: str, threshold_quantile: float = 0.95) -> dnw.TailModel:
@@ -138,7 +143,7 @@ def season_risk(
     threshold_quantile: float = 0.95,
     n_hours: int | None = None,
 ) -> RiskMetrics:
-    """Full single-season pipeline: model, discretize, convolve, metrics."""
+    """Full single-season pipeline: model, discretize, metrics."""
     model = build_model(trace, kind, threshold_quantile)
     return model_risk(model, fleet, n_hours if n_hours is not None else trace.n_hours)
 

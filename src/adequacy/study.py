@@ -35,9 +35,7 @@ from .pmf import convolve, pmf_from_samples
 from .risk import (
     RiskMetrics,
     ShortfallFunctionals,
-    balance_distribution,
     build_model,
-    compute_metrics,
     long_run_mean,
 )
 from .uncertainty import BootstrapConfig, ConfidenceInterval, block_bootstrap, season_bootstrap
@@ -280,7 +278,7 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
             model = build_model(trace, kind, q if q is not None else 0.95)
             season_models[(label, trace.season_label)] = model
             pmf = dnw.discretize(model)
-            metrics_list.append(compute_metrics(balance_distribution(fleet, pmf), n_hours))
+            metrics_list.append(functionals.metrics(pmf, n_hours))
         per_season[label] = metrics_list
 
     progress("season bootstrap")
@@ -317,9 +315,7 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
     bootstrap_counts = {}
     for label, kind, q in columns if cfg.include_pooled else []:
         model = _pooled_model(traces, kind, q)
-        metrics = compute_metrics(
-            balance_distribution(fleet, dnw.discretize(model)), n_hours
-        )
+        metrics = functionals.metrics(dnw.discretize(model), n_hours)
         pooled_lole[label] = metrics.lole_hours
         pooled_eeu[label] = metrics.eeu_gwh
         result = block_bootstrap(

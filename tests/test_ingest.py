@@ -1,7 +1,12 @@
+import warnings
+from datetime import timedelta
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adequacy import ingest
 from adequacy.errors import DataError
 from adequacy.ingest import (
     SeasonTrace,
@@ -14,7 +19,7 @@ from adequacy.ingest import (
     load_traces,
     lowess_fit,
 )
-from helpers import make_trace, write_trace_csv
+from helpers import legacy_load_traces, make_trace, write_trace_csv
 
 
 @pytest.fixture
@@ -165,6 +170,214 @@ class TestLoadTraces:
         clipped = clip_to_window(loaded, small_window)
         np.testing.assert_array_equal(clipped.timestamps, loaded.timestamps)
         np.testing.assert_array_equal(clipped.demand_mw, loaded.demand_mw)
+
+
+SEASONS = ("2007-08", "2008-09", "2009-10")
+HEADER = "season,timestamp,demand_mw,wind_mw"
+
+
+def trace_rows(window, labels=SEASONS, margin=3, seed=0):
+    """[label, timestamp, demand, wind] text fields, a few hours either side of each window."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for label in labels:
+        start = window.start(label)
+        for h in range(-margin, window.expected_hours + margin):
+            ts = start + timedelta(hours=h)
+            rows.append([label, ts.isoformat(), repr(float(rng.uniform(20e3, 50e3))),
+                         repr(float(rng.uniform(0.0, 12e3)))])
+    return rows
+
+
+def load_outcome(loader, path, window, **kwargs):
+    """What a loader returns or raises, with every warning it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            traces = loader(path, window, **kwargs)
+        except (DataError, ValueError) as exc:
+            result = (type(exc).__name__, str(exc))
+        else:
+            result = [
+                (t.season_label, t.timestamps.dtype, t.timestamps.tolist(), t.demand_mw.dtype,
+                 t.demand_mw.tolist(), t.wind_mw.dtype, t.wind_mw.tolist())
+                for t in traces
+            ]
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+# text edits on one row; each maps the row's fields to the line(s) written for it
+ROW_EDITS = {
+    "delete": lambda f: [],
+    "duplicate": lambda f: [",".join(f)] * 2,
+    "blank_before": lambda f: ["", ",".join(f)],
+    "extra_field": lambda f: [",".join(f + ["note"])],
+    "short": lambda f: [",".join(f[:3])],
+    "zulu": lambda f: [",".join([f[0], f[1] + "Z", *f[2:]])],
+    "offset": lambda f: [",".join([f[0], (np.datetime64(f[1]) + np.timedelta64(1, "h")).item()
+                                   .isoformat() + "+01:00", *f[2:]])],
+    "space": lambda f: [",".join([f[0], f[1].replace("T", " "), *f[2:]])],
+    "fraction": lambda f: [",".join([f[0], f[1] + ".25", *f[2:]])],
+    "padded": lambda f: [",".join([f" {f[0]} ", f" {f[1]} ", f" {f[2]} ", f[3]])],
+    "hour_24": lambda f: [",".join([f[0], f[1][:11] + "24:00:00", *f[2:]])],
+    "year_0": lambda f: [",".join([f[0], "0000" + f[1][4:], *f[2:]])],
+    "garbage_ts": lambda f: [",".join([f[0], "garbage", *f[2:]])],
+    "underscore": lambda f: [",".join([f[0], f[1], "40_000.0", f[3]])],
+    "nan": lambda f: [",".join([f[0], f[1], "nan", f[3]])],
+    "inf_wind": lambda f: [",".join([*f[:3], "inf"])],
+    "bad_float": lambda f: [",".join([f[0], f[1], "much", f[3]])],
+    "negative": lambda f: [",".join([*f[:3], "-1"])],
+    "empty_label": lambda f: [",".join([" ", *f[1:]])],
+    "quoted_newline": lambda f: ['"' + f[0][:5] + '\n' + f[0][5:] + '",' + ",".join(f[1:])],
+    "big_wind": lambda f: [",".join([*f[:3], "20000.0"])],
+    "wind_at_capacity": lambda f: [",".join([*f[:3], "14000.0"])],
+}
+
+
+def write_lines(path, rows, edits=()):
+    """Write rows as CSV text, applying {row index: edit name} first."""
+    edits = dict(edits)
+    lines = [HEADER]
+    for i, fields in enumerate(rows):
+        lines.extend(ROW_EDITS[edits[i]](fields) if i in edits else [",".join(fields)])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+class TestColumnarLoaderMatchesRowByRow:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_seasons=st.integers(1, 3),
+        shuffle=st.sampled_from(["none", "interleave", "all"]),
+        edits=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(sorted(ROW_EDITS))),
+                       max_size=4),
+        chunk_rows=st.integers(1, 200),
+        allow_gaps=st.booleans(),
+        installed_wind_mw=st.sampled_from([None, 14_000.0]),
+    )
+    def test_same_traces_errors_and_warnings(self, tmp_path_factory, seed, n_seasons, shuffle,
+                                             edits, chunk_rows, allow_gaps, installed_wind_mw):
+        window = SeasonWindow(weeks=1)
+        rows = trace_rows(window, SEASONS[:n_seasons], seed=seed)
+        rng = np.random.default_rng(seed)
+        if shuffle == "all":
+            rng.shuffle(rows)
+        elif shuffle == "interleave":  # seasons alternate, each still in time order
+            per = len(rows) // n_seasons
+            seasons = (rows[s * per : (s + 1) * per] for s in range(n_seasons))
+            rows = [r for group in zip(*seasons) for r in group]
+        path = write_lines(tmp_path_factory.mktemp("traces") / "traces.csv", rows,
+                           [(i % len(rows), name) for i, name in edits])
+        kwargs = {"allow_gaps": allow_gaps, "installed_wind_mw": installed_wind_mw}
+        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+            new = load_outcome(load_traces, path, window, **kwargs)
+        assert new == load_outcome(legacy_load_traces, path, window, **kwargs)
+
+    @pytest.mark.parametrize("allow_gaps", [False, True])
+    def test_demo_dataset(self, demo_dataset_dir, allow_gaps):
+        path, window = demo_dataset_dir["traces"], SeasonWindow()
+        new = load_outcome(load_traces, path, window, allow_gaps=allow_gaps)
+        assert new == load_outcome(legacy_load_traces, path, window, allow_gaps=allow_gaps)
+
+
+class TestLoaderEdgeCases:
+    """Behaviour pinned row by row; each case also agrees with the row-by-row loader."""
+
+    @pytest.fixture
+    def week(self):
+        return SeasonWindow(weeks=1)
+
+    def outcome(self, tmp_path, week, edits, **kwargs):
+        path = write_lines(tmp_path / "traces.csv", trace_rows(week, SEASONS[:1], margin=0), edits)
+        new = load_outcome(load_traces, path, week, **kwargs)
+        assert new == load_outcome(legacy_load_traces, path, week, **kwargs)
+        result, caught = new
+        assert caught == []  # no timezone or other warning from either loader
+        return result
+
+    @pytest.mark.parametrize("edit, message", [
+        ("short", "line 7: bad wind_mw None"),
+        ("nan", "line 7: non-finite demand_mw"),
+        ("inf_wind", "line 7: non-finite wind_mw"),
+        ("negative", "line 7: negative demand or wind"),
+        ("empty_label", "line 7: empty season label"),
+        ("bad_float", "line 7: bad demand_mw 'much'"),
+        ("garbage_ts", "line 7: bad timestamp 'garbage'"),
+        ("hour_24", "line 7: bad timestamp '2007-10-28T24:00:00'"),
+        ("year_0", "line 7: bad timestamp '0000-10-28T05:00:00'"),
+    ])
+    def test_faulty_row_message(self, tmp_path, week, edit, message):
+        assert self.outcome(tmp_path, week, {5: edit}) == ("DataError", message)
+
+    @pytest.mark.parametrize("line, message", [
+        (" ,garbage,much,-1", "empty season label"),
+        ("2007-08,garbage,much,-1", "bad timestamp 'garbage'"),
+        ("2007-08,2007-10-28T05:00:00,much,nan", "bad demand_mw 'much'"),
+        ("2007-08,2007-10-28T05:00:00,-1,nan", "non-finite wind_mw"),
+        ("2007-08,2007-10-28T05:00:00,-1,much", "bad wind_mw 'much'"),
+    ])
+    def test_fields_checked_in_order(self, tmp_path, week, line, message):
+        path = write_lines(tmp_path / "traces.csv", trace_rows(week, SEASONS[:1], margin=0))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[6] = line
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for loader in (load_traces, legacy_load_traces):
+            with pytest.raises(DataError) as excinfo:
+                loader(path, week)
+            assert str(excinfo.value) == f"line 7: {message}"
+
+    def test_first_gap_reported(self, tmp_path, week):
+        assert self.outcome(tmp_path, week, {10: "delete", 20: "delete"}) == (
+            "DataError",
+            "season 2007-08: non-hourly gap between 2007-10-28T09:00:00 and "
+            "2007-10-28T11:00:00 (use allow_gaps to tolerate)",
+        )
+
+    def test_wind_at_capacity_not_counted(self, tmp_path, week):
+        path = write_lines(tmp_path / "traces.csv", trace_rows(week, SEASONS[:1], margin=0),
+                           {3: "wind_at_capacity", 4: "big_wind"})
+        with pytest.warns(UserWarning, match="^1 wind observations exceed"):
+            load_traces(path, week, installed_wind_mw=14_000.0)
+
+    def test_first_fault_in_file_order_and_row_order(self, tmp_path, week):
+        # row 6 has a bad timestamp and a bad float: the timestamp is reported;
+        # a later fault, in another batch, is not
+        path = write_lines(tmp_path / "traces.csv", trace_rows(week, SEASONS[:1], margin=0),
+                           {40: "nan"})
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[6] = "2007-08,garbage,much,0.0"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with mock.patch.object(ingest, "_CHUNK_ROWS", 4):
+            with pytest.raises(DataError) as excinfo:
+                load_traces(path, week)
+        assert str(excinfo.value) == "line 7: bad timestamp 'garbage'"
+
+    @pytest.mark.parametrize("edit", ["extra_field", "blank_before", "zulu", "space", "padded"])
+    def test_accepted_unchanged(self, tmp_path, week, edit):
+        assert self.outcome(tmp_path, week, {5: edit}) == self.outcome(tmp_path, week, {})
+
+    def test_offset_converted_to_utc(self, tmp_path, week):
+        # 06:00+01:00 is the 05:00 UTC row the edit replaced
+        assert self.outcome(tmp_path, week, {5: "offset"}) == self.outcome(tmp_path, week, {})
+
+    def test_underscore_value_read_as_python_float(self, tmp_path, week):
+        result = self.outcome(tmp_path, week, {5: "underscore"})
+        assert result[0][4][5] == 40_000.0
+
+    def test_quoted_newline_in_label_shifts_line_numbers(self, tmp_path, week):
+        path = write_lines(tmp_path / "traces.csv", trace_rows(week, SEASONS[:1], margin=0),
+                           {2: "quoted_newline", 5: "nan"})
+        with pytest.raises(DataError, match="^line 8: non-finite demand_mw$"):
+            load_traces(path, week)
+        with pytest.raises(DataError, match="^line 8: non-finite demand_mw$"):
+            legacy_load_traces(path, week)
+
+    def test_quoted_newline_in_label_accepted(self, tmp_path, week):
+        rows = trace_rows(week, SEASONS[:1], margin=0)
+        result = self.outcome(tmp_path, week, {i: "quoted_newline" for i in range(len(rows))})
+        assert [season[0] for season in result] == ["2007-\n08"]
+        assert result[0][1:] == self.outcome(tmp_path, week, {})[0][1:]
 
 
 class TestDailyPeakQuantile:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adequacy.dnw import build_evt_model, build_hindcast_model, discretize
 from adequacy.genmodel import GeneratingUnit, convolve_fleet
@@ -98,6 +99,54 @@ class TestShortfallFunctionals:
             quick = fast.metrics(pmf, trace.n_hours)
             assert quick.lole_hours == pytest.approx(full.lole_hours, rel=1e-9)
             assert quick.eeu_mwh == pytest.approx(full.eeu_mwh, rel=1e-9)
+
+
+@st.composite
+def fleet_and_net_demand(draw):
+    """A small fleet pmf and a net-demand pmf placed anywhere around it."""
+    weights = st.integers(0, 1000)
+    fleet_w = np.array(draw(st.lists(weights, min_size=1, max_size=30)), dtype=float)
+    fleet_w[draw(st.integers(0, fleet_w.size - 1))] += 1.0
+    fleet = DiscretePmf(draw(st.integers(-50, 50)), fleet_w / fleet_w.sum())
+    first, last = fleet.origin_mw, fleet.last_mw
+    place = draw(st.sampled_from(["below", "above", "straddle", "anywhere", "atom"]))
+    if place == "atom":
+        at = draw(st.sampled_from([first - 1, first, first + 1, last - 1, last, last + 1]))
+        return fleet, point_mass(at)
+    net_w = np.array(draw(st.lists(weights, min_size=1, max_size=40)), dtype=float)
+    net_w[draw(st.integers(0, net_w.size - 1))] += 1.0
+    if place == "below":  # every atom at or below the fleet's origin
+        origin = first - draw(st.integers(0, 5)) - (net_w.size - 1)
+    elif place == "above":  # every atom above the fleet's maximum
+        origin = last + 1 + draw(st.integers(0, 5))
+    elif place == "straddle":  # mass below the fleet's origin and above its maximum
+        below, above = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        span = np.zeros(below + fleet_w.size + above)
+        span[: net_w.size] = net_w[: span.size]
+        span[[0, -1]] += 1.0
+        net_w, origin = span, first - below
+    else:
+        origin = draw(st.integers(first - 60, last + 20))
+    return fleet, DiscretePmf(origin, net_w / net_w.sum())
+
+
+class TestShortfallFunctionalsProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(case=fleet_and_net_demand(), n_hours=st.integers(1, 5000))
+    def test_equals_balance_convolution(self, case, n_hours):
+        fleet, net = case
+        fast = ShortfallFunctionals(fleet).metrics(net, n_hours)
+        exact = compute_metrics(balance_distribution(fleet, net), n_hours)
+        assert fast.p_shortfall == pytest.approx(exact.p_shortfall, rel=1e-9, abs=1e-12)
+        assert fast.lole_hours == pytest.approx(exact.lole_hours, rel=1e-9, abs=1e-12)
+        assert fast.eeu_mwh == pytest.approx(exact.eeu_mwh, rel=1e-9, abs=1e-12)
+
+    def test_atoms_above_the_fleet_use_its_mean(self):
+        # X is 0 or 10 MW with equal odds; V = 12 MW: E[(V - X)+] = 12 - E[X] = 7
+        fleet = two_atom(0, 0.5, 10)
+        m = ShortfallFunctionals(fleet).metrics(point_mass(12.0), 1)
+        assert m.p_shortfall == 1.0
+        assert m.eeu_mwh == pytest.approx(7.0, rel=1e-15)
 
 
 class TestSeasonRisk:
