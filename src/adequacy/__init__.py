@@ -45,7 +45,6 @@ from .risk import (  # noqa: F401
     balance_distribution,
     compute_metrics,
     long_run_mean,
-    season_risk,
 )
 from .uncertainty import (  # noqa: F401
     BootstrapConfig,

@@ -16,11 +16,13 @@ import numpy as np
 
 from . import __version__, demo, dnw, evt
 from .errors import ConfigError, DataError, NumericalError
-from .genmodel import convolve_fleet, fleet_summary, load_fleet
+from .genmodel import fleet_summary, load_fleet
 from .ingest import SeasonWindow, load_quantile_history, load_traces
-from .risk import ShortfallFunctionals
+from .risk import ShortfallFunctionals, build_model
 from .study import (
     RunConfig,
+    emit_tables,
+    load_inputs,
     pooled_pipeline,
     rescale_traces,
     run_full_study,
@@ -29,41 +31,77 @@ from .study import (
     write_scan_csv,
     write_survivor_csv,
 )
-from .uncertainty import BootstrapConfig, block_bootstrap, season_bootstrap
-
-_STUDY_DEFAULTS = {
-    "quantiles": None,
-    "ref_season": None,
-    "models": ["evt", "hindcast", "ind"],
-    "threshold_quantiles": [0.90, 0.95, 0.98],
-    "window_weeks": 21,
-    "anchor_rule": "last Sunday in October",
-    "span": 2.0 / 3.0,
-    "iterations": 1,
-    "reps": 10_000,
-    "level": 0.95,
-    "rescale_quantile": 0.90,
-    "installed_wind_mw": None,
-    "allow_gaps": False,
-    "seed": None,
-}
+from .uncertainty import block_bootstrap, season_bootstrap
 
 _KIND_ALIASES = {"evt": dnw.EVT, "hindcast": dnw.HINDCAST, "ind": dnw.INDEPENDENCE}
 
 
-def _window(args) -> SeasonWindow:
-    return SeasonWindow(
-        weeks=getattr(args, "window_weeks", 21) or 21,
-        anchor_rule=getattr(args, "anchor_rule", None) or "last Sunday in October",
-    )
+# flag destination, which is also the study config-file key -> (RunConfig
+# field, conversion of its value, if any); a key left unset takes RunConfig's default
+_CONFIG_KEYS = {
+    "traces": ("traces_path", str),
+    "fleet": ("fleet_path", str),
+    "out": ("output_dir", str),
+    "seed": ("seed", int),
+    "quantiles": ("quantiles_path", None),
+    "ref_season": ("reference_season", None),
+    "models": ("model_kinds", lambda ms: tuple(dict.fromkeys(_KIND_ALIASES[m] for m in ms))),
+    "threshold_quantiles": ("threshold_quantiles", lambda qs: tuple(float(q) for q in qs)),
+    "window_weeks": ("window_weeks", int),
+    "anchor_rule": ("anchor_rule", str),
+    "span": ("lowess_span", float),
+    "iterations": ("lowess_iterations", int),
+    "reps": ("replications", int),
+    "level": ("ci_level", float),
+    "rescale_quantile": ("rescale_quantile", float),
+    "installed_wind_mw": ("installed_wind_mw", None),
+    "allow_gaps": ("allow_gaps", bool),
+}
+
+
+def _read_config_file(path) -> dict:
+    try:
+        values = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
+    unknown = set(values) - set(_CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"config file has unknown keys {sorted(unknown)}")
+    return values
+
+
+def _run_config(args, **fixed) -> RunConfig:
+    """The RunConfig of a study, risk or uncertainty call.
+
+    A flag given wins over the study config file, and the file over RunConfig's
+    defaults. ``fixed`` holds RunConfig fields the command sets itself.
+    """
+    values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in _CONFIG_KEYS:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    study = args.command == "study"
+    if study and not all(values.get(k) for k in ("traces", "fleet", "out")):
+        raise ConfigError("study requires --traces, --fleet and --out (flags or config file)")
+    if values.get("seed") is None:
+        source = " (flag or config file)" if study else ""
+        raise ConfigError(f"--seed is required for {args.command}{source}")
+    fields = {}
+    for key, value in values.items():
+        name, convert = _CONFIG_KEYS[key]
+        try:
+            fields[name] = convert(value) if convert else value
+        except (KeyError, TypeError, ValueError):
+            raise ConfigError(f"{key}: bad value {value!r}") from None
+    return RunConfig(**fields, **fixed)
 
 
 def _load(args):
+    window = SeasonWindow(weeks=args.window_weeks, anchor_rule=args.anchor_rule)
     return load_traces(
-        args.traces,
-        _window(args),
-        installed_wind_mw=getattr(args, "installed_wind_mw", None),
-        allow_gaps=getattr(args, "allow_gaps", False),
+        args.traces, window, installed_wind_mw=args.installed_wind_mw, allow_gaps=args.allow_gaps
     )
 
 
@@ -145,12 +183,8 @@ def cmd_dnw(args) -> int:
         print(f"wrote {path}")
 
     if args.pooled:
-        from .study import _pooled_model
-
-        emit(_pooled_model(traces, kind, args.threshold_quantile), "pooled")
+        emit(build_model(traces, kind, args.threshold_quantile), "pooled")
     else:
-        from .risk import build_model
-
         for trace in traces:
             emit(build_model(trace, kind, args.threshold_quantile), trace.season_label)
     return 0
@@ -166,64 +200,35 @@ def cmd_fleet(args) -> int:
 
 
 def cmd_risk(args) -> int:
-    cfg = RunConfig(
-        traces_path=args.traces,
-        fleet_path=args.fleet,
-        seed=args.seed,
-        output_dir=args.out,
-        quantiles_path=args.quantiles,
-        reference_season=args.ref_season,
-        model_kinds=tuple(dict.fromkeys(_KIND_ALIASES[m] for m in args.model)),
-        threshold_quantiles=tuple(args.threshold_quantile),
-        window_weeks=args.window_weeks,
-        replications=args.reps,
-        ci_level=args.level,
-        allow_gaps=args.allow_gaps,
-        include_pooled=args.pooled,
-    )
-    result, extras = run_study_computation(cfg, progress=_progress(args))
-    outdir = Path(args.out)
+    cfg = _run_config(args, include_pooled=args.pooled)
+    result, _ = run_study_computation(cfg, progress=_progress(args))
+    outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    from .study import emit_pooled_table, emit_table
-
-    for table, stem in ((result.lole_table, "lole_per_season"), (result.eeu_table, "eeu_per_season")):
-        for fmt, suffix in (("csv", ".csv"), ("json", ".json"), ("text", ".txt")):
-            emit_table(table, fmt, outdir / f"{stem}{suffix}")
-    if args.pooled:
-        for fmt, suffix in (("csv", ".csv"), ("json", ".json"), ("text", ".txt")):
-            emit_pooled_table(result.pooled_table, fmt, outdir / f"pooled_metrics{suffix}")
+    emit_tables(result, outdir)
     print((outdir / "lole_per_season.txt").read_text(), end="")
     return 0
 
 
 def cmd_uncertainty(args) -> int:
-    if args.seed is None:
-        raise ConfigError("--seed is required for uncertainty")
-    traces = _load(args)
-    history = load_quantile_history(args.quantiles) if args.quantiles else None
-    traces, _ = rescale_traces(traces, history, args.ref_season, 2.0 / 3.0, 1)
-    fleet = convolve_fleet(load_fleet(args.fleet))
+    kind, q = _KIND_ALIASES[args.model], args.threshold_quantile
+    cfg = _run_config(args, model_kinds=(kind,), threshold_quantiles=(q,))
+    traces, _, fleet = load_inputs(cfg)
     functionals = ShortfallFunctionals(fleet)
-    kind = _KIND_ALIASES[args.model]
-    n_hours = _window(args).expected_hours
-    cfg = BootstrapConfig(seed=args.seed, replications=args.reps, ci_level=args.level)
-    metric_key = {"lole": "lole", "eeu": "eeu"}[args.metric]
-
-    from .risk import build_model
-
-    per_season = []
-    for trace in traces:
-        pmf = dnw.discretize(build_model(trace, kind, args.threshold_quantile))
-        m = functionals.metrics(pmf, n_hours)
-        per_season.append(m.lole_hours if metric_key == "lole" else m.eeu_mwh)
+    n_hours = cfg.window().expected_hours
+    boot = cfg.bootstrap(seed=cfg.seed)
 
     if args.mode == "season":
-        point = float(np.mean(per_season))
-        ci = season_bootstrap(per_season, cfg)
+        per_season = [
+            functionals.metrics(dnw.discretize(build_model(trace, kind, q)), n_hours)
+            for trace in traces
+        ]
+        values = [m.lole_hours if args.metric == "lole" else m.eeu_mwh for m in per_season]
+        point = float(np.mean(values))
+        ci = season_bootstrap(values, boot)
     else:
-        pipeline = pooled_pipeline(functionals, kind, args.threshold_quantile, n_hours)
-        point = pipeline(traces)[metric_key]
-        ci = block_bootstrap(traces, pipeline, cfg).intervals[metric_key]
+        pipeline = pooled_pipeline(functionals, kind, q, n_hours)
+        point = pipeline(traces)[args.metric]
+        ci = block_bootstrap(traces, pipeline, boot).intervals[args.metric]
 
     payload = {
         "metric": args.metric,
@@ -232,9 +237,9 @@ def cmd_uncertainty(args) -> int:
         "point_estimate": point,
         "ci_lower": ci.lower,
         "ci_upper": ci.upper,
-        "level": args.level,
-        "replications": args.reps,
-        "seed": args.seed,
+        "level": cfg.ci_level,
+        "replications": cfg.replications,
+        "seed": cfg.seed,
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
@@ -247,49 +252,7 @@ def _progress(args):
 
 
 def cmd_study(args) -> int:
-    merged = dict(_STUDY_DEFAULTS)
-    if args.config:
-        try:
-            file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {args.config}: {exc}") from None
-        unknown = set(file_cfg) - set(_STUDY_DEFAULTS) - {"traces", "fleet", "out"}
-        if unknown:
-            raise ConfigError(f"config file has unknown keys {sorted(unknown)}")
-        merged.update(file_cfg)
-    for key in _STUDY_DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    traces_path = args.traces or merged.get("traces")
-    fleet_path = args.fleet or merged.get("fleet")
-    out_dir = args.out or merged.get("out")
-    if not traces_path or not fleet_path or not out_dir:
-        raise ConfigError("study requires --traces, --fleet and --out (flags or config file)")
-    if merged["seed"] is None:
-        raise ConfigError("--seed is required for study (flag or config file)")
-
-    cfg = RunConfig(
-        traces_path=str(traces_path),
-        fleet_path=str(fleet_path),
-        seed=int(merged["seed"]),
-        output_dir=str(out_dir),
-        quantiles_path=merged["quantiles"],
-        reference_season=merged["ref_season"],
-        model_kinds=tuple(dict.fromkeys(_KIND_ALIASES[m] for m in merged["models"])),
-        threshold_quantiles=tuple(float(q) for q in merged["threshold_quantiles"]),
-        window_weeks=int(merged["window_weeks"]),
-        anchor_rule=str(merged["anchor_rule"]),
-        lowess_span=float(merged["span"]),
-        lowess_iterations=int(merged["iterations"]),
-        replications=int(merged["reps"]),
-        ci_level=float(merged["level"]),
-        rescale_quantile=float(merged["rescale_quantile"]),
-        installed_wind_mw=merged["installed_wind_mw"],
-        allow_gaps=bool(merged["allow_gaps"]),
-    )
+    cfg = _run_config(args)
     result = run_full_study(cfg, progress=_progress(args))
     print(f"study complete: {len(result.outputs)} artifacts in {cfg.output_dir}")
     return 0
@@ -311,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_window_opts(p):
-        p.add_argument("--window-weeks", type=int, default=21)
-        p.add_argument("--anchor-rule", default="last Sunday in October")
+        p.add_argument("--window-weeks", type=int, default=SeasonWindow.weeks)
+        p.add_argument("--anchor-rule", default=SeasonWindow.anchor_rule)
         p.add_argument("--allow-gaps", action="store_true")
         p.add_argument("--installed-wind-mw", type=float, default=None)
 
@@ -320,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", required=True)
     p.add_argument("--quantiles", default=None)
     p.add_argument("--ref-season", default=None)
-    p.add_argument("--span", type=float, default=2.0 / 3.0)
-    p.add_argument("--iterations", type=int, default=1)
-    p.add_argument("--rescale-quantile", type=float, default=0.90)
+    p.add_argument("--span", type=float, default=RunConfig.lowess_span)
+    p.add_argument("--iterations", type=int, default=RunConfig.lowess_iterations)
+    p.add_argument("--rescale-quantile", type=float, default=RunConfig.rescale_quantile)
     p.add_argument("--out", default=".")
     add_window_opts(p)
     p.set_defaults(func=cmd_ingest)
@@ -350,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fleet", help="validate a fleet file and print a summary")
     p.add_argument("--fleet", required=True)
-    p.add_argument("--summary", action="store_true")
     p.set_defaults(func=cmd_fleet)
 
     p = sub.add_parser("risk", help="per-season and pooled LoLE/EEU tables")
@@ -358,15 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fleet", required=True)
     p.add_argument("--quantiles", default=None)
     p.add_argument("--ref-season", default=None)
-    p.add_argument("--model", nargs="+", choices=sorted(_KIND_ALIASES),
-                   default=["evt", "hindcast", "ind"])
-    p.add_argument("--threshold-quantile", type=float, nargs="+", default=[0.90, 0.95, 0.98])
+    p.add_argument("--model", dest="models", nargs="+", choices=sorted(_KIND_ALIASES))
+    p.add_argument("--threshold-quantile", dest="threshold_quantiles", type=float, nargs="+",
+                   metavar="THRESHOLD_QUANTILE")
     p.add_argument("--pooled", action="store_true",
                    help="also fit pooled models and emit the pooled table")
-    p.add_argument("--reps", type=int, default=10_000)
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--reps", type=int)
+    p.add_argument("--level", type=float)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=".")
+    p.add_argument("--out")
     p.add_argument("--quiet", action="store_true")
     add_window_opts(p)
     p.set_defaults(func=cmd_risk)
@@ -380,9 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["season", "block"], required=True)
     p.add_argument("--model", choices=sorted(_KIND_ALIASES), default="evt")
     p.add_argument("--threshold-quantile", type=float, default=0.95)
-    p.add_argument("--reps", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--reps", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--level", type=float)
     add_window_opts(p)
     p.set_defaults(func=cmd_uncertainty)
 

@@ -185,11 +185,3 @@ def discretize(model: TailModel, lo: float | None = None, hi: float | None = Non
         )
     probs = np.clip(s[:-1] - s[1:], 0.0, None)
     return DiscretePmf(origin, probs / probs.sum())
-
-
-def pool_samples(samples) -> np.ndarray:
-    """Concatenate per-season samples for a pooled analysis."""
-    arrays = [np.asarray(s, dtype=float) for s in samples]
-    if not arrays:
-        raise ValueError("no samples to pool")
-    return np.concatenate(arrays)

@@ -96,17 +96,6 @@ class ScanEntry:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class ThresholdScan:
-    entries: tuple[ScanEntry, ...]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-
 def gpd_cdf(params: GpdParams, y):
     """H(y) = P(Y <= y) for excess y >= 0. Accepts scalars or arrays."""
     y_arr = np.asarray(y, dtype=float)
@@ -306,7 +295,7 @@ def fit_threshold_excesses(values, threshold_u: float) -> GpdFit:
     )
 
 
-def threshold_scan(values, thresholds) -> ThresholdScan:
+def threshold_scan(values, thresholds) -> tuple[ScanEntry, ...]:
     """Fit the GPD at each threshold, recording failures without aborting."""
     thr = np.asarray(thresholds, dtype=float)
     if thr.size == 0:
@@ -324,7 +313,7 @@ def threshold_scan(values, thresholds) -> ThresholdScan:
             entries.append(ScanEntry(float(u), fit_threshold_excesses(v, float(u))))
         except NumericalError as exc:
             entries.append(ScanEntry(float(u), None, str(exc)))
-    return ThresholdScan(tuple(entries))
+    return tuple(entries)
 
 
 def qq_points(fit: GpdFit, excesses) -> np.ndarray:

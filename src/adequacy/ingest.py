@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 HOURS_PER_WEEK = 168
 
@@ -42,7 +42,7 @@ class SeasonWindow:
 
     def __post_init__(self):
         if self.weeks < 1:
-            raise ValueError("weeks must be a positive integer")
+            raise ConfigError(f"window weeks must be a positive integer, got {self.weeks}")
         self._parse_anchor()  # fail fast on unparseable rules
 
     @property
@@ -52,7 +52,7 @@ class SeasonWindow:
     def _parse_anchor(self) -> tuple[str, int, int]:
         m = _ANCHOR_RE.match(self.anchor_rule.strip())
         if not m:
-            raise ValueError(
+            raise ConfigError(
                 f"anchor rule {self.anchor_rule!r} not understood; expected "
                 "'first <weekday> in <month>' or 'last <weekday> in <month>'"
             )
@@ -61,7 +61,7 @@ class SeasonWindow:
             wd = _WEEKDAYS[weekday.capitalize()]
             mo = _MONTHS[month.capitalize()]
         except KeyError as exc:
-            raise ValueError(f"anchor rule {self.anchor_rule!r}: unknown {exc}") from None
+            raise ConfigError(f"anchor rule {self.anchor_rule!r}: unknown {exc}") from None
         return which.lower(), wd, mo
 
     def start(self, season_label: str) -> datetime:
@@ -363,22 +363,6 @@ def _check_complete(ts, steps, season, lo, hi):
         raise DataError(
             f"season {season}: {ts.size} hours inside the window, expected {expected}"
         )
-
-
-def clip_to_window(trace: SeasonTrace, window: SeasonWindow) -> SeasonTrace:
-    """Drop observations outside the window; idempotent on loaded traces."""
-    lo, hi = window.bounds(trace.season_label)
-    ts = trace.timestamps.astype(object)
-    keep = np.array([(lo <= t < hi) for t in ts], dtype=bool)
-    if not keep.any():
-        raise DataError(f"season {trace.season_label}: nothing left inside the window")
-    return SeasonTrace(
-        season_label=trace.season_label,
-        timestamps=trace.timestamps[keep],
-        demand_mw=trace.demand_mw[keep],
-        wind_mw=trace.wind_mw[keep],
-        rescale_factor=trace.rescale_factor,
-    )
 
 
 def daily_peak_quantile(trace: SeasonTrace, q: float) -> float:

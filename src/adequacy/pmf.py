@@ -81,10 +81,6 @@ def pmf_from_samples(values) -> DiscretePmf:
     return DiscretePmf(origin, counts / vals.size)
 
 
-def point_mass(value_mw: float) -> DiscretePmf:
-    return DiscretePmf(int(np.floor(value_mw)), np.array([1.0]))
-
-
 def reflect(pmf: DiscretePmf) -> DiscretePmf:
     """Distribution of -V for V ~ pmf."""
     return DiscretePmf(-pmf.last_mw, pmf.probabilities[::-1])

@@ -113,39 +113,20 @@ class ShortfallFunctionals:
         )
 
 
-def model_risk(
-    model: dnw.TailModel,
-    fleet: DiscretePmf,
-    n_hours: int,
-    lo: float | None = None,
-    hi: float | None = None,
-) -> RiskMetrics:
-    """Discretize a demand-net-of-wind model and evaluate it against the fleet."""
-    pmf = dnw.discretize(model, lo, hi)
-    return ShortfallFunctionals(fleet).metrics(pmf, n_hours)
+def build_model(seasons, kind: str, threshold_quantile: float = 0.95) -> dnw.TailModel:
+    """The demand-net-of-wind model of one season trace, or of a list of them pooled."""
+    seasons = [seasons] if isinstance(seasons, SeasonTrace) else list(seasons)
 
+    def pooled(name: str) -> np.ndarray:
+        return np.concatenate([getattr(s, name) for s in seasons])
 
-def build_model(trace: SeasonTrace, kind: str, threshold_quantile: float = 0.95) -> dnw.TailModel:
-    """Construct the requested demand-net-of-wind model from a season trace."""
     if kind == dnw.EVT:
-        return dnw.build_evt_model(trace.net_demand_mw, threshold_quantile)
+        return dnw.build_evt_model(pooled("net_demand_mw"), threshold_quantile)
     if kind == dnw.HINDCAST:
-        return dnw.build_hindcast_model(trace.net_demand_mw)
+        return dnw.build_hindcast_model(pooled("net_demand_mw"))
     if kind == dnw.INDEPENDENCE:
-        return dnw.build_independence_model(trace.demand_mw, trace.wind_mw)
+        return dnw.build_independence_model(pooled("demand_mw"), pooled("wind_mw"))
     raise ValueError(f"unknown model kind {kind!r}")
-
-
-def season_risk(
-    trace: SeasonTrace,
-    fleet: DiscretePmf,
-    kind: str,
-    threshold_quantile: float = 0.95,
-    n_hours: int | None = None,
-) -> RiskMetrics:
-    """Full single-season pipeline: model, discretize, metrics."""
-    model = build_model(trace, kind, threshold_quantile)
-    return model_risk(model, fleet, n_hours if n_hours is not None else trace.n_hours)
 
 
 def long_run_mean(per_season: list[RiskMetrics]) -> RiskMetrics:

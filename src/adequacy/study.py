@@ -42,6 +42,7 @@ from .uncertainty import BootstrapConfig, ConfidenceInterval, block_bootstrap, s
 
 SCAN_QUANTILES = np.round(np.arange(0.80, 0.996, 0.01), 3)
 SURVIVOR_CURVE_POINTS = 200
+TABLE_FORMATS = (("csv", ".csv"), ("json", ".json"), ("text", ".txt"))
 
 
 @dataclass(frozen=True)
@@ -49,13 +50,13 @@ class RunConfig:
     traces_path: str
     fleet_path: str
     seed: int
-    output_dir: str
+    output_dir: str = "."
     quantiles_path: str | None = None
     reference_season: str | None = None
     model_kinds: tuple[str, ...] = (dnw.EVT, dnw.HINDCAST, dnw.INDEPENDENCE)
     threshold_quantiles: tuple[float, ...] = (0.90, 0.95, 0.98)
-    window_weeks: int = 21
-    anchor_rule: str = "last Sunday in October"
+    window_weeks: int = SeasonWindow.weeks
+    anchor_rule: str = SeasonWindow.anchor_rule
     lowess_span: float = 2.0 / 3.0
     lowess_iterations: int = 1
     replications: int = 10_000
@@ -66,6 +67,17 @@ class RunConfig:
     include_pooled: bool = True
 
     def __post_init__(self):
+        self.window()  # raises ConfigError on a bad window
+        try:
+            self.bootstrap(self.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if not 0.0 < self.lowess_span <= 1.0:
+            raise ConfigError(f"lowess span {self.lowess_span} outside (0, 1]")
+        if self.lowess_iterations < 0:
+            raise ConfigError(f"lowess iterations {self.lowess_iterations} is negative")
+        if not 0.0 < self.rescale_quantile < 1.0:
+            raise ConfigError(f"rescale quantile {self.rescale_quantile} outside (0, 1)")
         if not self.model_kinds:
             raise ConfigError("at least one model kind is required")
         for kind in self.model_kinds:
@@ -121,18 +133,6 @@ class PooledTable:
     eeu_ci: dict[str, ConfidenceInterval]  # in GWh
 
 
-def _pooled_model(traces: list[SeasonTrace], kind: str, threshold_quantile: float | None):
-    if kind == dnw.EVT:
-        sample = np.concatenate([t.net_demand_mw for t in traces])
-        return dnw.build_evt_model(sample, threshold_quantile)
-    if kind == dnw.HINDCAST:
-        return dnw.build_hindcast_model(np.concatenate([t.net_demand_mw for t in traces]))
-    return dnw.build_independence_model(
-        np.concatenate([t.demand_mw for t in traces]),
-        np.concatenate([t.wind_mw for t in traces]),
-    )
-
-
 def pooled_pipeline(functionals: ShortfallFunctionals, kind: str,
                     threshold_quantile: float | None, n_hours: int):
     """Season-set -> {'lole', 'eeu'} mapping for the block bootstrap.
@@ -152,7 +152,7 @@ def pooled_pipeline(functionals: ShortfallFunctionals, kind: str,
     if kind == dnw.EVT:
 
         def run(traces):
-            model = _pooled_model(list(traces), kind, threshold_quantile)
+            model = build_model(traces, kind, threshold_quantile)
             metrics = functionals.metrics(dnw.discretize(model), n_hours)
             return {"lole": metrics.lole_hours, "eeu": metrics.eeu_mwh}
 
@@ -234,19 +234,17 @@ class StudyResult:
     lole_table: MetricTable
     eeu_table: MetricTable
     pooled_table: PooledTable
-    parameter_fits: dict[float, dict[str, evt.GpdFit]]  # quantile -> label/pooled -> fit
     rescale_factors: dict[str, float]
     # column -> {"used", "dropped", "first_error"} of its block bootstrap
     bootstrap: dict[str, dict] = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
 
 
-def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[StudyResult, dict]:
-    """All numerical work for a study; file emission happens separately."""
+def load_inputs(cfg: RunConfig, progress=lambda msg: None):
+    """The traces inside cfg's window with demand rescaled, their factors, and the fleet pmf."""
     progress("loading traces")
-    window = cfg.window()
     traces = load_traces(
-        cfg.traces_path, window,
+        cfg.traces_path, cfg.window(),
         installed_wind_mw=cfg.installed_wind_mw, allow_gaps=cfg.allow_gaps,
     )
     if not traces:
@@ -257,14 +255,18 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
         traces, history, cfg.reference_season, cfg.lowess_span, cfg.lowess_iterations,
         cfg.rescale_quantile,
     )
+    progress("building fleet distribution")
+    return traces, factors, convolve_fleet(load_fleet(cfg.fleet_path))
+
+
+def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[StudyResult, dict]:
+    """All numerical work for a study; file emission happens separately."""
+    traces, factors, fleet = load_inputs(cfg, progress)
+    functionals = ShortfallFunctionals(fleet)
     # n is the length of the target season, whatever a historical season lost
     # to gaps; pooled models weight each season by its observed hours
-    n_hours = window.expected_hours
+    n_hours = cfg.window().expected_hours
     labels = [t.season_label for t in traces]
-
-    progress("building fleet distribution")
-    fleet = convolve_fleet(load_fleet(cfg.fleet_path))
-    functionals = ShortfallFunctionals(fleet)
 
     columns = cfg.columns()
     col_labels = [c[0] for c in columns]
@@ -275,7 +277,7 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
     for label, kind, q in columns:
         metrics_list = []
         for trace in traces:
-            model = build_model(trace, kind, q if q is not None else 0.95)
+            model = build_model(trace, kind, q)
             season_models[(label, trace.season_label)] = model
             pmf = dnw.discretize(model)
             metrics_list.append(functionals.metrics(pmf, n_hours))
@@ -288,18 +290,13 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
     # both season CIs and the block bootstrap; for hindcast the block bootstrap
     # then reproduces the season bootstrap exactly (pooling is linear)
     boots = {c: cfg.bootstrap(seed=(cfg.seed, 101, i)) for i, c in enumerate(col_labels)}
-    lole_cis, eeu_cis = {}, {}
-    for c in col_labels:
-        lole_cis[c] = season_bootstrap(lole_values[c], boots[c])
-        eeu_cis[c] = season_bootstrap(eeu_values[c], boots[c])
-
     lole_table = MetricTable(
         metric="lole_hours",
         columns=col_labels,
         season_labels=labels,
         values=lole_values,
         means={c: long_run_mean(per_season[c]).lole_hours for c in col_labels},
-        cis=lole_cis,
+        cis={c: season_bootstrap(lole_values[c], boots[c]) for c in col_labels},
     )
     eeu_table = MetricTable(
         metric="eeu_gwh",
@@ -307,14 +304,15 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
         season_labels=labels,
         values=eeu_values,
         means={c: long_run_mean(per_season[c]).eeu_gwh for c in col_labels},
-        cis=eeu_cis,
+        cis={c: season_bootstrap(eeu_values[c], boots[c]) for c in col_labels},
     )
 
     progress("pooled estimates and block bootstrap")
     pooled_lole, pooled_lole_ci, pooled_eeu, pooled_eeu_ci = {}, {}, {}, {}
     bootstrap_counts = {}
+    pooled_models: dict[str, dnw.TailModel] = {}
     for label, kind, q in columns if cfg.include_pooled else []:
-        model = _pooled_model(traces, kind, q)
+        model = pooled_models[label] = build_model(traces, kind, q)
         metrics = functionals.metrics(dnw.discretize(model), n_hours)
         pooled_lole[label] = metrics.lole_hours
         pooled_eeu[label] = metrics.eeu_gwh
@@ -338,28 +336,12 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
         eeu_ci=pooled_eeu_ci,
     )
 
-    progress("parameter tables")
-    parameter_fits: dict[float, dict[str, evt.GpdFit]] = {}
-    if dnw.EVT in cfg.model_kinds:
-        pooled_sample = np.concatenate([t.net_demand_mw for t in traces])
-        for q in cfg.threshold_quantiles:
-            fits = {}
-            for trace in traces:
-                fits[trace.season_label] = evt.fit_threshold_excesses(
-                    trace.net_demand_mw, evt.select_threshold(trace.net_demand_mw, q)
-                )
-            fits["pooled"] = evt.fit_threshold_excesses(
-                pooled_sample, evt.select_threshold(pooled_sample, q)
-            )
-            parameter_fits[q] = fits
-
     result = StudyResult(
         config=cfg,
         season_labels=labels,
         lole_table=lole_table,
         eeu_table=eeu_table,
         pooled_table=pooled_table,
-        parameter_fits=parameter_fits,
         rescale_factors=factors,
         bootstrap=bootstrap_counts,
     )
@@ -367,6 +349,7 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
         "traces": traces,
         "fleet": fleet,
         "season_models": season_models,
+        "pooled_models": pooled_models,
         "per_season": per_season,
         "n_hours": n_hours,
     }
@@ -462,6 +445,18 @@ def emit_pooled_table(table: PooledTable, fmt: str, path: Path) -> Path:
     return path
 
 
+def emit_tables(result: StudyResult, outdir: Path) -> list[Path]:
+    """Write the per-season LoLE/EEU tables, and the pooled table if computed, in every format."""
+    paths = []
+    for table, stem in ((result.lole_table, "lole_per_season"), (result.eeu_table, "eeu_per_season")):
+        for fmt, suffix in TABLE_FORMATS:
+            paths.append(emit_table(table, fmt, outdir / f"{stem}{suffix}"))
+    if result.config.include_pooled:
+        for fmt, suffix in TABLE_FORMATS:
+            paths.append(emit_pooled_table(result.pooled_table, fmt, outdir / f"pooled_metrics{suffix}"))
+    return paths
+
+
 def write_scan_csv(values, thresholds, path: Path) -> Path:
     scan = evt.threshold_scan(values, thresholds)
     lines = ["threshold_mw,sigma,xi,sigma_star,se_sigma,se_xi,n_exceed"]
@@ -528,22 +523,19 @@ def run_full_study(cfg: RunConfig, progress=lambda msg: None) -> StudyResult:
         outputs = []
 
         stage = "metric tables"
-        for table, stem in ((result.lole_table, "lole_per_season"),
-                            (result.eeu_table, "eeu_per_season")):
-            for fmt, suffix in (("csv", ".csv"), ("json", ".json"), ("text", ".txt")):
-                outputs.append(emit_table(table, fmt, outdir / f"{stem}{suffix}"))
-
-        stage = "pooled table"
-        for fmt, suffix in (("csv", ".csv"), ("json", ".json"), ("text", ".txt")):
-            outputs.append(emit_pooled_table(result.pooled_table, fmt, outdir / f"pooled_metrics{suffix}"))
+        outputs.extend(emit_tables(result, outdir))
 
         stage = "parameter tables"
-        for q, fits in result.parameter_fits.items():
+        traces, season_models = extras["traces"], extras["season_models"]
+        evt_columns = [(label, q) for label, kind, q in cfg.columns() if kind == dnw.EVT]
+        for label, q in evt_columns:
+            # the study's own fits; without a pooled table the pooled model is built here
+            pooled = extras["pooled_models"].get(label) or build_model(traces, dnw.EVT, q)
+            fits = [(s, season_models[(label, s)].fit) for s in result.season_labels]
             lines = ["season,threshold_mw,sigma,xi,se_sigma,se_xi,n_exceed"]
-            for label in result.season_labels + ["pooled"]:
-                f = fits[label]
+            for season, f in fits + [("pooled", pooled.fit)]:
                 lines.append(
-                    f"{label},{f.threshold_u!r},{f.params.sigma!r},{f.params.xi!r},"
+                    f"{season},{f.threshold_u!r},{f.params.sigma!r},{f.params.xi!r},"
                     f"{f.se_sigma!r},{f.se_xi!r},{f.n_exceedances}"
                 )
             p = outdir / f"gpd_parameters_q{round(q * 100):g}.csv"
@@ -551,23 +543,21 @@ def run_full_study(cfg: RunConfig, progress=lambda msg: None) -> StudyResult:
             outputs.append(p)
 
         stage = "diagnostics"
-        traces = extras["traces"]
         for trace in traces:
             values = trace.net_demand_mw
             thresholds = np.unique(np.quantile(values, SCAN_QUANTILES))
             outputs.append(
                 write_scan_csv(values, thresholds, outdir / f"threshold_scan_{trace.season_label}.csv")
             )
-            if dnw.EVT in cfg.model_kinds:
-                for q in cfg.threshold_quantiles:
-                    fit = result.parameter_fits[q][trace.season_label]
-                    outputs.append(
-                        write_qq_csv(fit, values,
-                                     outdir / f"qq_{trace.season_label}_q{round(q * 100):g}.csv")
-                    )
+            for label, q in evt_columns:
+                fit = season_models[(label, trace.season_label)].fit
+                outputs.append(
+                    write_qq_csv(fit, values,
+                                 outdir / f"qq_{trace.season_label}_q{round(q * 100):g}.csv")
+                )
 
         stage = "survivor curves"
-        for (column, season_label), model in extras["season_models"].items():
+        for (column, season_label), model in season_models.items():
             trace = next(t for t in traces if t.season_label == season_label)
             values = trace.net_demand_mw
             grid = np.linspace(

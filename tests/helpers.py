@@ -5,6 +5,7 @@ from datetime import timedelta
 import numpy as np
 
 from adequacy.ingest import SeasonTrace, SeasonWindow
+from adequacy.pmf import DiscretePmf
 
 
 def hourly_timestamps(window: SeasonWindow, season_label: str, n_hours: int | None = None):
@@ -29,6 +30,10 @@ def make_trace(
         wind_mw=np.asarray(wind, dtype=float),
         rescale_factor=rescale_factor,
     )
+
+
+def point_mass(value_mw: float) -> DiscretePmf:
+    return DiscretePmf(int(np.floor(value_mw)), np.array([1.0]))
 
 
 def random_season(

@@ -23,7 +23,7 @@ class TestDemoCommand:
 
 class TestFleetCommand:
     def test_summary(self, demo_dataset_dir, capsys):
-        code, out, _ = run_cli(capsys, "fleet", "--fleet", str(demo_dataset_dir["fleet"]), "--summary")
+        code, out, _ = run_cli(capsys, "fleet", "--fleet", str(demo_dataset_dir["fleet"]))
         assert code == 0
         assert "units: 100" in out
         assert "total capacity" in out
@@ -162,6 +162,82 @@ class TestRiskCommand:
         assert code == 0
         assert (tmp_path / "lole_per_season.csv").exists()
         assert not (tmp_path / "pooled_metrics.csv").exists()
+
+
+    def test_anchor_rule_reaches_the_loader(self, demo_dataset_dir, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "risk",
+            "--traces", str(demo_dataset_dir["traces"]),
+            "--fleet", str(demo_dataset_dir["fleet"]),
+            "--model", "hindcast", "--reps", "100", "--quiet",
+            "--anchor-rule", "first Sunday in November",
+            "--out", str(tmp_path),
+        )
+        assert code == 3
+        assert "season 2007-08: 3360 hours inside the window, expected 3528" in err
+
+    def test_installed_wind_reaches_the_loader(self, demo_dataset_dir, tmp_path, capsys):
+        with pytest.warns(UserWarning, match="installed capacity of 100.0 MW"):
+            code, _, _ = run_cli(
+                capsys, "risk",
+                "--traces", str(demo_dataset_dir["traces"]),
+                "--fleet", str(demo_dataset_dir["fleet"]),
+                "--model", "hindcast", "--reps", "100", "--quiet",
+                "--installed-wind-mw", "100",
+                "--out", str(tmp_path),
+            )
+        assert code == 0
+
+    def test_same_tables_as_study(self, demo_dataset_dir, tmp_path, capsys):
+        common = ["--traces", str(demo_dataset_dir["traces"]), "--fleet", str(demo_dataset_dir["fleet"]),
+                  "--quantiles", str(demo_dataset_dir["quantiles"]),
+                  "--seed", "4", "--reps", "200", "--quiet"]
+        code, _, err = run_cli(capsys, "risk", *common, "--model", "evt", "hindcast", "ind",
+                               "--pooled", "--out", str(tmp_path / "risk"))
+        assert code == 0, err
+        code, _, err = run_cli(capsys, "study", *common, "--out", str(tmp_path / "study"))
+        assert code == 0, err
+        for stem in ("lole_per_season", "eeu_per_season", "pooled_metrics"):
+            for suffix in (".csv", ".json", ".txt"):
+                name = stem + suffix
+                assert (tmp_path / "risk" / name).read_bytes() == (tmp_path / "study" / name).read_bytes(), name
+
+
+class TestInvalidSettings:
+    """A setting no run can use exits 2 before anything is computed or written."""
+
+    @pytest.mark.parametrize("command, extra, config", [
+        ("study", ["--window-weeks", "0"], None),
+        ("study", ["--anchor-rule", "bogus"], None),
+        ("study", ["--reps", "50"], None),
+        ("study", [], {"reps": "many"}),
+        ("risk", ["--level", "1.5"], None),
+        ("risk", ["--window-weeks", "0"], None),
+        ("uncertainty", ["--window-weeks", "0"], None),
+        ("ingest", ["--window-weeks", "0"], None),
+        ("fit", ["--window-weeks", "0"], None),
+        ("dnw", ["--window-weeks", "0"], None),
+    ])
+    def test_exits_2(self, demo_dataset_dir, tmp_path, capsys, command, extra, config):
+        if config is not None:
+            path = tmp_path / "study.json"
+            path.write_text(json.dumps(config))
+            extra = ["--config", str(path)]
+        traces, fleet = str(demo_dataset_dir["traces"]), str(demo_dataset_dir["fleet"])
+        outdir = tmp_path / "out"
+        argv = {
+            "study": ["--traces", traces, "--fleet", fleet, "--seed", "1", "--out", str(outdir)],
+            "risk": ["--traces", traces, "--fleet", fleet, "--model", "hindcast", "--out", str(outdir)],
+            "uncertainty": ["--traces", traces, "--fleet", fleet, "--seed", "1",
+                            "--metric", "lole", "--mode", "season"],
+            "ingest": ["--traces", traces, "--out", str(outdir)],
+            "fit": ["--traces", traces, "--season", "2007-08", "--out", str(outdir)],
+            "dnw": ["--traces", traces, "--model", "hindcast", "--out", str(outdir)],
+        }[command]
+        code, _, err = run_cli(capsys, command, *argv, *extra)
+        assert code == 2
+        assert err.startswith("configuration error: ")
+        assert not outdir.exists()
 
 
 class TestUncertaintyCommand:

@@ -10,7 +10,6 @@ from adequacy.dnw import (
     build_independence_model,
     default_bounds,
     discretize,
-    pool_samples,
     survivor,
 )
 from adequacy.errors import NumericalError
@@ -228,12 +227,3 @@ class TestDiscretize:
         with pytest.raises(NumericalError, match="explicit bounds"):
             default_bounds(model)
 
-
-class TestPoolSamples:
-    def test_concatenates_in_order(self):
-        pooled = pool_samples([[1.0, 2.0], [3.0], [4.0, 5.0]])
-        np.testing.assert_array_equal(pooled, [1.0, 2.0, 3.0, 4.0, 5.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            pool_samples([])

@@ -285,8 +285,8 @@ class TestThresholds:
     def test_scan_flags_unfittable_thresholds(self):
         data = np.linspace(0.0, 1.0, 200)
         scan = threshold_scan(data, [0.5, 2.0])
-        assert scan.entries[1].fit is None
-        assert "exceedances" in scan.entries[1].error
+        assert scan[1].fit is None
+        assert "exceedances" in scan[1].error
 
     def test_scan_sigma_star_identity(self):
         rng = np.random.default_rng(3)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adequacy.pmf import DiscretePmf, convolve, pmf_from_samples, point_mass, rebin, reflect
+from adequacy.pmf import DiscretePmf, convolve, pmf_from_samples, rebin, reflect
+from helpers import point_mass
 
 
 class TestDiscretePmf:

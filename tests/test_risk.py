@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from adequacy.dnw import build_evt_model, build_hindcast_model, discretize
 from adequacy.genmodel import GeneratingUnit, convolve_fleet
-from adequacy.pmf import DiscretePmf, point_mass
+from adequacy.pmf import DiscretePmf
 from adequacy.risk import (
     RiskMetrics,
     ShortfallFunctionals,
@@ -12,10 +12,9 @@ from adequacy.risk import (
     build_model,
     compute_metrics,
     long_run_mean,
-    season_risk,
 )
 from conftest import sample_pmf
-from helpers import make_trace
+from helpers import make_trace, point_mass
 
 
 def two_atom(lo_val, lo_p, hi_val):
@@ -149,19 +148,24 @@ class TestShortfallFunctionalsProperty:
         assert m.eeu_mwh == pytest.approx(7.0, rel=1e-15)
 
 
+def one_season_metrics(trace, fleet, kind):
+    """One season's metrics by the production path: model, discretize, functionals."""
+    return ShortfallFunctionals(fleet).metrics(discretize(build_model(trace, kind)), trace.n_hours)
+
+
 class TestSeasonRisk:
     def test_oversized_perfect_fleet_has_zero_risk(self):
         rng = np.random.default_rng(4)
         demand = rng.uniform(20_000.0, 40_000.0, 336)
         trace = make_trace("2007-08", demand, np.zeros(336))
         fleet = convolve_fleet([GeneratingUnit("big", 50_000, 1.0)])
-        m = season_risk(trace, fleet, "hindcast")
+        m = one_season_metrics(trace, fleet, "hindcast")
         assert m.lole_hours == 0.0 and m.eeu_mwh == 0.0
 
     def test_eeu_zero_iff_no_shortfall(self, demo_system):
         fleet = demo_system["fleet"]
         for trace in demo_system["traces"][:2]:
-            m = season_risk(trace, fleet, "evt")
+            m = one_season_metrics(trace, fleet, "evt")
             assert (m.eeu_mwh == 0.0) == (m.p_shortfall == 0.0)
 
     def test_monte_carlo_oracle_hindcast(self, demo_system):
@@ -178,7 +182,7 @@ class TestSeasonRisk:
 
     def test_rejects_unknown_kind(self, demo_system):
         with pytest.raises(ValueError):
-            season_risk(demo_system["traces"][0], demo_system["fleet"], "oracle")
+            one_season_metrics(demo_system["traces"][0], demo_system["fleet"], "oracle")
 
 
 class TestMonotonicity:

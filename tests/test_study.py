@@ -8,14 +8,13 @@ from adequacy.errors import ConfigError, DataError
 from adequacy.study import (
     MetricTable,
     RunConfig,
-    _pooled_model,
     config_digest,
     emit_table,
     pooled_pipeline,
     rescale_traces,
     run_full_study,
 )
-from adequacy.risk import ShortfallFunctionals
+from adequacy.risk import ShortfallFunctionals, build_model
 from adequacy.uncertainty import BootstrapConfig, ConfidenceInterval, block_bootstrap, season_bootstrap
 
 
@@ -154,7 +153,7 @@ class TestPooledClosedForms:
         pipeline(traces[::-1])  # cache every season, in another order than drawn
         seasons = [traces[i] for i in drawn]
         got = pipeline(seasons)
-        model = _pooled_model(seasons, kind, None)
+        model = build_model(seasons, kind, None)
         want = functionals.metrics(dnw.discretize(model), n_hours)
         assert got["lole"] == pytest.approx(want.lole_hours, rel=1e-9)
         assert got["eeu"] == pytest.approx(want.eeu_mwh, rel=1e-9)
