@@ -21,12 +21,14 @@ from .ingest import SeasonWindow, load_quantile_history, load_traces
 from .risk import ShortfallFunctionals, build_model
 from .study import (
     RunConfig,
+    check_rescale_settings,
     emit_tables,
     load_inputs,
     pooled_pipeline,
     rescale_traces,
     run_full_study,
     run_study_computation,
+    season_metrics,
     write_qq_csv,
     write_scan_csv,
     write_survivor_csv,
@@ -99,6 +101,11 @@ def _run_config(args, **fixed) -> RunConfig:
 
 
 def _load(args):
+    """The traces of ingest, fit or dnw, once the command's settings pass RunConfig's checks."""
+    if args.command == "ingest":
+        check_rescale_settings(args.span, args.iterations, args.rescale_quantile)
+    elif not 0.0 < args.threshold_quantile < 1.0:
+        raise ConfigError(f"threshold quantile {args.threshold_quantile} outside (0, 1)")
     window = SeasonWindow(weeks=args.window_weeks, anchor_rule=args.anchor_rule)
     return load_traces(
         args.traces, window, installed_wind_mw=args.installed_wind_mw, allow_gaps=args.allow_gaps
@@ -218,10 +225,7 @@ def cmd_uncertainty(args) -> int:
     boot = cfg.bootstrap(seed=cfg.seed)
 
     if args.mode == "season":
-        per_season = [
-            functionals.metrics(dnw.discretize(build_model(trace, kind, q)), n_hours)
-            for trace in traces
-        ]
+        per_season, _ = season_metrics(functionals, traces, kind, q, n_hours)
         values = [m.lole_hours if args.metric == "lole" else m.eeu_mwh for m in per_season]
         point = float(np.mean(values))
         ci = season_bootstrap(values, boot)

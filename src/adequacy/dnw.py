@@ -75,11 +75,16 @@ def _empirical_survivor_geq(body: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (body.size - np.searchsorted(body, v, side="left")) / body.size
 
 
-def build_evt_model(values, threshold_quantile: float = 0.95) -> TailModel:
-    """Empirical body below the chosen quantile threshold, GPD tail above."""
+def build_evt_model(values, threshold_quantile: float = 0.95,
+                    fit: evt.GpdFit | None = None) -> TailModel:
+    """Empirical body below the chosen quantile threshold, GPD tail above.
+
+    ``fit`` is a tail fit already made of these values at this quantile; the
+    model then uses it instead of fitting again.
+    """
     v = np.asarray(values, dtype=float)
-    u = evt.select_threshold(v, threshold_quantile)
-    fit = evt.fit_threshold_excesses(v, u)
+    if fit is None:
+        fit = evt.fit_threshold_excesses(v, evt.select_threshold(v, threshold_quantile))
     return TailModel(kind=EVT, body=np.sort(v), fit=fit)
 
 
@@ -142,14 +147,12 @@ def default_bounds(model: TailModel) -> tuple[float, float]:
     hi = float(model.body[-1]) + HI_MARGIN_MW
     if model.kind == EVT:
         fit = model.fit
-        # widen until the truncated tail mass is negligible
+        # widen until the truncated tail mass is negligible, and never past the
+        # endpoint of a bounded tail
         p_cut = TRUNCATION_TOL / fit.exceedance_prob
         if p_cut < 1.0:
-            if fit.params.xi >= 0.0:
-                tail_end = fit.threshold_u + evt.gpd_quantile(fit.params, 1.0 - p_cut)
-            else:
-                tail_end = fit.threshold_u + fit.params.upper_endpoint
-            hi = max(hi, float(tail_end) + 1.0)
+            excess = min(evt.gpd_quantile(fit.params, 1.0 - p_cut), fit.params.upper_endpoint)
+            hi = max(hi, fit.threshold_u + excess + 1.0)
         if hi - lo > _MAX_SUPPORT_BINS:
             raise NumericalError(
                 f"tail too heavy to discretize automatically (support would span "
@@ -166,9 +169,11 @@ def discretize(model: TailModel, lo: float | None = None, hi: float | None = Non
     floor-binning for the empirical parts. Raises if more than a negligible
     amount of mass falls outside the window.
     """
-    auto_lo, auto_hi = default_bounds(model)
-    lo = auto_lo if lo is None else float(lo)
-    hi = auto_hi if hi is None else float(hi)
+    if lo is None or hi is None:
+        auto_lo, auto_hi = default_bounds(model)
+        lo = auto_lo if lo is None else lo
+        hi = auto_hi if hi is None else hi
+    lo, hi = float(lo), float(hi)
     if lo >= hi:
         raise ValueError("lo must be below hi")
     if model.kind == INDEPENDENCE:

@@ -140,7 +140,7 @@ def gpd_loglik(params: GpdParams, excesses) -> float:
     return -y.size * np.log(sigma) - (1.0 + 1.0 / xi) * np.log1p(z).sum()
 
 
-def fit_gpd(excesses) -> GpdMle:
+def fit_gpd(excesses, weights=None) -> GpdMle:
     """Fit GPD parameters to a sample of positive excesses by maximum likelihood.
 
     For fixed theta = xi / sigma the likelihood is maximised in closed form by
@@ -153,22 +153,31 @@ def fit_gpd(excesses) -> GpdMle:
     evaluations. Standard errors come from the inverse analytic observed
     information at the optimum (NaN at the xi = -1 edge); they assume i.i.d.
     excesses and should be read as approximations.
+
+    ``weights`` are positive integer counts, one per excess: the fit is that of
+    the sample with excess i repeated weights[i] times, so every mean and sum
+    is weighted and the sample size is k = sum(weights). All-ones weights are
+    the unweighted fit, bit for bit.
     """
     y = np.asarray(excesses, dtype=float)
-    if y.size < MIN_FIT_SIZE:
+    w = np.ones(y.size) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != y.shape or np.any(w <= 0.0):
+        raise ValueError("weights must be positive, one per excess")
+    k = w.sum()
+    if k < MIN_FIT_SIZE:
         raise NumericalError(
-            f"need at least {MIN_FIT_SIZE} exceedances to fit, got {y.size}"
+            f"need at least {MIN_FIT_SIZE} exceedances to fit, got {int(k)}"
         )
     if np.any(y <= 0.0):
         raise ValueError("excesses must be strictly positive")
     if np.ptp(y) == 0.0:
         raise NumericalError("degenerate sample: all excesses identical")
 
-    k = y.size
     y_max = y.max()
     r = y / y_max
-    rest = r[r < 1.0]  # log1p(theta * max(y)) is s itself: never log1p(-1)
-    n_top = k - rest.size
+    below = r < 1.0  # log1p(theta * max(y)) is s itself: never log1p(-1)
+    rest, w_rest = r[below], w[below]
+    n_top = k - w_rest.sum()
     evaluations = 0
 
     def profile(s):
@@ -176,9 +185,9 @@ def fit_gpd(excesses) -> GpdMle:
         nonlocal evaluations
         evaluations += 1
         if abs(s) < _S_TINY:
-            return 0.0, float(y.mean())  # the exponential limit theta -> 0
+            return 0.0, float((w * y).sum() / k)  # the exponential limit theta -> 0
         e = np.expm1(s)
-        xi = (n_top * s + np.log1p(e * rest).sum()) / k
+        xi = (n_top * s + (w_rest * np.log1p(e * rest)).sum()) / k
         return xi, xi * y_max / e
 
     def nll(s):
@@ -210,9 +219,11 @@ def fit_gpd(excesses) -> GpdMle:
     else:
         xi_hat, sigma_hat = profile(s_hat)
         xi_hat, sigma_hat, log_lik = float(xi_hat), float(sigma_hat), -float(f_hat)
+        if not sigma_hat > 0.0:  # xi(s) rounded to 0 away from s = 0
+            raise NumericalError(f"GPD fit gave scale {sigma_hat!r} at s = {s_hat!r}")
         if abs(xi_hat) < XI_ZERO_GUARD:
             xi_hat = 0.0
-        se_sigma, se_xi = _standard_errors(y, sigma_hat, xi_hat)
+        se_sigma, se_xi = _standard_errors(y, sigma_hat, xi_hat, w)
     return GpdMle(
         params=GpdParams(sigma_hat, xi_hat),
         se_sigma=se_sigma,
@@ -240,23 +251,25 @@ def _cubic_remainder(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _standard_errors(y: np.ndarray, sigma: float, xi: float) -> tuple[float, float]:
+def _standard_errors(y: np.ndarray, sigma: float, xi: float, n=None) -> tuple[float, float]:
     """Inverse analytic observed information of the GPD at (sigma, xi).
 
     With z = y/sigma, t = xi z and w = 1 + t, the second derivatives of the
-    log-likelihood are
-      l_ss = (k - (1 + xi) sum(z/w + z/w^2)) / sigma^2,
-      l_sx = (sum(z/w) - (1 + xi) sum(z^2/w^2)) / sigma,
-      l_xx = sum(z^3 c(t)) + sum(z^2/w^2),
-    with c from ``_cubic_remainder``; at xi = 0 l_xx is sum(z^2) - 2/3 sum(z^3).
+    log-likelihood of excesses y with counts n are
+      l_ss = (k - (1 + xi) sum(n (z/w + z/w^2))) / sigma^2,
+      l_sx = (sum(n z/w) - (1 + xi) sum(n z^2/w^2)) / sigma,
+      l_xx = sum(n z^3 c(t)) + sum(n z^2/w^2),
+    with k = sum(n) and c from ``_cubic_remainder``; at xi = 0 l_xx is
+    sum(n z^2) - 2/3 sum(n z^3). Counts default to 1.
     """
+    n = np.ones(y.size) if n is None else n
     z = y / sigma
     t = xi * z
     zw = z / (1.0 + t)
     zw2 = zw * zw
-    l_ss = (y.size - (1.0 + xi) * (zw.sum() + (zw / (1.0 + t)).sum())) / sigma**2
-    l_sx = (zw.sum() - (1.0 + xi) * zw2.sum()) / sigma
-    l_xx = (z**3 * _cubic_remainder(t)).sum() + zw2.sum()
+    l_ss = (n.sum() - (1.0 + xi) * ((n * zw).sum() + (n * zw / (1.0 + t)).sum())) / sigma**2
+    l_sx = ((n * zw).sum() - (1.0 + xi) * (n * zw2).sum()) / sigma
+    l_xx = (n * z**3 * _cubic_remainder(t)).sum() + (n * zw2).sum()
     # observed information [[a, b], [b, d]] = minus the Hessian
     a, b, d = -l_ss, -l_sx, -l_xx
     det = a * d - b * b

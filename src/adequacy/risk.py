@@ -10,7 +10,8 @@ reflected V pmf (``balance_distribution`` + ``compute_metrics``). Every
 production path instead uses ``ShortfallFunctionals``: P(Z < 0) and
 E[max(-Z, 0)] are the V-expectations of the fleet's cdf P(X < v) and partial
 moment E[(v - X)+], read in one pass over each V pmf. The convolution stays
-as the test oracle.
+as the test oracle. ``evt_multiset`` reads the same functionals for the evt
+model of any season multiset without building its pmf.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dnw
+from . import dnw, evt
+from .errors import NumericalError
 from .ingest import SeasonTrace
 from .pmf import DiscretePmf, convolve, reflect
 
@@ -34,8 +36,11 @@ class RiskMetrics:
     def __post_init__(self):
         if self.n_hours <= 0:
             raise ValueError("n_hours must be positive")
-        if self.lole_hours < 0.0 or self.eeu_mwh < 0.0:
-            raise ValueError("risk metrics cannot be negative")
+        if not (0.0 <= self.lole_hours < np.inf and 0.0 <= self.eeu_mwh < np.inf):
+            raise NumericalError(
+                f"risk metrics must be finite and non-negative, got LoLE {self.lole_hours!r} "
+                f"h and EEU {self.eeu_mwh!r} MWh"
+            )
         if abs(self.lole_hours - self.n_hours * self.p_shortfall) > 1e-9 * max(
             1.0, self.lole_hours
         ):
@@ -92,7 +97,18 @@ class ShortfallFunctionals:
         first_moment = np.cumsum(x * p)  # E[X ; X <= origin + j]
         self._cdf = np.cumsum(p)  # P(X <= origin + j)
         self._gap = (x + 1.0) * self._cdf - first_moment  # E[(origin + j + 1 - X)+]
-        self._mean = float(first_moment[-1])
+        self.mean_mw = float(first_moment[-1])
+
+    def at(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P(X < v) and E[(v - X)+] at integer values v, read as ``metrics`` reads them."""
+        v = np.asarray(v, dtype=float)
+        j = v - (self._origin + 1)
+        inside = (j >= 0) & (j < self._cdf.size)
+        above = j >= self._cdf.size
+        k = np.clip(j, 0, self._cdf.size - 1).astype(np.int64)
+        cdf = np.where(inside, self._cdf[k], above.astype(float))
+        gap = np.where(inside, self._gap[k], np.where(above, v - self.mean_mw, 0.0))
+        return cdf, gap
 
     def metrics(self, dnw_pmf: DiscretePmf, n_hours: int) -> RiskMetrics:
         pv = dnw_pmf.probabilities
@@ -102,7 +118,7 @@ class ShortfallFunctionals:
         hi = min(max(self._cdf.size - k0, lo), pv.size)
         inside = pv[lo:hi]
         above = pv[hi:]
-        excess = dnw_pmf.origin_mw + np.arange(hi, pv.size) - self._mean  # v - E[X]
+        excess = dnw_pmf.origin_mw + np.arange(hi, pv.size) - self.mean_mw  # v - E[X]
         p_shortfall = float(inside @ self._cdf[k0 + lo : k0 + hi] + above.sum())
         energy = float(inside @ self._gap[k0 + lo : k0 + hi] + above @ excess)
         return RiskMetrics(
@@ -127,6 +143,93 @@ def build_model(seasons, kind: str, threshold_quantile: float = 0.95) -> dnw.Tai
     if kind == dnw.INDEPENDENCE:
         return dnw.build_independence_model(pooled("demand_mw"), pooled("wind_mw"))
     raise ValueError(f"unknown model kind {kind!r}")
+
+
+def evt_multiset(functionals: ShortfallFunctionals, seasons, threshold_quantile: float,
+                 n_hours: int):
+    """evt LoLE/EEU of any multiset of ``seasons``, without pooling or discretizing it.
+
+    Returns ``metrics(counts) -> (RiskMetrics, GpdFit)``, where counts[s] is
+    how often season s is drawn: one count is a season on its own, all ones
+    the pooled sample. The result is that of concatenating the drawn seasons,
+    ``build_evt_model`` + ``discretize`` + ``ShortfallFunctionals.metrics``,
+    read over the fleet's support only:
+
+    * all seasons' values are sorted together once, and the fleet functionals
+      gathered at their floors, so a multiset is a weight per value;
+    * the threshold is numpy's linear quantile of the weighted values, bit for
+      bit, and the GPD is fitted to the exceedances of positive weight;
+    * values at or below the threshold are floor-binned, as ``discretize``
+      bins them, so their part is a weighted dot product over a prefix;
+    * the tail's bins from floor(u) up to the fleet's top difference the GPD
+      survivor; the tail mass P at or above the top needs no bins: it adds P
+      to P(Z < 0) and P (top + e(y) - 1/2 - E[X]) to E[(V - X)+], with the
+      GPD mean excess e(y) = (sigma + xi y) / (1 - xi) (Davison & Smith 1990,
+      JRSS B 52(3)) and 1/2 for the floor binning. With xi >= 1 that mean is
+      infinite, which raises NumericalError.
+
+    Ties in the sort are broken by season label, so the order of ``seasons``
+    does not change any sum.
+    """
+    values = [s.net_demand_mw for s in seasons]
+    label_rank = np.argsort(np.argsort([s.season_label for s in seasons], kind="stable"))
+    pooled = np.concatenate(values)
+    owner = np.repeat(np.arange(len(values)), [v.size for v in values])
+    order = np.lexsort((label_rank[owner], pooled))
+    u_sorted, owner = pooled[order], owner[order]
+    body_cdf, body_gap = functionals.at(np.floor(u_sorted))
+    top = functionals.fleet.last_mw + 2  # the first v that ``at`` reads in closed form
+    # the tail's bins from floor(u) up to the top, for any u: a slice of these
+    lowest = int(np.floor(u_sorted[0]))
+    table_cdf, table_gap = functionals.at(np.arange(lowest, top))
+    q = threshold_quantile
+
+    def metrics(counts) -> tuple[RiskMetrics, evt.GpdFit]:
+        w = np.asarray(counts, dtype=float)[owner]
+        cum = np.cumsum(w)
+        n = int(cum[-1])
+        # np.quantile(method="linear") of the concatenated sample
+        virtual = (n - 1) * q
+        below = np.floor(virtual)
+        gamma = virtual - below
+        positions = np.minimum([below, below + 1.0], n - 1)
+        lo, hi = u_sorted[np.searchsorted(cum, positions, side="right")]
+        diff = hi - lo
+        u = float(hi - diff * (1.0 - gamma) if gamma >= 0.5 else lo + diff * gamma)
+
+        cut = int(np.searchsorted(u_sorted, u, side="right"))
+        keep = w[cut:] > 0.0
+        mle = evt.fit_gpd(u_sorted[cut:][keep] - u, w[cut:][keep])
+        fit = evt.GpdFit(
+            threshold_u=u, params=mle.params, n_exceedances=mle.n_excesses, n_total=n,
+            se_sigma=mle.se_sigma, se_xi=mle.se_xi, log_likelihood=mle.log_likelihood,
+        )
+
+        first = int(np.floor(u))
+        edges = np.concatenate([[u], np.arange(first + 1.0, top + 1.0)])  # [u] past the top
+        start = edges[-1]  # where the closed-form tail begins
+        survive = 1.0 - evt.gpd_cdf(fit.params, edges - u)
+        mass = np.clip(survive[:-1] - survive[1:], 0.0, None)
+        tail_cdf, tail_gap = table_cdf[first - lowest:], table_gap[first - lowest:]
+        p_above = survive[-1]
+        energy_above = 0.0
+        if p_above > 0.0:
+            sigma, xi = fit.params.sigma, fit.params.xi
+            if xi >= 1.0:
+                raise NumericalError(f"GPD shape {xi:.3g} >= 1: the tail has infinite mean")
+            mean_excess = (sigma + xi * (start - u)) / (1.0 - xi)
+            energy_above = p_above * (start + mean_excess - 0.5 - functionals.mean_mw)
+        p_tail = fit.exceedance_prob
+        p_shortfall = float((w[:cut] @ body_cdf[:cut]) / n + p_tail * (mass @ tail_cdf + p_above))
+        energy = float((w[:cut] @ body_gap[:cut]) / n + p_tail * (mass @ tail_gap + energy_above))
+        return RiskMetrics(
+            lole_hours=n_hours * p_shortfall,
+            eeu_mwh=n_hours * energy,
+            n_hours=int(n_hours),
+            p_shortfall=p_shortfall,
+        ), fit
+
+    return metrics
 
 
 def long_run_mean(per_season: list[RiskMetrics]) -> RiskMetrics:

@@ -36,6 +36,7 @@ from .risk import (
     RiskMetrics,
     ShortfallFunctionals,
     build_model,
+    evt_multiset,
     long_run_mean,
 )
 from .uncertainty import BootstrapConfig, ConfidenceInterval, block_bootstrap, season_bootstrap
@@ -43,6 +44,16 @@ from .uncertainty import BootstrapConfig, ConfidenceInterval, block_bootstrap, s
 SCAN_QUANTILES = np.round(np.arange(0.80, 0.996, 0.01), 3)
 SURVIVOR_CURVE_POINTS = 200
 TABLE_FORMATS = (("csv", ".csv"), ("json", ".json"), ("text", ".txt"))
+
+
+def check_rescale_settings(span: float, iterations: int, rescale_quantile: float) -> None:
+    """Raise ConfigError unless the demand-rescaling settings are usable."""
+    if not 0.0 < span <= 1.0:
+        raise ConfigError(f"lowess span {span} outside (0, 1]")
+    if iterations < 0:
+        raise ConfigError(f"lowess iterations {iterations} is negative")
+    if not 0.0 < rescale_quantile < 1.0:
+        raise ConfigError(f"rescale quantile {rescale_quantile} outside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -72,12 +83,7 @@ class RunConfig:
             self.bootstrap(self.seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if not 0.0 < self.lowess_span <= 1.0:
-            raise ConfigError(f"lowess span {self.lowess_span} outside (0, 1]")
-        if self.lowess_iterations < 0:
-            raise ConfigError(f"lowess iterations {self.lowess_iterations} is negative")
-        if not 0.0 < self.rescale_quantile < 1.0:
-            raise ConfigError(f"rescale quantile {self.rescale_quantile} outside (0, 1)")
+        check_rescale_settings(self.lowess_span, self.lowess_iterations, self.rescale_quantile)
         if not self.model_kinds:
             raise ConfigError("at least one model kind is required")
         for kind in self.model_kinds:
@@ -137,23 +143,34 @@ def pooled_pipeline(functionals: ShortfallFunctionals, kind: str,
                     threshold_quantile: float | None, n_hours: int):
     """Season-set -> {'lole', 'eeu'} mapping for the block bootstrap.
 
-    evt refits the pooled sample on every call: a GPD fit is not linear. The
-    metrics are linear in the demand-net-of-wind pmf, and the pooled hindcast
-    pmf is the hours-weighted mix of the per-season pmfs, so a hindcast call
-    mixes per-season metrics. For ind the pooled demand and wind pmfs are such
-    mixes too, and P(X < D - W) = P(X + W < D), so an ind call mixes the
-    metrics of season a's demand against the fleet plus season b's wind over
-    the pairs (a, b) it drew. Each season's pmfs are built the first time a
-    call contains it, and each pair's metrics once. A wind season's fleet-sized
-    functionals serve every season seen so far and are then dropped, so a
-    season first seen after others costs one convolution per wind season it
-    pairs with; a first call holding every season makes it one per season.
+    evt refits the GPD on every call: a fit is not linear. Each call is
+    ``risk.evt_multiset`` over every season seen so far, given how often the
+    call drew each one; it is rebuilt when a call holds a season not seen
+    before. The metrics are linear in the demand-net-of-wind pmf, and the
+    pooled hindcast pmf is the hours-weighted mix of the per-season pmfs, so a
+    hindcast call mixes per-season metrics. For ind the pooled demand and wind
+    pmfs are such mixes too, and P(X < D - W) = P(X + W < D), so an ind call
+    mixes the metrics of season a's demand against the fleet plus season b's
+    wind over the pairs (a, b) it drew. Each season's pmfs are built the first
+    time a call contains it, and each pair's metrics once. A wind season's
+    fleet-sized functionals serve every season seen so far and are then
+    dropped, so a season first seen after others costs one convolution per
+    wind season it pairs with; a first call holding every season makes it one
+    per season.
     """
     if kind == dnw.EVT:
+        seen: dict[int, tuple[SeasonTrace, int]] = {}  # id(trace) -> (trace, slot)
+        multiset = None  # evt_multiset over every season in ``seen``
 
         def run(traces):
-            model = build_model(traces, kind, threshold_quantile)
-            metrics = functionals.metrics(dnw.discretize(model), n_hours)
+            nonlocal multiset
+            if any(id(t) not in seen for t in traces):
+                for t in traces:
+                    seen.setdefault(id(t), (t, len(seen)))
+                multiset = evt_multiset(functionals, [t for t, _ in seen.values()],
+                                        threshold_quantile, n_hours)
+            metrics, _ = multiset(np.bincount([seen[id(t)][1] for t in traces],
+                                              minlength=len(seen)))
             return {"lole": metrics.lole_hours, "eeu": metrics.eeu_mwh}
 
         return run
@@ -201,6 +218,21 @@ def pooled_pipeline(functionals: ShortfallFunctionals, kind: str,
         return {"lole": float(lole), "eeu": float(eeu)}
 
     return run
+
+
+def season_metrics(functionals: ShortfallFunctionals, traces, kind: str,
+                   threshold_quantile: float | None, n_hours: int):
+    """Each season's metrics and model in one column; evt reads them from ``evt_multiset``."""
+    if kind != dnw.EVT:
+        models = [build_model(trace, kind, threshold_quantile) for trace in traces]
+        return [functionals.metrics(dnw.discretize(m), n_hours) for m in models], models
+    multiset = evt_multiset(functionals, traces, threshold_quantile, n_hours)
+    metrics, models = [], []
+    for i, trace in enumerate(traces):
+        m, fit = multiset(np.arange(len(traces)) == i)
+        metrics.append(m)
+        models.append(dnw.build_evt_model(trace.net_demand_mw, threshold_quantile, fit))
+    return metrics, models
 
 
 def rescale_traces(traces, history, reference_season, span, iterations,
@@ -275,13 +307,9 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
     per_season: dict[str, list[RiskMetrics]] = {}
     season_models: dict[tuple[str, str], dnw.TailModel] = {}
     for label, kind, q in columns:
-        metrics_list = []
-        for trace in traces:
-            model = build_model(trace, kind, q)
+        per_season[label], models = season_metrics(functionals, traces, kind, q, n_hours)
+        for trace, model in zip(traces, models):
             season_models[(label, trace.season_label)] = model
-            pmf = dnw.discretize(model)
-            metrics_list.append(functionals.metrics(pmf, n_hours))
-        per_season[label] = metrics_list
 
     progress("season bootstrap")
     lole_values = {c: [m.lole_hours for m in per_season[c]] for c in col_labels}
@@ -310,10 +338,13 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
     progress("pooled estimates and block bootstrap")
     pooled_lole, pooled_lole_ci, pooled_eeu, pooled_eeu_ci = {}, {}, {}, {}
     bootstrap_counts = {}
-    pooled_models: dict[str, dnw.TailModel] = {}
+    pooled_fits: dict[str, evt.GpdFit] = {}
     for label, kind, q in columns if cfg.include_pooled else []:
-        model = pooled_models[label] = build_model(traces, kind, q)
-        metrics = functionals.metrics(dnw.discretize(model), n_hours)
+        if kind == dnw.EVT:
+            metrics, pooled_fits[label] = evt_multiset(functionals, traces, q, n_hours)(
+                np.ones(len(traces)))
+        else:
+            metrics = functionals.metrics(dnw.discretize(build_model(traces, kind, q)), n_hours)
         pooled_lole[label] = metrics.lole_hours
         pooled_eeu[label] = metrics.eeu_gwh
         result = block_bootstrap(
@@ -349,7 +380,7 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
         "traces": traces,
         "fleet": fleet,
         "season_models": season_models,
-        "pooled_models": pooled_models,
+        "pooled_fits": pooled_fits,
         "per_season": per_season,
         "n_hours": n_hours,
     }
@@ -529,11 +560,13 @@ def run_full_study(cfg: RunConfig, progress=lambda msg: None) -> StudyResult:
         traces, season_models = extras["traces"], extras["season_models"]
         evt_columns = [(label, q) for label, kind, q in cfg.columns() if kind == dnw.EVT]
         for label, q in evt_columns:
-            # the study's own fits; without a pooled table the pooled model is built here
-            pooled = extras["pooled_models"].get(label) or build_model(traces, dnw.EVT, q)
+            # the study's own fits; without a pooled table the pooled fit is made here
+            pooled = extras["pooled_fits"].get(label) or evt_multiset(
+                ShortfallFunctionals(extras["fleet"]), traces, q, extras["n_hours"])(
+                np.ones(len(traces)))[1]
             fits = [(s, season_models[(label, s)].fit) for s in result.season_labels]
             lines = ["season,threshold_mw,sigma,xi,se_sigma,se_xi,n_exceed"]
-            for season, f in fits + [("pooled", pooled.fit)]:
+            for season, f in fits + [("pooled", pooled)]:
                 lines.append(
                     f"{season},{f.threshold_u!r},{f.params.sigma!r},{f.params.xi!r},"
                     f"{f.se_sigma!r},{f.se_xi!r},{f.n_exceedances}"

@@ -106,8 +106,9 @@ def block_bootstrap(seasons, pipeline, cfg: BootstrapConfig) -> BlockBootstrapRe
     ``pipeline`` maps a list of season datasets to a mapping of metric name to
     value. It runs once per distinct season multiset, on the seasons in index
     order, so its result depends only on which seasons a replication drew.
-    Failing replications are dropped and counted; more than MAX_DROP_RATE of
-    them is an error.
+    Replications whose pipeline raises NumericalError are dropped and counted;
+    more than MAX_DROP_RATE of them is an error. Any other exception is a bug
+    and propagates.
     """
     seasons = list(seasons)
     if len(seasons) < 2:
@@ -120,7 +121,7 @@ def block_bootstrap(seasons, pipeline, cfg: BootstrapConfig) -> BlockBootstrapRe
         if key not in outcomes:
             try:
                 outcomes[key] = dict(pipeline([seasons[i] for i in key]))
-            except Exception as exc:  # recorded, not fatal unless widespread
+            except NumericalError as exc:  # recorded, not fatal unless widespread
                 outcomes[key] = exc
         outcome = outcomes[key]
         if isinstance(outcome, Exception):

@@ -217,6 +217,9 @@ class TestInvalidSettings:
         ("ingest", ["--window-weeks", "0"], None),
         ("fit", ["--window-weeks", "0"], None),
         ("dnw", ["--window-weeks", "0"], None),
+        ("ingest", ["--span", "1.5"], None),
+        ("fit", ["--threshold-quantile", "1.5"], None),
+        ("dnw", ["--model", "evt", "--threshold-quantile", "1.5"], None),
     ])
     def test_exits_2(self, demo_dataset_dir, tmp_path, capsys, command, extra, config):
         if config is not None:

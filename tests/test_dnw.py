@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from adequacy import evt
 from adequacy.dnw import (
     EVT,
     TailModel,
@@ -227,3 +228,41 @@ class TestDiscretize:
         with pytest.raises(NumericalError, match="explicit bounds"):
             default_bounds(model)
 
+
+    def test_small_negative_shape_uses_the_quantile_window(self, season_sample):
+        # for xi -> 0- the endpoint u + sigma/|xi| runs off to millions of MW;
+        # the window ends at the 1 - TRUNCATION_TOL/p quantile instead
+        fit = GpdFit(
+            threshold_u=float(np.quantile(season_sample, 0.95)),
+            params=GpdParams(2500.0, -1e-3),
+            n_exceedances=176,
+            n_total=season_sample.size,
+            se_sigma=np.nan,
+            se_xi=np.nan,
+            log_likelihood=0.0,
+        )
+        model = TailModel(kind=EVT, body=np.sort(season_sample), fit=fit)
+        lo, hi = default_bounds(model)
+        assert hi - lo < 200_000 < fit.params.upper_endpoint
+        assert discretize(model).probabilities.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_explicit_bounds_skip_the_automatic_window(self, season_sample):
+        # the automatic window of this tail is past the cap, but the caller's
+        # window holds all but 1e-12 of its mass
+        u = float(np.quantile(season_sample, 0.95))
+        fit = GpdFit(
+            threshold_u=u,
+            params=GpdParams(2500.0, 0.18),
+            n_exceedances=176,
+            n_total=season_sample.size,
+            se_sigma=np.nan,
+            se_xi=np.nan,
+            log_likelihood=0.0,
+        )
+        model = TailModel(kind=EVT, body=np.sort(season_sample), fit=fit)
+        with pytest.raises(NumericalError, match="explicit bounds"):
+            default_bounds(model)
+        hi = u + evt.gpd_quantile(fit.params, 1.0 - 1e-12 / fit.exceedance_prob) + 1.0
+        pmf = discretize(model, season_sample.min(), hi)
+        assert pmf.origin_mw == int(season_sample.min())
+        assert pmf.probabilities.sum() == pytest.approx(1.0, abs=1e-9)

@@ -254,6 +254,53 @@ class TestFitGpd:
         assert sigma_stars[0] == pytest.approx(sigma_u - u * xi, abs=0.15)
 
 
+class TestWeightedFit:
+    """Integer weights are repeat counts: the fit a season multiset needs."""
+
+    @staticmethod
+    def sample(seed, size=400):
+        rng = np.random.default_rng(seed)
+        xi = rng.uniform(-0.5, 0.4)
+        return rng, stats.genpareto.rvs(c=xi, scale=1000.0, size=size, random_state=rng)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_all_ones_is_the_unweighted_fit(self, seed):
+        _, y = self.sample(seed)
+        plain, ones = fit_gpd(y), fit_gpd(y, np.ones(y.size))
+        assert ones.params.sigma == pytest.approx(plain.params.sigma, rel=1e-12)
+        assert ones.params.xi == pytest.approx(plain.params.xi, rel=1e-12, abs=1e-15)
+        assert ones.log_likelihood == pytest.approx(plain.log_likelihood, rel=1e-12)
+        assert ones.se_sigma == pytest.approx(plain.se_sigma, rel=1e-12)
+        assert ones.se_xi == pytest.approx(plain.se_xi, rel=1e-12)
+        assert ones.n_excesses == plain.n_excesses
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_integer_weights_match_repeated_sample(self, seed):
+        # the flat optimum moves by float reordering of the weighted sums, as
+        # the profile search's own tolerance allows; the likelihood does not
+        rng, y = self.sample(seed)
+        w = rng.integers(1, 4, y.size)
+        weighted, repeated = fit_gpd(y, w), fit_gpd(np.repeat(y, w))
+        assert weighted.n_excesses == repeated.n_excesses == w.sum()
+        assert weighted.params.sigma == pytest.approx(repeated.params.sigma, rel=1e-6)
+        assert weighted.params.xi == pytest.approx(repeated.params.xi, abs=1e-6)
+        assert weighted.log_likelihood == pytest.approx(repeated.log_likelihood, rel=1e-12)
+        assert weighted.se_sigma == pytest.approx(repeated.se_sigma, rel=1e-5)
+        assert weighted.se_xi == pytest.approx(repeated.se_xi, rel=1e-5)
+
+    def test_size_is_the_weight_total(self):
+        y = np.linspace(1.0, 100.0, 10)
+        with pytest.raises(NumericalError, match="at least"):
+            fit_gpd(y)
+        assert fit_gpd(y, np.full(10, 3)).n_excesses == 30
+
+    def test_bad_weights_rejected(self):
+        y = np.linspace(1.0, 100.0, 40)
+        for w in (np.ones(39), np.r_[np.ones(39), 0.0], np.r_[np.ones(39), -1.0]):
+            with pytest.raises(ValueError, match="weights"):
+                fit_gpd(y, w)
+
+
 class TestThresholds:
     def test_select_median_of_three(self):
         assert select_threshold([1.0, 2.0, 3.0], 0.5) == 2.0

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adequacy.dnw import build_evt_model, build_hindcast_model, discretize
+from adequacy.errors import NumericalError
 from adequacy.genmodel import GeneratingUnit, convolve_fleet
 from adequacy.pmf import DiscretePmf
 from adequacy.risk import (
@@ -11,6 +12,7 @@ from adequacy.risk import (
     balance_distribution,
     build_model,
     compute_metrics,
+    evt_multiset,
     long_run_mean,
 )
 from conftest import sample_pmf
@@ -268,3 +270,66 @@ class TestSystemLevelInvariants:
         neg = z.values_mw < 0
         depth = np.dot(z.probabilities[neg], -z.values_mw[neg]) / z.probabilities[neg].sum()
         assert m.eeu_mwh / m.lole_hours == pytest.approx(depth, rel=1e-6)
+
+
+def concatenated_evt_metrics(fleet, seasons, q, n_hours):
+    """The definition: pool the drawn seasons, fit, discretize, read the functionals."""
+    model = build_model(seasons, "evt", q)
+    return ShortfallFunctionals(fleet).metrics(discretize(model), n_hours), model.fit
+
+
+class TestEvtMultiset:
+    """risk.evt_multiset against concatenate -> build_evt_model -> discretize -> metrics."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        drawn=st.lists(st.integers(0, 6), min_size=1, max_size=9),
+        q=st.sampled_from([0.90, 0.95, 0.98]),
+    )
+    def test_matches_concatenated_pipeline(self, demo_system, drawn, q):
+        traces, fleet = demo_system["traces"], demo_system["fleet"]
+        n_hours = traces[0].n_hours
+        got, fit = evt_multiset(ShortfallFunctionals(fleet), traces, q, n_hours)(
+            np.bincount(drawn, minlength=len(traces)))
+        want, want_fit = concatenated_evt_metrics(fleet, [traces[i] for i in drawn], q, n_hours)
+        # the fits differ by float reordering only; the profile optimum is flat
+        # to about 1e-7, and the mass above the fleet is read in closed form
+        assert got.lole_hours == pytest.approx(want.lole_hours, rel=1e-6)
+        assert got.eeu_mwh == pytest.approx(want.eeu_mwh, rel=1e-6)
+        assert fit.threshold_u == want_fit.threshold_u
+        assert (fit.n_exceedances, fit.n_total) == (want_fit.n_exceedances, want_fit.n_total)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        drawn=st.lists(st.integers(0, 6), min_size=1, max_size=12),
+        q=st.floats(0.5, 0.99),
+    )
+    def test_threshold_is_numpys_quantile(self, demo_system, drawn, q):
+        traces = demo_system["traces"]
+        _, fit = evt_multiset(ShortfallFunctionals(demo_system["fleet"]), traces, q, 3528)(
+            np.bincount(drawn, minlength=len(traces)))
+        pooled = np.concatenate([traces[i].net_demand_mw for i in drawn])
+        assert fit.threshold_u == np.quantile(pooled, q)
+
+    def test_threshold_above_the_fleet(self, demo_system):
+        # every value is past the fleet's top: P(Z < 0) = 1 and the whole tail
+        # is read in closed form
+        trace = demo_system["traces"][0]
+        fleet = convolve_fleet([GeneratingUnit("a", 300, 0.9), GeneratingUnit("b", 200, 0.8)])
+        got, _ = evt_multiset(ShortfallFunctionals(fleet), [trace], 0.95, trace.n_hours)([1])
+        want, _ = concatenated_evt_metrics(fleet, [trace], 0.95, trace.n_hours)
+        assert got.p_shortfall == 1.0
+        assert want.p_shortfall == pytest.approx(1.0, rel=1e-12)
+        assert got.eeu_mwh == pytest.approx(want.eeu_mwh, rel=1e-9)
+
+    def test_infinite_mean_tail_is_numerical_error(self, demo_system):
+        rng = np.random.default_rng(3)
+        demand = 40_000.0 + 100.0 * rng.pareto(0.7, 3528)  # shape xi = 1/0.7
+        trace = make_trace("2007-08", demand, np.zeros(3528))
+        metrics = evt_multiset(ShortfallFunctionals(demo_system["fleet"]), [trace], 0.95, 3528)
+        with pytest.raises(NumericalError, match="infinite mean"):
+            metrics([1])
+
+    def test_negative_metrics_are_numerical_errors(self):
+        with pytest.raises(NumericalError, match="non-negative"):
+            RiskMetrics.from_lole_eeu(1.0, -1e-9, 3528)

@@ -1,10 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adequacy import dnw
-from adequacy.errors import ConfigError, DataError
+from adequacy.errors import ConfigError, DataError, NumericalError
 from adequacy.study import (
     MetricTable,
     RunConfig,
@@ -13,9 +14,17 @@ from adequacy.study import (
     pooled_pipeline,
     rescale_traces,
     run_full_study,
+    season_metrics,
 )
 from adequacy.risk import ShortfallFunctionals, build_model
-from adequacy.uncertainty import BootstrapConfig, ConfidenceInterval, block_bootstrap, season_bootstrap
+from adequacy.uncertainty import (
+    MAX_DROP_RATE,
+    BootstrapConfig,
+    ConfidenceInterval,
+    block_bootstrap,
+    season_bootstrap,
+)
+from helpers import make_trace
 
 
 def tiny_config(**overrides):
@@ -157,6 +166,52 @@ class TestPooledClosedForms:
         want = functionals.metrics(dnw.discretize(model), n_hours)
         assert got["lole"] == pytest.approx(want.lole_hours, rel=1e-9)
         assert got["eeu"] == pytest.approx(want.eeu_mwh, rel=1e-9)
+
+
+class TestEvtPipeline:
+    """The evt block-bootstrap pipeline: one evt_multiset call per season multiset."""
+
+    @staticmethod
+    def pipeline(demo_system, q=0.95):
+        n_hours = demo_system["traces"][0].n_hours
+        return pooled_pipeline(ShortfallFunctionals(demo_system["fleet"]), dnw.EVT, q, n_hours)
+
+    def test_order_of_the_traces_changes_nothing(self, demo_system):
+        traces = demo_system["traces"]
+        drawn = [traces[i] for i in (0, 2, 2, 3, 5, 6, 6)]
+        forward = self.pipeline(demo_system)
+        assert forward(drawn) == self.pipeline(demo_system)(drawn[::-1])
+        # a pipeline that has seen every season, in another order, agrees too
+        backward = self.pipeline(demo_system)
+        backward(traces[::-1])
+        assert backward(drawn) == forward(drawn)
+        assert backward(traces) == forward(traces)
+
+    def test_matches_study_pooled_and_per_season(self, demo_system):
+        traces = demo_system["traces"]
+        functionals = ShortfallFunctionals(demo_system["fleet"])
+        n_hours = traces[0].n_hours
+        per_season, models = season_metrics(functionals, traces, dnw.EVT, 0.95, n_hours)
+        run = self.pipeline(demo_system)
+        for trace, metrics, model in zip(traces, per_season, models):
+            assert run([trace]) == {"lole": metrics.lole_hours, "eeu": metrics.eeu_mwh}
+            assert model.fit.n_total == trace.n_hours
+            assert np.array_equal(model.body, np.sort(trace.net_demand_mw))
+
+    def test_constant_season_is_dropped_not_aborted(self, demo_system):
+        # a season with one value has no exceedances of its own quantile: the
+        # multisets drawing only it fail numerically and are dropped
+        flat = make_trace("2014-15", np.full(3528, 20_000.0), np.zeros(3528))
+        seasons = demo_system["traces"][:3] + [flat]
+        run = self.pipeline(demo_system)
+        with pytest.raises(NumericalError, match="exceedances"):
+            run([flat])
+        cfg = BootstrapConfig(seed=1, replications=1000)
+        failing = np.flatnonzero((cfg.indices(4) == 3).all(axis=1))
+        assert 0 < failing.size <= MAX_DROP_RATE * cfg.replications
+        result = block_bootstrap(seasons, run, cfg)
+        assert result.replications_dropped == failing.size
+        assert result.first_error.startswith(f"replication {failing[0]}: need at least")
 
 
 class TestManifestOnFailure:

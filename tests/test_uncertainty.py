@@ -147,7 +147,7 @@ class TestBlockBootstrap:
 
         def flaky(drawn):
             if all(s[0] == 0.0 for s in drawn):
-                raise RuntimeError("numerical hiccup")
+                raise NumericalError("numerical hiccup")
             return {"m": 1.0}
 
         cfg = BootstrapConfig(seed=1, replications=1000)
@@ -177,10 +177,23 @@ class TestBlockBootstrap:
 
     def test_widespread_failure_is_error(self):
         def broken(seasons):
-            raise RuntimeError("always fails")
+            raise NumericalError("always fails")
 
         with pytest.raises(NumericalError, match="replications failed"):
             block_bootstrap([np.arange(3.0)] * 4, broken, BootstrapConfig(seed=1, replications=200))
+
+    def test_a_bug_aborts_instead_of_dropping(self):
+        # only NumericalError is a droppable replication; a TypeError is a bug
+        calls = []
+
+        def buggy(seasons):
+            calls.append(len(seasons))
+            if len(calls) == 3:
+                raise TypeError("unsupported operand")
+            return {"m": 1.0}
+
+        with pytest.raises(TypeError, match="unsupported operand"):
+            block_bootstrap([np.arange(3.0)] * 4, buggy, BootstrapConfig(seed=1, replications=200))
 
     def test_needs_two_seasons(self):
         with pytest.raises(ValueError):
