@@ -24,6 +24,7 @@ from .evt import (  # noqa: F401
     gpd_cdf,
     gpd_loglik,
     gpd_quantile,
+    gpd_survivor,
     qq_points,
     select_threshold,
     threshold_scan,

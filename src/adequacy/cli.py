@@ -18,12 +18,13 @@ from . import __version__, demo, dnw, evt
 from .errors import ConfigError, DataError, NumericalError
 from .genmodel import fleet_summary, load_fleet
 from .ingest import SeasonWindow, load_quantile_history, load_traces
-from .risk import ShortfallFunctionals, build_model
+from .risk import SeasonSample, ShortfallFunctionals, build_model
 from .study import (
     RunConfig,
     check_rescale_settings,
     emit_tables,
     load_inputs,
+    pooled_metrics,
     pooled_pipeline,
     rescale_traces,
     run_full_study,
@@ -217,22 +218,22 @@ def cmd_risk(args) -> int:
 
 
 def cmd_uncertainty(args) -> int:
-    kind, q = _KIND_ALIASES[args.model], args.threshold_quantile
-    cfg = _run_config(args, model_kinds=(kind,), threshold_quantiles=(q,))
+    kind = _KIND_ALIASES[args.model]
+    cfg = _run_config(args, model_kinds=(kind,), threshold_quantiles=(args.threshold_quantile,))
+    _, kind, q = cfg.columns()[0]  # q is None unless the model is evt
     traces, _, fleet = load_inputs(cfg)
-    functionals = ShortfallFunctionals(fleet)
-    n_hours = cfg.window().expected_hours
+    sample = SeasonSample(ShortfallFunctionals(fleet), traces, cfg.window().expected_hours)
     boot = cfg.bootstrap(seed=cfg.seed)
 
     if args.mode == "season":
-        per_season, _ = season_metrics(functionals, traces, kind, q, n_hours)
+        per_season, _ = season_metrics(sample, kind, q)
         values = [m.lole_hours if args.metric == "lole" else m.eeu_mwh for m in per_season]
         point = float(np.mean(values))
         ci = season_bootstrap(values, boot)
     else:
-        pipeline = pooled_pipeline(functionals, kind, q, n_hours)
-        point = pipeline(traces)[args.metric]
-        ci = block_bootstrap(traces, pipeline, boot).intervals[args.metric]
+        pooled, _ = pooled_metrics(sample, kind, q)
+        point = pooled.lole_hours if args.metric == "lole" else pooled.eeu_mwh
+        ci = block_bootstrap(traces, pooled_pipeline(sample, kind, q), boot).intervals[args.metric]
 
     payload = {
         "metric": args.metric,

@@ -8,8 +8,11 @@ Three interchangeable models of the same quantity:
 * ``independence`` -- convolution of the demand and (negated) wind empirical
                       distributions, i.e. demand and wind treated as independent.
 
-All models expose a survivor function and can be discretized onto the 1 MW
-grid used by the risk convolution.
+All models expose a survivor function. ``discretize`` projects a model onto
+the 1 MW grid of the risk convolution; it is the definition the production
+path is tested against, not a step of it. ``risk.SeasonSample`` reads the evt
+and hindcast LoLE/EEU from the season values without building a pmf, and the
+independence model's own pmf is already on the grid.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ def survivor(model: TailModel, v):
         below = v_arr < fit.threshold_u
         out[below] = _empirical_survivor(model.body, v_arr[below])
         excess = v_arr[~below] - fit.threshold_u
-        out[~below] = fit.exceedance_prob * (1.0 - evt.gpd_cdf(fit.params, excess))
+        out[~below] = fit.exceedance_prob * evt.gpd_survivor(fit.params, excess)
     return float(out[0]) if scalar else out
 
 
@@ -135,7 +138,7 @@ def _survivor_geq(model: TailModel, v: np.ndarray) -> np.ndarray:
     below = v <= fit.threshold_u
     out[below] = _empirical_survivor_geq(model.body, v[below])
     excess = v[~below] - fit.threshold_u
-    out[~below] = fit.exceedance_prob * (1.0 - evt.gpd_cdf(fit.params, excess))
+    out[~below] = fit.exceedance_prob * evt.gpd_survivor(fit.params, excess)
     return out
 
 

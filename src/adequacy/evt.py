@@ -96,18 +96,26 @@ class ScanEntry:
     error: str | None = None
 
 
-def gpd_cdf(params: GpdParams, y):
-    """H(y) = P(Y <= y) for excess y >= 0. Accepts scalars or arrays."""
+def gpd_survivor(params: GpdParams, y):
+    """1 - H(y) = P(Y > y) for excess y >= 0, computed directly so that tail
+    masses far below 1e-16 keep their relative precision. Accepts scalars or
+    arrays."""
     y_arr = np.asarray(y, dtype=float)
     if np.any(y_arr < 0.0):
         raise ValueError("excess values must be non-negative")
     if abs(params.xi) < XI_ZERO_GUARD:
-        out = -np.expm1(-y_arr / params.sigma)
+        out = np.exp(-y_arr / params.sigma)
     else:
-        t = 1.0 + params.xi * y_arr / params.sigma
-        # beyond the finite endpoint (xi < 0) the cdf saturates at 1
-        out = np.where(t > 0.0, 1.0 - np.power(np.clip(t, 1e-300, None), -1.0 / params.xi), 1.0)
+        z = params.xi * y_arr / params.sigma
+        # beyond the finite endpoint (xi < 0) nothing survives
+        inside = z > -1.0
+        out = np.where(inside, np.exp(np.log1p(np.where(inside, z, 0.0)) / -params.xi), 0.0)
     return float(out) if np.isscalar(y) or y_arr.ndim == 0 else out
+
+
+def gpd_cdf(params: GpdParams, y):
+    """H(y) = P(Y <= y) for excess y >= 0. Accepts scalars or arrays."""
+    return 1.0 - gpd_survivor(params, y)
 
 
 def gpd_quantile(params: GpdParams, p):

@@ -10,13 +10,14 @@ reflected V pmf (``balance_distribution`` + ``compute_metrics``). Every
 production path instead uses ``ShortfallFunctionals``: P(Z < 0) and
 E[max(-Z, 0)] are the V-expectations of the fleet's cdf P(X < v) and partial
 moment E[(v - X)+], read in one pass over each V pmf. The convolution stays
-as the test oracle. ``evt_multiset`` reads the same functionals for the evt
-model of any season multiset without building its pmf.
+as the test oracle. ``SeasonSample`` reads the same functionals for the evt
+and hindcast models of any season multiset without building their pmfs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,11 @@ class RiskMetrics:
     def from_lole_eeu(cls, lole_hours: float, eeu_mwh: float, n_hours: int) -> "RiskMetrics":
         return cls(lole_hours, eeu_mwh, int(n_hours), lole_hours / n_hours)
 
+    @classmethod
+    def from_hourly(cls, p_shortfall: float, shortfall_mw: float, n_hours: int) -> "RiskMetrics":
+        """From P(Z < 0) and E[max(-Z, 0)] in one hour of an n-hour season."""
+        return cls(n_hours * p_shortfall, n_hours * shortfall_mw, int(n_hours), p_shortfall)
+
     @property
     def eeu_gwh(self) -> float:
         return self.eeu_mwh / 1000.0
@@ -67,13 +73,7 @@ def compute_metrics(z: DiscretePmf, n_hours: int) -> RiskMetrics:
     values = z.values_mw
     neg = values < 0
     p_shortfall = float(z.probabilities[neg].sum())
-    eeu = float(n_hours * np.dot(z.probabilities[neg], -values[neg]))
-    return RiskMetrics(
-        lole_hours=n_hours * p_shortfall,
-        eeu_mwh=eeu,
-        n_hours=int(n_hours),
-        p_shortfall=p_shortfall,
-    )
+    return RiskMetrics.from_hourly(p_shortfall, float(z.probabilities[neg] @ -values[neg]), n_hours)
 
 
 class ShortfallFunctionals:
@@ -110,23 +110,21 @@ class ShortfallFunctionals:
         gap = np.where(inside, self._gap[k], np.where(above, v - self.mean_mw, 0.0))
         return cdf, gap
 
+    def expect(self, origin: int, probs: np.ndarray) -> tuple[float, float]:
+        """P(X < V) and E[(V - X)+] for V with mass probs[i] at v = origin + i."""
+        # atom i reads fleet index k0 + i = v - origin - 1
+        k0 = origin - self._origin - 1
+        lo = min(max(-k0, 0), probs.size)
+        hi = min(max(self._cdf.size - k0, lo), probs.size)
+        inside = probs[lo:hi]
+        above = probs[hi:]
+        excess = origin + np.arange(hi, probs.size) - self.mean_mw  # v - E[X]
+        return (float(inside @ self._cdf[k0 + lo : k0 + hi] + above.sum()),
+                float(inside @ self._gap[k0 + lo : k0 + hi] + above @ excess))
+
     def metrics(self, dnw_pmf: DiscretePmf, n_hours: int) -> RiskMetrics:
-        pv = dnw_pmf.probabilities
-        # atom i sits at v = dnw origin + i and reads fleet index k0 + i = v - origin - 1
-        k0 = dnw_pmf.origin_mw - self._origin - 1
-        lo = min(max(-k0, 0), pv.size)
-        hi = min(max(self._cdf.size - k0, lo), pv.size)
-        inside = pv[lo:hi]
-        above = pv[hi:]
-        excess = dnw_pmf.origin_mw + np.arange(hi, pv.size) - self.mean_mw  # v - E[X]
-        p_shortfall = float(inside @ self._cdf[k0 + lo : k0 + hi] + above.sum())
-        energy = float(inside @ self._gap[k0 + lo : k0 + hi] + above @ excess)
-        return RiskMetrics(
-            lole_hours=n_hours * p_shortfall,
-            eeu_mwh=n_hours * energy,
-            n_hours=int(n_hours),
-            p_shortfall=p_shortfall,
-        )
+        return RiskMetrics.from_hourly(*self.expect(dnw_pmf.origin_mw, dnw_pmf.probabilities),
+                                       n_hours)
 
 
 def build_model(seasons, kind: str, threshold_quantile: float = 0.95) -> dnw.TailModel:
@@ -145,22 +143,25 @@ def build_model(seasons, kind: str, threshold_quantile: float = 0.95) -> dnw.Tai
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def evt_multiset(functionals: ShortfallFunctionals, seasons, threshold_quantile: float,
-                 n_hours: int):
-    """evt LoLE/EEU of any multiset of ``seasons``, without pooling or discretizing it.
+class SeasonSample:
+    """Every season's demand-net-of-wind read against the fleet once, for any season multiset.
 
-    Returns ``metrics(counts) -> (RiskMetrics, GpdFit)``, where counts[s] is
-    how often season s is drawn: one count is a season on its own, all ones
-    the pooled sample. The result is that of concatenating the drawn seasons,
-    ``build_evt_model`` + ``discretize`` + ``ShortfallFunctionals.metrics``,
-    read over the fleet's support only:
+    ``metrics(counts, threshold_quantile)``, where counts[s] is how often
+    season s is drawn, gives the LoLE/EEU of the concatenated draw: one count
+    is a season on its own, all ones the pooled sample. With no quantile it is
+    the hindcast model, with one the evt model at that quantile. Both equal
+    building the model of the concatenation, ``dnw.discretize`` and
+    ``ShortfallFunctionals.metrics``, read over the fleet's support only:
 
-    * all seasons' values are sorted together once, and the fleet functionals
-      gathered at their floors, so a multiset is a weight per value;
-    * the threshold is numpy's linear quantile of the weighted values, bit for
-      bit, and the GPD is fitted to the exceedances of positive weight;
-    * values at or below the threshold are floor-binned, as ``discretize``
-      bins them, so their part is a weighted dot product over a prefix;
+    * the fleet functionals are gathered at each value's floor, so a
+      floor-binned empirical part is a weighted sum of them;
+    * hindcast is all empirical, so it needs only each season's sums of the
+      gathered functionals: the metrics are their count-weighted mean;
+    * evt sorts all seasons' values together once, on its first call, so a
+      multiset is a weight per value. The threshold is numpy's linear
+      quantile of the weighted values, bit for bit, and the GPD is fitted to
+      the exceedances of positive weight. Values at or below the threshold
+      are a weighted dot over a prefix;
     * the tail's bins from floor(u) up to the fleet's top difference the GPD
       survivor; the tail mass P at or above the top needs no bins: it adds P
       to P(Z < 0) and P (top + e(y) - 1/2 - E[X]) to E[(V - X)+], with the
@@ -171,20 +172,39 @@ def evt_multiset(functionals: ShortfallFunctionals, seasons, threshold_quantile:
     Ties in the sort are broken by season label, so the order of ``seasons``
     does not change any sum.
     """
-    values = [s.net_demand_mw for s in seasons]
-    label_rank = np.argsort(np.argsort([s.season_label for s in seasons], kind="stable"))
-    pooled = np.concatenate(values)
-    owner = np.repeat(np.arange(len(values)), [v.size for v in values])
-    order = np.lexsort((label_rank[owner], pooled))
-    u_sorted, owner = pooled[order], owner[order]
-    body_cdf, body_gap = functionals.at(np.floor(u_sorted))
-    top = functionals.fleet.last_mw + 2  # the first v that ``at`` reads in closed form
-    # the tail's bins from floor(u) up to the top, for any u: a slice of these
-    lowest = int(np.floor(u_sorted[0]))
-    table_cdf, table_gap = functionals.at(np.arange(lowest, top))
-    q = threshold_quantile
 
-    def metrics(counts) -> tuple[RiskMetrics, evt.GpdFit]:
+    def __init__(self, functionals: ShortfallFunctionals, seasons, n_hours: int):
+        self.functionals = functionals
+        self.seasons = list(seasons)
+        self.n_hours = n_hours
+        self.hours = np.array([s.n_hours for s in self.seasons], dtype=float)  # observed
+        gathered = (functionals.at(np.floor(s.net_demand_mw)) for s in self.seasons)
+        self._sums = np.array([[cdf.sum(), gap.sum()] for cdf, gap in gathered])
+
+    @cached_property
+    def _sorted(self) -> tuple[np.ndarray, ...]:
+        """All values sorted, their season ids, and the functionals at their floors; evt only."""
+        values = [s.net_demand_mw for s in self.seasons]
+        label_rank = np.argsort(np.argsort([s.season_label for s in self.seasons], kind="stable"))
+        pooled = np.concatenate(values)
+        owner = np.repeat(np.arange(len(values)), [v.size for v in values])
+        order = np.lexsort((label_rank[owner], pooled))
+        u = pooled[order]
+        return (u, owner[order], *self.functionals.at(np.floor(u)))
+
+    def metrics(self, counts, threshold_quantile: float | None = None
+                ) -> tuple[RiskMetrics, evt.GpdFit | None]:
+        """LoLE/EEU of the drawn multiset, and its evt tail fit (None for hindcast)."""
+        if threshold_quantile is None:
+            c = np.asarray(counts, dtype=float)
+            p_shortfall, energy = (c @ self._sums) / (c @ self.hours)
+            fit = None
+        else:
+            p_shortfall, energy, fit = self._evt(counts, threshold_quantile)
+        return RiskMetrics.from_hourly(float(p_shortfall), float(energy), self.n_hours), fit
+
+    def _evt(self, counts, q: float) -> tuple[float, float, evt.GpdFit]:
+        u_sorted, owner, body_cdf, body_gap = self._sorted
         w = np.asarray(counts, dtype=float)[owner]
         cum = np.cumsum(w)
         n = int(cum[-1])
@@ -205,12 +225,13 @@ def evt_multiset(functionals: ShortfallFunctionals, seasons, threshold_quantile:
             se_sigma=mle.se_sigma, se_xi=mle.se_xi, log_likelihood=mle.log_likelihood,
         )
 
+        functionals = self.functionals
+        top = functionals.fleet.last_mw + 2  # the first v that ``at`` reads in closed form
         first = int(np.floor(u))
         edges = np.concatenate([[u], np.arange(first + 1.0, top + 1.0)])  # [u] past the top
         start = edges[-1]  # where the closed-form tail begins
-        survive = 1.0 - evt.gpd_cdf(fit.params, edges - u)
-        mass = np.clip(survive[:-1] - survive[1:], 0.0, None)
-        tail_cdf, tail_gap = table_cdf[first - lowest:], table_gap[first - lowest:]
+        survive = evt.gpd_survivor(fit.params, edges - u)
+        tail_cdf, tail_gap = functionals.expect(first, np.clip(survive[:-1] - survive[1:], 0.0, None))
         p_above = survive[-1]
         energy_above = 0.0
         if p_above > 0.0:
@@ -220,16 +241,9 @@ def evt_multiset(functionals: ShortfallFunctionals, seasons, threshold_quantile:
             mean_excess = (sigma + xi * (start - u)) / (1.0 - xi)
             energy_above = p_above * (start + mean_excess - 0.5 - functionals.mean_mw)
         p_tail = fit.exceedance_prob
-        p_shortfall = float((w[:cut] @ body_cdf[:cut]) / n + p_tail * (mass @ tail_cdf + p_above))
-        energy = float((w[:cut] @ body_gap[:cut]) / n + p_tail * (mass @ tail_gap + energy_above))
-        return RiskMetrics(
-            lole_hours=n_hours * p_shortfall,
-            eeu_mwh=n_hours * energy,
-            n_hours=int(n_hours),
-            p_shortfall=p_shortfall,
-        ), fit
-
-    return metrics
+        p_shortfall = (w[:cut] @ body_cdf[:cut]) / n + p_tail * (tail_cdf + p_above)
+        energy = (w[:cut] @ body_gap[:cut]) / n + p_tail * (tail_gap + energy_above)
+        return p_shortfall, energy, fit
 
 
 def long_run_mean(per_season: list[RiskMetrics]) -> RiskMetrics:

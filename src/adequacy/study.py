@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,7 +22,6 @@ from . import __version__, dnw, evt
 from .errors import ConfigError, DataError
 from .genmodel import convolve_fleet, load_fleet
 from .ingest import (
-    SeasonTrace,
     SeasonWindow,
     apply_rescaling,
     compute_rescale_factors,
@@ -32,13 +30,7 @@ from .ingest import (
     load_traces,
 )
 from .pmf import convolve, pmf_from_samples
-from .risk import (
-    RiskMetrics,
-    ShortfallFunctionals,
-    build_model,
-    evt_multiset,
-    long_run_mean,
-)
+from .risk import RiskMetrics, SeasonSample, ShortfallFunctionals, build_model, long_run_mean
 from .uncertainty import BootstrapConfig, ConfidenceInterval, block_bootstrap, season_bootstrap
 
 SCAN_QUANTILES = np.round(np.arange(0.80, 0.996, 0.01), 3)
@@ -139,99 +131,76 @@ class PooledTable:
     eeu_ci: dict[str, ConfidenceInterval]  # in GWh
 
 
-def pooled_pipeline(functionals: ShortfallFunctionals, kind: str,
-                    threshold_quantile: float | None, n_hours: int):
+def pooled_pipeline(sample: SeasonSample, kind: str, threshold_quantile: float | None):
     """Season-set -> {'lole', 'eeu'} mapping for the block bootstrap.
 
-    evt refits the GPD on every call: a fit is not linear. Each call is
-    ``risk.evt_multiset`` over every season seen so far, given how often the
-    call drew each one; it is rebuilt when a call holds a season not seen
-    before. The metrics are linear in the demand-net-of-wind pmf, and the
-    pooled hindcast pmf is the hours-weighted mix of the per-season pmfs, so a
-    hindcast call mixes per-season metrics. For ind the pooled demand and wind
-    pmfs are such mixes too, and P(X < D - W) = P(X + W < D), so an ind call
-    mixes the metrics of season a's demand against the fleet plus season b's
-    wind over the pairs (a, b) it drew. Each season's pmfs are built the first
-    time a call contains it, and each pair's metrics once. A wind season's
-    fleet-sized functionals serve every season seen so far and are then
-    dropped, so a season first seen after others costs one convolution per
-    wind season it pairs with; a first call holding every season makes it one
-    per season.
+    ``kind`` and ``threshold_quantile`` are a column of ``RunConfig.columns()``.
+    The drawn traces, each one of ``sample.seasons``, become a count per
+    season. evt and hindcast read that multiset from ``sample``; evt refits
+    the GPD on every call, as a fit is not linear. The pooled ind demand and
+    wind pmfs are hours-weighted mixes of the per-season pmfs, and
+    P(X < D - W) = P(X + W < D), so an ind call mixes M[a, b], the metrics of
+    season a's demand against the fleet plus season b's wind, over the pairs
+    it drew. Column b of M is filled for every season the first time season b
+    is drawn: one fleet + wind convolution per wind season.
     """
-    if kind == dnw.EVT:
-        seen: dict[int, tuple[SeasonTrace, int]] = {}  # id(trace) -> (trace, slot)
-        multiset = None  # evt_multiset over every season in ``seen``
+    slot = {id(t): i for i, t in enumerate(sample.seasons)}
 
+    def counts(traces) -> np.ndarray:
+        return np.bincount([slot[id(t)] for t in traces], minlength=len(slot))
+
+    if kind != dnw.INDEPENDENCE:
         def run(traces):
-            nonlocal multiset
-            if any(id(t) not in seen for t in traces):
-                for t in traces:
-                    seen.setdefault(id(t), (t, len(seen)))
-                multiset = evt_multiset(functionals, [t for t, _ in seen.values()],
-                                        threshold_quantile, n_hours)
-            metrics, _ = multiset(np.bincount([seen[id(t)][1] for t in traces],
-                                              minlength=len(seen)))
+            metrics, _ = sample.metrics(counts(traces), threshold_quantile)
             return {"lole": metrics.lole_hours, "eeu": metrics.eeu_mwh}
 
         return run
 
-    # traces are unhashable; holding each one keeps its id from being reused
-    slots: dict[int, tuple[SeasonTrace, int]] = {}  # id(trace) -> (trace, slot)
-    hours: list[int] = []  # per slot
-    pieces: list = []  # per slot: hindcast metrics, or ind (demand pmf, wind pmf)
-    pairs: dict[tuple[int, int], tuple[float, float]] = {}  # ind metrics per (demand, wind) slot
-
-    def as_tuple(m: RiskMetrics) -> tuple[float, float]:
-        return m.lole_hours, m.eeu_mwh
-
-    def slot(trace: SeasonTrace) -> int:
-        if id(trace) not in slots:
-            slots[id(trace)] = (trace, len(pieces))
-            hours.append(trace.n_hours)
-            if kind == dnw.HINDCAST:
-                pmf = dnw.discretize(build_model(trace, kind))
-                pieces.append(as_tuple(functionals.metrics(pmf, n_hours)))
-            else:
-                pieces.append((pmf_from_samples(trace.demand_mw), pmf_from_samples(trace.wind_mw)))
-        return slots[id(trace)][1]
-
-    def fill(b: int) -> None:
-        # fleet + wind functionals are fleet-sized: use them for every season seen, then drop
-        total = ShortfallFunctionals(convolve(functionals.fleet, pieces[b][1]))
-        for a, (demand, _) in enumerate(pieces):
-            if (a, b) not in pairs:
-                pairs[(a, b)] = as_tuple(total.metrics(demand, n_hours))
+    n_hours = sample.n_hours
+    demand = [pmf_from_samples(t.demand_mw) for t in sample.seasons]
+    pairs = np.zeros((len(slot), len(slot), 2))  # M[a, b] as (lole, eeu)
+    filled = np.zeros(len(slot), dtype=bool)
 
     def run(traces):
-        counts = Counter(slot(t) for t in traces)
-        drawn = list(counts)
-        weights = np.array([counts[a] * hours[a] for a in drawn], dtype=float)
+        c = counts(traces)
+        drawn = np.flatnonzero(c)
+        for b in drawn[~filled[drawn]]:
+            wind = pmf_from_samples(sample.seasons[b].wind_mw)
+            total = ShortfallFunctionals(convolve(sample.functionals.fleet, wind))
+            for a, pmf in enumerate(demand):
+                m = total.metrics(pmf, n_hours)
+                pairs[a, b] = m.lole_hours, m.eeu_mwh
+            filled[b] = True
+        weights = c[drawn] * sample.hours[drawn]
         weights /= weights.sum()
-        if kind == dnw.HINDCAST:
-            lole, eeu = weights @ np.array([pieces[a] for a in drawn])
-        else:
-            for b in drawn:
-                if any((a, b) not in pairs for a in drawn):
-                    fill(b)
-            mixed = np.array([[pairs[(a, b)] for b in drawn] for a in drawn])
-            lole, eeu = np.einsum("a,b,abm->m", weights, weights, mixed)
+        lole, eeu = np.einsum("a,b,abm->m", weights, weights, pairs[np.ix_(drawn, drawn)])
         return {"lole": float(lole), "eeu": float(eeu)}
 
     return run
 
 
-def season_metrics(functionals: ShortfallFunctionals, traces, kind: str,
-                   threshold_quantile: float | None, n_hours: int):
-    """Each season's metrics and model in one column; evt reads them from ``evt_multiset``."""
-    if kind != dnw.EVT:
-        models = [build_model(trace, kind, threshold_quantile) for trace in traces]
-        return [functionals.metrics(dnw.discretize(m), n_hours) for m in models], models
-    multiset = evt_multiset(functionals, traces, threshold_quantile, n_hours)
+def pooled_metrics(sample: SeasonSample, kind: str, threshold_quantile: float | None
+                   ) -> tuple[RiskMetrics, evt.GpdFit | None]:
+    """The pooled point estimate of one column, and its evt fit (None otherwise)."""
+    if kind == dnw.INDEPENDENCE:
+        model = build_model(sample.seasons, kind)
+        return sample.functionals.metrics(model.pmf, sample.n_hours), None
+    return sample.metrics(np.ones(len(sample.seasons)), threshold_quantile)
+
+
+def season_metrics(sample: SeasonSample, kind: str, threshold_quantile: float | None):
+    """Each season's metrics and model in one column; evt and hindcast read them from ``sample``."""
     metrics, models = [], []
-    for i, trace in enumerate(traces):
-        m, fit = multiset(np.arange(len(traces)) == i)
-        metrics.append(m)
-        models.append(dnw.build_evt_model(trace.net_demand_mw, threshold_quantile, fit))
+    for i, trace in enumerate(sample.seasons):
+        if kind == dnw.INDEPENDENCE:
+            model = build_model(trace, kind)
+            metrics.append(sample.functionals.metrics(model.pmf, sample.n_hours))
+        else:
+            m, fit = sample.metrics(np.arange(len(sample.seasons)) == i, threshold_quantile)
+            metrics.append(m)
+            model = (dnw.build_hindcast_model(trace.net_demand_mw) if fit is None else
+                     dnw.build_evt_model(trace.net_demand_mw, threshold_quantile, fit))
+        models.append(model)
     return metrics, models
 
 
@@ -294,10 +263,10 @@ def load_inputs(cfg: RunConfig, progress=lambda msg: None):
 def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[StudyResult, dict]:
     """All numerical work for a study; file emission happens separately."""
     traces, factors, fleet = load_inputs(cfg, progress)
-    functionals = ShortfallFunctionals(fleet)
     # n is the length of the target season, whatever a historical season lost
     # to gaps; pooled models weight each season by its observed hours
     n_hours = cfg.window().expected_hours
+    sample = SeasonSample(ShortfallFunctionals(fleet), traces, n_hours)
     labels = [t.season_label for t in traces]
 
     columns = cfg.columns()
@@ -307,7 +276,7 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
     per_season: dict[str, list[RiskMetrics]] = {}
     season_models: dict[tuple[str, str], dnw.TailModel] = {}
     for label, kind, q in columns:
-        per_season[label], models = season_metrics(functionals, traces, kind, q, n_hours)
+        per_season[label], models = season_metrics(sample, kind, q)
         for trace, model in zip(traces, models):
             season_models[(label, trace.season_label)] = model
 
@@ -340,16 +309,12 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
     bootstrap_counts = {}
     pooled_fits: dict[str, evt.GpdFit] = {}
     for label, kind, q in columns if cfg.include_pooled else []:
-        if kind == dnw.EVT:
-            metrics, pooled_fits[label] = evt_multiset(functionals, traces, q, n_hours)(
-                np.ones(len(traces)))
-        else:
-            metrics = functionals.metrics(dnw.discretize(build_model(traces, kind, q)), n_hours)
+        metrics, fit = pooled_metrics(sample, kind, q)
+        if fit is not None:
+            pooled_fits[label] = fit
         pooled_lole[label] = metrics.lole_hours
         pooled_eeu[label] = metrics.eeu_gwh
-        result = block_bootstrap(
-            traces, pooled_pipeline(functionals, kind, q, n_hours), boots[label]
-        )
+        result = block_bootstrap(traces, pooled_pipeline(sample, kind, q), boots[label])
         pooled_lole_ci[label] = result.intervals["lole"]
         bootstrap_counts[label] = {
             "used": result.replications_used,
@@ -378,11 +343,10 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
     )
     extras = {
         "traces": traces,
-        "fleet": fleet,
+        "sample": sample,
         "season_models": season_models,
         "pooled_fits": pooled_fits,
         "per_season": per_season,
-        "n_hours": n_hours,
     }
     return result, extras
 
@@ -561,9 +525,8 @@ def run_full_study(cfg: RunConfig, progress=lambda msg: None) -> StudyResult:
         evt_columns = [(label, q) for label, kind, q in cfg.columns() if kind == dnw.EVT]
         for label, q in evt_columns:
             # the study's own fits; without a pooled table the pooled fit is made here
-            pooled = extras["pooled_fits"].get(label) or evt_multiset(
-                ShortfallFunctionals(extras["fleet"]), traces, q, extras["n_hours"])(
-                np.ones(len(traces)))[1]
+            pooled = (extras["pooled_fits"].get(label)
+                      or extras["sample"].metrics(np.ones(len(traces)), q)[1])
             fits = [(s, season_models[(label, s)].fit) for s in result.season_labels]
             lines = ["season,threshold_mw,sigma,xi,se_sigma,se_xi,n_exceed"]
             for season, f in fits + [("pooled", pooled)]:

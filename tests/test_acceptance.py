@@ -17,7 +17,7 @@ import adequacy
 from adequacy.dnw import build_evt_model, build_hindcast_model, discretize, survivor
 from adequacy.evt import fit_gpd
 from adequacy.genmodel import GeneratingUnit, convolve_fleet
-from adequacy.risk import RiskMetrics, ShortfallFunctionals, balance_distribution, build_model, compute_metrics, long_run_mean
+from adequacy.risk import RiskMetrics, SeasonSample, ShortfallFunctionals, balance_distribution, build_model, compute_metrics, long_run_mean
 from adequacy.study import RunConfig, pooled_pipeline, run_full_study
 from adequacy.uncertainty import BootstrapConfig, block_bootstrap, season_bootstrap
 from conftest import sample_pmf
@@ -136,7 +136,8 @@ def test_criterion_07_hindcast_pooled_vs_mean_ci(demo_system):
     fleet = demo_system["fleet"]
     traces = demo_system["traces"]
     n_hours = traces[0].n_hours
-    pipeline = pooled_pipeline(ShortfallFunctionals(fleet), "hindcast", None, n_hours)
+    sample = SeasonSample(ShortfallFunctionals(fleet), traces, n_hours)
+    pipeline = pooled_pipeline(sample, "hindcast", None)
     per_season = [pipeline([t])["lole"] for t in traces]
     cfg = BootstrapConfig(seed=5150, replications=10_000)
     block_ci = block_bootstrap(traces, pipeline, cfg).intervals["lole"]

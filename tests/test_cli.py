@@ -285,6 +285,22 @@ class TestUncertaintyCommand:
         assert payload["mode"] == "block"
         assert payload["ci_lower"] <= payload["ci_upper"]
 
+    def test_hindcast_block_point_is_the_study_pooled_hindcast(self, demo_dataset_dir, capsys):
+        # the default --threshold-quantile must not turn hindcast into an evt fit
+        traces, fleet, quantiles = (str(demo_dataset_dir[k]) for k in ("traces", "fleet", "quantiles"))
+        code, out, err = run_cli(
+            capsys,
+            "uncertainty", "--traces", traces, "--fleet", fleet, "--quantiles", quantiles,
+            "--metric", "lole", "--mode", "block", "--model", "hindcast",
+            "--reps", "100", "--seed", "9",
+        )
+        assert code == 0, err
+        cfg = RunConfig(traces_path=traces, fleet_path=fleet, quantiles_path=quantiles, seed=9,
+                        model_kinds=("hindcast",), replications=100)
+        result, _ = run_study_computation(cfg)
+        assert json.loads(out)["point_estimate"] == pytest.approx(
+            result.pooled_table.lole["hindcast"], rel=1e-12)
+
 
 class TestGappedSeason:
     """n is the target season's length even when a historical season has gaps."""

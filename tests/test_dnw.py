@@ -61,6 +61,16 @@ class TestSurvivor:
         endpoint = model.threshold_u + 2850.0 / 0.32
         assert survivor(model, endpoint + 10.0) == 0.0
 
+    def test_deep_tail_keeps_relative_precision(self):
+        # 1 - H(y) rounds to 0 this far out; the survivor is computed directly
+        model = reference_evt_model(xi=0.25)
+        fit = model.fit
+        sigma, xi = fit.params.sigma, fit.params.xi
+        y = 1e5 * sigma / xi
+        want = fit.exceedance_prob * (1.0 + xi * y / sigma) ** (-1.0 / xi)
+        assert 0.0 < want < 1e-17
+        assert survivor(model, fit.threshold_u + y) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_hindcast_midpoint(self):
         model = build_hindcast_model([1.0, 2.0, 3.0, 4.0])
         assert survivor(model, 2.5) == 0.5

@@ -13,6 +13,7 @@ from adequacy.evt import (
     fit_gpd,
     fit_threshold_excesses,
     gpd_cdf,
+    gpd_survivor,
     gpd_loglik,
     gpd_quantile,
     qq_points,
@@ -77,6 +78,19 @@ class TestGpdCdf:
     def test_rejects_negative_excess(self):
         with pytest.raises(ValueError):
             gpd_cdf(TABLE_PARAMS, -0.1)
+
+
+class TestGpdSurvivor:
+    def test_matches_scipy(self):
+        y = np.linspace(0.0, 8.0, 50)
+        ref = stats.genpareto(c=-0.32, scale=2.85).sf(y)
+        np.testing.assert_allclose(gpd_survivor(TABLE_PARAMS, y), ref, rtol=1e-12)
+
+    def test_zero_past_the_endpoint_without_warning(self):
+        # warnings are errors in this suite, so a log1p(-1) would fail here
+        params = GpdParams(2.0, -0.5)
+        np.testing.assert_array_equal(gpd_survivor(params, [4.0, 10.0]), [0.0, 0.0])
+        assert gpd_survivor(params, 3.0) == pytest.approx(0.25**2, rel=1e-15, abs=0.0)
 
 
 class TestGpdQuantile:

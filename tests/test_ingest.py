@@ -271,6 +271,37 @@ class TestColumnarLoaderMatchesRowByRow:
         assert new == load_outcome(legacy_load_traces, path, window, allow_gaps=allow_gaps)
 
 
+class TestDaylightSavingChange:
+    """A season exported in London local time across the clock change of 27 October 2013."""
+
+    @staticmethod
+    def rows(with_offsets):
+        week = SeasonWindow(weeks=1)
+        start = week.start("2013-14")  # 00:00 UTC; clocks went back from BST at 01:00 UTC
+        rows = []
+        for h in range(week.expected_hours):
+            offset = 1 if h == 0 else 0
+            local = (start + timedelta(hours=h + offset)).isoformat()
+            stamp = f"{local}+0{offset}:00" if with_offsets else local
+            rows.append(["2013-14", stamp, repr(30_000.0 + h), "0.0"])
+        return week, rows
+
+    def test_offsets_give_consecutive_utc_hours(self, tmp_path):
+        week, rows = self.rows(with_offsets=True)
+        assert rows[0][1] == "2013-10-27T01:00:00+01:00" and rows[1][1] == "2013-10-27T01:00:00+00:00"
+        [trace] = load_traces(write_lines(tmp_path / "traces.csv", rows), week)
+        assert trace.n_hours == 168
+        assert trace.timestamps[0] == np.datetime64("2013-10-27T00:00")
+        assert (np.diff(trace.timestamps) == np.timedelta64(1, "h")).all()
+        np.testing.assert_array_equal(trace.demand_mw, 30_000.0 + np.arange(168))
+
+    def test_stripped_offsets_repeat_an_hour(self, tmp_path):
+        week, rows = self.rows(with_offsets=False)
+        path = write_lines(tmp_path / "traces.csv", rows)
+        with pytest.raises(DataError, match="duplicate timestamp 2013-10-27T01:00:00"):
+            load_traces(path, week)
+
+
 class TestLoaderEdgeCases:
     """Behaviour pinned row by row; each case also agrees with the row-by-row loader."""
 

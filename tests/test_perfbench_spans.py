@@ -15,9 +15,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
-# risk.balance_distribution is the test oracle of ShortfallFunctionals; no
-# production path calls it, so its metric reads 0
-NOT_CALLED = {"risk.balance_distribution"}
+# risk.balance_distribution is the test oracle of ShortfallFunctionals, and
+# dnw.discretize that of SeasonSample and of the ind pmf; no production path
+# calls either, so their metrics read 0
+NOT_CALLED = {"risk.balance_distribution", "dnw.discretize"}
 
 
 class RecordingDict(dict):

@@ -8,11 +8,11 @@ from adequacy.genmodel import GeneratingUnit, convolve_fleet
 from adequacy.pmf import DiscretePmf
 from adequacy.risk import (
     RiskMetrics,
+    SeasonSample,
     ShortfallFunctionals,
     balance_distribution,
     build_model,
     compute_metrics,
-    evt_multiset,
     long_run_mean,
 )
 from conftest import sample_pmf
@@ -279,7 +279,7 @@ def concatenated_evt_metrics(fleet, seasons, q, n_hours):
 
 
 class TestEvtMultiset:
-    """risk.evt_multiset against concatenate -> build_evt_model -> discretize -> metrics."""
+    """risk.SeasonSample's evt against concatenate -> build_evt_model -> discretize -> metrics."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -289,8 +289,8 @@ class TestEvtMultiset:
     def test_matches_concatenated_pipeline(self, demo_system, drawn, q):
         traces, fleet = demo_system["traces"], demo_system["fleet"]
         n_hours = traces[0].n_hours
-        got, fit = evt_multiset(ShortfallFunctionals(fleet), traces, q, n_hours)(
-            np.bincount(drawn, minlength=len(traces)))
+        got, fit = SeasonSample(ShortfallFunctionals(fleet), traces, n_hours).metrics(
+            np.bincount(drawn, minlength=len(traces)), q)
         want, want_fit = concatenated_evt_metrics(fleet, [traces[i] for i in drawn], q, n_hours)
         # the fits differ by float reordering only; the profile optimum is flat
         # to about 1e-7, and the mass above the fleet is read in closed form
@@ -306,8 +306,8 @@ class TestEvtMultiset:
     )
     def test_threshold_is_numpys_quantile(self, demo_system, drawn, q):
         traces = demo_system["traces"]
-        _, fit = evt_multiset(ShortfallFunctionals(demo_system["fleet"]), traces, q, 3528)(
-            np.bincount(drawn, minlength=len(traces)))
+        _, fit = SeasonSample(ShortfallFunctionals(demo_system["fleet"]), traces, 3528).metrics(
+            np.bincount(drawn, minlength=len(traces)), q)
         pooled = np.concatenate([traces[i].net_demand_mw for i in drawn])
         assert fit.threshold_u == np.quantile(pooled, q)
 
@@ -316,7 +316,7 @@ class TestEvtMultiset:
         # is read in closed form
         trace = demo_system["traces"][0]
         fleet = convolve_fleet([GeneratingUnit("a", 300, 0.9), GeneratingUnit("b", 200, 0.8)])
-        got, _ = evt_multiset(ShortfallFunctionals(fleet), [trace], 0.95, trace.n_hours)([1])
+        got, _ = SeasonSample(ShortfallFunctionals(fleet), [trace], trace.n_hours).metrics([1], 0.95)
         want, _ = concatenated_evt_metrics(fleet, [trace], 0.95, trace.n_hours)
         assert got.p_shortfall == 1.0
         assert want.p_shortfall == pytest.approx(1.0, rel=1e-12)
@@ -326,9 +326,9 @@ class TestEvtMultiset:
         rng = np.random.default_rng(3)
         demand = 40_000.0 + 100.0 * rng.pareto(0.7, 3528)  # shape xi = 1/0.7
         trace = make_trace("2007-08", demand, np.zeros(3528))
-        metrics = evt_multiset(ShortfallFunctionals(demo_system["fleet"]), [trace], 0.95, 3528)
+        sample = SeasonSample(ShortfallFunctionals(demo_system["fleet"]), [trace], 3528)
         with pytest.raises(NumericalError, match="infinite mean"):
-            metrics([1])
+            sample.metrics([1], 0.95)
 
     def test_negative_metrics_are_numerical_errors(self):
         with pytest.raises(NumericalError, match="non-negative"):

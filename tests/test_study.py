@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adequacy import dnw
+from adequacy import dnw, study
 from adequacy.errors import ConfigError, DataError, NumericalError
 from adequacy.study import (
     MetricTable,
@@ -16,7 +16,8 @@ from adequacy.study import (
     run_full_study,
     season_metrics,
 )
-from adequacy.risk import ShortfallFunctionals, build_model
+from adequacy.pmf import convolve
+from adequacy.risk import SeasonSample, ShortfallFunctionals, build_model
 from adequacy.uncertainty import (
     MAX_DROP_RATE,
     BootstrapConfig,
@@ -131,8 +132,8 @@ class TestHindcastBootstrapIdentity:
         fleet = demo_system["fleet"]
         traces = demo_system["traces"]
         n_hours = traces[0].n_hours
-        functionals = ShortfallFunctionals(fleet)
-        pipeline = pooled_pipeline(functionals, "hindcast", None, n_hours)
+        sample = SeasonSample(ShortfallFunctionals(fleet), traces, n_hours)
+        pipeline = pooled_pipeline(sample, "hindcast", None)
         per_season = [pipeline([t])["lole"] for t in traces]
         cfg = BootstrapConfig(seed=404, replications=500)
         block = block_bootstrap(traces, pipeline, cfg)
@@ -158,40 +159,74 @@ class TestPooledClosedForms:
         traces = demo_system["traces"]
         n_hours = traces[0].n_hours
         functionals = ShortfallFunctionals(demo_system["fleet"])
-        pipeline = pooled_pipeline(functionals, kind, None, n_hours)
-        pipeline(traces[::-1])  # cache every season, in another order than drawn
+        # the sample holds the seasons in another order than drawn
+        pipeline = pooled_pipeline(SeasonSample(functionals, traces[::-1], n_hours), kind, None)
         seasons = [traces[i] for i in drawn]
         got = pipeline(seasons)
         model = build_model(seasons, kind, None)
         want = functionals.metrics(dnw.discretize(model), n_hours)
-        assert got["lole"] == pytest.approx(want.lole_hours, rel=1e-9)
-        assert got["eeu"] == pytest.approx(want.eeu_mwh, rel=1e-9)
+        rel = 1e-12 if kind == dnw.HINDCAST else 1e-9
+        assert got["lole"] == pytest.approx(want.lole_hours, rel=rel)
+        assert got["eeu"] == pytest.approx(want.eeu_mwh, rel=rel)
+
+
+class TestOneSamplePerStudy:
+    def test_ind_convolves_once_per_wind_season(self, demo_system, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return convolve(*args)
+
+        monkeypatch.setattr(study, "convolve", counting)
+        traces = demo_system["traces"]
+        sample = SeasonSample(ShortfallFunctionals(demo_system["fleet"]), traces, 3528)
+        run = pooled_pipeline(sample, dnw.INDEPENDENCE, None)
+        result = block_bootstrap(traces, run, BootstrapConfig(seed=1, replications=1000))
+        assert result.replications_dropped == 0
+        assert len(calls) == len(traces)
+
+    def test_study_builds_one_sample(self, demo_dataset_dir, tmp_path, monkeypatch):
+        built = []
+
+        class Counted(SeasonSample):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(study, "SeasonSample", Counted)
+        cfg = RunConfig(
+            traces_path=str(demo_dataset_dir["traces"]), fleet_path=str(demo_dataset_dir["fleet"]),
+            quantiles_path=str(demo_dataset_dir["quantiles"]), seed=3,
+            output_dir=str(tmp_path / "unused"), replications=100,
+        )
+        study.run_study_computation(cfg)
+        assert len(built) == 1
 
 
 class TestEvtPipeline:
-    """The evt block-bootstrap pipeline: one evt_multiset call per season multiset."""
+    """The evt block-bootstrap pipeline: one SeasonSample.metrics call per season multiset."""
 
     @staticmethod
-    def pipeline(demo_system, q=0.95):
-        n_hours = demo_system["traces"][0].n_hours
-        return pooled_pipeline(ShortfallFunctionals(demo_system["fleet"]), dnw.EVT, q, n_hours)
+    def pipeline(demo_system, seasons=None, q=0.95):
+        seasons = demo_system["traces"] if seasons is None else seasons
+        sample = SeasonSample(ShortfallFunctionals(demo_system["fleet"]), seasons, 3528)
+        return pooled_pipeline(sample, dnw.EVT, q)
 
     def test_order_of_the_traces_changes_nothing(self, demo_system):
         traces = demo_system["traces"]
         drawn = [traces[i] for i in (0, 2, 2, 3, 5, 6, 6)]
         forward = self.pipeline(demo_system)
         assert forward(drawn) == self.pipeline(demo_system)(drawn[::-1])
-        # a pipeline that has seen every season, in another order, agrees too
-        backward = self.pipeline(demo_system)
-        backward(traces[::-1])
+        # a pipeline on every season, in another order, agrees too
+        backward = self.pipeline(demo_system, traces[::-1])
         assert backward(drawn) == forward(drawn)
         assert backward(traces) == forward(traces)
 
     def test_matches_study_pooled_and_per_season(self, demo_system):
         traces = demo_system["traces"]
-        functionals = ShortfallFunctionals(demo_system["fleet"])
-        n_hours = traces[0].n_hours
-        per_season, models = season_metrics(functionals, traces, dnw.EVT, 0.95, n_hours)
+        sample = SeasonSample(ShortfallFunctionals(demo_system["fleet"]), traces, traces[0].n_hours)
+        per_season, models = season_metrics(sample, dnw.EVT, 0.95)
         run = self.pipeline(demo_system)
         for trace, metrics, model in zip(traces, per_season, models):
             assert run([trace]) == {"lole": metrics.lole_hours, "eeu": metrics.eeu_mwh}
@@ -203,7 +238,7 @@ class TestEvtPipeline:
         # multisets drawing only it fail numerically and are dropped
         flat = make_trace("2014-15", np.full(3528, 20_000.0), np.zeros(3528))
         seasons = demo_system["traces"][:3] + [flat]
-        run = self.pipeline(demo_system)
+        run = self.pipeline(demo_system, seasons)
         with pytest.raises(NumericalError, match="exceedances"):
             run([flat])
         cfg = BootstrapConfig(seed=1, replications=1000)
