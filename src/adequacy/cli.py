@@ -218,8 +218,8 @@ def cmd_risk(args) -> int:
 
 
 def cmd_uncertainty(args) -> int:
-    kind = _KIND_ALIASES[args.model]
-    cfg = _run_config(args, model_kinds=(kind,), threshold_quantiles=(args.threshold_quantile,))
+    cfg = _run_config(args, model_kinds=(_KIND_ALIASES[args.model],),
+                      threshold_quantiles=(args.threshold_quantile,))
     _, kind, q = cfg.columns()[0]  # q is None unless the model is evt
     traces, _, fleet = load_inputs(cfg)
     sample = SeasonSample(ShortfallFunctionals(fleet), traces, cfg.window().expected_hours)

@@ -156,7 +156,6 @@ def pooled_pipeline(sample: SeasonSample, kind: str, threshold_quantile: float |
 
         return run
 
-    n_hours = sample.n_hours
     demand = [pmf_from_samples(t.demand_mw) for t in sample.seasons]
     pairs = np.zeros((len(slot), len(slot), 2))  # M[a, b] as (lole, eeu)
     filled = np.zeros(len(slot), dtype=bool)
@@ -168,7 +167,7 @@ def pooled_pipeline(sample: SeasonSample, kind: str, threshold_quantile: float |
             wind = pmf_from_samples(sample.seasons[b].wind_mw)
             total = ShortfallFunctionals(convolve(sample.functionals.fleet, wind))
             for a, pmf in enumerate(demand):
-                m = total.metrics(pmf, n_hours)
+                m = total.metrics(pmf, sample.n_hours)
                 pairs[a, b] = m.lole_hours, m.eeu_mwh
             filled[b] = True
         weights = c[drawn] * sample.hours[drawn]
