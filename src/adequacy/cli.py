@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, demo, dnw, evt
+from . import __version__, dnw, evt
 from .errors import ConfigError, DataError, NumericalError
 from .genmodel import fleet_summary, load_fleet
 from .ingest import SeasonWindow, load_quantile_history, load_traces
@@ -264,6 +264,8 @@ def cmd_study(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from . import demo  # the only command that needs scipy: load it only here
+
     paths = demo.write_demo_dataset(args.out, seed=args.seed)
     for name, path in paths.items():
         print(f"wrote {name}: {path}")
@@ -377,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="write the bundled synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=demo.DEMO_SEED)
+    p.add_argument("--seed", type=int, default=None, help="default: the demo's own seed")
     p.set_defaults(func=cmd_demo)
 
     return parser

@@ -150,11 +150,14 @@ def demo_quantile_history(seed: int = HISTORY_SEED, traces: list[SeasonTrace] | 
     return rows
 
 
-def write_demo_dataset(outdir, seed: int = DEMO_SEED) -> dict[str, Path]:
-    """Materialize traces.csv, fleet.csv and quantile_history.csv under outdir."""
+def write_demo_dataset(outdir, seed: int | None = None) -> dict[str, Path]:
+    """Materialize traces.csv, fleet.csv and quantile_history.csv under outdir.
+
+    The traces are drawn with ``seed``, or with DEMO_SEED when it is None.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    traces = demo_traces(seed)
+    traces = demo_traces(DEMO_SEED if seed is None else seed)
 
     traces_path = outdir / "traces.csv"
     with open(traces_path, "w", encoding="utf-8") as fh:

@@ -9,17 +9,18 @@ on y >= 0 with 1 + xi * y / sigma > 0; xi = 0 is the exponential limit
 1 - exp(-y / sigma). Parameters are estimated by maximum likelihood: the
 likelihood is maximised in closed form for fixed theta = xi / sigma
 (Grimshaw 1993), and a bounded one-dimensional search over theta finishes the
-fit, confined to xi >= -1. Standard errors come from the analytic observed
-information.
+fit, confined to xi >= -1. That search is Brent's bounded minimiser and, for
+the xi = -1 edge, his zeroin root finder (Brent 1973), both written here in
+plain floats. Standard errors come from the analytic observed information.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import NumericalError
 
@@ -36,6 +37,8 @@ _S_CEIL = 700.0  # expm1 overflows past 709
 _S_TINY = 1e-200  # |s| below this is the exponential limit theta -> 0
 _S_XTOL = 1e-12
 _MAX_EVALUATIONS = 500
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
+_ROOT_MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -154,8 +157,9 @@ def fit_gpd(excesses, weights=None) -> GpdMle:
     For fixed theta = xi / sigma the likelihood is maximised in closed form by
     xi(theta) = mean(log1p(theta * y)), sigma = xi / theta (Grimshaw 1993,
     Technometrics 35(2)), which leaves a one-dimensional profile likelihood.
-    A bounded Brent search minimises its negative over s = log1p(theta *
-    max(y)), confined to xi >= -1: below that the likelihood is unbounded.
+    A bounded Brent search (``_bounded_minimum``) minimises its negative over
+    s = log1p(theta * max(y)), confined to xi >= -1: below that the likelihood
+    is unbounded; ``_root`` finds the xi = -1 edge when it lies inside.
     When no point of the profile beats the xi = -1 edge, the fit is its
     uniform limit xi = -1, sigma = max(y). ``iterations`` counts profile
     evaluations. Standard errors come from the inverse analytic observed
@@ -211,12 +215,10 @@ def fit_gpd(excesses, weights=None) -> GpdMle:
     # the profile rises with s.
     s_lo = _S_FLOOR
     if profile(_S_FLOOR)[0] < -1.0:
-        s_lo = optimize.brentq(lambda s: profile(s)[0] + 1.0, _S_FLOOR, 0.0, xtol=_S_XTOL)
+        s_lo = _root(lambda s: profile(s)[0] + 1.0, _S_FLOOR, 0.0)
     s_hi = min(np.log(y_max / y.min()) + 10.0, _S_CEIL)
-    s_hat, f_hat, ierr, _ = optimize.fminbound(
-        nll, s_lo, s_hi, xtol=_S_XTOL, maxfun=_MAX_EVALUATIONS, full_output=True
-    )
-    if ierr != 0:
+    s_hat, f_hat, converged = _bounded_minimum(nll, s_lo, s_hi)
+    if not converged:
         raise NumericalError(
             f"GPD profile search did not converge after {evaluations} evaluations"
         )
@@ -240,6 +242,130 @@ def fit_gpd(excesses, weights=None) -> GpdMle:
         n_excesses=int(k),
         iterations=int(evaluations),
     )
+
+
+def _bounded_minimum(f, a, b):
+    """Minimise f on [a, b] by Brent's golden-section and parabolic search.
+
+    Brent (1973), Algorithms for Minimization without Derivatives, ch. 5, step
+    for step and constant for constant as ``scipy.optimize.fminbound`` runs
+    it with xtol = _S_XTOL, so both make the same evaluations. Returns (x,
+    f(x), converged); a search that made _MAX_EVALUATIONS evaluations or met a
+    NaN did not converge.
+    """
+    a, b = float(a), float(b)
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    # x: best point so far; w, v: the previous two best; e: the step before last
+    x = w = v = a + golden_mean * (b - a)
+    fx = fw = fv = fu = float(f(x))
+    evaluations = 1
+    step = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(x) + _S_XTOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(x - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through x, w and v
+            golden = False
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = step
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                step = (p + 0.0) / q
+                u = x + step
+                if u - a < tol2 or b - u < tol2:  # too near an end: step tol1 inward
+                    step = tol1 * _sign(xm - x)
+            else:
+                golden = True
+        if golden:
+            e = (a - x) if x >= xm else (b - x)
+            step = golden_mean * e
+        u = x + _sign(step) * max(abs(step), tol1)
+        fu = float(f(u))
+        evaluations += 1
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(x) + _S_XTOL / 3.0
+        tol2 = 2.0 * tol1
+        if evaluations >= _MAX_EVALUATIONS:
+            return x, fx, False
+    return x, fx, not (math.isnan(x) or math.isnan(fx) or math.isnan(fu))
+
+
+def _sign(t):
+    """+1 for t >= 0, -1 below 0, and 0 for NaN (so a NaN step stays NaN)."""
+    return (t > 0) - (t < 0) + (t == 0)
+
+
+def _root(f, a, b):
+    """A root of f between a and b, where f changes sign, by Brent's zeroin.
+
+    Brent (1973), ch. 4: inverse quadratic interpolation, secant or
+    bisection, each step kept inside the bracket. The same steps as
+    ``scipy.optimize.brentq`` with xtol = _S_XTOL and its default rtol and
+    maxiter: it stops once the bracket is narrower than xtol + rtol * |x|.
+    """
+    x_pre, x_cur = float(a), float(b)
+    f_pre, f_cur = float(f(x_pre)), float(f(x_cur))
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    if math.copysign(1.0, f_pre) == math.copysign(1.0, f_cur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(_ROOT_MAX_ITERATIONS):
+        if f_pre != 0.0 and f_cur != 0.0 and math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):  # keep the best point in x_cur
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (_S_XTOL + _ROOT_RTOL * abs(x_cur)) / 2.0
+        s_bis = (x_blk - x_cur) / 2.0
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic interpolation
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        if abs(s_cur) > delta:
+            x_cur += s_cur
+        else:
+            x_cur += delta if s_bis > 0 else -delta
+        f_cur = float(f(x_cur))
+    raise NumericalError(f"root search did not converge after {_ROOT_MAX_ITERATIONS} iterations")
 
 
 # Taylor coefficients, highest power first, of

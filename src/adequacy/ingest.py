@@ -20,6 +20,7 @@ from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.median loads it: at import, not inside a run
 
 from .errors import ConfigError, DataError
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401  loaded at import, not on the first draw
 
 from .errors import NumericalError
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adequacy.cli import main
+from adequacy.demo import DEMO_SEED
 from adequacy.study import RunConfig, run_study_computation
 
 
@@ -19,6 +20,15 @@ class TestDemoCommand:
         assert code == 0
         for name in ("traces.csv", "fleet.csv", "quantile_history.csv"):
             assert (tmp_path / name).exists()
+
+    def test_default_seed_is_the_demo_seed(self, demo_dataset_dir, tmp_path, capsys):
+        for name, argv in (("default", []), ("explicit", ["--seed", str(DEMO_SEED)])):
+            assert run_cli(capsys, "demo", "--out", str(tmp_path / name), *argv)[0] == 0
+        for path in demo_dataset_dir.values():
+            for name in ("default", "explicit"):
+                assert (tmp_path / name / path.name).read_bytes() == path.read_bytes(), (name, path.name)
+        run_cli(capsys, "demo", "--out", str(tmp_path / "other"), "--seed", str(DEMO_SEED + 1))
+        assert (tmp_path / "other" / "traces.csv").read_bytes() != demo_dataset_dir["traces"].read_bytes()
 
 
 class TestFleetCommand:

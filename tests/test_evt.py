@@ -1,7 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import optimize, stats
 
 from adequacy import evt
 from adequacy.errors import NumericalError
@@ -313,6 +316,122 @@ class TestWeightedFit:
         for w in (np.ones(39), np.r_[np.ones(39), 0.0], np.r_[np.ones(39), -1.0]):
             with pytest.raises(ValueError, match="weights"):
                 fit_gpd(y, w)
+
+
+def _counted(f):
+    """f, and a list whose length is the number of calls made to it."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+def _scipy_minimum(f, a, b):
+    x, fx, status, _ = optimize.fminbound(
+        f, a, b, xtol=evt._S_XTOL, maxfun=evt._MAX_EVALUATIONS, full_output=True, disp=0
+    )
+    return x, fx, status == 0
+
+
+def _scipy_root(f, a, b):
+    return optimize.brentq(f, a, b, xtol=evt._S_XTOL)
+
+
+class TestBrentPortsMatchScipy:
+    """The in-house Brent minimiser and zeroin make scipy's steps bit for bit."""
+
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            (lambda x: (x - 1.0) ** 2, -4.0, 4.0),
+            (lambda x: (x - 1.0) ** 2, 3.0, 4.0),  # optimum at an end
+            (math.cos, 0.0, 2.0 * math.pi),
+            (abs, -1.0, 2.0),  # a kink: golden-section steps
+            (lambda x: x**4 - x, -2.0, 2.0),
+            (lambda x: math.exp(x) - 3.0 * x, -700.0, 700.0),
+        ],
+    )
+    @pytest.mark.parametrize("max_evaluations", [500, 6])
+    def test_bounded_minimum(self, f, a, b, max_evaluations, monkeypatch):
+        monkeypatch.setattr(evt, "_MAX_EVALUATIONS", max_evaluations)
+        ours, our_calls = _counted(f)
+        ref, ref_calls = _counted(f)
+        assert evt._bounded_minimum(ours, a, b) == _scipy_minimum(ref, a, b)
+        assert our_calls == ref_calls
+
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            (lambda x: x * x - 1.0, -2.0, 0.0),
+            (lambda x: x * x - 1.0, 0.0, 2.0),
+            (lambda x: math.cos(x) - x, 0.0, 1.0),
+            (lambda x: x**3 - 2.0, 0.0, 2.0),
+            (lambda x: x, 0.0, 1.0),  # a root at an end
+            (lambda x: math.expm1(x) + 0.5, -40.0, 0.0),
+        ],
+    )
+    def test_root(self, f, a, b):
+        ours, our_calls = _counted(f)
+        ref, ref_calls = _counted(f)
+        assert evt._root(ours, a, b) == _scipy_root(ref, a, b)
+        assert our_calls == ref_calls
+
+    def test_root_gives_up_where_brentq_does(self):
+        # a triple root at 0: the tolerance is absolute there, and 100 steps miss it
+        ours, our_calls = _counted(lambda x: x**3)
+        ref, ref_calls = _counted(lambda x: x**3)
+        with pytest.raises(NumericalError, match="100 iterations"):
+            evt._root(ours, -1.0, 2.0)
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            _scipy_root(ref, -1.0, 2.0)
+        assert our_calls == ref_calls
+
+    def test_root_needs_a_sign_change(self):
+        with pytest.raises(ValueError, match="signs"):
+            evt._root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    @staticmethod
+    def corpus(size):
+        """Seeded GPD samples, xi from -1.5 to 0.6, some rounded to ties; every
+        other one weighted. The short tails take the xi = -1 edge root."""
+        rng = np.random.default_rng(20140)
+        for i in range(size):
+            xi, sigma = rng.uniform(-1.5, 0.6), rng.uniform(0.5, 500.0)
+            u = rng.random(int(rng.integers(30, 400)))
+            y = sigma / xi * np.expm1(-xi * np.log(u))
+            y = y[y > 0.0]
+            if i % 7 == 0:
+                y = np.round(y) + 1.0
+            yield y, (rng.integers(1, 5, y.size) if i % 2 else None)
+
+    @staticmethod
+    def outcomes(samples):
+        out = []
+        for y, w in samples:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    m = fit_gpd(y, w)
+                    result = (m.params.sigma, m.params.xi, m.log_likelihood, m.se_sigma, m.se_xi,
+                              m.n_excesses, m.iterations)
+                except NumericalError as exc:
+                    result = str(exc)
+            out.append((result, [str(c.message) for c in caught]))
+        return out
+
+    def test_fits_match_fminbound_and_brentq(self, monkeypatch):
+        samples = list(self.corpus(1200))
+        edge = []
+        monkeypatch.setattr(evt, "_root", lambda f, a, b: edge.append(1) or _scipy_root(f, a, b))
+        monkeypatch.setattr(evt, "_bounded_minimum", _scipy_minimum)
+        expected = self.outcomes(samples)
+        monkeypatch.undo()
+        assert sum(w is not None for _, w in samples) == 600
+        assert len(edge) > 300  # fits that searched for the xi = -1 edge root
+        assert self.outcomes(samples) == expected
 
 
 class TestThresholds:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import fft, signal
 
+from adequacy import pmf as pmf_module
 from adequacy.pmf import DiscretePmf, convolve, pmf_from_samples, rebin, reflect
 from helpers import point_mass
 
@@ -80,6 +82,50 @@ class TestConvolve:
         w = rng.integers(0, 60, m).astype(float)
         z = convolve(pmf_from_samples(d), reflect(pmf_from_samples(w)))
         assert z.mean() == pytest.approx(d.mean() - w.mean(), abs=1e-9)
+
+
+def _scipy_convolve(a: DiscretePmf, b: DiscretePmf) -> np.ndarray:
+    """What convolve computed with scipy.signal.convolve: the oracle."""
+    raw = np.clip(signal.convolve(a.probabilities, b.probabilities, mode="full", method="auto"), 0.0, None)
+    return raw / raw.sum()
+
+
+def _random_pmf(rng, n, origin=0):
+    p = rng.random(n) ** 4
+    p[0] = p[-1] = 1.0  # nothing to trim
+    return DiscretePmf(origin, p / p.sum())
+
+
+class TestConvolveMatchesScipy:
+    # the smallest and largest convolutions of the benchmark's workloads
+    WORKLOAD_SIZES = [(32_967, 12_790), (134_004, 50_439)]
+
+    def test_fast_length_is_scipy_next_fast_len(self):
+        sizes = list(range(1, 20_001)) + [n + m - 1 for n, m in self.WORKLOAD_SIZES] + [2**31 + 1]
+        assert [pmf_module._fast_length(n) for n in sizes] == [fft.next_fast_len(n, True) for n in sizes]
+
+    def test_method_is_scipys_choice(self):
+        for n in (1, 2, 5, 30, 100, 400, 1_000, 5_000, 40_000):
+            for m in (1, 3, 10, 50, 200, 1_000, 12_790):
+                chosen = signal.choose_conv_method(np.ones(n), np.ones(m), mode="full")
+                assert pmf_module._fft_is_faster(n, m) == (chosen == "fft"), (n, m)
+
+    @pytest.mark.parametrize("n, m", WORKLOAD_SIZES)
+    def test_bit_identical_at_workload_sizes(self, n, m):
+        assert pmf_module._fft_is_faster(n, m)
+        rng = np.random.default_rng(n)
+        a, b = _random_pmf(rng, n, origin=-n), _random_pmf(rng, m, origin=7)
+        c = convolve(a, b)
+        assert c.origin_mw == 7 - n
+        np.testing.assert_array_equal(c.probabilities, _scipy_convolve(a, b))
+
+    # sizes on both sides of the direct/FFT switch
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 20_000), m=st.integers(1, 2_000))
+    def test_small_inputs_within_1e16(self, seed, n, m):
+        rng = np.random.default_rng(seed)
+        a, b = _random_pmf(rng, n), _random_pmf(rng, m)
+        np.testing.assert_allclose(convolve(a, b).probabilities, _scipy_convolve(a, b), rtol=0.0, atol=1e-16)
 
 
 class TestRebin:
