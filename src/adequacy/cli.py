@@ -24,12 +24,10 @@ from .study import (
     check_rescale_settings,
     emit_tables,
     load_inputs,
-    pooled_metrics,
     pooled_pipeline,
     rescale_traces,
     run_full_study,
     run_study_computation,
-    season_metrics,
     write_qq_csv,
     write_scan_csv,
     write_survivor_csv,
@@ -180,21 +178,17 @@ def cmd_dnw(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    def emit(model, label):
-        sample = (
-            model.body
-            if model.body is not None
-            else model.pmf.values_mw.astype(float)
-        )
-        grid = np.linspace(float(np.quantile(sample, 0.10)), float(sample.max()) + 2_000.0, 200)
-        path = write_survivor_csv(model, grid, outdir / f"survivor_{args.model}_{label}.csv")
+    def emit(seasons, label):
+        model = build_model(seasons, kind, args.threshold_quantile)
+        values = np.concatenate([t.net_demand_mw for t in seasons])
+        path = write_survivor_csv(model, values, outdir / f"survivor_{args.model}_{label}.csv")
         print(f"wrote {path}")
 
     if args.pooled:
-        emit(build_model(traces, kind, args.threshold_quantile), "pooled")
+        emit(traces, "pooled")
     else:
         for trace in traces:
-            emit(build_model(trace, kind, args.threshold_quantile), trace.season_label)
+            emit([trace], trace.season_label)
     return 0
 
 
@@ -225,14 +219,16 @@ def cmd_uncertainty(args) -> int:
     sample = SeasonSample(ShortfallFunctionals(fleet), traces, cfg.window().expected_hours)
     boot = cfg.bootstrap(seed=cfg.seed)
 
+    def metric(counts) -> float:
+        m, _ = sample.metrics(counts, kind, q)
+        return m.lole_hours if args.metric == "lole" else m.eeu_mwh
+
     if args.mode == "season":
-        per_season, _ = season_metrics(sample, kind, q)
-        values = [m.lole_hours if args.metric == "lole" else m.eeu_mwh for m in per_season]
+        values = [metric(one) for one in np.identity(len(traces))]
         point = float(np.mean(values))
         ci = season_bootstrap(values, boot)
     else:
-        pooled, _ = pooled_metrics(sample, kind, q)
-        point = pooled.lole_hours if args.metric == "lole" else pooled.eeu_mwh
+        point = metric(np.ones(len(traces)))
         ci = block_bootstrap(traces, pooled_pipeline(sample, kind, q), boot).intervals[args.metric]
 
     payload = {

@@ -8,11 +8,11 @@ Three interchangeable models of the same quantity:
 * ``independence`` -- convolution of the demand and (negated) wind empirical
                       distributions, i.e. demand and wind treated as independent.
 
-All models expose a survivor function. ``discretize`` projects a model onto
-the 1 MW grid of the risk convolution; it is the definition the production
-path is tested against, not a step of it. ``risk.SeasonSample`` reads the evt
-and hindcast LoLE/EEU from the season values without building a pmf, and the
-independence model's own pmf is already on the grid.
+All models expose a survivor function, which the survivor curves read.
+``discretize`` projects a model onto the 1 MW grid of the risk convolution;
+it is the definition the production path is tested against, not a step of
+it. ``risk.SeasonSample`` reads every model's LoLE/EEU from the season values
+without building a model.
 """
 
 from __future__ import annotations

@@ -9,9 +9,10 @@ The definition is the balance pmf, the convolution of the fleet pmf with the
 reflected V pmf (``balance_distribution`` + ``compute_metrics``). Every
 production path instead uses ``ShortfallFunctionals``: P(Z < 0) and
 E[max(-Z, 0)] are the V-expectations of the fleet's cdf P(X < v) and partial
-moment E[(v - X)+], read in one pass over each V pmf. The convolution stays
-as the test oracle. ``SeasonSample`` reads the same functionals for the evt
-and hindcast models of any season multiset without building their pmfs.
+moment E[(v - X)+]. The convolution stays as the test oracle.
+``SeasonSample`` reads those functionals for every model of any season
+multiset, a season on its own and the pooled sample included, without
+building a demand-net-of-wind pmf.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import dnw, evt
 from .errors import NumericalError
 from .ingest import SeasonTrace
-from .pmf import DiscretePmf, convolve, reflect
+from .pmf import DiscretePmf, convolve, pmf_from_samples, reflect
 
 
 @dataclass(frozen=True)
@@ -127,15 +128,19 @@ class ShortfallFunctionals:
                                        n_hours)
 
 
-def build_model(seasons, kind: str, threshold_quantile: float = 0.95) -> dnw.TailModel:
-    """The demand-net-of-wind model of one season trace, or of a list of them pooled."""
+def build_model(seasons, kind: str, threshold_quantile: float = 0.95,
+                fit: evt.GpdFit | None = None) -> dnw.TailModel:
+    """The demand-net-of-wind model of one season trace, or of a list of them pooled.
+
+    ``fit`` is an evt tail fit already made of these values at this quantile.
+    """
     seasons = [seasons] if isinstance(seasons, SeasonTrace) else list(seasons)
 
     def pooled(name: str) -> np.ndarray:
         return np.concatenate([getattr(s, name) for s in seasons])
 
     if kind == dnw.EVT:
-        return dnw.build_evt_model(pooled("net_demand_mw"), threshold_quantile)
+        return dnw.build_evt_model(pooled("net_demand_mw"), threshold_quantile, fit)
     if kind == dnw.HINDCAST:
         return dnw.build_hindcast_model(pooled("net_demand_mw"))
     if kind == dnw.INDEPENDENCE:
@@ -143,20 +148,30 @@ def build_model(seasons, kind: str, threshold_quantile: float = 0.95) -> dnw.Tai
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-class SeasonSample:
-    """Every season's demand-net-of-wind read against the fleet once, for any season multiset.
+def _season_sums(functionals: ShortfallFunctionals, values) -> tuple[float, float]:
+    """Sums of P(X < v) and E[(v - X)+] over the values, each read at its floor."""
+    cdf, gap = functionals.at(np.floor(values))
+    return cdf.sum(), gap.sum()
 
-    ``metrics(counts, threshold_quantile)``, where counts[s] is how often
+
+class SeasonSample:
+    """Every season read against the fleet once, for any season multiset and model.
+
+    ``metrics(counts, kind, threshold_quantile)``, where counts[s] is how often
     season s is drawn, gives the LoLE/EEU of the concatenated draw: one count
-    is a season on its own, all ones the pooled sample. With no quantile it is
-    the hindcast model, with one the evt model at that quantile. Both equal
-    building the model of the concatenation, ``dnw.discretize`` and
+    is a season on its own, all ones the pooled sample. Each kind equals
+    building its model of the concatenation, ``dnw.discretize`` and
     ``ShortfallFunctionals.metrics``, read over the fleet's support only:
 
     * the fleet functionals are gathered at each value's floor, so a
       floor-binned empirical part is a weighted sum of them;
     * hindcast is all empirical, so it needs only each season's sums of the
       gathered functionals: the metrics are their count-weighted mean;
+    * ind bins demand and wind at their floors, and P(X < D - W) =
+      P(X + W < D). Its pooled pmfs are hours-weighted mixes of the seasons'
+      pmfs, so the metrics mix pairs[a, b], season a's demand sums against
+      the functionals of the fleet plus season b's wind. Column b is filled,
+      with one fleet + wind convolution, the first time season b is drawn;
     * evt sorts all seasons' values together once, on its first call, so a
       multiset is a weight per value. The threshold is numpy's linear
       quantile of the weighted values, bit for bit, and the GPD is fitted to
@@ -178,8 +193,9 @@ class SeasonSample:
         self.seasons = list(seasons)
         self.n_hours = n_hours
         self.hours = np.array([s.n_hours for s in self.seasons], dtype=float)  # observed
-        gathered = (functionals.at(np.floor(s.net_demand_mw)) for s in self.seasons)
-        self._sums = np.array([[cdf.sum(), gap.sum()] for cdf, gap in gathered])
+        self._sums = np.array([_season_sums(functionals, s.net_demand_mw) for s in self.seasons])
+        self._pairs = np.zeros((2, len(self.seasons), len(self.seasons)))  # ind: [m, a, b]
+        self._filled = np.zeros(len(self.seasons), dtype=bool)
 
     @cached_property
     def _sorted(self) -> tuple[np.ndarray, ...]:
@@ -192,20 +208,32 @@ class SeasonSample:
         u = pooled[order]
         return (u, owner[order], *self.functionals.at(np.floor(u)))
 
-    def metrics(self, counts, threshold_quantile: float | None = None
+    def metrics(self, counts, kind: str, threshold_quantile: float | None = None
                 ) -> tuple[RiskMetrics, evt.GpdFit | None]:
-        """LoLE/EEU of the drawn multiset, and its evt tail fit (None for hindcast)."""
-        if threshold_quantile is None:
-            c = np.asarray(counts, dtype=float)
+        """LoLE/EEU of the drawn multiset under ``kind``, and its evt tail fit (None otherwise)."""
+        c = np.asarray(counts, dtype=float)
+        fit = None
+        if kind == dnw.HINDCAST:
             p_shortfall, energy = (c @ self._sums) / (c @ self.hours)
-            fit = None
+        elif kind == dnw.INDEPENDENCE:
+            p_shortfall, energy = self._ind(c)
+        elif kind == dnw.EVT:
+            p_shortfall, energy, fit = self._evt(c, threshold_quantile)
         else:
-            p_shortfall, energy, fit = self._evt(counts, threshold_quantile)
+            raise ValueError(f"unknown model kind {kind!r}")
         return RiskMetrics.from_hourly(float(p_shortfall), float(energy), self.n_hours), fit
 
-    def _evt(self, counts, q: float) -> tuple[float, float, evt.GpdFit]:
+    def _ind(self, c: np.ndarray) -> np.ndarray:
+        for b in np.flatnonzero((c > 0.0) & ~self._filled):
+            wind = pmf_from_samples(self.seasons[b].wind_mw)
+            total = ShortfallFunctionals(convolve(self.functionals.fleet, wind))
+            self._pairs[:, :, b] = np.transpose([_season_sums(total, s.demand_mw) for s in self.seasons])
+            self._filled[b] = True
+        return self._pairs @ (c * self.hours) @ c / (c @ self.hours) ** 2
+
+    def _evt(self, c: np.ndarray, q: float) -> tuple[float, float, evt.GpdFit]:
         u_sorted, owner, body_cdf, body_gap = self._sorted
-        w = np.asarray(counts, dtype=float)[owner]
+        w = c[owner]
         cum = np.cumsum(w)
         n = int(cum[-1])
         # np.quantile(method="linear") of the concatenated sample

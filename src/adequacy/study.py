@@ -29,7 +29,6 @@ from .ingest import (
     load_quantile_history,
     load_traces,
 )
-from .pmf import convolve, pmf_from_samples
 from .risk import RiskMetrics, SeasonSample, ShortfallFunctionals, build_model, long_run_mean
 from .uncertainty import BootstrapConfig, ConfidenceInterval, block_bootstrap, season_bootstrap
 
@@ -136,71 +135,17 @@ def pooled_pipeline(sample: SeasonSample, kind: str, threshold_quantile: float |
 
     ``kind`` and ``threshold_quantile`` are a column of ``RunConfig.columns()``.
     The drawn traces, each one of ``sample.seasons``, become a count per
-    season. evt and hindcast read that multiset from ``sample``; evt refits
-    the GPD on every call, as a fit is not linear. The pooled ind demand and
-    wind pmfs are hours-weighted mixes of the per-season pmfs, and
-    P(X < D - W) = P(X + W < D), so an ind call mixes M[a, b], the metrics of
-    season a's demand against the fleet plus season b's wind, over the pairs
-    it drew. Column b of M is filled for every season the first time season b
-    is drawn: one fleet + wind convolution per wind season.
+    season, and ``sample`` reads that multiset; evt refits the GPD on every
+    call, as a fit is not linear.
     """
     slot = {id(t): i for i, t in enumerate(sample.seasons)}
 
-    def counts(traces) -> np.ndarray:
-        return np.bincount([slot[id(t)] for t in traces], minlength=len(slot))
-
-    if kind != dnw.INDEPENDENCE:
-        def run(traces):
-            metrics, _ = sample.metrics(counts(traces), threshold_quantile)
-            return {"lole": metrics.lole_hours, "eeu": metrics.eeu_mwh}
-
-        return run
-
-    demand = [pmf_from_samples(t.demand_mw) for t in sample.seasons]
-    pairs = np.zeros((len(slot), len(slot), 2))  # M[a, b] as (lole, eeu)
-    filled = np.zeros(len(slot), dtype=bool)
-
     def run(traces):
-        c = counts(traces)
-        drawn = np.flatnonzero(c)
-        for b in drawn[~filled[drawn]]:
-            wind = pmf_from_samples(sample.seasons[b].wind_mw)
-            total = ShortfallFunctionals(convolve(sample.functionals.fleet, wind))
-            for a, pmf in enumerate(demand):
-                m = total.metrics(pmf, sample.n_hours)
-                pairs[a, b] = m.lole_hours, m.eeu_mwh
-            filled[b] = True
-        weights = c[drawn] * sample.hours[drawn]
-        weights /= weights.sum()
-        lole, eeu = np.einsum("a,b,abm->m", weights, weights, pairs[np.ix_(drawn, drawn)])
-        return {"lole": float(lole), "eeu": float(eeu)}
+        counts = np.bincount([slot[id(t)] for t in traces], minlength=len(slot))
+        metrics, _ = sample.metrics(counts, kind, threshold_quantile)
+        return {"lole": metrics.lole_hours, "eeu": metrics.eeu_mwh}
 
     return run
-
-
-def pooled_metrics(sample: SeasonSample, kind: str, threshold_quantile: float | None
-                   ) -> tuple[RiskMetrics, evt.GpdFit | None]:
-    """The pooled point estimate of one column, and its evt fit (None otherwise)."""
-    if kind == dnw.INDEPENDENCE:
-        model = build_model(sample.seasons, kind)
-        return sample.functionals.metrics(model.pmf, sample.n_hours), None
-    return sample.metrics(np.ones(len(sample.seasons)), threshold_quantile)
-
-
-def season_metrics(sample: SeasonSample, kind: str, threshold_quantile: float | None):
-    """Each season's metrics and model in one column; evt and hindcast read them from ``sample``."""
-    metrics, models = [], []
-    for i, trace in enumerate(sample.seasons):
-        if kind == dnw.INDEPENDENCE:
-            model = build_model(trace, kind)
-            metrics.append(sample.functionals.metrics(model.pmf, sample.n_hours))
-        else:
-            m, fit = sample.metrics(np.arange(len(sample.seasons)) == i, threshold_quantile)
-            metrics.append(m)
-            model = (dnw.build_hindcast_model(trace.net_demand_mw) if fit is None else
-                     dnw.build_evt_model(trace.net_demand_mw, threshold_quantile, fit))
-        models.append(model)
-    return metrics, models
 
 
 def rescale_traces(traces, history, reference_season, span, iterations,
@@ -273,11 +218,12 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
 
     progress("computing per-season metrics")
     per_season: dict[str, list[RiskMetrics]] = {}
-    season_models: dict[tuple[str, str], dnw.TailModel] = {}
+    season_fits: dict[str, list[evt.GpdFit | None]] = {}
     for label, kind, q in columns:
-        per_season[label], models = season_metrics(sample, kind, q)
-        for trace, model in zip(traces, models):
-            season_models[(label, trace.season_label)] = model
+        # a one-hot count is that season on its own
+        results = [sample.metrics(one, kind, q) for one in np.identity(len(traces))]
+        per_season[label] = [m for m, _ in results]
+        season_fits[label] = [fit for _, fit in results]
 
     progress("season bootstrap")
     lole_values = {c: [m.lole_hours for m in per_season[c]] for c in col_labels}
@@ -308,7 +254,7 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
     bootstrap_counts = {}
     pooled_fits: dict[str, evt.GpdFit] = {}
     for label, kind, q in columns if cfg.include_pooled else []:
-        metrics, fit = pooled_metrics(sample, kind, q)
+        metrics, fit = sample.metrics(np.ones(len(traces)), kind, q)
         if fit is not None:
             pooled_fits[label] = fit
         pooled_lole[label] = metrics.lole_hours
@@ -343,7 +289,7 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
     extras = {
         "traces": traces,
         "sample": sample,
-        "season_models": season_models,
+        "season_fits": season_fits,
         "pooled_fits": pooled_fits,
         "per_season": per_season,
     }
@@ -475,8 +421,12 @@ def write_qq_csv(fit: evt.GpdFit, values, path: Path) -> Path:
     return path
 
 
-def write_survivor_csv(model: dnw.TailModel, grid, path: Path) -> Path:
-    probs = dnw.survivor(model, np.asarray(grid, dtype=float))
+def write_survivor_csv(model: dnw.TailModel, values, path: Path) -> Path:
+    """The model's survivor curve on SURVIVOR_CURVE_POINTS from the 10% quantile
+    of the net-demand ``values`` it was built on to 2 GW past their maximum."""
+    grid = np.linspace(float(np.quantile(values, 0.10)), float(values.max() + 2_000.0),
+                       SURVIVOR_CURVE_POINTS)
+    probs = dnw.survivor(model, grid)
     lines = ["v_mw,prob"]
     lines.extend(f"{float(v)!r},{float(p)!r}" for v, p in zip(grid, probs))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -520,15 +470,14 @@ def run_full_study(cfg: RunConfig, progress=lambda msg: None) -> StudyResult:
         outputs.extend(emit_tables(result, outdir))
 
         stage = "parameter tables"
-        traces, season_models = extras["traces"], extras["season_models"]
+        traces, season_fits = extras["traces"], extras["season_fits"]
         evt_columns = [(label, q) for label, kind, q in cfg.columns() if kind == dnw.EVT]
         for label, q in evt_columns:
             # the study's own fits; without a pooled table the pooled fit is made here
             pooled = (extras["pooled_fits"].get(label)
-                      or extras["sample"].metrics(np.ones(len(traces)), q)[1])
-            fits = [(s, season_models[(label, s)].fit) for s in result.season_labels]
+                      or extras["sample"].metrics(np.ones(len(traces)), dnw.EVT, q)[1])
             lines = ["season,threshold_mw,sigma,xi,se_sigma,se_xi,n_exceed"]
-            for season, f in fits + [("pooled", pooled)]:
+            for season, f in [*zip(result.season_labels, season_fits[label]), ("pooled", pooled)]:
                 lines.append(
                     f"{season},{f.threshold_u!r},{f.params.sigma!r},{f.params.xi!r},"
                     f"{f.se_sigma!r},{f.se_xi!r},{f.n_exceedances}"
@@ -538,30 +487,25 @@ def run_full_study(cfg: RunConfig, progress=lambda msg: None) -> StudyResult:
             outputs.append(p)
 
         stage = "diagnostics"
-        for trace in traces:
+        for i, trace in enumerate(traces):
             values = trace.net_demand_mw
             thresholds = np.unique(np.quantile(values, SCAN_QUANTILES))
             outputs.append(
                 write_scan_csv(values, thresholds, outdir / f"threshold_scan_{trace.season_label}.csv")
             )
             for label, q in evt_columns:
-                fit = season_models[(label, trace.season_label)].fit
-                outputs.append(
-                    write_qq_csv(fit, values,
-                                 outdir / f"qq_{trace.season_label}_q{round(q * 100):g}.csv")
-                )
+                outputs.append(write_qq_csv(
+                    season_fits[label][i], values,
+                    outdir / f"qq_{trace.season_label}_q{round(q * 100):g}.csv",
+                ))
 
         stage = "survivor curves"
-        for (column, season_label), model in season_models.items():
-            trace = next(t for t in traces if t.season_label == season_label)
-            values = trace.net_demand_mw
-            grid = np.linspace(
-                float(np.quantile(values, 0.10)), float(values.max() + 2_000.0),
-                SURVIVOR_CURVE_POINTS,
-            )
-            outputs.append(
-                write_survivor_csv(model, grid, outdir / f"survivor_{column}_{season_label}.csv")
-            )
+        for label, kind, q in cfg.columns():
+            for trace, fit in zip(traces, season_fits[label]):
+                outputs.append(write_survivor_csv(
+                    build_model(trace, kind, q, fit), trace.net_demand_mw,
+                    outdir / f"survivor_{label}_{trace.season_label}.csv",
+                ))
 
         stage = "rescale factors"
         lines = ["season,factor"]

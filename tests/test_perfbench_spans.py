@@ -16,9 +16,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 # risk.balance_distribution is the test oracle of ShortfallFunctionals, and
-# dnw.discretize that of SeasonSample and of the ind pmf; no production path
-# calls either, so their metrics read 0
-NOT_CALLED = {"risk.balance_distribution", "dnw.discretize"}
+# dnw.discretize followed by ShortfallFunctionals.metrics that of SeasonSample
+# and of the ind pmf; no production path calls any of them, so their metrics
+# read 0
+NOT_CALLED = {"risk.balance_distribution", "dnw.discretize", "risk.ShortfallFunctionals.metrics"}
 
 
 class RecordingDict(dict):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -290,7 +292,7 @@ class TestEvtMultiset:
         traces, fleet = demo_system["traces"], demo_system["fleet"]
         n_hours = traces[0].n_hours
         got, fit = SeasonSample(ShortfallFunctionals(fleet), traces, n_hours).metrics(
-            np.bincount(drawn, minlength=len(traces)), q)
+            np.bincount(drawn, minlength=len(traces)), "evt", q)
         want, want_fit = concatenated_evt_metrics(fleet, [traces[i] for i in drawn], q, n_hours)
         # the fits differ by float reordering only; the profile optimum is flat
         # to about 1e-7, and the mass above the fleet is read in closed form
@@ -307,7 +309,7 @@ class TestEvtMultiset:
     def test_threshold_is_numpys_quantile(self, demo_system, drawn, q):
         traces = demo_system["traces"]
         _, fit = SeasonSample(ShortfallFunctionals(demo_system["fleet"]), traces, 3528).metrics(
-            np.bincount(drawn, minlength=len(traces)), q)
+            np.bincount(drawn, minlength=len(traces)), "evt", q)
         pooled = np.concatenate([traces[i].net_demand_mw for i in drawn])
         assert fit.threshold_u == np.quantile(pooled, q)
 
@@ -316,7 +318,7 @@ class TestEvtMultiset:
         # is read in closed form
         trace = demo_system["traces"][0]
         fleet = convolve_fleet([GeneratingUnit("a", 300, 0.9), GeneratingUnit("b", 200, 0.8)])
-        got, _ = SeasonSample(ShortfallFunctionals(fleet), [trace], trace.n_hours).metrics([1], 0.95)
+        got, _ = SeasonSample(ShortfallFunctionals(fleet), [trace], trace.n_hours).metrics([1], "evt", 0.95)
         want, _ = concatenated_evt_metrics(fleet, [trace], 0.95, trace.n_hours)
         assert got.p_shortfall == 1.0
         assert want.p_shortfall == pytest.approx(1.0, rel=1e-12)
@@ -328,8 +330,49 @@ class TestEvtMultiset:
         trace = make_trace("2007-08", demand, np.zeros(3528))
         sample = SeasonSample(ShortfallFunctionals(demo_system["fleet"]), [trace], 3528)
         with pytest.raises(NumericalError, match="infinite mean"):
-            sample.metrics([1], 0.95)
+            sample.metrics([1], "evt", 0.95)
 
     def test_negative_metrics_are_numerical_errors(self):
         with pytest.raises(NumericalError, match="non-negative"):
             RiskMetrics.from_lole_eeu(1.0, -1e-9, 3528)
+
+
+class TestIndMultiset:
+    """risk.SeasonSample's ind against every (demand hour, wind hour) pair of the draw."""
+
+    UNITS = [GeneratingUnit("a", 5, 0.9), GeneratingUnit("b", 8, 0.8), GeneratingUnit("c", 13, 0.85)]
+
+    @staticmethod
+    def enumerated(units, demand, wind, n_hours):
+        """LoLE and EEU over every pair of hours and every up/down state of the units."""
+        states = np.array(list(itertools.product((0, 1), repeat=len(units))))
+        capacity = states @ np.array([u.capacity_mw for u in units])
+        availability = np.array([u.availability for u in units])
+        prob = np.prod(np.where(states == 1, availability, 1.0 - availability), axis=1)
+        # the model bins demand and wind at their floors
+        short = np.floor(demand)[:, None, None] - np.floor(wind)[None, :, None] - capacity
+        pairs = demand.size * wind.size
+        return (n_hours * ((short > 0) * prob).sum() / pairs,
+                n_hours * (np.maximum(short, 0) * prob).sum() / pairs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        draws=st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=6), min_size=1, max_size=4),
+    )
+    def test_matches_enumerated_pairs(self, seed, draws):
+        # three seasons of 12, 9 and 10 observed hours, so pooling weights them
+        # unequally; draws repeat seasons or hold one, and run in turn on one
+        # sample, so later draws read columns that earlier ones filled
+        rng = np.random.default_rng(seed)
+        seasons = [make_trace(label, rng.uniform(10.0, 35.0, n), rng.uniform(0.0, 12.0, n))
+                   for label, n in (("2007-08", 12), ("2008-09", 9), ("2009-10", 10))]
+        sample = SeasonSample(ShortfallFunctionals(convolve_fleet(self.UNITS)), seasons, 12)
+        for drawn in draws:
+            got, fit = sample.metrics(np.bincount(drawn, minlength=3), "independence")
+            demand, wind = (np.concatenate([getattr(seasons[i], name) for i in drawn])
+                            for name in ("demand_mw", "wind_mw"))
+            lole, eeu = self.enumerated(self.UNITS, demand, wind, 12)
+            assert fit is None
+            assert got.lole_hours == pytest.approx(lole, rel=1e-12)
+            assert got.eeu_mwh == pytest.approx(eeu, rel=1e-12)

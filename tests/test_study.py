@@ -1,10 +1,11 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adequacy import dnw, study
+from adequacy import dnw, risk, study
 from adequacy.errors import ConfigError, DataError, NumericalError
 from adequacy.study import (
     MetricTable,
@@ -14,7 +15,6 @@ from adequacy.study import (
     pooled_pipeline,
     rescale_traces,
     run_full_study,
-    season_metrics,
 )
 from adequacy.pmf import convolve
 from adequacy.risk import SeasonSample, ShortfallFunctionals, build_model
@@ -178,13 +178,21 @@ class TestOneSamplePerStudy:
             calls.append(args)
             return convolve(*args)
 
-        monkeypatch.setattr(study, "convolve", counting)
+        monkeypatch.setattr(risk, "convolve", counting)
         traces = demo_system["traces"]
         sample = SeasonSample(ShortfallFunctionals(demo_system["fleet"]), traces, 3528)
         run = pooled_pipeline(sample, dnw.INDEPENDENCE, None)
         result = block_bootstrap(traces, run, BootstrapConfig(seed=1, replications=1000))
         assert result.replications_dropped == 0
         assert len(calls) == len(traces)
+
+    @staticmethod
+    def config(demo_dataset_dir, tmp_path, **overrides):
+        return RunConfig(
+            traces_path=str(demo_dataset_dir["traces"]), fleet_path=str(demo_dataset_dir["fleet"]),
+            quantiles_path=str(demo_dataset_dir["quantiles"]), seed=3,
+            output_dir=str(tmp_path / "unused"), replications=100, **overrides,
+        )
 
     def test_study_builds_one_sample(self, demo_dataset_dir, tmp_path, monkeypatch):
         built = []
@@ -195,13 +203,36 @@ class TestOneSamplePerStudy:
                 super().__init__(*args)
 
         monkeypatch.setattr(study, "SeasonSample", Counted)
-        cfg = RunConfig(
-            traces_path=str(demo_dataset_dir["traces"]), fleet_path=str(demo_dataset_dir["fleet"]),
-            quantiles_path=str(demo_dataset_dir["quantiles"]), seed=3,
-            output_dir=str(tmp_path / "unused"), replications=100,
-        )
-        study.run_study_computation(cfg)
+        study.run_study_computation(self.config(demo_dataset_dir, tmp_path))
         assert len(built) == 1
+
+    def test_per_season_tables_build_no_models(self, demo_dataset_dir, tmp_path, monkeypatch):
+        # risk's computation: every value is read from the sample
+        built = []
+        for name in ("build_evt_model", "build_hindcast_model", "build_independence_model"):
+            original = getattr(dnw, name)
+            monkeypatch.setattr(dnw, name, lambda *a, _f=original, **k: built.append(a) or _f(*a, **k))
+        cfg = self.config(demo_dataset_dir, tmp_path, include_pooled=False,
+                          model_kinds=(dnw.HINDCAST, dnw.INDEPENDENCE))
+        study.run_study_computation(cfg)
+        assert built == []
+
+    def test_ind_study_convolves_once_per_wind_season(self, demo_dataset_dir, tmp_path, monkeypatch):
+        # per-season values, the pooled point and the block bootstrap share one
+        # fleet + wind convolution per season
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return convolve(*args)
+
+        for module in list(sys.modules.values()):  # every adequacy module that binds it
+            if module.__name__.startswith("adequacy.") and getattr(module, "convolve", None) is convolve:
+                monkeypatch.setattr(module, "convolve", counting)
+        result, extras = study.run_study_computation(
+            self.config(demo_dataset_dir, tmp_path, model_kinds=(dnw.INDEPENDENCE,)))
+        assert result.bootstrap["ind"]["dropped"] == 0
+        assert len(calls) == len(extras["traces"]) == 7
 
 
 class TestEvtPipeline:
@@ -226,9 +257,10 @@ class TestEvtPipeline:
     def test_matches_study_pooled_and_per_season(self, demo_system):
         traces = demo_system["traces"]
         sample = SeasonSample(ShortfallFunctionals(demo_system["fleet"]), traces, traces[0].n_hours)
-        per_season, models = season_metrics(sample, dnw.EVT, 0.95)
         run = self.pipeline(demo_system)
-        for trace, metrics, model in zip(traces, per_season, models):
+        for trace, one in zip(traces, np.identity(len(traces))):
+            metrics, fit = sample.metrics(one, dnw.EVT, 0.95)
+            model = build_model(trace, dnw.EVT, 0.95, fit)
             assert run([trace]) == {"lole": metrics.lole_hours, "eeu": metrics.eeu_mwh}
             assert model.fit.n_total == trace.n_hours
             assert np.array_equal(model.body, np.sort(trace.net_demand_mw))
