@@ -8,21 +8,12 @@ intervals over historical seasons.
 
 __version__ = "0.1.0"
 
-from .dnw import (  # noqa: F401
-    TailModel,
-    build_evt_model,
-    build_hindcast_model,
-    build_independence_model,
-    discretize,
-    survivor,
-)
+from .dnw import survivor  # noqa: F401
 from .errors import AdequacyError, ConfigError, DataError, NumericalError  # noqa: F401
 from .evt import (  # noqa: F401
     GpdFit,
     GpdParams,
     fit_gpd,
-    gpd_cdf,
-    gpd_loglik,
     gpd_quantile,
     gpd_survivor,
     qq_points,
@@ -40,13 +31,7 @@ from .ingest import (  # noqa: F401
     lowess_fit,
 )
 from .pmf import DiscretePmf  # noqa: F401
-from .risk import (  # noqa: F401
-    RiskMetrics,
-    ShortfallFunctionals,
-    balance_distribution,
-    compute_metrics,
-    long_run_mean,
-)
+from .risk import RiskMetrics, ShortfallFunctionals, long_run_mean  # noqa: F401
 from .uncertainty import (  # noqa: F401
     BootstrapConfig,
     ConfidenceInterval,

@@ -18,7 +18,7 @@ from . import __version__, dnw, evt
 from .errors import ConfigError, DataError, NumericalError
 from .genmodel import fleet_summary, load_fleet
 from .ingest import SeasonWindow, load_quantile_history, load_traces
-from .risk import SeasonSample, ShortfallFunctionals, build_model
+from .risk import SeasonSample, ShortfallFunctionals
 from .study import (
     RunConfig,
     check_rescale_settings,
@@ -179,9 +179,11 @@ def cmd_dnw(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     def emit(seasons, label):
-        model = build_model(seasons, kind, args.threshold_quantile)
-        values = np.concatenate([t.net_demand_mw for t in seasons])
-        path = write_survivor_csv(model, values, outdir / f"survivor_{args.model}_{label}.csv")
+        fit = None
+        if kind == dnw.EVT:
+            values = np.concatenate([t.net_demand_mw for t in seasons])
+            fit = evt.fit_threshold_excesses(values, evt.select_threshold(values, args.threshold_quantile))
+        path = write_survivor_csv(seasons, kind, fit, outdir / f"survivor_{args.model}_{label}.csv")
         print(f"wrote {path}")
 
     if args.pooled:

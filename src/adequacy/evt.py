@@ -116,13 +116,8 @@ def gpd_survivor(params: GpdParams, y):
     return float(out) if np.isscalar(y) or y_arr.ndim == 0 else out
 
 
-def gpd_cdf(params: GpdParams, y):
-    """H(y) = P(Y <= y) for excess y >= 0. Accepts scalars or arrays."""
-    return 1.0 - gpd_survivor(params, y)
-
-
 def gpd_quantile(params: GpdParams, p):
-    """Inverse of gpd_cdf. p in [0, 1); p = 1 allowed only for xi < 0."""
+    """Inverse of the excess cdf H. p in [0, 1); p = 1 allowed only for xi < 0."""
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
@@ -133,22 +128,6 @@ def gpd_quantile(params: GpdParams, p):
     else:
         out = params.sigma / params.xi * (np.power(1.0 - p_arr, -params.xi) - 1.0)
     return float(out) if np.isscalar(p) or p_arr.ndim == 0 else out
-
-
-def gpd_loglik(params: GpdParams, excesses) -> float:
-    """GPD log-likelihood; -inf when the support constraint is violated."""
-    y = np.asarray(excesses, dtype=float)
-    if y.size == 0:
-        raise ValueError("empty excess sample")
-    if np.any(y <= 0.0):
-        raise ValueError("excesses must be strictly positive")
-    sigma, xi = params.sigma, params.xi
-    if abs(xi) < XI_ZERO_GUARD:
-        return -y.size * np.log(sigma) - y.sum() / sigma
-    z = xi * y / sigma
-    if z.min() <= -1.0:
-        return -np.inf
-    return -y.size * np.log(sigma) - (1.0 + 1.0 / xi) * np.log1p(z).sum()
 
 
 def fit_gpd(excesses, weights=None) -> GpdMle:
@@ -427,9 +406,14 @@ def select_threshold(values, quantile_level: float) -> float:
 
 
 def fit_threshold_excesses(values, threshold_u: float) -> GpdFit:
-    """Fit the GPD to strict exceedances of ``threshold_u`` within ``values``."""
+    """Fit the GPD to strict exceedances of ``threshold_u`` within ``values``.
+
+    The excesses are fitted in ascending order, as ``risk.SeasonSample`` fits
+    them, so one season's fit does not depend on the command that makes it:
+    the order of the fit's float sums moves its optimum.
+    """
     v = np.asarray(values, dtype=float)
-    excesses = v[v > threshold_u] - threshold_u
+    excesses = np.sort(v[v > threshold_u]) - threshold_u
     mle = fit_gpd(excesses)
     return GpdFit(
         threshold_u=float(threshold_u),

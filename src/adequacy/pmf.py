@@ -141,27 +141,3 @@ def convolve(a: DiscretePmf, b: DiscretePmf) -> DiscretePmf:
         raise NumericalError("convolution produced a degenerate mass function")
     return DiscretePmf(a_origin + b_origin, raw / total)
 
-
-def rebin(pmf: DiscretePmf, lo: float, hi: float, max_outside_mass: float = 1e-12) -> DiscretePmf:
-    """Re-window an integer-atom pmf onto bins covering [lo, hi).
-
-    Raises NumericalError if more than ``max_outside_mass`` falls outside.
-    """
-    origin = int(np.floor(lo))
-    n_bins = int(np.ceil(hi)) - origin
-    if n_bins <= 0:
-        raise ValueError("lo must be below hi")
-    out = np.zeros(n_bins)
-    k = pmf.origin_mw - origin
-    src = pmf.probabilities
-    lo_clip = max(0, -k)
-    hi_clip = min(src.size, n_bins - k)
-    if hi_clip > lo_clip:
-        out[k + lo_clip : k + hi_clip] = src[lo_clip:hi_clip]
-    outside = 1.0 - out.sum()
-    if outside > max_outside_mass:
-        raise NumericalError(
-            f"support [{lo}, {hi}) drops {outside:.3e} probability mass "
-            f"(limit {max_outside_mass:.1e})"
-        )
-    return DiscretePmf(origin, out / out.sum())

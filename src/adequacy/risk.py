@@ -6,12 +6,11 @@ n * E[max(-Z, 0)] MWh per season, where n is the number of hours in the
 season under study. Mass exactly at Z = 0 counts as adequate.
 
 The definition is the balance pmf, the convolution of the fleet pmf with the
-reflected V pmf (``balance_distribution`` + ``compute_metrics``). Every
-production path instead uses ``ShortfallFunctionals``: P(Z < 0) and
-E[max(-Z, 0)] are the V-expectations of the fleet's cdf P(X < v) and partial
-moment E[(v - X)+]. The convolution stays as the test oracle.
-``SeasonSample`` reads those functionals for every model of any season
-multiset, a season on its own and the pooled sample included, without
+reflected V pmf; it lives on as the test oracle (``tests/oracles.py``).
+Production reads ``ShortfallFunctionals`` instead: P(Z < 0) and E[max(-Z, 0)]
+are the V-expectations of the fleet's cdf P(X < v) and partial moment
+E[(v - X)+]. ``SeasonSample`` reads those functionals for every model of any
+season multiset, a season on its own and the pooled sample included, without
 building a demand-net-of-wind pmf.
 """
 
@@ -24,8 +23,7 @@ import numpy as np
 
 from . import dnw, evt
 from .errors import NumericalError
-from .ingest import SeasonTrace
-from .pmf import DiscretePmf, convolve, pmf_from_samples, reflect
+from .pmf import DiscretePmf, convolve, pmf_from_samples
 
 
 @dataclass(frozen=True)
@@ -49,10 +47,6 @@ class RiskMetrics:
             raise ValueError("lole_hours must equal n_hours * p_shortfall")
 
     @classmethod
-    def from_lole_eeu(cls, lole_hours: float, eeu_mwh: float, n_hours: int) -> "RiskMetrics":
-        return cls(lole_hours, eeu_mwh, int(n_hours), lole_hours / n_hours)
-
-    @classmethod
     def from_hourly(cls, p_shortfall: float, shortfall_mw: float, n_hours: int) -> "RiskMetrics":
         """From P(Z < 0) and E[max(-Z, 0)] in one hour of an n-hour season."""
         return cls(n_hours * p_shortfall, n_hours * shortfall_mw, int(n_hours), p_shortfall)
@@ -62,32 +56,17 @@ class RiskMetrics:
         return self.eeu_mwh / 1000.0
 
 
-def balance_distribution(fleet: DiscretePmf, dnw_pmf: DiscretePmf) -> DiscretePmf:
-    """Distribution of Z = available capacity minus demand-net-of-wind."""
-    return convolve(fleet, reflect(dnw_pmf))
-
-
-def compute_metrics(z: DiscretePmf, n_hours: int) -> RiskMetrics:
-    """LoLE and EEU from the balance distribution; shortfall is Z < 0 strictly."""
-    if n_hours <= 0:
-        raise ValueError("n_hours must be positive")
-    values = z.values_mw
-    neg = values < 0
-    p_shortfall = float(z.probabilities[neg].sum())
-    return RiskMetrics.from_hourly(p_shortfall, float(z.probabilities[neg] @ -values[neg]), n_hours)
-
-
 class ShortfallFunctionals:
-    """LoLE/EEU against a fixed fleet, in one pass over each pmf.
+    """The fleet's P(X < v) and E[(v - X)+], read at values or over a pmf.
 
-    With X the available capacity, P(X < v) and E[(v - X)+] are precomputed
-    on the fleet's integer grid: for v = origin + j + 1 they are cdf[j] and
+    With X the available capacity, both are precomputed on the fleet's
+    integer grid: for v = origin + j + 1 they are cdf[j] and
     G[j] = v * cdf[j] - E[X ; X <= origin + j]. A demand-net-of-wind pmf's
-    atoms are one contiguous integer range, so its metrics are two dot
+    atoms are one contiguous integer range, so its expectations are two dot
     products over the slice inside the fleet's support plus closed forms
     above it (P = 1, E = v - E[X]); atoms at or below the fleet's origin
-    contribute nothing. Results match balance_distribution + compute_metrics,
-    the definition, to floating-point reordering.
+    contribute nothing. Results match the balance-pmf oracle in
+    ``tests/oracles.py``, the definition, to floating-point reordering.
     """
 
     def __init__(self, fleet: DiscretePmf):
@@ -101,7 +80,7 @@ class ShortfallFunctionals:
         self.mean_mw = float(first_moment[-1])
 
     def at(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """P(X < v) and E[(v - X)+] at integer values v, read as ``metrics`` reads them."""
+        """P(X < v) and E[(v - X)+] at integer values v, read as ``expect`` reads them."""
         v = np.asarray(v, dtype=float)
         j = v - (self._origin + 1)
         inside = (j >= 0) & (j < self._cdf.size)
@@ -123,30 +102,6 @@ class ShortfallFunctionals:
         return (float(inside @ self._cdf[k0 + lo : k0 + hi] + above.sum()),
                 float(inside @ self._gap[k0 + lo : k0 + hi] + above @ excess))
 
-    def metrics(self, dnw_pmf: DiscretePmf, n_hours: int) -> RiskMetrics:
-        return RiskMetrics.from_hourly(*self.expect(dnw_pmf.origin_mw, dnw_pmf.probabilities),
-                                       n_hours)
-
-
-def build_model(seasons, kind: str, threshold_quantile: float = 0.95,
-                fit: evt.GpdFit | None = None) -> dnw.TailModel:
-    """The demand-net-of-wind model of one season trace, or of a list of them pooled.
-
-    ``fit`` is an evt tail fit already made of these values at this quantile.
-    """
-    seasons = [seasons] if isinstance(seasons, SeasonTrace) else list(seasons)
-
-    def pooled(name: str) -> np.ndarray:
-        return np.concatenate([getattr(s, name) for s in seasons])
-
-    if kind == dnw.EVT:
-        return dnw.build_evt_model(pooled("net_demand_mw"), threshold_quantile, fit)
-    if kind == dnw.HINDCAST:
-        return dnw.build_hindcast_model(pooled("net_demand_mw"))
-    if kind == dnw.INDEPENDENCE:
-        return dnw.build_independence_model(pooled("demand_mw"), pooled("wind_mw"))
-    raise ValueError(f"unknown model kind {kind!r}")
-
 
 def _season_sums(functionals: ShortfallFunctionals, values) -> tuple[float, float]:
     """Sums of P(X < v) and E[(v - X)+] over the values, each read at its floor."""
@@ -160,8 +115,9 @@ class SeasonSample:
     ``metrics(counts, kind, threshold_quantile)``, where counts[s] is how often
     season s is drawn, gives the LoLE/EEU of the concatenated draw: one count
     is a season on its own, all ones the pooled sample. Each kind equals
-    building its model of the concatenation, ``dnw.discretize`` and
-    ``ShortfallFunctionals.metrics``, read over the fleet's support only:
+    the oracle in ``tests/oracles.py``: its model of the concatenation,
+    projected onto the 1 MW grid and read through ``ShortfallFunctionals``,
+    over the fleet's support only:
 
     * the fleet functionals are gathered at each value's floor, so a
       floor-binned empirical part is a weighted sum of them;

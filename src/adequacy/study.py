@@ -29,7 +29,7 @@ from .ingest import (
     load_quantile_history,
     load_traces,
 )
-from .risk import RiskMetrics, SeasonSample, ShortfallFunctionals, build_model, long_run_mean
+from .risk import RiskMetrics, SeasonSample, ShortfallFunctionals, long_run_mean
 from .uncertainty import BootstrapConfig, ConfidenceInterval, block_bootstrap, season_bootstrap
 
 SCAN_QUANTILES = np.round(np.arange(0.80, 0.996, 0.01), 3)
@@ -421,12 +421,14 @@ def write_qq_csv(fit: evt.GpdFit, values, path: Path) -> Path:
     return path
 
 
-def write_survivor_csv(model: dnw.TailModel, values, path: Path) -> Path:
-    """The model's survivor curve on SURVIVOR_CURVE_POINTS from the 10% quantile
-    of the net-demand ``values`` it was built on to 2 GW past their maximum."""
+def write_survivor_csv(seasons, kind: str, fit: evt.GpdFit | None, path: Path) -> Path:
+    """The survivor curve of the ``kind`` model of the pooled ``seasons`` (a list
+    of traces; ``fit`` is its evt tail fit), on SURVIVOR_CURVE_POINTS from the
+    10% quantile of their net demand to 2 GW past its maximum."""
+    values = np.concatenate([t.net_demand_mw for t in seasons])
     grid = np.linspace(float(np.quantile(values, 0.10)), float(values.max() + 2_000.0),
                        SURVIVOR_CURVE_POINTS)
-    probs = dnw.survivor(model, grid)
+    probs = dnw.survivor(seasons, kind, grid, fit)
     lines = ["v_mw,prob"]
     lines.extend(f"{float(v)!r},{float(p)!r}" for v, p in zip(grid, probs))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -500,11 +502,10 @@ def run_full_study(cfg: RunConfig, progress=lambda msg: None) -> StudyResult:
                 ))
 
         stage = "survivor curves"
-        for label, kind, q in cfg.columns():
+        for label, kind, _ in cfg.columns():
             for trace, fit in zip(traces, season_fits[label]):
                 outputs.append(write_survivor_csv(
-                    build_model(trace, kind, q, fit), trace.net_demand_mw,
-                    outdir / f"survivor_{label}_{trace.season_label}.csv",
+                    [trace], kind, fit, outdir / f"survivor_{label}_{trace.season_label}.csv",
                 ))
 
         stage = "rescale factors"

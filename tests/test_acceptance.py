@@ -14,14 +14,15 @@ import pytest
 from scipy import stats
 
 import adequacy
-from adequacy.dnw import build_evt_model, build_hindcast_model, discretize, survivor
-from adequacy.evt import fit_gpd
+from adequacy.dnw import survivor
+from adequacy.evt import fit_gpd, fit_threshold_excesses, select_threshold
 from adequacy.genmodel import GeneratingUnit, convolve_fleet
-from adequacy.risk import RiskMetrics, SeasonSample, ShortfallFunctionals, balance_distribution, build_model, compute_metrics, long_run_mean
+from adequacy.risk import SeasonSample, ShortfallFunctionals, long_run_mean
 from adequacy.study import RunConfig, pooled_pipeline, run_full_study
 from adequacy.uncertainty import BootstrapConfig, block_bootstrap, season_bootstrap
 from conftest import sample_pmf
 from helpers import random_season
+from oracles import balance_distribution, build_model, compute_metrics, discretize, from_lole_eeu
 
 REFERENCE_LOLE = [2.82, 2.22, 4.02, 16.77, 1.92, 7.69, 0.15]
 REFERENCE_EEU_GWH = [2.81, 2.12, 4.15, 24.01, 1.95, 9.16, 0.10]
@@ -29,8 +30,8 @@ REFERENCE_EEU_GWH = [2.81, 2.12, 4.15, 24.01, 1.95, 9.16, 0.10]
 
 def test_criterion_01_long_run_means():
     """Mean of the reference per-season values: 5.08 h and 6.33 GWh (< 1 ms)."""
-    lole_metrics = [RiskMetrics.from_lole_eeu(v, 0.0, 3528) for v in REFERENCE_LOLE]
-    eeu_metrics = [RiskMetrics.from_lole_eeu(0.0, v * 1000.0, 3528) for v in REFERENCE_EEU_GWH]
+    lole_metrics = [from_lole_eeu(v, 0.0, 3528) for v in REFERENCE_LOLE]
+    eeu_metrics = [from_lole_eeu(0.0, v * 1000.0, 3528) for v in REFERENCE_EEU_GWH]
     start = time.perf_counter()
     lole_mean = long_run_mean(lole_metrics).lole_hours
     eeu_mean = long_run_mean(eeu_metrics).eeu_gwh
@@ -120,15 +121,14 @@ def test_criterion_06_below_threshold_bitwise_identity():
     rng = np.random.default_rng(1234)
     trace = random_season("2007-08", rng)
     net = trace.net_demand_mw
-    evt_model = build_evt_model(net, 0.95)
-    hind_model = build_hindcast_model(net)
-    u = evt_model.threshold_u
+    fit = fit_threshold_excesses(net, select_threshold(net, 0.95))
+    u = fit.threshold_u
     probe = np.concatenate(
         [net[net < u], rng.uniform(net.min() - 1_000.0, np.nextafter(u, -np.inf), 2_000)]
     )
     for v in probe:
         v = float(v)
-        assert survivor(evt_model, v) == survivor(hind_model, v)
+        assert survivor(trace, "evt", v, fit) == survivor(trace, "hindcast", v)
 
 
 def test_criterion_07_hindcast_pooled_vs_mean_ci(demo_system):

@@ -138,28 +138,34 @@ class TestDnwCommand:
         assert files[0] == "survivor_evt_2007-08.csv"
 
     def test_per_season_ind_export_is_the_study_curve(self, demo_dataset_dir, tmp_path, capsys):
-        # one grid rule: both start at the 10% quantile of demand-net-of-wind
+        # one grid rule and one fit per season, whatever the command: dnw and fit
+        # write the study's curves and QQ pairs for a season the study leaves unscaled
         traces = str(demo_dataset_dir["traces"])
         code, _, err = run_cli(
             capsys,
             "study", "--traces", traces, "--fleet", str(demo_dataset_dir["fleet"]),
-            "--models", "ind", "--reps", "100", "--seed", "1", "--quiet",
-            "--out", str(tmp_path / "study"),
+            "--models", "evt", "hindcast", "ind", "--threshold-quantiles", "0.95",
+            "--reps", "100", "--seed", "1", "--quiet", "--out", str(tmp_path / "study"),
         )
         assert code == 0, err
-        code, _, err = run_cli(
-            capsys,
-            "dnw", "--traces", traces, "--model", "ind", "--per-season", "--out", str(tmp_path / "dnw"),
-        )
-        assert code == 0, err
+        for model in ("evt", "hindcast", "ind"):
+            code, _, err = run_cli(capsys, "dnw", "--traces", traces, "--model", model,
+                                   "--per-season", "--out", str(tmp_path / "dnw"))
+            assert code == 0, err
         # the study rescales demand; its reference season keeps factor 1
         factors = (tmp_path / "study" / "rescale_factors.csv").read_text().splitlines()[1:]
         unscaled = [season for season, factor in (line.split(",") for line in factors)
                     if float(factor) == 1.0]
         assert unscaled
         for season in unscaled:
-            name = f"survivor_ind_{season}.csv"
-            assert (tmp_path / "dnw" / name).read_bytes() == (tmp_path / "study" / name).read_bytes()
+            code, _, err = run_cli(capsys, "fit", "--traces", traces, "--season", season,
+                                   "--out", str(tmp_path / "fit"))
+            assert code == 0, err
+            for got, want in ((f"dnw/survivor_ind_{season}.csv", f"survivor_ind_{season}.csv"),
+                              (f"dnw/survivor_evt_{season}.csv", f"survivor_evt_95_{season}.csv"),
+                              (f"dnw/survivor_hindcast_{season}.csv", f"survivor_hindcast_{season}.csv"),
+                              (f"fit/qq_{season}.csv", f"qq_{season}_q95.csv")):
+                assert (tmp_path / got).read_bytes() == (tmp_path / "study" / want).read_bytes(), got
 
 
 class TestRiskCommand:

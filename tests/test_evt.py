@@ -15,14 +15,13 @@ from adequacy.evt import (
     XI_ZERO_GUARD,
     fit_gpd,
     fit_threshold_excesses,
-    gpd_cdf,
     gpd_survivor,
-    gpd_loglik,
     gpd_quantile,
     qq_points,
     select_threshold,
     threshold_scan,
 )
+from oracles import gpd_cdf, gpd_loglik
 
 TABLE_PARAMS = GpdParams(sigma=2.85, xi=-0.32)
 

@@ -15,11 +15,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
-# risk.balance_distribution is the test oracle of ShortfallFunctionals, and
-# dnw.discretize followed by ShortfallFunctionals.metrics that of SeasonSample
-# and of the ind pmf; no production path calls any of them, so their metrics
-# read 0
-NOT_CALLED = {"risk.balance_distribution", "dnw.discretize", "risk.ShortfallFunctionals.metrics"}
+# test oracles (tests/oracles.py), which no production path calls, so their
+# metrics read 0: risk.balance_distribution is that of ShortfallFunctionals,
+# and the dnw.build_* models, dnw.discretize and ShortfallFunctionals.metrics
+# together that of SeasonSample
+NOT_CALLED = {
+    "risk.balance_distribution", "dnw.discretize", "risk.ShortfallFunctionals.metrics",
+    "dnw.build_evt_model", "dnw.build_hindcast_model", "dnw.build_independence_model",
+}
 
 
 class RecordingDict(dict):

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import fft, signal
 
 from adequacy import pmf as pmf_module
-from adequacy.pmf import DiscretePmf, convolve, pmf_from_samples, rebin, reflect
+from adequacy.pmf import DiscretePmf, convolve, pmf_from_samples, reflect
 from helpers import point_mass
+from oracles import rebin
 
 
 class TestDiscretePmf:

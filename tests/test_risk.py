@@ -4,21 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adequacy.dnw import build_evt_model, build_hindcast_model, discretize
 from adequacy.errors import NumericalError
+from adequacy.evt import fit_threshold_excesses, select_threshold
 from adequacy.genmodel import GeneratingUnit, convolve_fleet
 from adequacy.pmf import DiscretePmf
-from adequacy.risk import (
-    RiskMetrics,
-    SeasonSample,
-    ShortfallFunctionals,
-    balance_distribution,
-    build_model,
-    compute_metrics,
-    long_run_mean,
-)
+from adequacy.risk import RiskMetrics, SeasonSample, ShortfallFunctionals, long_run_mean
 from conftest import sample_pmf
 from helpers import make_trace, point_mass
+from oracles import (balance_distribution, build_evt_model, build_hindcast_model, build_model,
+                     compute_metrics, discretize, from_lole_eeu, shortfall_metrics)
 
 
 def two_atom(lo_val, lo_p, hi_val):
@@ -99,7 +93,7 @@ class TestShortfallFunctionals:
         for kind in ("evt", "hindcast", "independence"):
             pmf = discretize(build_model(trace, kind, 0.95))
             full = compute_metrics(balance_distribution(fleet, pmf), trace.n_hours)
-            quick = fast.metrics(pmf, trace.n_hours)
+            quick = shortfall_metrics(fast, pmf, trace.n_hours)
             assert quick.lole_hours == pytest.approx(full.lole_hours, rel=1e-9)
             assert quick.eeu_mwh == pytest.approx(full.eeu_mwh, rel=1e-9)
 
@@ -138,7 +132,7 @@ class TestShortfallFunctionalsProperty:
     @given(case=fleet_and_net_demand(), n_hours=st.integers(1, 5000))
     def test_equals_balance_convolution(self, case, n_hours):
         fleet, net = case
-        fast = ShortfallFunctionals(fleet).metrics(net, n_hours)
+        fast = shortfall_metrics(ShortfallFunctionals(fleet), net, n_hours)
         exact = compute_metrics(balance_distribution(fleet, net), n_hours)
         assert fast.p_shortfall == pytest.approx(exact.p_shortfall, rel=1e-9, abs=1e-12)
         assert fast.lole_hours == pytest.approx(exact.lole_hours, rel=1e-9, abs=1e-12)
@@ -147,14 +141,14 @@ class TestShortfallFunctionalsProperty:
     def test_atoms_above_the_fleet_use_its_mean(self):
         # X is 0 or 10 MW with equal odds; V = 12 MW: E[(V - X)+] = 12 - E[X] = 7
         fleet = two_atom(0, 0.5, 10)
-        m = ShortfallFunctionals(fleet).metrics(point_mass(12.0), 1)
+        m = shortfall_metrics(ShortfallFunctionals(fleet), point_mass(12.0), 1)
         assert m.p_shortfall == 1.0
         assert m.eeu_mwh == pytest.approx(7.0, rel=1e-15)
 
 
 def one_season_metrics(trace, fleet, kind):
-    """One season's metrics by the production path: model, discretize, functionals."""
-    return ShortfallFunctionals(fleet).metrics(discretize(build_model(trace, kind)), trace.n_hours)
+    """One season's metrics by the definition: model, discretize, functionals."""
+    return shortfall_metrics(ShortfallFunctionals(fleet), discretize(build_model(trace, kind)), trace.n_hours)
 
 
 class TestSeasonRisk:
@@ -212,16 +206,16 @@ class TestMonotonicity:
 class TestLongRunMean:
     def test_published_lole_values(self):
         values = [2.82, 2.22, 4.02, 16.77, 1.92, 7.69, 0.15]
-        metrics = [RiskMetrics.from_lole_eeu(v, 0.0, 3528) for v in values]
+        metrics = [from_lole_eeu(v, 0.0, 3528) for v in values]
         assert long_run_mean(metrics).lole_hours == pytest.approx(5.08, abs=0.005)
 
     def test_published_eeu_values(self):
         values_gwh = [2.81, 2.12, 4.15, 24.01, 1.95, 9.16, 0.10]
-        metrics = [RiskMetrics.from_lole_eeu(0.0, v * 1000.0, 3528) for v in values_gwh]
+        metrics = [from_lole_eeu(0.0, v * 1000.0, 3528) for v in values_gwh]
         assert long_run_mean(metrics).eeu_gwh == pytest.approx(6.33, abs=0.005)
 
     def test_single_season_identity(self):
-        m = RiskMetrics.from_lole_eeu(3.5, 4200.0, 3528)
+        m = from_lole_eeu(3.5, 4200.0, 3528)
         out = long_run_mean([m])
         assert out.lole_hours == m.lole_hours
         assert out.eeu_mwh == m.eeu_mwh
@@ -238,11 +232,11 @@ def season_metrics(demo_system):
     out = {}
     for q in (0.90, 0.95, 0.98):
         out[f"evt_{q}"] = [
-            fast.metrics(discretize(build_evt_model(t.net_demand_mw, q)), t.n_hours)
+            shortfall_metrics(fast, discretize(build_evt_model(t.net_demand_mw, q)), t.n_hours)
             for t in demo_system["traces"]
         ]
     out["hindcast"] = [
-        fast.metrics(discretize(build_hindcast_model(t.net_demand_mw)), t.n_hours)
+        shortfall_metrics(fast, discretize(build_hindcast_model(t.net_demand_mw)), t.n_hours)
         for t in demo_system["traces"]
     ]
     return out
@@ -277,7 +271,7 @@ class TestSystemLevelInvariants:
 def concatenated_evt_metrics(fleet, seasons, q, n_hours):
     """The definition: pool the drawn seasons, fit, discretize, read the functionals."""
     model = build_model(seasons, "evt", q)
-    return ShortfallFunctionals(fleet).metrics(discretize(model), n_hours), model.fit
+    return shortfall_metrics(ShortfallFunctionals(fleet), discretize(model), n_hours), model.fit
 
 
 class TestEvtMultiset:
@@ -313,6 +307,17 @@ class TestEvtMultiset:
         pooled = np.concatenate([traces[i].net_demand_mw for i in drawn])
         assert fit.threshold_u == np.quantile(pooled, q)
 
+    def test_fit_is_fit_threshold_excesses(self, demo_system):
+        # the fit, the scan and dnw fit each season as the study does, field for field
+        traces = demo_system["traces"]
+        sample = SeasonSample(ShortfallFunctionals(demo_system["fleet"]), traces, 3528)
+        draws = [*np.identity(len(traces)), np.ones(len(traces))]
+        for counts, values in zip(draws, [*(t.net_demand_mw for t in traces),
+                                          np.concatenate([t.net_demand_mw for t in traces])]):
+            for q in (0.90, 0.95, 0.98):
+                want = fit_threshold_excesses(values, select_threshold(values, q))
+                assert sample.metrics(counts, "evt", q)[1] == want
+
     def test_threshold_above_the_fleet(self, demo_system):
         # every value is past the fleet's top: P(Z < 0) = 1 and the whole tail
         # is read in closed form
@@ -334,7 +339,7 @@ class TestEvtMultiset:
 
     def test_negative_metrics_are_numerical_errors(self):
         with pytest.raises(NumericalError, match="non-negative"):
-            RiskMetrics.from_lole_eeu(1.0, -1e-9, 3528)
+            from_lole_eeu(1.0, -1e-9, 3528)
 
 
 class TestIndMultiset:

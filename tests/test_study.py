@@ -17,7 +17,7 @@ from adequacy.study import (
     run_full_study,
 )
 from adequacy.pmf import convolve
-from adequacy.risk import SeasonSample, ShortfallFunctionals, build_model
+from adequacy.risk import SeasonSample, ShortfallFunctionals
 from adequacy.uncertainty import (
     MAX_DROP_RATE,
     BootstrapConfig,
@@ -26,6 +26,7 @@ from adequacy.uncertainty import (
     season_bootstrap,
 )
 from helpers import make_trace
+from oracles import build_model, discretize, shortfall_metrics
 
 
 def tiny_config(**overrides):
@@ -164,7 +165,7 @@ class TestPooledClosedForms:
         seasons = [traces[i] for i in drawn]
         got = pipeline(seasons)
         model = build_model(seasons, kind, None)
-        want = functionals.metrics(dnw.discretize(model), n_hours)
+        want = shortfall_metrics(functionals, discretize(model), n_hours)
         rel = 1e-12 if kind == dnw.HINDCAST else 1e-9
         assert got["lole"] == pytest.approx(want.lole_hours, rel=rel)
         assert got["eeu"] == pytest.approx(want.eeu_mwh, rel=rel)
@@ -207,11 +208,11 @@ class TestOneSamplePerStudy:
         assert len(built) == 1
 
     def test_per_season_tables_build_no_models(self, demo_dataset_dir, tmp_path, monkeypatch):
-        # risk's computation: every value is read from the sample
+        # risk's computation: every value is read from the sample, and the
+        # survivor curves, the one place that models a season, are not drawn
         built = []
-        for name in ("build_evt_model", "build_hindcast_model", "build_independence_model"):
-            original = getattr(dnw, name)
-            monkeypatch.setattr(dnw, name, lambda *a, _f=original, **k: built.append(a) or _f(*a, **k))
+        original = dnw.survivor
+        monkeypatch.setattr(dnw, "survivor", lambda *a, **k: built.append(a) or original(*a, **k))
         cfg = self.config(demo_dataset_dir, tmp_path, include_pooled=False,
                           model_kinds=(dnw.HINDCAST, dnw.INDEPENDENCE))
         study.run_study_computation(cfg)
