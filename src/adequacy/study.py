@@ -70,6 +70,8 @@ class RunConfig:
 
     def __post_init__(self):
         self.window()  # raises ConfigError on a bad window
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} is negative; seeds are non-negative integers")
         try:
             self.bootstrap(self.seed)
         except ValueError as exc:
@@ -416,7 +418,7 @@ def write_qq_csv(fit: evt.GpdFit, values, path: Path) -> Path:
     excesses = values[values > fit.threshold_u] - fit.threshold_u
     points = evt.qq_points(fit, excesses)
     lines = ["model_mw,empirical_mw"]
-    lines.extend(f"{m!r},{e!r}" for m, e in points)
+    lines.extend(f"{float(m)!r},{float(e)!r}" for m, e in points)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

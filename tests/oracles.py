@@ -4,6 +4,8 @@ The model of the concatenated seasons (``build_model``) on the 1 MW grid
 (``discretize``), convolved with the fleet (``balance_distribution``,
 ``compute_metrics``), defines every LoLE/EEU ``risk.SeasonSample`` reads;
 ``shortfall_metrics`` reads the same pmf through ``ShortfallFunctionals``.
+``resample_indices`` draws the bootstrap index matrix one numpy generator per
+row, the stream ``uncertainty.resample_indices`` reproduces.
 """
 
 from __future__ import annotations
@@ -225,3 +227,13 @@ def gpd_loglik(params: evt.GpdParams, excesses) -> float:
     if z.min() <= -1.0:
         return -np.inf
     return -y.size * np.log(sigma) - (1.0 + 1.0 / xi) * np.log1p(z).sum()
+
+
+def resample_indices(n: int, replications: int, seed) -> np.ndarray:
+    """Row r is numpy's Generator(PCG64(SeedSequence((*seed, r)))).integers(0, n, n)."""
+    base = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
+    out = np.empty((replications, n), dtype=np.int64)
+    for r in range(replications):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(base + (r,))))
+        out[r] = rng.integers(0, n, size=n)
+    return out

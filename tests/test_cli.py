@@ -82,6 +82,27 @@ class TestFitCommand:
         assert scan[0] == "threshold_mw,sigma,xi,sigma_star,se_sigma,se_xi,n_exceed"
         assert len(scan) == 6  # 44000..48000 step 1000
 
+    def test_qq_csvs_hold_numbers(self, demo_dataset_dir, tmp_path, capsys):
+        traces = str(demo_dataset_dir["traces"])
+        code, _, err = run_cli(
+            capsys,
+            "study", "--traces", traces, "--fleet", str(demo_dataset_dir["fleet"]),
+            "--models", "evt", "--threshold-quantiles", "0.95",
+            "--reps", "100", "--seed", "1", "--quiet", "--out", str(tmp_path),
+        )
+        assert code == 0, err
+        code, _, err = run_cli(capsys, "fit", "--traces", traces, "--season", "2007-08",
+                               "--out", str(tmp_path / "fit"))
+        assert code == 0, err
+        paths = sorted(tmp_path.glob("qq_*_q95.csv")) + [tmp_path / "fit" / "qq_2007-08.csv"]
+        assert len(paths) == 8
+        for path in paths:
+            header, *rows = path.read_text().splitlines()
+            assert header == "model_mw,empirical_mw"
+            assert rows
+            for row in rows:
+                assert [float(field) for field in row.split(",")], (path.name, row)
+
     def test_bad_scan_spec_is_config_error(self, demo_dataset_dir, tmp_path, capsys):
         code, _, err = run_cli(
             capsys,
@@ -260,6 +281,9 @@ class TestInvalidSettings:
         ("ingest", ["--span", "1.5"], None),
         ("fit", ["--threshold-quantile", "1.5"], None),
         ("dnw", ["--model", "evt", "--threshold-quantile", "1.5"], None),
+        ("study", ["--seed", "-5"], None),
+        ("risk", ["--seed", "-5"], None),
+        ("uncertainty", ["--seed", "-5"], None),
     ])
     def test_exits_2(self, demo_dataset_dir, tmp_path, capsys, command, extra, config):
         if config is not None:

@@ -9,11 +9,13 @@ from adequacy.uncertainty import (
     MAX_DROP_RATE,
     BootstrapConfig,
     ConfidenceInterval,
+    _bounded,
     block_bootstrap,
     percentile_interval,
     resample_indices,
     season_bootstrap,
 )
+import oracles
 
 PUBLISHED_LOLE = [2.82, 2.22, 4.02, 16.77, 1.92, 7.69, 0.15]
 
@@ -51,6 +53,39 @@ class TestResampleIndices:
         assert cfg.indices(7) is idx
         np.testing.assert_array_equal(idx, resample_indices(7, 300, (4, 101, 2)))
         assert not idx.flags.writeable  # shared by every scheme run with cfg
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 28, 112])
+    @pytest.mark.parametrize("seed", [0, 2**40 + 3, (5, 101, 2), (1, 2**33, 3, 4, 5, 6)])
+    def test_port_matches_numpy_per_row(self, n, seed):
+        # keys: int 0, an int of two words, a study column key, and a key of
+        # seven words, longer than SeedSequence's pool of four
+        ported = resample_indices(n, 257, seed)
+        expected = oracles.resample_indices(n, 257, seed)
+        assert ported.dtype == expected.dtype and ported.shape == expected.shape
+        assert ported.tobytes() == expected.tobytes()
+
+    def test_port_matches_numpy_at_full_size(self):
+        ported = resample_indices(28, 10_000, (1, 101, 1))
+        assert ported.tobytes() == oracles.resample_indices(28, 10_000, (1, 101, 1)).tobytes()
+
+    def test_rejected_words_redraw_the_row_with_numpy(self):
+        # at n = 3, Lemire's draw rejects a word whose (w * 3) mod 2**32 is
+        # below (2**32 - 3) mod 3 = 1, so word 0 is rejected; word 2**31 maps to 1
+        words = np.full((4, 3), 2**31, dtype=np.uint64)
+        words[2, 1] = 0
+        out = _bounded(words, 3, (9, 101, 4))
+        np.testing.assert_array_equal(out[[0, 1, 3]], 1)
+        numpy_row = oracles.resample_indices(3, 3, (9, 101, 4))[2]
+        assert numpy_row.tolist() != [1, 0, 1]  # what the words alone would give
+        np.testing.assert_array_equal(out[2], numpy_row)
+
+    def test_negative_seed_is_rejected_as_numpy_does(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            np.random.SeedSequence((-5, 0))
+        with pytest.raises(ValueError, match="non-negative"):
+            resample_indices(7, 10, -5)
+        with pytest.raises(ValueError, match="non-negative"):
+            resample_indices(7, 10, (3, -1, 2))
 
     def test_uniformity_chi_square(self):
         idx = resample_indices(7, 143_000, seed=42)  # just over 1e6 draws
