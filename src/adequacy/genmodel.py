@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .ingest import _open_text, _require_columns
 from .pmf import DiscretePmf
 
 # probabilities below this are trimmed during convolution; cumulative trimmed
@@ -82,35 +83,32 @@ def load_fleet(path) -> list[GeneratingUnit]:
     if not path.exists():
         raise DataError(f"fleet file not found: {path}")
     units = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        missing = {"name", "capacity_mw", "availability"} - set(reader.fieldnames or ())
-        if missing:
-            raise DataError(f"{path}: missing required columns {sorted(missing)}")
-        for row in reader:
-            line = reader.line_num
-            name = (row.get("name") or "").strip()
-            if not name:
-                raise DataError(f"line {line}: unit without a name")
-            try:
-                cap = float(row.get("capacity_mw"))
-            except (TypeError, ValueError):
-                raise DataError(f"unit {name!r} (line {line}): bad capacity") from None
-            # the 1 MW grid is the contract: silent rounding would move LoLE
-            if not cap.is_integer() or cap <= 0:
-                raise DataError(
-                    f"unit {name!r} (line {line}): capacity must be a positive integer MW, "
-                    f"got {row.get('capacity_mw')!r}"
-                )
-            try:
-                avail = float(row.get("availability"))
-            except (TypeError, ValueError):
-                raise DataError(f"unit {name!r} (line {line}): bad availability") from None
-            if not 0.0 < avail <= 1.0:
-                raise DataError(
-                    f"unit {name!r} (line {line}): availability {avail} outside (0, 1]"
-                )
-            units.append(GeneratingUnit(name, int(cap), avail))
+    reader = csv.DictReader(_open_text(path))
+    _require_columns(reader.fieldnames, ("name", "capacity_mw", "availability"), path)
+    for row in reader:
+        line = reader.line_num
+        name = (row.get("name") or "").strip()
+        if not name:
+            raise DataError(f"line {line}: unit without a name")
+        try:
+            cap = float(row.get("capacity_mw"))
+        except (TypeError, ValueError):
+            raise DataError(f"unit {name!r} (line {line}): bad capacity") from None
+        # the 1 MW grid is the contract: silent rounding would move LoLE
+        if not cap.is_integer() or cap <= 0:
+            raise DataError(
+                f"unit {name!r} (line {line}): capacity must be a positive integer MW, "
+                f"got {row.get('capacity_mw')!r}"
+            )
+        try:
+            avail = float(row.get("availability"))
+        except (TypeError, ValueError):
+            raise DataError(f"unit {name!r} (line {line}): bad availability") from None
+        if not 0.0 < avail <= 1.0:
+            raise DataError(
+                f"unit {name!r} (line {line}): availability {avail} outside (0, 1]"
+            )
+        units.append(GeneratingUnit(name, int(cap), avail))
     if not units:
         raise DataError(f"{path}: no units")
     return units

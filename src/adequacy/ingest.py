@@ -4,12 +4,22 @@ The study works on one peak season per historical year (for GB-like systems,
 21 weeks from the last Sunday in October). Historical demand is mapped to the
 study season by a multiplicative factor derived from a Lowess fit to a
 long-run series of high-demand quantiles.
+
+A traces CSV is read in one numpy pass over its bytes: newline and comma
+positions give every field's byte range, labels are decoded once per distinct
+value, plain ``YYYY-MM-DDTHH:MM:SS`` timestamps are converted by integer
+arithmetic and numbers are parsed as one fixed-width byte array. A file that
+pass cannot read exactly as ``csv.reader`` would (a quote, a NUL, a lone
+carriage return, invalid UTF-8, a ragged line, an over-wide field) or that
+holds any faulty field is read again by ``csv.reader``, which reports the first
+faulty row by its line number.
 """
 
 from __future__ import annotations
 
 import calendar
 import csv
+import io
 import re
 import warnings
 from dataclasses import dataclass, field, replace
@@ -21,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 import numpy.ma  # noqa: F401  np.median loads it: at import, not inside a run
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 
@@ -150,7 +161,27 @@ def _parse_float(raw: str, what: str, line_num: int) -> float:
 def _require_columns(fieldnames, required, path):
     missing = set(required) - set(fieldnames or ())
     if missing:
-        raise DataError(f"{path}: missing required columns {sorted(missing)}")
+        raise DataError(
+            f"{path}: missing required columns {sorted(missing)}; "
+            f"header has {list(fieldnames or ())}"
+        )
+
+
+def _open_text(path: Path) -> io.StringIO:
+    """A CSV file's text, UTF-8 with an optional byte order mark, for csv.reader.
+
+    A byte that is not UTF-8 is a DataError naming the file, the line (lines
+    end at LF, CR LF or a lone CR, as csv.reader counts them) and the byte.
+    """
+    data = path.read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8-sig"), newline="")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise DataError(
+            f"{path}: line {line}: byte {data[exc.start]:#04x} is not UTF-8"
+        ) from None
 
 
 # rows parsed per batch: column-wise parsing holds a batch's strings in memory,
@@ -158,11 +189,18 @@ def _require_columns(fieldnames, required, path):
 _CHUNK_ROWS = 1 << 14
 _HOUR_US = 3_600_000_000
 _DAY_US = 24 * _HOUR_US
-# the one timestamp form numpy parses exactly as datetime.fromisoformat does:
-# a digit wherever the template has a 0, and not year 0000; anything else
-# (offsets, Z, a space separator, fractions) takes the slow path
-_PLAIN_ISO = np.array("0000-00-00T00:00:00").reshape(1).view(np.uint32)
-_PLAIN_DIGIT = _PLAIN_ISO == ord("0")
+# the one timestamp form converted by integer arithmetic: a digit wherever the
+# template has a 0; anything else (offsets, Z, a space separator, fractions)
+# takes datetime.fromisoformat
+_PLAIN_ISO = np.frombuffer(b"0000-00-00T00:00:00", dtype=np.uint8)
+# a character minus the template's, in unsigned arithmetic, is at most this
+# where it fits: a digit 0-9 at a 0, the template's own character elsewhere
+_PLAIN_SLACK = np.where(_PLAIN_ISO == ord("0"), 9, 0).astype(np.uint8)
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_BOM = b"\xef\xbb\xbf"
+# widest label or number field the byte pass copies into a matrix: one long
+# field would otherwise widen every row's copy
+_MAX_FIELD_BYTES = 64
 
 
 def _field(row: list[str], index: int) -> str | None:
@@ -182,37 +220,54 @@ def _check_row(row: list[str], line: int, index: dict[str, int]) -> None:
         raise DataError(f"line {line}: negative demand or wind")
 
 
-def _parse_timestamps(texts: list[str]) -> np.ndarray | None:
-    """Stripped ISO timestamps as naive-UTC datetime64[us]; None if one is bad.
+def _plain_stamps(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of 19 character codes as microseconds since 1970, and which are valid.
 
-    Plain ``YYYY-MM-DDTHH:MM:SS`` text goes through numpy's parser and is kept
-    where it formats back to the same text. Every other entry is parsed by
-    ``datetime.fromisoformat`` (via _parse_timestamp), which also converts
-    offsets to UTC; no text with an offset reaches numpy.
+    A valid row is a ``YYYY-MM-DDTHH:MM:SS`` stamp that datetime.fromisoformat
+    reads: year at least 1, a day that exists in its month (leap years
+    included), hour below 24, minute and second below 60. The days are counted
+    by the proleptic Gregorian civil-to-days formula (Hinnant's
+    ``days_from_civil``); an invalid row's value is meaningless.
     """
-    out = np.empty(len(texts), dtype="datetime64[us]")
-    # only texts of the plain length become a fixed-width array: one long
-    # field must not widen the whole batch's
-    sized = [len(t) == _PLAIN_ISO.size for t in texts]
-    where = np.flatnonzero(sized)
-    candidates = np.array(list(compress(texts, sized)), dtype=f"U{_PLAIN_ISO.size}")
-    chars = candidates.view(np.uint32).reshape(-1, _PLAIN_ISO.size)
-    plain = np.where(_PLAIN_DIGIT, chars - ord("0") <= 9, chars == _PLAIN_ISO).all(axis=1)
-    plain &= (chars[:, :4] != ord("0")).any(axis=1)
-    where, candidates = where[plain], candidates[plain]
-    try:
-        parsed = candidates.astype("datetime64[s]")
-    except ValueError:  # e.g. hour 24 or 31 November: leave them all to the slow path
-        where = where[:0]
-    else:
-        same = np.datetime_as_string(parsed, unit="s") == candidates
-        where = where[same]
-        out[where] = parsed[same]
-    slow = np.ones(len(texts), dtype=bool)
-    slow[where] = False
+    ok = (chars - _PLAIN_ISO <= _PLAIN_SLACK).all(axis=1)
+
+    def number(lo, hi):
+        value = np.zeros(len(chars), dtype=np.int64)
+        for i in range(lo, hi):
+            value = value * 10 + chars[:, i] - ord("0")
+        return value
+
+    year, month, day = number(0, 4), number(5, 7), number(8, 10)
+    hour, minute, second = number(11, 13), number(14, 16), number(17, 19)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.clip(month, 1, 12) - 1] + (leap & (month == 2))
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+    ok &= (hour < 24) & (minute < 60) & (second < 60)
+    y = year - (month <= 2)  # count years from March: a leap day ends its year
+    era = y // 400
+    year_of_era = y - era * 400
+    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = (era * 146_097 + year_of_era * 365 + year_of_era // 4 - year_of_era // 100
+            + day_of_year - 719_468)
+    return (((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000, ok
+
+
+def _parse_timestamps(n: int, where: np.ndarray, chars: np.ndarray, text) -> np.ndarray | None:
+    """n timestamps as naive-UTC datetime64[us]; None if one is bad.
+
+    Rows ``where``, whose characters are the rows of ``chars``, are converted
+    by _plain_stamps where they are plain and valid. Every other row's text,
+    ``text(i)``, is parsed by ``datetime.fromisoformat`` (via
+    _parse_timestamp), which also converts offsets to UTC.
+    """
+    out = np.empty(n, dtype="datetime64[us]")
+    us, ok = _plain_stamps(chars)
+    out[where[ok]] = us[ok].view("datetime64[us]")
+    slow = np.ones(n, dtype=bool)
+    slow[where[ok]] = False
     for i in np.flatnonzero(slow):
         try:
-            out[i] = _parse_timestamp(texts[i], 0)
+            out[i] = _parse_timestamp(text(i), 0)
         except DataError:
             return None
     return out
@@ -244,7 +299,12 @@ def _parse_chunk(rows, lines, index, codes_of):
         labels = None
     ts = demand = wind = None
     if labels is not None and all(labels):
-        ts = _parse_timestamps(stamps)
+        # only texts of the plain length become a fixed-width array: one long
+        # field must not widen the whole batch's
+        sized = [len(t) == _PLAIN_ISO.size for t in stamps]
+        plain = np.array(list(compress(stamps, sized)), dtype=f"U{_PLAIN_ISO.size}")
+        chars = plain.view(np.uint32).reshape(-1, _PLAIN_ISO.size)
+        ts = _parse_timestamps(len(stamps), np.flatnonzero(sized), chars, stamps.__getitem__)
         demand = _parse_floats(columns[2])
         wind = _parse_floats(columns[3])
     if ts is None or demand is None or wind is None or (demand < 0.0).any() or (wind < 0.0).any():
@@ -257,30 +317,158 @@ def _parse_chunk(rows, lines, index, codes_of):
     return codes, ts, demand, wind
 
 
-def _read_columns(path: Path):
-    """All rows of a traces CSV as (label -> code, code, timestamp, demand, wind)."""
+def _no_rows():
+    return {}, *(np.empty(0, dtype=d) for d in ("int64", "datetime64[us]", float, float))
+
+
+def _read_csv(path: Path):
+    """_read_columns by csv.reader, in batches of _CHUNK_ROWS rows."""
     codes_of: dict[str, int] = {}
     parts = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        _require_columns(header, TRACE_COLUMNS, path)
-        # a repeated column name reads its last occurrence, as csv.DictReader does
-        index = {name: i for i, name in enumerate(header)}
-        rows, lines = [], []
-        for row in reader:
-            if not row:
-                continue  # blank line
-            rows.append(row)
-            lines.append(reader.line_num)
-            if len(rows) == _CHUNK_ROWS:
-                parts.append(_parse_chunk(rows, lines, index, codes_of))
-                rows, lines = [], []
-        if rows:
+    reader = csv.reader(_open_text(path))
+    header = next(reader, None)
+    _require_columns(header, TRACE_COLUMNS, path)
+    # a repeated column name reads its last occurrence, as csv.DictReader does
+    index = {name: i for i, name in enumerate(header)}
+    rows, lines = [], []
+    for row in reader:
+        if not row:
+            continue  # blank line
+        rows.append(row)
+        lines.append(reader.line_num)
+        if len(rows) == _CHUNK_ROWS:
             parts.append(_parse_chunk(rows, lines, index, codes_of))
+            rows, lines = [], []
+    if rows:
+        parts.append(_parse_chunk(rows, lines, index, codes_of))
     if not parts:
-        return codes_of, *(np.empty(0, dtype=d) for d in ("int64", "datetime64[us]", float, float))
+        return _no_rows()
     return codes_of, *(np.concatenate(column) for column in zip(*parts))
+
+
+def _gather(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """Fields buf[lo:hi] as the rows of a zero-padded uint8 matrix.
+
+    None if a field is empty or wider than _MAX_FIELD_BYTES.
+    """
+    lengths = hi - lo
+    width = int(lengths.max())
+    if width > _MAX_FIELD_BYTES or not lengths.all():
+        return None
+    last = buf.size - width  # a field starting after it has fewer than width bytes left
+    rows = sliding_window_view(buf, width)[np.minimum(lo, last)]
+    for i in np.flatnonzero(lo > last):
+        rows[i, : lengths[i]] = buf[lo[i] : hi[i]]
+    rows *= np.arange(width) < lengths[:, None]
+    return rows
+
+
+def _scan_labels(buf, lo, hi):
+    """Season labels as (label -> code, code per row), codes in order of first
+    appearance; None if a label is empty once stripped."""
+    rows = _gather(buf, lo, hi)
+    if rows is None:
+        return None
+    keys = rows.view(f"S{rows.shape[1]}").ravel()  # an S value drops the zero padding
+    raw, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    names = [label.decode().strip() for label in raw]
+    if not all(names):
+        return None
+    codes_of: dict[str, int] = {}
+    for i in np.argsort(first):  # labels equal once stripped share the first one's code
+        codes_of.setdefault(names[i], len(codes_of))
+    return codes_of, np.array([codes_of[name] for name in names], dtype=np.int64)[inverse]
+
+
+def _scan_floats(buf, lo, hi):
+    """Non-negative finite floats by Python's float() grammar; None if one is not."""
+    rows = _gather(buf, lo, hi)
+    if rows is None or (rows >= 0x80).any():  # float() reads non-ASCII digits; bytes do not
+        return None
+    try:
+        values = rows.view(f"S{rows.shape[1]}").ravel().astype(float)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all() or (values < 0.0).any():
+        return None
+    return values
+
+
+def _scan_bytes(data: bytes):
+    """_read_columns in one numpy pass over the file's bytes; None to decline.
+
+    Lines end at LF, a CR before it is dropped, and empty lines are skipped.
+    Every data line must hold the header's comma count, so the commas give each
+    field's byte range. Labels and numbers are copied into fixed-width byte
+    matrices (_gather), labels are read once per distinct value, and plain
+    timestamps are converted by integer arithmetic (_plain_stamps). The pass
+    declines a file csv.reader would read differently (a quote, a NUL, a CR
+    not before LF, bytes that are not UTF-8, a ragged line, an empty header
+    line or missing columns) and one with a faulty field or a field wider than
+    _MAX_FIELD_BYTES; the csv path then reads it, and reports any fault.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8, offset=len(_BOM) if data.startswith(_BOM) else 0)
+    if buf.size and buf.max() >= 0x80:
+        try:
+            data.decode("utf-8-sig")
+        except UnicodeDecodeError:
+            return None
+    if (buf == ord('"')).any() or not buf.all():
+        return None
+    newlines = np.flatnonzero(buf == ord("\n"))
+    returns = np.flatnonzero(buf == ord("\r"))
+    if returns.size and (returns[-1] + 1 == buf.size or (buf[returns + 1] != ord("\n")).any()):
+        return None
+    starts = np.concatenate(([0], newlines + 1))
+    ends = np.append(newlines, buf.size)
+    ends[np.searchsorted(newlines, returns + 1)] -= 1
+    if ends[0] == 0:
+        return None  # csv.reader reads an empty first line as an empty header
+    full = ends > starts
+    starts, ends = starts[full], ends[full]
+    header = buf[: ends[0]].tobytes().decode().split(",")
+    if not set(TRACE_COLUMNS) <= set(header):
+        return None
+    index = {name: i for i, name in enumerate(header)}  # the last occurrence wins
+    commas = np.flatnonzero(buf == ord(","))
+    k = len(header) - 1
+    if (np.searchsorted(commas, ends) - np.searchsorted(commas, starts) != k).any():
+        return None
+    if starts.size == 1:
+        return _no_rows()
+    cuts = commas.reshape(-1, k)[1:]
+    starts, ends = starts[1:], ends[1:]
+
+    def span(name):
+        j = index[name]
+        return (starts if j == 0 else cuts[:, j - 1] + 1), (ends if j == k else cuts[:, j])
+
+    labels = _scan_labels(buf, *span("season"))
+    if labels is None:
+        return None
+    lo, hi = span("timestamp")
+    where = np.flatnonzero(hi - lo == _PLAIN_ISO.size)
+    chars = sliding_window_view(buf, _PLAIN_ISO.size)[lo[where]]
+    ts = _parse_timestamps(lo.size, where, chars, lambda i: buf[lo[i] : hi[i]].tobytes().decode())
+    if ts is None:
+        return None
+    demand = _scan_floats(buf, *span("demand_mw"))
+    wind = None if demand is None else _scan_floats(buf, *span("wind_mw"))
+    if wind is None:
+        return None
+    return *labels, ts, demand, wind
+
+
+def _read_columns(path: Path):
+    """All rows of a traces CSV as (label -> code, code, timestamp, demand, wind).
+
+    One vectorised pass over the file's bytes reads it (_scan_bytes). A file
+    that pass declines is read by csv.reader (_read_csv), which raises the
+    first faulty row's DataError with its line number, so every message comes
+    from one path.
+    """
+    columns = _scan_bytes(path.read_bytes())
+    return _read_csv(path) if columns is None else columns
 
 
 def _iso(t: np.datetime64) -> str:
@@ -470,15 +658,14 @@ def load_quantile_history(path) -> list[tuple[str, float]]:
     if not path.exists():
         raise DataError(f"quantile history file not found: {path}")
     out = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader.fieldnames, QUANTILE_COLUMNS, path)
-        for row in reader:
-            line = reader.line_num
-            season = (row.get("season") or "").strip()
-            if not season:
-                raise DataError(f"line {line}: empty season label")
-            out.append((season, _parse_float(row.get("quantile_mw"), "quantile_mw", line)))
+    reader = csv.DictReader(_open_text(path))
+    _require_columns(reader.fieldnames, QUANTILE_COLUMNS, path)
+    for row in reader:
+        line = reader.line_num
+        season = (row.get("season") or "").strip()
+        if not season:
+            raise DataError(f"line {line}: empty season label")
+        out.append((season, _parse_float(row.get("quantile_mw"), "quantile_mw", line)))
     if not out:
         raise DataError(f"{path}: no quantile rows")
     return out

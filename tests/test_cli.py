@@ -44,6 +44,45 @@ class TestFleetCommand:
         assert "data error" in err
 
 
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 in any input is a data error (exit 3), not a traceback."""
+
+    @pytest.fixture
+    def latin1_inputs(self, demo_dataset_dir, tmp_path):
+        def copy(name, line):
+            path = tmp_path / f"{name}.csv"
+            lines = demo_dataset_dir[name].read_bytes().split(b"\n")
+            lines[line - 1] = lines[line - 1].replace(b",", b"\xe9,", 1)
+            path.write_bytes(b"\n".join(lines))
+            return path
+        return copy
+
+    @pytest.mark.parametrize("name, flag", [("traces", "--traces"), ("fleet", "--fleet"),
+                                            ("quantiles", "--quantiles")])
+    def test_risk_exits_3(self, demo_dataset_dir, latin1_inputs, tmp_path, capsys, name, flag):
+        inputs = {"traces": demo_dataset_dir["traces"], "fleet": demo_dataset_dir["fleet"],
+                  "quantiles": demo_dataset_dir["quantiles"]}
+        inputs[name] = latin1_inputs(name, 4)
+        code, _, err = run_cli(
+            capsys, "risk", "--traces", str(inputs["traces"]), "--fleet", str(inputs["fleet"]),
+            "--quantiles", str(inputs["quantiles"]), "--model", "hindcast", "--reps", "100",
+            "--seed", "1", "--out", str(tmp_path / "out"), "--quiet",
+        )
+        assert code == 3
+        assert err == f"data error: {inputs[name]}: line 4: byte 0xe9 is not UTF-8\n"
+
+    def test_study_manifest_names_the_byte(self, demo_dataset_dir, latin1_inputs, tmp_path, capsys):
+        traces = latin1_inputs("traces", 2)
+        outdir = tmp_path / "out"
+        code, _, _ = run_cli(
+            capsys, "study", "--traces", str(traces), "--fleet", str(demo_dataset_dir["fleet"]),
+            "--reps", "100", "--seed", "1", "--out", str(outdir), "--quiet",
+        )
+        assert code == 3
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["error"] == f"{traces}: line 2: byte 0xe9 is not UTF-8"
+
+
 class TestIngestCommand:
     def test_rescale_outputs(self, demo_dataset_dir, tmp_path, capsys):
         code, out, _ = run_cli(

@@ -135,6 +135,23 @@ class TestLoadFleet:
             ("gt1", 400, 0.93), ("hydro", 55, 0.97)
         ]
 
+    def test_non_utf8_is_data_error(self, tmp_path):
+        path = tmp_path / "fleet.csv"
+        path.write_bytes("name,capacity_mw,availability\ngt1,400,0.93\nturbin\u00e9,55,0.97\n"
+                         .encode("latin-1"))
+        with pytest.raises(DataError, match=r"fleet\.csv: line 3: byte 0xe9 is not UTF-8$"):
+            load_fleet(path)
+
+    def test_missing_column_shows_header(self, tmp_path):
+        path = tmp_path / "fleet.csv"
+        path.write_text("name, capacity_mw, availability\ngt1,400,0.93\n")
+        with pytest.raises(DataError) as excinfo:
+            load_fleet(path)
+        assert str(excinfo.value) == (
+            f"{path}: missing required columns ['availability', 'capacity_mw']; "
+            "header has ['name', ' capacity_mw', ' availability']"
+        )
+
 
 def test_fleet_summary():
     fleet = [GeneratingUnit("a", 100, 0.9), GeneratingUnit("b", 300, 0.8)]

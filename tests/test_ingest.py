@@ -1,5 +1,6 @@
+import re
 import warnings
-from datetime import timedelta
+from datetime import datetime, timedelta
 from unittest import mock
 
 import numpy as np
@@ -399,6 +400,235 @@ class TestLoaderEdgeCases:
         result = self.outcome(tmp_path, week, {i: "quoted_newline" for i in range(len(rows))})
         assert [season[0] for season in result] == ["2007-\n08"]
         assert result[0][1:] == self.outcome(tmp_path, week, {})[0][1:]
+
+
+def csv_bytes(lines, newline="\n", bom=False, final_newline=True):
+    text = newline.join(lines) + (newline if final_newline else "")
+    return (b"\xef\xbb\xbf" if bom else b"") + text.encode("utf-8")
+
+
+def csv_lines(rows, header=HEADER):
+    return [header] + [",".join(fields) for fields in rows]
+
+
+def shifted(stamp, hours):
+    return (np.datetime64(stamp) + np.timedelta64(hours, "h")).item().isoformat()
+
+
+def with_stamp(rows, i, stamp):
+    return [[*f[:1], stamp, *f[2:]] if j == i else f for j, f in enumerate(rows)]
+
+
+# whole files the byte pass reads itself; each maps [label, timestamp, demand,
+# wind] rows to the file's bytes
+BYTE_PASS_FILES = {
+    "plain": lambda rows: csv_bytes(csv_lines(rows)),
+    "crlf": lambda rows: csv_bytes(csv_lines(rows), newline="\r\n"),
+    "bom": lambda rows: csv_bytes(csv_lines(rows), bom=True),
+    "no_final_newline": lambda rows: csv_bytes(csv_lines(rows), final_newline=False),
+    "blank_lines": lambda rows: csv_bytes([HEADER, "", *csv_lines(rows)[1:], "", "\r"]),
+    "padded": lambda rows: csv_bytes(csv_lines([[f" {f} " for f in r] for r in rows])),
+    "reordered": lambda rows: csv_bytes(
+        ["wind_mw,timestamp,season,demand_mw"] + [",".join([r[3], r[1], r[0], r[2]]) for r in rows]
+    ),
+    "extra_column": lambda rows: csv_bytes(csv_lines([r + ["n/a"] for r in rows], HEADER + ",note")),
+    "repeated_column": lambda rows: csv_bytes(
+        csv_lines([["ignored", *r] for r in rows], "demand_mw," + HEADER)
+    ),
+    "zulu": lambda rows: csv_bytes(csv_lines([[r[0], r[1] + "Z", *r[2:]] for r in rows])),
+    "offset": lambda rows: csv_bytes(
+        csv_lines([[r[0], shifted(r[1], 1) + "+01:00", *r[2:]] for r in rows])
+    ),
+    "label_padded_and_not": lambda rows: csv_bytes(
+        csv_lines([[f" {r[0]}" if i % 3 else r[0], *r[1:]] for i, r in enumerate(rows)])
+    ),
+    "non_ascii_label": lambda rows: csv_bytes(csv_lines([[r[0] + " hiveré", *r[1:]] for r in rows])),
+}
+
+# whole files the byte pass declines, so csv.reader reads them
+CSV_PATH_FILES = {
+    "quoted": lambda rows: csv_bytes(csv_lines([[f'"{r[0]}"', *r[1:]] for r in rows])),
+    "lone_cr": lambda rows: csv_bytes(csv_lines(rows), newline="\r"),
+    "wide_label": lambda rows: csv_bytes(csv_lines([[r[0] + " " * 70, *r[1:]] for r in rows])),
+    "feb_29_2007": lambda rows: csv_bytes(csv_lines(with_stamp(rows, 5, "2007-02-29T00:00:00"))),
+    "nov_31": lambda rows: csv_bytes(csv_lines(with_stamp(rows, 5, "2007-11-31T00:00:00"))),
+    "hour_24": lambda rows: csv_bytes(csv_lines(with_stamp(rows, 5, "2007-10-28T24:00:00"))),
+    "year_0": lambda rows: csv_bytes(csv_lines(with_stamp(rows, 5, "0000-10-28T05:00:00"))),
+}
+
+# ROW_EDITS that make the byte pass decline: a faulty row, a ragged one or a quote
+CSV_PATH_EDITS = {"short", "extra_field", "nan", "inf_wind", "negative", "empty_label",
+                  "bad_float", "garbage_ts", "hour_24", "year_0", "quoted_newline"}
+
+
+class TestBytePass:
+    """Which files the byte pass reads, and that it reads them as csv.reader does."""
+
+    @pytest.fixture
+    def week(self):
+        return SeasonWindow(weeks=1)
+
+    @staticmethod
+    def outcome(path, window, **kwargs):
+        """load_traces' outcome, whether the csv path ran, and the row-by-row outcome."""
+        with mock.patch.object(ingest, "_read_csv", wraps=ingest._read_csv) as spy:
+            new = load_outcome(load_traces, path, window, **kwargs)
+        assert new == load_outcome(legacy_load_traces, path, window, **kwargs)
+        return new[0], spy.called
+
+    @pytest.mark.parametrize("variant", sorted(BYTE_PASS_FILES))
+    def test_byte_pass_reads(self, tmp_path, week, variant):
+        path = tmp_path / "traces.csv"
+        path.write_bytes(BYTE_PASS_FILES[variant](trace_rows(week, SEASONS[:2], seed=3)))
+        result, used_csv = self.outcome(path, week, installed_wind_mw=11_000.0)
+        assert not used_csv
+        assert len(result) == 2 and all(len(season[2]) == 168 for season in result)
+
+    @pytest.mark.parametrize("variant", sorted(CSV_PATH_FILES))
+    def test_csv_path_reads(self, tmp_path, week, variant):
+        path = tmp_path / "traces.csv"
+        path.write_bytes(CSV_PATH_FILES[variant](trace_rows(week, SEASONS[:2], seed=3)))
+        result, used_csv = self.outcome(path, week)
+        assert used_csv
+        if variant in ("quoted", "lone_cr", "wide_label"):
+            assert len(result) == 2
+        else:
+            assert result[0] == "DataError" and result[1].startswith("line 7: bad timestamp")
+
+    @pytest.mark.parametrize("edit", sorted(ROW_EDITS))
+    def test_row_edits(self, tmp_path, week, edit):
+        path = write_lines(tmp_path / "traces.csv", trace_rows(week, SEASONS[:1]), {5: edit})
+        assert self.outcome(path, week)[1] == (edit in CSV_PATH_EDITS)
+
+    def test_leap_day(self, tmp_path):
+        window = SeasonWindow(weeks=1, anchor_rule="last Monday in February")
+        path = tmp_path / "traces.csv"
+        path.write_bytes(csv_bytes(csv_lines(trace_rows(window, ["2008-09"]))))
+        [season], used_csv = self.outcome(path, window)
+        assert not used_csv
+        assert datetime(2008, 2, 29, 23) in season[2]
+
+    def test_labels_merged_in_order_of_first_appearance(self, tmp_path, week):
+        rows = trace_rows(week, SEASONS[:2], margin=0)
+        rows = [[" 2008-09 " if r[0] == "2008-09" else r[0], *r[1:]] for r in rows[::-1]]
+        rows[5][0] = "2008-09"
+        path = tmp_path / "traces.csv"
+        path.write_bytes(csv_bytes(csv_lines(rows)))
+        via_bytes = ingest._read_columns(path)
+        via_csv = ingest._read_csv(path)
+        assert list(via_bytes[0].items()) == list(via_csv[0].items()) == [("2008-09", 0), ("2007-08", 1)]
+        for a, b in zip(via_bytes[1:], via_csv[1:]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_header_only(self, tmp_path, week):
+        path = tmp_path / "traces.csv"
+        path.write_bytes(csv_bytes([HEADER]))
+        assert self.outcome(path, week) == ([], False)
+
+
+PLAIN_STAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d", re.ASCII)
+
+
+def numpy_stamp(text):
+    """µs since 1970 as numpy parses a plain stamp that formats back to the
+    same text and is not in year 0 (fromisoformat's first year is 1); None
+    otherwise."""
+    if not PLAIN_STAMP.fullmatch(text) or text.startswith("0000"):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            value = np.datetime64(text, "s")
+        except ValueError:
+            return None
+    if np.datetime_as_string(value, unit="s") != text:
+        return None
+    return int(value.astype("datetime64[us]").astype(np.int64))
+
+
+class TestPlainStamps:
+    @staticmethod
+    def stamps(seed, n=4000):
+        rng = np.random.default_rng(seed)
+        fields = zip(rng.integers(0, 10_000, n), rng.integers(0, 14, n), rng.integers(0, 33, n),
+                     rng.integers(0, 26, n), rng.integers(0, 62, n), rng.integers(0, 62, n))
+        texts = [f"{y:04d}-{mo:02d}-{d:02d}T{h:02d}:{mi:02d}:{s:02d}" for y, mo, d, h, mi, s in fields]
+        for i in rng.choice(n, n // 4, replace=False):  # one character replaced
+            at = rng.integers(0, 19)
+            texts[i] = texts[i][:at] + chr(rng.integers(32, 127)) + texts[i][at + 1:]
+        years = (0, 1, 4, 100, 400, 1600, 1700, 1900, 1970, 2000, 2004, 2007, 2100, 2400, 9999)
+        texts += [f"{y:04d}-02-{d:02d}T12:00:00" for y in years for d in (28, 29, 30)]
+        texts += [f"{y:04d}-{mo:02d}-{d:02d}T00:00:00" for y in (1969, 1970, 2007)
+                  for mo in range(1, 13) for d in (1, 30, 31)]
+        return texts
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_numpy_parse_and_round_trip(self, seed):
+        texts = self.stamps(seed)
+        expected = [numpy_stamp(t) for t in texts]
+        chars = np.frombuffer("".join(texts).encode(), dtype=np.uint8).reshape(-1, 19)
+        us, ok = ingest._plain_stamps(chars)
+        assert ok.tolist() == [e is not None for e in expected]
+        assert us[ok].tolist() == [e for e in expected if e is not None]
+        assert 0.4 < ok.mean() < 0.8  # both valid and invalid stamps are drawn
+        wide = np.array(texts, dtype="U19").view(np.uint32).reshape(-1, 19)
+        us_wide, ok_wide = ingest._plain_stamps(wide)
+        assert ok_wide.tolist() == ok.tolist() and us_wide[ok].tolist() == us[ok].tolist()
+
+    def test_valid_stamps_are_fromisoformat(self):
+        texts = self.stamps(3)
+        chars = np.frombuffer("".join(texts).encode(), dtype=np.uint8).reshape(-1, 19)
+        us, ok = ingest._plain_stamps(chars)
+        epoch = datetime(1970, 1, 1)
+        for text, value in zip(np.array(texts)[ok], us[ok]):
+            assert (datetime.fromisoformat(text) - epoch) // timedelta(microseconds=1) == value
+
+
+def latin1_file(path, lines):
+    path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+    return path
+
+
+class TestEncodingAndHeaderErrors:
+    def test_non_utf8_traces(self, tmp_path, small_window):
+        lines = csv_lines(trace_rows(small_window, SEASONS[:1], margin=0))
+        lines[2] = lines[2].replace("2007-08", "2007-08é", 1)
+        path = latin1_file(tmp_path / "traces.csv", lines)
+        with pytest.raises(DataError, match=r"traces\.csv: line 3: byte 0xe9 is not UTF-8$"):
+            load_traces(path, small_window)
+
+    def test_non_utf8_quantile_history(self, tmp_path):
+        path = latin1_file(tmp_path / "q.csv", ["season,quantile_mw", "2007-08,1.0", "2008-09é,2.0"])
+        with pytest.raises(DataError, match=r"q\.csv: line 3: byte 0xe9 is not UTF-8$"):
+            load_quantile_history(path)
+
+    def test_line_counts_every_line_ending(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_bytes(b"season,quantile_mw\r\n2007-08,1.0\r2008-09,2.0\n\n2009-10\xff,3.0\n")
+        with pytest.raises(DataError, match=r"line 5: byte 0xff is not UTF-8$"):
+            load_quantile_history(path)
+
+    def test_missing_column_shows_header(self, tmp_path, small_window):
+        path = tmp_path / "traces.csv"
+        path.write_text("season, timestamp, demand_mw, wind_mw\n2007-08,2007-10-28T00:00:00,1,1\n")
+        with pytest.raises(DataError) as excinfo:
+            load_traces(path, small_window)
+        assert str(excinfo.value) == (
+            f"{path}: missing required columns ['demand_mw', 'timestamp', 'wind_mw']; "
+            "header has ['season', ' timestamp', ' demand_mw', ' wind_mw']"
+        )
+
+    def test_quantile_history_missing_column_shows_header(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text("season,quantile\n2007-08,1.0\n")
+        with pytest.raises(DataError, match=r"\['quantile_mw'\]; header has \['season', 'quantile'\]$"):
+            load_quantile_history(path)
+
+    def test_empty_file_header(self, tmp_path, small_window):
+        path = tmp_path / "traces.csv"
+        path.write_bytes(b"")
+        with pytest.raises(DataError, match=r"; header has \[\]$"):
+            load_traces(path, small_window)
 
 
 class TestDailyPeakQuantile:
