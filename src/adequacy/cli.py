@@ -18,7 +18,6 @@ from . import __version__, dnw, evt
 from .errors import ConfigError, DataError, NumericalError
 from .genmodel import fleet_summary, load_fleet
 from .ingest import SeasonWindow, load_quantile_history, load_traces
-from .risk import SeasonSample, ShortfallFunctionals
 from .study import (
     RunConfig,
     check_rescale_settings,
@@ -28,6 +27,7 @@ from .study import (
     rescale_traces,
     run_full_study,
     run_study_computation,
+    write_factors_csv,
     write_qq_csv,
     write_scan_csv,
     write_survivor_csv,
@@ -65,8 +65,12 @@ def _read_config_file(path) -> dict:
         values = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError) as exc:  # a directory, bytes that are not UTF-8, bad JSON
         raise ConfigError(f"config file {path}: {exc}") from None
+    if not isinstance(values, dict):
+        raise ConfigError(
+            f"config file {path}: expected a JSON object, got {type(values).__name__}"
+        )
     unknown = set(values) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"config file has unknown keys {sorted(unknown)}")
@@ -132,11 +136,7 @@ def cmd_ingest(args) -> int:
         for trace in traces:
             for ts, d, w in zip(trace.timestamps.astype(object), trace.demand_mw, trace.wind_mw):
                 fh.write(f"{trace.season_label},{ts.isoformat()},{float(d)!r},{float(w)!r}\n")
-    factors_path = outdir / "rescale_factors.csv"
-    factors_path.write_text(
-        "season,factor\n" + "".join(f"{s},{f!r}\n" for s, f in factors.items()),
-        encoding="utf-8",
-    )
+    factors_path = write_factors_csv(factors, outdir / "rescale_factors.csv")
     for trace in traces:
         print(f"{trace.season_label}: {trace.n_hours} hours, factor {factors[trace.season_label]:.4f}")
     print(f"wrote {path} and {factors_path}")
@@ -217,8 +217,8 @@ def cmd_uncertainty(args) -> int:
     cfg = _run_config(args, model_kinds=(_KIND_ALIASES[args.model],),
                       threshold_quantiles=(args.threshold_quantile,))
     _, kind, q = cfg.columns()[0]  # q is None unless the model is evt
-    traces, _, fleet = load_inputs(cfg)
-    sample = SeasonSample(ShortfallFunctionals(fleet), traces, cfg.window().expected_hours)
+    sample, _ = load_inputs(cfg)
+    traces = sample.seasons
     boot = cfg.bootstrap(seed=cfg.seed)
 
     def metric(counts) -> float:

@@ -8,7 +8,6 @@ the exact discrete convolution of the per-unit two-state distributions on the
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .ingest import _open_text, _require_columns
+from .ingest import _csv_rows
 from .pmf import DiscretePmf
 
 # probabilities below this are trimmed during convolution; cumulative trimmed
@@ -83,25 +82,22 @@ def load_fleet(path) -> list[GeneratingUnit]:
     if not path.exists():
         raise DataError(f"fleet file not found: {path}")
     units = []
-    reader = csv.DictReader(_open_text(path))
-    _require_columns(reader.fieldnames, ("name", "capacity_mw", "availability"), path)
-    for row in reader:
-        line = reader.line_num
-        name = (row.get("name") or "").strip()
+    for line, row in _csv_rows(path, ("name", "capacity_mw", "availability")):
+        name = (row["name"] or "").strip()
         if not name:
             raise DataError(f"line {line}: unit without a name")
         try:
-            cap = float(row.get("capacity_mw"))
+            cap = float(row["capacity_mw"])
         except (TypeError, ValueError):
             raise DataError(f"unit {name!r} (line {line}): bad capacity") from None
         # the 1 MW grid is the contract: silent rounding would move LoLE
         if not cap.is_integer() or cap <= 0:
             raise DataError(
                 f"unit {name!r} (line {line}): capacity must be a positive integer MW, "
-                f"got {row.get('capacity_mw')!r}"
+                f"got {row['capacity_mw']!r}"
             )
         try:
-            avail = float(row.get("availability"))
+            avail = float(row["availability"])
         except (TypeError, ValueError):
             raise DataError(f"unit {name!r} (line {line}): bad availability") from None
         if not 0.0 < avail <= 1.0:

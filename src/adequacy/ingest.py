@@ -9,10 +9,11 @@ A traces CSV is read in one numpy pass over its bytes: newline and comma
 positions give every field's byte range, labels are decoded once per distinct
 value, plain ``YYYY-MM-DDTHH:MM:SS`` timestamps are converted by integer
 arithmetic and numbers are parsed as one fixed-width byte array. A file that
-pass cannot read exactly as ``csv.reader`` would (a quote, a NUL, a lone
+pass cannot read exactly as ``csv.DictReader`` would (a quote, a NUL, a lone
 carriage return, invalid UTF-8, a ragged line, an over-wide field) or that
-holds any faulty field is read again by ``csv.reader``, which reports the first
-faulty row by its line number.
+holds any faulty field is read again one ``csv.DictReader`` row at a time, and
+the first faulty row is reported by its line number. The fleet and quantile
+history CSVs are read by that row loop too (``_csv_rows``).
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ import re
 import warnings
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
-from itertools import compress
 from math import ceil
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -158,35 +157,36 @@ def _parse_float(raw: str, what: str, line_num: int) -> float:
     return value
 
 
-def _require_columns(fieldnames, required, path):
-    missing = set(required) - set(fieldnames or ())
-    if missing:
-        raise DataError(
-            f"{path}: missing required columns {sorted(missing)}; "
-            f"header has {list(fieldnames or ())}"
-        )
+def _csv_rows(path: Path, columns):
+    """(line number, row) for each row of a CSV file, by csv.DictReader.
 
-
-def _open_text(path: Path) -> io.StringIO:
-    """A CSV file's text, UTF-8 with an optional byte order mark, for csv.reader.
-
-    A byte that is not UTF-8 is a DataError naming the file, the line (lines
-    end at LF, CR LF or a lone CR, as csv.reader counts them) and the byte.
+    The file is UTF-8 with an optional byte order mark, and its header must
+    name every one of ``columns``. A byte that is not UTF-8 is a DataError
+    naming the file, the line (lines end at LF, CR LF or a lone CR, as
+    csv.reader counts them) and the byte; a missing column is one showing the
+    header as read. A row's missing fields read as None, and line numbers are
+    those of the row's last line.
     """
     data = path.read_bytes()
     try:
-        return io.StringIO(data.decode("utf-8-sig"), newline="")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         head = data[: exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise DataError(
             f"{path}: line {line}: byte {data[exc.start]:#04x} is not UTF-8"
         ) from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    header = reader.fieldnames or []
+    missing = set(columns) - set(header)
+    if missing:
+        raise DataError(
+            f"{path}: missing required columns {sorted(missing)}; header has {header}"
+        )
+    for row in reader:
+        yield reader.line_num, row
 
 
-# rows parsed per batch: column-wise parsing holds a batch's strings in memory,
-# and the whole file's would cost tens of MB on long histories
-_CHUNK_ROWS = 1 << 14
 _HOUR_US = 3_600_000_000
 _DAY_US = 24 * _HOUR_US
 # the one timestamp form converted by integer arithmetic: a digit wherever the
@@ -201,23 +201,6 @@ _BOM = b"\xef\xbb\xbf"
 # widest label or number field the byte pass copies into a matrix: one long
 # field would otherwise widen every row's copy
 _MAX_FIELD_BYTES = 64
-
-
-def _field(row: list[str], index: int) -> str | None:
-    """A row's field as csv.DictReader gives it: None when the row is short."""
-    return row[index] if index < len(row) else None
-
-
-def _check_row(row: list[str], line: int, index: dict[str, int]) -> None:
-    """Raise the DataError a faulty row earns, checking its fields in order."""
-    season = (_field(row, index["season"]) or "").strip()
-    if not season:
-        raise DataError(f"line {line}: empty season label")
-    _parse_timestamp(_field(row, index["timestamp"]) or "", line)
-    demand = _parse_float(_field(row, index["demand_mw"]), "demand_mw", line)
-    wind = _parse_float(_field(row, index["wind_mw"]), "wind_mw", line)
-    if demand < 0.0 or wind < 0.0:
-        raise DataError(f"line {line}: negative demand or wind")
 
 
 def _plain_stamps(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,98 +235,26 @@ def _plain_stamps(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000, ok
 
 
-def _parse_timestamps(n: int, where: np.ndarray, chars: np.ndarray, text) -> np.ndarray | None:
-    """n timestamps as naive-UTC datetime64[us]; None if one is bad.
-
-    Rows ``where``, whose characters are the rows of ``chars``, are converted
-    by _plain_stamps where they are plain and valid. Every other row's text,
-    ``text(i)``, is parsed by ``datetime.fromisoformat`` (via
-    _parse_timestamp), which also converts offsets to UTC.
-    """
-    out = np.empty(n, dtype="datetime64[us]")
-    us, ok = _plain_stamps(chars)
-    out[where[ok]] = us[ok].view("datetime64[us]")
-    slow = np.ones(n, dtype=bool)
-    slow[where[ok]] = False
-    for i in np.flatnonzero(slow):
-        try:
-            out[i] = _parse_timestamp(text(i), 0)
-        except DataError:
-            return None
-    return out
-
-
-def _parse_floats(texts: list[str | None]) -> np.ndarray | None:
-    """Finite floats with Python's float() grammar; None if one is bad."""
-    try:
-        values = np.array(list(map(float, texts)))
-    except (TypeError, ValueError):
-        return None
-    return values if np.isfinite(values).all() else None
-
-
-def _parse_chunk(rows, lines, index, codes_of):
-    """One batch of rows as (season code, timestamp, demand, wind) arrays.
-
-    Each column is parsed as a whole. If any row is faulty, the batch is
-    walked row by row to raise the first fault in file order.
-    """
-    try:
-        columns = [list(map(itemgetter(index[name]), rows)) for name in TRACE_COLUMNS]
-    except IndexError:  # a short row: its missing fields read as None
-        columns = [[_field(r, index[name]) for r in rows] for name in TRACE_COLUMNS]
-    try:
-        labels = list(map(str.strip, columns[0]))
-        stamps = list(map(str.strip, columns[1]))
-    except TypeError:  # a short row lacks one
-        labels = None
-    ts = demand = wind = None
-    if labels is not None and all(labels):
-        # only texts of the plain length become a fixed-width array: one long
-        # field must not widen the whole batch's
-        sized = [len(t) == _PLAIN_ISO.size for t in stamps]
-        plain = np.array(list(compress(stamps, sized)), dtype=f"U{_PLAIN_ISO.size}")
-        chars = plain.view(np.uint32).reshape(-1, _PLAIN_ISO.size)
-        ts = _parse_timestamps(len(stamps), np.flatnonzero(sized), chars, stamps.__getitem__)
-        demand = _parse_floats(columns[2])
-        wind = _parse_floats(columns[3])
-    if ts is None or demand is None or wind is None or (demand < 0.0).any() or (wind < 0.0).any():
-        for row, line in zip(rows, lines):
-            _check_row(row, line, index)
-        raise AssertionError("a faulty batch without a faulty row")
-    for label in dict.fromkeys(labels):
-        codes_of.setdefault(label, len(codes_of))
-    codes = np.fromiter(map(codes_of.__getitem__, labels), np.int64, len(labels))
-    return codes, ts, demand, wind
-
-
-def _no_rows():
-    return {}, *(np.empty(0, dtype=d) for d in ("int64", "datetime64[us]", float, float))
-
-
 def _read_csv(path: Path):
-    """_read_columns by csv.reader, in batches of _CHUNK_ROWS rows."""
+    """_read_columns one csv.DictReader row at a time.
+
+    Each row's fields are checked in column order, and the first fault raises
+    its DataError with the row's line number.
+    """
     codes_of: dict[str, int] = {}
-    parts = []
-    reader = csv.reader(_open_text(path))
-    header = next(reader, None)
-    _require_columns(header, TRACE_COLUMNS, path)
-    # a repeated column name reads its last occurrence, as csv.DictReader does
-    index = {name: i for i, name in enumerate(header)}
-    rows, lines = [], []
-    for row in reader:
-        if not row:
-            continue  # blank line
-        rows.append(row)
-        lines.append(reader.line_num)
-        if len(rows) == _CHUNK_ROWS:
-            parts.append(_parse_chunk(rows, lines, index, codes_of))
-            rows, lines = [], []
-    if rows:
-        parts.append(_parse_chunk(rows, lines, index, codes_of))
-    if not parts:
-        return _no_rows()
-    return codes_of, *(np.concatenate(column) for column in zip(*parts))
+    codes, stamps, demand, wind = [], [], [], []
+    for line, row in _csv_rows(path, TRACE_COLUMNS):
+        season = (row["season"] or "").strip()
+        if not season:
+            raise DataError(f"line {line}: empty season label")
+        stamps.append(_parse_timestamp(row["timestamp"] or "", line))
+        demand.append(_parse_float(row["demand_mw"], "demand_mw", line))
+        wind.append(_parse_float(row["wind_mw"], "wind_mw", line))
+        if demand[-1] < 0.0 or wind[-1] < 0.0:
+            raise DataError(f"line {line}: negative demand or wind")
+        codes.append(codes_of.setdefault(season, len(codes_of)))
+    return (codes_of, np.array(codes, dtype=np.int64), np.array(stamps, dtype="datetime64[us]"),
+            np.array(demand, dtype=float), np.array(wind, dtype=float))
 
 
 def _gather(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
@@ -405,7 +316,8 @@ def _scan_bytes(data: bytes):
     declines a file csv.reader would read differently (a quote, a NUL, a CR
     not before LF, bytes that are not UTF-8, a ragged line, an empty header
     line or missing columns) and one with a faulty field or a field wider than
-    _MAX_FIELD_BYTES; the csv path then reads it, and reports any fault.
+    _MAX_FIELD_BYTES; the row loop (_read_csv) then reads it, and reports any
+    fault.
     """
     buf = np.frombuffer(data, dtype=np.uint8, offset=len(_BOM) if data.startswith(_BOM) else 0)
     if buf.size and buf.max() >= 0x80:
@@ -434,8 +346,8 @@ def _scan_bytes(data: bytes):
     k = len(header) - 1
     if (np.searchsorted(commas, ends) - np.searchsorted(commas, starts) != k).any():
         return None
-    if starts.size == 1:
-        return _no_rows()
+    if starts.size == 1:  # a header and no rows
+        return {}, *(np.empty(0, dtype=d) for d in ("int64", "datetime64[us]", float, float))
     cuts = commas.reshape(-1, k)[1:]
     starts, ends = starts[1:], ends[1:]
 
@@ -447,11 +359,17 @@ def _scan_bytes(data: bytes):
     if labels is None:
         return None
     lo, hi = span("timestamp")
-    where = np.flatnonzero(hi - lo == _PLAIN_ISO.size)
-    chars = sliding_window_view(buf, _PLAIN_ISO.size)[lo[where]]
-    ts = _parse_timestamps(lo.size, where, chars, lambda i: buf[lo[i] : hi[i]].tobytes().decode())
-    if ts is None:
-        return None
+    ts = np.empty(lo.size, dtype="datetime64[us]")
+    plain = np.flatnonzero(hi - lo == _PLAIN_ISO.size)
+    us, ok = _plain_stamps(sliding_window_view(buf, _PLAIN_ISO.size)[lo[plain]])
+    ts[plain[ok]] = us[ok].view("datetime64[us]")
+    other = np.ones(lo.size, dtype=bool)
+    other[plain[ok]] = False
+    for i in np.flatnonzero(other):  # offsets, Z, a space separator, fractions
+        try:
+            ts[i] = _parse_timestamp(buf[lo[i] : hi[i]].tobytes().decode(), 0)
+        except DataError:
+            return None
     demand = _scan_floats(buf, *span("demand_mw"))
     wind = None if demand is None else _scan_floats(buf, *span("wind_mw"))
     if wind is None:
@@ -462,10 +380,12 @@ def _scan_bytes(data: bytes):
 def _read_columns(path: Path):
     """All rows of a traces CSV as (label -> code, code, timestamp, demand, wind).
 
-    One vectorised pass over the file's bytes reads it (_scan_bytes). A file
-    that pass declines is read by csv.reader (_read_csv), which raises the
-    first faulty row's DataError with its line number, so every message comes
-    from one path.
+    One vectorised pass over the file's bytes reads it (_scan_bytes), or
+    declines it. A declined file is read one csv.DictReader row at a time
+    (_read_csv), which raises the first faulty row's DataError with its line
+    number, so every message comes from that loop. Both give codes in order
+    of first appearance, timestamps as naive-UTC datetime64[us] and float64
+    demand and wind.
     """
     columns = _scan_bytes(path.read_bytes())
     return _read_csv(path) if columns is None else columns
@@ -483,15 +403,22 @@ def load_traces(
 ) -> list[SeasonTrace]:
     """Read a traces CSV and return one windowed SeasonTrace per season.
 
-    Rows outside the season window are dropped. Within the window the hourly
-    grid must be complete; with ``allow_gaps`` incomplete calendar days are
-    dropped instead. Duplicate timestamps are always an error.
+    Every season label starts with a four-digit year and holds no ``/`` or
+    ``\\``. Rows outside the season window are dropped. Within the window the
+    hourly grid must be complete; with ``allow_gaps`` incomplete calendar days
+    are dropped instead. Duplicate timestamps are always an error.
     """
     window = window or SeasonWindow()
     path = Path(path)
     if not path.exists():
         raise DataError(f"trace file not found: {path}")
     codes_of, codes, ts, demand, wind = _read_columns(path)
+    # a label's year places its window, and the label names the season's output files
+    for season in codes_of:
+        if not re.match(r"\d{4}", season):
+            raise DataError(f"season label {season!r} does not start with a four-digit year")
+        if "/" in season or "\\" in season:
+            raise DataError(f"season label {season!r} holds a path separator")
 
     traces = []
     wind_violations = 0
@@ -658,14 +585,11 @@ def load_quantile_history(path) -> list[tuple[str, float]]:
     if not path.exists():
         raise DataError(f"quantile history file not found: {path}")
     out = []
-    reader = csv.DictReader(_open_text(path))
-    _require_columns(reader.fieldnames, QUANTILE_COLUMNS, path)
-    for row in reader:
-        line = reader.line_num
-        season = (row.get("season") or "").strip()
+    for line, row in _csv_rows(path, QUANTILE_COLUMNS):
+        season = (row["season"] or "").strip()
         if not season:
             raise DataError(f"line {line}: empty season label")
-        out.append((season, _parse_float(row.get("quantile_mw"), "quantile_mw", line)))
+        out.append((season, _parse_float(row["quantile_mw"], "quantile_mw", line)))
     if not out:
         raise DataError(f"{path}: no quantile rows")
     return out

@@ -187,8 +187,14 @@ class StudyResult:
     outputs: list[str] = field(default_factory=list)
 
 
-def load_inputs(cfg: RunConfig, progress=lambda msg: None):
-    """The traces inside cfg's window with demand rescaled, their factors, and the fleet pmf."""
+def load_inputs(cfg: RunConfig, progress=lambda msg: None) -> tuple[SeasonSample, dict]:
+    """The season sample of cfg's inputs, and the demand rescaling factors.
+
+    The sample holds the traces inside cfg's window, demand rescaled, read
+    against the fleet. Its n is the length of the target season, whatever a
+    historical season lost to gaps; pooled models weight each season by its
+    observed hours.
+    """
     progress("loading traces")
     traces = load_traces(
         cfg.traces_path, cfg.window(),
@@ -203,16 +209,14 @@ def load_inputs(cfg: RunConfig, progress=lambda msg: None):
         cfg.rescale_quantile,
     )
     progress("building fleet distribution")
-    return traces, factors, convolve_fleet(load_fleet(cfg.fleet_path))
+    fleet = convolve_fleet(load_fleet(cfg.fleet_path))
+    return SeasonSample(ShortfallFunctionals(fleet), traces, cfg.window().expected_hours), factors
 
 
 def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[StudyResult, dict]:
     """All numerical work for a study; file emission happens separately."""
-    traces, factors, fleet = load_inputs(cfg, progress)
-    # n is the length of the target season, whatever a historical season lost
-    # to gaps; pooled models weight each season by its observed hours
-    n_hours = cfg.window().expected_hours
-    sample = SeasonSample(ShortfallFunctionals(fleet), traces, n_hours)
+    sample, factors = load_inputs(cfg, progress)
+    traces = sample.seasons
     labels = [t.season_label for t in traces]
 
     columns = cfg.columns()
@@ -437,6 +441,14 @@ def write_survivor_csv(seasons, kind: str, fit: evt.GpdFit | None, path: Path) -
     return path
 
 
+def write_factors_csv(factors: dict[str, float], path: Path) -> Path:
+    """The demand rescaling factor of each season, in the map's order."""
+    lines = ["season,factor"]
+    lines.extend(f"{label},{f!r}" for label, f in factors.items())
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 def _config_payload(cfg: RunConfig) -> dict:
     # output_dir is not numerically relevant and would break byte-identity
     # of manifests across runs into different directories
@@ -511,11 +523,7 @@ def run_full_study(cfg: RunConfig, progress=lambda msg: None) -> StudyResult:
                 ))
 
         stage = "rescale factors"
-        lines = ["season,factor"]
-        lines.extend(f"{label},{f!r}" for label, f in result.rescale_factors.items())
-        p = outdir / "rescale_factors.csv"
-        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        outputs.append(p)
+        outputs.append(write_factors_csv(result.rescale_factors, outdir / "rescale_factors.csv"))
 
         result.outputs = sorted(str(p.name) for p in outputs)
         manifest["status"] = "complete"

@@ -516,6 +516,41 @@ class TestStudyCommand:
         assert "evt_95" in err
         assert not (tmp_path / "z").exists()
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"seed": 1, "anchor_rule": "last Sunday in Octobr\xe9"}', "can't decode byte 0xe9"),
+        (None, "Is a directory"),
+        (b"5", "expected a JSON object, got int"),
+        (b'["traces"]', "expected a JSON object, got list"),
+    ])
+    def test_unreadable_config_file_is_config_error(self, demo_dataset_dir, tmp_path, capsys,
+                                                    content, message):
+        cfg_path = tmp_path / "study.json"
+        if content is None:
+            cfg_path.mkdir()
+        else:
+            cfg_path.write_bytes(content)
+        code, _, err = run_cli(
+            capsys, "study", "--config", str(cfg_path),
+            "--traces", str(demo_dataset_dir["traces"]),
+            "--fleet", str(demo_dataset_dir["fleet"]),
+            "--seed", "1", "--out", str(tmp_path / "y"),
+        )
+        assert code == 2
+        assert err.startswith(f"configuration error: config file {cfg_path}: ")
+        assert message in err
+        assert not (tmp_path / "y").exists()
+
+    @pytest.mark.parametrize("label", ["winter", "2007/08"])
+    def test_bad_season_label_is_data_error(self, demo_dataset_dir, tmp_path, capsys, label):
+        traces = tmp_path / "traces.csv"
+        traces.write_text(demo_dataset_dir["traces"].read_text().replace("2008-09,", f"{label},"))
+        code, _, err = run_cli(
+            capsys, "study", "--traces", str(traces), "--fleet", str(demo_dataset_dir["fleet"]),
+            "--reps", "100", "--seed", "1", "--out", str(tmp_path / "out"), "--quiet",
+        )
+        assert code == 3
+        assert err.startswith(f"data error: season label {label!r} ")
+
     def test_unknown_config_key_rejected_before_compute(self, demo_dataset_dir, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"modles": ["evt"], "seed": 1}))

@@ -1,6 +1,9 @@
+import importlib.util
 import re
+import sys
 import warnings
 from datetime import datetime, timedelta
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -243,12 +246,11 @@ class TestColumnarLoaderMatchesRowByRow:
         shuffle=st.sampled_from(["none", "interleave", "all"]),
         edits=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(sorted(ROW_EDITS))),
                        max_size=4),
-        chunk_rows=st.integers(1, 200),
         allow_gaps=st.booleans(),
         installed_wind_mw=st.sampled_from([None, 14_000.0]),
     )
     def test_same_traces_errors_and_warnings(self, tmp_path_factory, seed, n_seasons, shuffle,
-                                             edits, chunk_rows, allow_gaps, installed_wind_mw):
+                                             edits, allow_gaps, installed_wind_mw):
         window = SeasonWindow(weeks=1)
         rows = trace_rows(window, SEASONS[:n_seasons], seed=seed)
         rng = np.random.default_rng(seed)
@@ -261,8 +263,7 @@ class TestColumnarLoaderMatchesRowByRow:
         path = write_lines(tmp_path_factory.mktemp("traces") / "traces.csv", rows,
                            [(i % len(rows), name) for i, name in edits])
         kwargs = {"allow_gaps": allow_gaps, "installed_wind_mw": installed_wind_mw}
-        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
-            new = load_outcome(load_traces, path, window, **kwargs)
+        new = load_outcome(load_traces, path, window, **kwargs)
         assert new == load_outcome(legacy_load_traces, path, window, **kwargs)
 
     @pytest.mark.parametrize("allow_gaps", [False, True])
@@ -364,16 +365,29 @@ class TestLoaderEdgeCases:
 
     def test_first_fault_in_file_order_and_row_order(self, tmp_path, week):
         # row 6 has a bad timestamp and a bad float: the timestamp is reported;
-        # a later fault, in another batch, is not
+        # a later fault is not
         path = write_lines(tmp_path / "traces.csv", trace_rows(week, SEASONS[:1], margin=0),
                            {40: "nan"})
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[6] = "2007-08,garbage,much,0.0"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with mock.patch.object(ingest, "_CHUNK_ROWS", 4):
-            with pytest.raises(DataError) as excinfo:
-                load_traces(path, week)
+        with pytest.raises(DataError) as excinfo:
+            load_traces(path, week)
         assert str(excinfo.value) == "line 7: bad timestamp 'garbage'"
+
+    @pytest.mark.parametrize("label, message", [
+        ("winter", "season label 'winter' does not start with a four-digit year"),
+        ("2007/08", "season label '2007/08' holds a path separator"),
+        ("2007-08/../../x", "season label '2007-08/../../x' holds a path separator"),
+        ("2007-08\\x", "season label '2007-08\\\\x' holds a path separator"),
+    ])
+    def test_bad_season_label(self, tmp_path, week, label, message):
+        # the label places the season's window and names its output files
+        rows = trace_rows(week, SEASONS[:2], margin=0)
+        rows = [[label if r[0] == "2008-09" else r[0], *r[1:]] for r in rows]
+        with pytest.raises(DataError) as excinfo:
+            load_traces(write_lines(tmp_path / "traces.csv", rows), week)
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("edit", ["extra_field", "blank_before", "zulu", "space", "padded"])
     def test_accepted_unchanged(self, tmp_path, week, edit):
@@ -461,6 +475,20 @@ CSV_PATH_EDITS = {"short", "extra_field", "nan", "inf_wind", "negative", "empty_
                   "bad_float", "garbage_ts", "hour_24", "year_0", "quoted_newline"}
 
 
+def perfbench_module(name):
+    """A module of perfbench/, loaded without writing bytecode there."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
 class TestBytePass:
     """Which files the byte pass reads, and that it reads them as csv.reader does."""
 
@@ -524,6 +552,18 @@ class TestBytePass:
         path = tmp_path / "traces.csv"
         path.write_bytes(csv_bytes([HEADER]))
         assert self.outcome(path, week) == ([], False)
+
+    @pytest.mark.parametrize("source", ["demo", "perfbench"])
+    def test_benchmark_inputs(self, demo_dataset_dir, tmp_path, source):
+        # the traces the demo and perfbench's generated systems write: a change
+        # to either writer that sends them to the row loop fails here
+        if source == "demo":
+            path = demo_dataset_dir["traces"]
+        else:
+            path = perfbench_module("gen_system").write_system(tmp_path, 1, 2, 4.0)["traces"]
+        result, used_csv = self.outcome(path, SeasonWindow())
+        assert not used_csv
+        assert len(result) >= 2 and all(len(season[2]) == 3528 for season in result)
 
 
 PLAIN_STAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d", re.ASCII)
