@@ -38,26 +38,39 @@ _KIND_ALIASES = {"evt": dnw.EVT, "hindcast": dnw.HINDCAST, "ind": dnw.INDEPENDEN
 
 
 # flag destination, which is also the study config-file key -> (RunConfig
-# field, conversion of its value, if any); a key left unset takes RunConfig's default
+# field, the JSON type a config file must give it, conversion of its value,
+# if any); a key left unset takes RunConfig's default
 _CONFIG_KEYS = {
-    "traces": ("traces_path", str),
-    "fleet": ("fleet_path", str),
-    "out": ("output_dir", str),
-    "seed": ("seed", int),
-    "quantiles": ("quantiles_path", None),
-    "ref_season": ("reference_season", None),
-    "models": ("model_kinds", lambda ms: tuple(dict.fromkeys(_KIND_ALIASES[m] for m in ms))),
-    "threshold_quantiles": ("threshold_quantiles", lambda qs: tuple(float(q) for q in qs)),
-    "window_weeks": ("window_weeks", int),
-    "anchor_rule": ("anchor_rule", str),
-    "span": ("lowess_span", float),
-    "iterations": ("lowess_iterations", int),
-    "reps": ("replications", int),
-    "level": ("ci_level", float),
-    "rescale_quantile": ("rescale_quantile", float),
-    "installed_wind_mw": ("installed_wind_mw", None),
-    "allow_gaps": ("allow_gaps", bool),
+    "traces": ("traces_path", "string", None),
+    "fleet": ("fleet_path", "string", None),
+    "out": ("output_dir", "string", None),
+    "seed": ("seed", "integer", None),
+    "quantiles": ("quantiles_path", "string or null", None),
+    "ref_season": ("reference_season", "string or null", None),
+    "models": ("model_kinds", "list of strings", lambda ms: tuple(dict.fromkeys(_KIND_ALIASES[m] for m in ms))),
+    "threshold_quantiles": ("threshold_quantiles", "list of numbers", lambda qs: tuple(float(q) for q in qs)),
+    "window_weeks": ("window_weeks", "integer", None),
+    "anchor_rule": ("anchor_rule", "string", None),
+    "span": ("lowess_span", "number", float),
+    "iterations": ("lowess_iterations", "integer", None),
+    "reps": ("replications", "integer", None),
+    "level": ("ci_level", "number", float),
+    "rescale_quantile": ("rescale_quantile", "number", float),
+    "installed_wind_mw": ("installed_wind_mw", "number or null", None),
+    "allow_gaps": ("allow_gaps", "boolean", None),
 }
+
+
+def _is_json(value, kind: str) -> bool:
+    """Whether a parsed JSON value is of ``kind``: "boolean", "integer" (not a
+    boolean), "number" (an integer or a float, not a boolean), "string",
+    "null", "list of <kind>s", or alternatives joined by " or "."""
+    if " or " in kind:
+        return any(_is_json(value, k) for k in kind.split(" or "))
+    if kind.startswith("list of "):
+        return type(value) is list and all(_is_json(x, kind[len("list of "):-1]) for x in value)
+    return type(value) in {"boolean": (bool,), "integer": (int,), "number": (int, float),
+                           "string": (str,), "null": (type(None),)}[kind]
 
 
 def _read_config_file(path) -> dict:
@@ -74,6 +87,10 @@ def _read_config_file(path) -> dict:
     unknown = set(values) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"config file has unknown keys {sorted(unknown)}")
+    for key, value in values.items():
+        kind = _CONFIG_KEYS[key][1]
+        if not _is_json(value, kind):
+            raise ConfigError(f"config file {path}: {key} must be a JSON {kind}, got {json.dumps(value)}")
     return values
 
 
@@ -95,10 +112,10 @@ def _run_config(args, **fixed) -> RunConfig:
         raise ConfigError(f"--seed is required for {args.command}{source}")
     fields = {}
     for key, value in values.items():
-        name, convert = _CONFIG_KEYS[key]
+        name, _, convert = _CONFIG_KEYS[key]
         try:
             fields[name] = convert(value) if convert else value
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, OverflowError):  # a model name that is not one, a float past 1e308
             raise ConfigError(f"{key}: bad value {value!r}") from None
     return RunConfig(**fields, **fixed)
 

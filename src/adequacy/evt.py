@@ -11,14 +11,16 @@ likelihood is maximised in closed form for fixed theta = xi / sigma
 (Grimshaw 1993), and a bounded one-dimensional search over theta finishes the
 fit, confined to xi >= -1. That search is Brent's bounded minimiser and, for
 the xi = -1 edge, his zeroin root finder (Brent 1973), both written here in
-plain floats. Standard errors come from the analytic observed information.
+plain floats. Standard errors come from the analytic observed information,
+computed from the fitted excesses the first time a fit's SEs are read.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,29 +60,57 @@ class GpdParams:
         return -self.sigma / self.xi if self.xi < 0.0 else np.inf
 
 
+class _StandardErrors:
+    """``se_sigma`` and ``se_xi`` from the fit's excesses and weights, on first read.
+
+    A fit without excesses (the xi = -1 edge, or one assembled by hand) has NaN
+    standard errors. The warnings of ``_standard_errors`` fire at that read.
+    """
+
+    @cached_property
+    def _se(self) -> tuple[float, float]:
+        if self.excesses is None:
+            return np.nan, np.nan
+        return _standard_errors(self.excesses, self.params.sigma, self.params.xi, self.weights)
+
+    @property
+    def se_sigma(self) -> float:
+        return self._se[0]
+
+    @property
+    def se_xi(self) -> float:
+        return self._se[1]
+
+
 @dataclass(frozen=True)
-class GpdMle:
+class GpdMle(_StandardErrors):
     """Maximum-likelihood fit of a GPD to a sample of excesses."""
 
     params: GpdParams
-    se_sigma: float
-    se_xi: float
     log_likelihood: float
     n_excesses: int
     iterations: int
+    excesses: np.ndarray | None = field(default=None, compare=False, repr=False)
+    weights: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class GpdFit:
-    """A GPD fit in threshold context: exceedances of u within a larger sample."""
+class GpdFit(_StandardErrors):
+    """A GPD fit in threshold context: exceedances of u within a larger sample.
+
+    ``se_sigma`` and ``se_xi`` are computed from the fitted excesses and
+    weights the first time they are read, so a fit whose SEs nobody reads
+    (a bootstrap replication) never computes them. The arrays take no part
+    in ``==`` or ``repr``.
+    """
 
     threshold_u: float
     params: GpdParams
     n_exceedances: int
     n_total: int
-    se_sigma: float
-    se_xi: float
     log_likelihood: float
+    excesses: np.ndarray | None = field(default=None, compare=False, repr=False)
+    weights: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def exceedance_prob(self) -> float:
@@ -143,15 +173,17 @@ def fit_gpd(excesses, weights=None) -> GpdMle:
     uniform limit xi = -1, sigma = max(y). ``iterations`` counts profile
     evaluations. Standard errors come from the inverse analytic observed
     information at the optimum (NaN at the xi = -1 edge); they assume i.i.d.
-    excesses and should be read as approximations.
+    excesses and should be read as approximations. They are not computed
+    here: the fit keeps a copy of its excesses and weights, and computes
+    ``se_sigma`` and ``se_xi`` the first time either is read.
 
     ``weights`` are positive integer counts, one per excess: the fit is that of
     the sample with excess i repeated weights[i] times, so every mean and sum
     is weighted and the sample size is k = sum(weights). All-ones weights are
     the unweighted fit, bit for bit.
     """
-    y = np.asarray(excesses, dtype=float)
-    w = np.ones(y.size) if weights is None else np.asarray(weights, dtype=float)
+    y = np.array(excesses, dtype=float)  # copies: the fit reads them again for its SEs
+    w = np.ones(y.size) if weights is None else np.array(weights, dtype=float)
     if w.shape != y.shape or np.any(w <= 0.0):
         raise ValueError("weights must be positive, one per excess")
     k = w.sum()
@@ -204,7 +236,7 @@ def fit_gpd(excesses, weights=None) -> GpdMle:
 
     if f_hat >= k * np.log(y_max):
         sigma_hat, xi_hat, log_lik = float(y_max), -1.0, -k * float(np.log(y_max))
-        se_sigma = se_xi = np.nan  # the information is infinite at the edge
+        y = w = None  # the information is infinite at the edge: no SEs
     else:
         xi_hat, sigma_hat = profile(s_hat)
         xi_hat, sigma_hat, log_lik = float(xi_hat), float(sigma_hat), -float(f_hat)
@@ -212,14 +244,13 @@ def fit_gpd(excesses, weights=None) -> GpdMle:
             raise NumericalError(f"GPD fit gave scale {sigma_hat!r} at s = {s_hat!r}")
         if abs(xi_hat) < XI_ZERO_GUARD:
             xi_hat = 0.0
-        se_sigma, se_xi = _standard_errors(y, sigma_hat, xi_hat, w)
     return GpdMle(
         params=GpdParams(sigma_hat, xi_hat),
-        se_sigma=se_sigma,
-        se_xi=se_xi,
         log_likelihood=log_lik,
         n_excesses=int(k),
         iterations=int(evaluations),
+        excesses=y,
+        weights=w,
     )
 
 
@@ -420,9 +451,9 @@ def fit_threshold_excesses(values, threshold_u: float) -> GpdFit:
         params=mle.params,
         n_exceedances=mle.n_excesses,
         n_total=int(v.size),
-        se_sigma=mle.se_sigma,
-        se_xi=mle.se_xi,
         log_likelihood=mle.log_likelihood,
+        excesses=mle.excesses,
+        weights=mle.weights,
     )
 
 

@@ -130,9 +130,11 @@ class SeasonSample:
       with one fleet + wind convolution, the first time season b is drawn;
     * evt sorts all seasons' values together once, on its first call, so a
       multiset is a weight per value. The threshold is numpy's linear
-      quantile of the weighted values, bit for bit, and the GPD is fitted to
-      the exceedances of positive weight. Values at or below the threshold
-      are a weighted dot over a prefix;
+      quantile of the weighted values, bit for bit, found by a reverse
+      cumulative sum over the largest values only (``_threshold``),
+      and the GPD is fitted to the exceedances of positive weight. The fit's
+      standard errors are computed only if they are read. Values at or below
+      the threshold are a weighted dot over a prefix;
     * the tail's bins from floor(u) up to the fleet's top difference the GPD
       survivor; the tail mass P at or above the top needs no bins: it adds P
       to P(Z < 0) and P (top + e(y) - 1/2 - E[X]) to E[(V - X)+], with the
@@ -155,14 +157,16 @@ class SeasonSample:
 
     @cached_property
     def _sorted(self) -> tuple[np.ndarray, ...]:
-        """All values sorted, their season ids, and the functionals at their floors; evt only."""
+        """All values sorted, their season ids, the functionals at their floors,
+        and each season's number of values; evt only."""
         values = [s.net_demand_mw for s in self.seasons]
         label_rank = np.argsort(np.argsort([s.season_label for s in self.seasons], kind="stable"))
         pooled = np.concatenate(values)
-        owner = np.repeat(np.arange(len(values)), [v.size for v in values])
+        sizes = np.array([v.size for v in values])
+        owner = np.repeat(np.arange(len(values)), sizes)
         order = np.lexsort((label_rank[owner], pooled))
         u = pooled[order]
-        return (u, owner[order], *self.functionals.at(np.floor(u)))
+        return (u, owner[order], *self.functionals.at(np.floor(u)), sizes.astype(float))
 
     def metrics(self, counts, kind: str, threshold_quantile: float | None = None
                 ) -> tuple[RiskMetrics, evt.GpdFit | None]:
@@ -188,25 +192,17 @@ class SeasonSample:
         return self._pairs @ (c * self.hours) @ c / (c @ self.hours) ** 2
 
     def _evt(self, c: np.ndarray, q: float) -> tuple[float, float, evt.GpdFit]:
-        u_sorted, owner, body_cdf, body_gap = self._sorted
+        u_sorted, owner, body_cdf, body_gap, sizes = self._sorted
         w = c[owner]
-        cum = np.cumsum(w)
-        n = int(cum[-1])
-        # np.quantile(method="linear") of the concatenated sample
-        virtual = (n - 1) * q
-        below = np.floor(virtual)
-        gamma = virtual - below
-        positions = np.minimum([below, below + 1.0], n - 1)
-        lo, hi = u_sorted[np.searchsorted(cum, positions, side="right")]
-        diff = hi - lo
-        u = float(hi - diff * (1.0 - gamma) if gamma >= 0.5 else lo + diff * gamma)
+        n = int(c @ sizes)
+        u = self._threshold(w, n, q)
 
         cut = int(np.searchsorted(u_sorted, u, side="right"))
         keep = w[cut:] > 0.0
         mle = evt.fit_gpd(u_sorted[cut:][keep] - u, w[cut:][keep])
         fit = evt.GpdFit(
             threshold_u=u, params=mle.params, n_exceedances=mle.n_excesses, n_total=n,
-            se_sigma=mle.se_sigma, se_xi=mle.se_xi, log_likelihood=mle.log_likelihood,
+            log_likelihood=mle.log_likelihood, excesses=mle.excesses, weights=mle.weights,
         )
 
         functionals = self.functionals
@@ -228,6 +224,33 @@ class SeasonSample:
         p_shortfall = (w[:cut] @ body_cdf[:cut]) / n + p_tail * (tail_cdf + p_above)
         energy = (w[:cut] @ body_gap[:cut]) / n + p_tail * (tail_gap + energy_above)
         return p_shortfall, energy, fit
+
+    def _threshold(self, w: np.ndarray, n: int, q: float) -> float:
+        """np.quantile(method="linear") at q of the n draws with weight w[i] on sorted value i.
+
+        The order statistics it interpolates are those at the indices
+        ``searchsorted(cumsum(w), positions, "right")``, found from the top:
+        the index of position p is the last whose weight from there up is
+        at least n - p. A reverse cumulative sum over a slice of the largest
+        values finds both once the slice holds weight n - p for the lower
+        position. The largest values can belong to seasons drawn 0 times, so
+        the slice doubles until it does. Every count is an integer held
+        exactly in float64, so the comparisons are exact.
+        """
+        virtual = (n - 1) * q
+        below = np.floor(virtual)
+        gamma = virtual - below
+        positions = np.minimum([below, below + 1.0], n - 1)
+        need = n - positions[0]
+        size = min(int(need), w.size)
+        while True:
+            above = np.cumsum(w[w.size - size:][::-1])  # weight of the top 1, 2, ... values
+            if above[-1] >= need or size == w.size:
+                break
+            size = min(2 * size, w.size)
+        lo, hi = self._sorted[0][w.size - 1 - np.searchsorted(above, n - positions, side="left")]
+        diff = hi - lo
+        return float(hi - diff * (1.0 - gamma) if gamma >= 0.5 else lo + diff * gamma)
 
 
 def long_run_mean(per_season: list[RiskMetrics]) -> RiskMetrics:

@@ -455,6 +455,9 @@ class TestStudyCommand:
             "models": ["hindcast", "ind"],
             "reps": 200,
             "seed": 77,
+            "span": 1,  # an integer is a number
+            "ref_season": None,
+            "allow_gaps": False,
         }
         cfg_path = tmp_path / "study.json"
         cfg_path.write_text(json.dumps(config))
@@ -468,6 +471,8 @@ class TestStudyCommand:
         assert manifest["status"] == "complete"
         assert manifest["config"]["replications"] == 150  # flag beats config file
         assert manifest["config"]["model_kinds"] == ["hindcast", "independence"]
+        assert manifest["config"]["lowess_span"] == 1.0
+        assert manifest["config"]["allow_gaps"] is False
         table = json.loads((outdir / "lole_per_season.json").read_text())
         assert table["columns"] == ["hindcast", "ind"]
         assert len(table["seasons"]) == 7
@@ -492,6 +497,40 @@ class TestStudyCommand:
                 assert c["first_error"].startswith("replication "), column
             else:
                 assert c["first_error"] is None, column
+
+    @pytest.mark.parametrize("key, value", [
+        ("allow_gaps", "false"),
+        ("allow_gaps", 1),
+        ("seed", 3.7),
+        ("seed", True),
+        ("seed", "3"),
+        ("reps", 100.0),
+        ("window_weeks", True),
+        ("installed_wind_mw", "abc"),
+        ("installed_wind_mw", False),
+        ("span", True),
+        ("quantiles", 5),
+        ("traces", ["traces.csv"]),
+        ("anchor_rule", 5),
+        ("models", "evt"),
+        ("models", [1]),
+        ("threshold_quantiles", 0.9),
+        ("threshold_quantiles", ["0.9"]),
+    ])
+    def test_config_value_of_wrong_json_type_is_config_error(self, demo_dataset_dir, tmp_path,
+                                                             capsys, key, value):
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps({"seed": 1, key: value}))
+        outdir = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "study", "--config", str(cfg_path),
+            "--traces", str(demo_dataset_dir["traces"]),
+            "--fleet", str(demo_dataset_dir["fleet"]),
+            "--reps", "100", "--out", str(outdir), "--quiet",
+        )
+        assert code == 2
+        assert err.startswith(f"configuration error: config file {cfg_path}: {key} must be ")
+        assert not outdir.exists()
 
     def test_missing_seed_is_config_error(self, demo_dataset_dir, tmp_path, capsys):
         code, _, err = run_cli(

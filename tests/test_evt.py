@@ -490,8 +490,6 @@ class TestQqPoints:
             params=GpdParams(sigma, xi),
             n_exceedances=k,
             n_total=n_total,
-            se_sigma=np.nan,
-            se_xi=np.nan,
             log_likelihood=0.0,
         )
 

@@ -295,17 +295,42 @@ class TestEvtMultiset:
         assert fit.threshold_u == want_fit.threshold_u
         assert (fit.n_exceedances, fit.n_total) == (want_fit.n_exceedances, want_fit.n_total)
 
+    @staticmethod
+    def threshold(sample, counts, q):
+        """The threshold of a draw, read even where it leaves too few exceedances to fit."""
+        _, owner, _, _, sizes = sample._sorted
+        c = np.asarray(counts, dtype=float)
+        return sample._threshold(c[owner], int(c @ sizes), q)
+
     @settings(max_examples=40, deadline=None)
     @given(
         drawn=st.lists(st.integers(0, 6), min_size=1, max_size=12),
-        q=st.floats(0.5, 0.99),
+        q=st.floats(0.5, 0.999),
     )
     def test_threshold_is_numpys_quantile(self, demo_system, drawn, q):
         traces = demo_system["traces"]
-        _, fit = SeasonSample(ShortfallFunctionals(demo_system["fleet"]), traces, 3528).metrics(
-            np.bincount(drawn, minlength=len(traces)), "evt", q)
+        sample = SeasonSample(ShortfallFunctionals(demo_system["fleet"]), traces, 3528)
+        counts = np.bincount(drawn, minlength=len(traces))
         pooled = np.concatenate([traces[i].net_demand_mw for i in drawn])
-        assert fit.threshold_u == np.quantile(pooled, q)
+        assert self.threshold(sample, counts, q) == np.quantile(pooled, q)
+        if q <= 0.99:  # above, one season leaves fewer than 30 exceedances to fit
+            assert sample.metrics(counts, "evt", q)[1].threshold_u == np.quantile(pooled, q)
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.95, 0.98, 0.999])
+    @pytest.mark.parametrize("drawn", [1, 3])
+    def test_threshold_when_the_largest_values_are_not_drawn(self, demo_system, q, drawn):
+        # every value of the first season lies above every value of the second,
+        # and only the second is drawn: the slice of the largest values holds no
+        # weight until it grows past the whole first season
+        cold = demo_system["traces"][0].net_demand_mw
+        hot = cold + (cold.max() - cold.min() + 1.0)
+        seasons = [make_trace("2008-09", hot, np.zeros(hot.size)),
+                   make_trace("2007-08", cold, np.zeros(cold.size))]
+        sample = SeasonSample(ShortfallFunctionals(demo_system["fleet"]), seasons, 3528)
+        want = np.quantile(np.tile(cold, drawn), q)
+        assert self.threshold(sample, [0, drawn], q) == want
+        if q <= 0.98:
+            assert sample.metrics([0, drawn], "evt", q)[1].threshold_u == want
 
     def test_fit_is_fit_threshold_excesses(self, demo_system):
         # the fit, the scan and dnw fit each season as the study does, field for field
@@ -316,7 +341,10 @@ class TestEvtMultiset:
                                           np.concatenate([t.net_demand_mw for t in traces])]):
             for q in (0.90, 0.95, 0.98):
                 want = fit_threshold_excesses(values, select_threshold(values, q))
-                assert sample.metrics(counts, "evt", q)[1] == want
+                got = sample.metrics(counts, "evt", q)[1]
+                assert got == want
+                # == does not read the standard errors, which are computed on first read
+                assert (got.se_sigma, got.se_xi) == (want.se_sigma, want.se_xi)
 
     def test_threshold_above_the_fleet(self, demo_system):
         # every value is past the fleet's top: P(Z < 0) = 1 and the whole tail

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adequacy import dnw, risk, study
+from adequacy import dnw, evt, risk, study
 from adequacy.errors import ConfigError, DataError, NumericalError
 from adequacy.study import (
     MetricTable,
@@ -186,6 +186,26 @@ class TestOneSamplePerStudy:
         result = block_bootstrap(traces, run, BootstrapConfig(seed=1, replications=1000))
         assert result.replications_dropped == 0
         assert len(calls) == len(traces)
+
+    def test_evt_replications_compute_no_standard_errors(self, demo_system, monkeypatch):
+        # a replication keeps only LoLE and EEU; its fit's SEs wait to be read
+        calls = []
+        original = evt._standard_errors
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(evt, "_standard_errors", counting)
+        traces = demo_system["traces"]
+        sample = SeasonSample(ShortfallFunctionals(demo_system["fleet"]), traces, 3528)
+        run = pooled_pipeline(sample, dnw.EVT, 0.90)
+        result = block_bootstrap(traces, run, BootstrapConfig(seed=1, replications=100))
+        assert result.replications_used == 100
+        assert calls == []
+        fit = sample.metrics(np.ones(len(traces)), dnw.EVT, 0.90)[1]
+        assert np.isfinite(fit.se_sigma) and np.isfinite(fit.se_xi)
+        assert len(calls) == 1  # computed on the first read, then kept
 
     @staticmethod
     def config(demo_dataset_dir, tmp_path, **overrides):
