@@ -20,10 +20,9 @@ from .genmodel import fleet_summary, load_fleet
 from .ingest import SeasonWindow, load_quantile_history, load_traces
 from .study import (
     RunConfig,
+    check_installed_wind,
     check_rescale_settings,
     emit_tables,
-    load_inputs,
-    pooled_pipeline,
     rescale_traces,
     run_full_study,
     run_study_computation,
@@ -32,7 +31,6 @@ from .study import (
     write_scan_csv,
     write_survivor_csv,
 )
-from .uncertainty import block_bootstrap, season_bootstrap
 
 _KIND_ALIASES = {"evt": dnw.EVT, "hindcast": dnw.HINDCAST, "ind": dnw.INDEPENDENCE}
 
@@ -56,7 +54,7 @@ _CONFIG_KEYS = {
     "reps": ("replications", "integer", None),
     "level": ("ci_level", "number", float),
     "rescale_quantile": ("rescale_quantile", "number", float),
-    "installed_wind_mw": ("installed_wind_mw", "number or null", None),
+    "installed_wind_mw": ("installed_wind_mw", "number or null", lambda w: None if w is None else float(w)),
     "allow_gaps": ("allow_gaps", "boolean", None),
 }
 
@@ -122,6 +120,7 @@ def _run_config(args, **fixed) -> RunConfig:
 
 def _load(args):
     """The traces of ingest, fit or dnw, once the command's settings pass RunConfig's checks."""
+    check_installed_wind(args.installed_wind_mw)
     if args.command == "ingest":
         check_rescale_settings(args.span, args.iterations, args.rescale_quantile)
     elif not 0.0 < args.threshold_quantile < 1.0:
@@ -231,37 +230,33 @@ def cmd_risk(args) -> int:
 
 
 def cmd_uncertainty(args) -> int:
+    """The CI of one column of a one-column study, as ``study --models <model>`` writes it."""
     cfg = _run_config(args, model_kinds=(_KIND_ALIASES[args.model],),
-                      threshold_quantiles=(args.threshold_quantile,))
-    _, kind, q = cfg.columns()[0]  # q is None unless the model is evt
-    sample, _ = load_inputs(cfg)
-    traces = sample.seasons
-    boot = cfg.bootstrap(seed=cfg.seed)
-
-    def metric(counts) -> float:
-        m, _ = sample.metrics(counts, kind, q)
-        return m.lole_hours if args.metric == "lole" else m.eeu_mwh
-
+                      threshold_quantiles=(args.threshold_quantile,),
+                      include_pooled=args.mode == "block")
+    result, _ = run_study_computation(cfg)
+    [(label, _, _)] = cfg.columns()
     if args.mode == "season":
-        values = [metric(one) for one in np.identity(len(traces))]
-        point = float(np.mean(values))
-        ci = season_bootstrap(values, boot)
+        table = result.lole_table if args.metric == "lole" else result.eeu_table
+        point, ci = table.means[label], table.cis[label]
+    elif args.metric == "lole":
+        point, ci = result.pooled_table.lole[label], result.pooled_table.lole_ci[label]
     else:
-        point = metric(np.ones(len(traces)))
-        ci = block_bootstrap(traces, pooled_pipeline(sample, kind, q), boot).intervals[args.metric]
+        point, ci = result.pooled_table.eeu_gwh[label], result.pooled_table.eeu_ci[label]
+    scale = 1000.0 if args.metric == "eeu" else 1.0  # EEU in MWh, as the tables' GWh x 1000
 
     payload = {
         "metric": args.metric,
         "mode": args.mode,
         "model": args.model,
-        "point_estimate": point,
-        "ci_lower": ci.lower,
-        "ci_upper": ci.upper,
+        "point_estimate": point * scale,
+        "ci_lower": ci.lower * scale,
+        "ci_upper": ci.upper * scale,
         "level": cfg.ci_level,
         "replications": cfg.replications,
         "seed": cfg.seed,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 

@@ -547,19 +547,33 @@ def lowess_fit(points, span: float = 2.0 / 3.0, iterations: int = 1) -> np.ndarr
 
 def compute_rescale_factors(
     quantiles,
-    reference_label: str,
+    reference_label: str | None,
     span: float = 2.0 / 3.0,
     iterations: int = 1,
 ) -> dict[str, float]:
     """Map each season to fitted(reference) / fitted(season).
 
     ``quantiles`` is an ordered sequence of (season_label, value) pairs, one
-    per historical season; the Lowess fit runs over their positions.
+    per historical season; the Lowess fit runs over their positions. A
+    ``reference_label`` of None is the last season of the history.
     """
     labels = [str(lab) for lab, _ in quantiles]
     values = [float(v) for _, v in quantiles]
+    n = len(values)
+    if n < 3:
+        raise DataError(
+            f"the Lowess fit of the demand rescaling needs at least 3 seasons, got {n}; "
+            f"give a longer history with --quantiles"
+        )
+    reference_label = reference_label or labels[-1]
     if reference_label not in labels:
         raise DataError(f"reference season {reference_label!r} not in quantile history")
+    if ceil(span * n) < 3:  # lowess_fit's neighbourhood
+        raise ConfigError(
+            f"lowess span {span} puts ceil(span * n) = {ceil(span * n)} of the n = {n} seasons "
+            f"in each neighbourhood, and the fit needs 3; the smallest usable span is "
+            f"3/n = {3 / n:.4g}, or give a longer history with --quantiles"
+        )
     fitted = lowess_fit(list(enumerate(values)), span=span, iterations=iterations)
     if np.any(fitted <= 0.0):
         bad = labels[int(np.argmax(fitted <= 0.0))]

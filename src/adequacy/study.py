@@ -47,6 +47,12 @@ def check_rescale_settings(span: float, iterations: int, rescale_quantile: float
         raise ConfigError(f"rescale quantile {rescale_quantile} outside (0, 1)")
 
 
+def check_installed_wind(installed_wind_mw: float | None) -> None:
+    """Raise ConfigError unless the installed wind capacity is unset, or finite and positive."""
+    if installed_wind_mw is not None and not 0.0 < installed_wind_mw < float("inf"):
+        raise ConfigError(f"installed_wind_mw {installed_wind_mw} is not a finite positive capacity")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     traces_path: str
@@ -73,10 +79,11 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError(f"seed {self.seed} is negative; seeds are non-negative integers")
         try:
-            self.bootstrap(self.seed)
+            self.bootstrap(0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         check_rescale_settings(self.lowess_span, self.lowess_iterations, self.rescale_quantile)
+        check_installed_wind(self.installed_wind_mw)
         if not self.model_kinds:
             raise ConfigError("at least one model kind is required")
         for kind in self.model_kinds:
@@ -98,8 +105,11 @@ class RunConfig:
     def window(self) -> SeasonWindow:
         return SeasonWindow(weeks=self.window_weeks, anchor_rule=self.anchor_rule)
 
-    def bootstrap(self, seed) -> BootstrapConfig:
-        return BootstrapConfig(seed=seed, replications=self.replications, ci_level=self.ci_level)
+    def bootstrap(self, column: int) -> BootstrapConfig:
+        """The bootstrap of the column at this position of ``columns()``: its
+        replications draw from substreams keyed (seed, 101, column)."""
+        return BootstrapConfig(seed=(self.seed, 101, column), replications=self.replications,
+                               ci_level=self.ci_level)
 
     def columns(self) -> list[tuple[str, str, float | None]]:
         """(label, kind, threshold_quantile) per model variant, in fixed order."""
@@ -161,9 +171,7 @@ def rescale_traces(traces, history, reference_season, span, iterations,
         history = [
             (t.season_label, daily_peak_quantile(t, rescale_quantile)) for t in traces
         ]
-    labels = [lab for lab, _ in history]
-    reference = reference_season or labels[-1]
-    factors = compute_rescale_factors(history, reference, span=span, iterations=iterations)
+    factors = compute_rescale_factors(history, reference_season, span=span, iterations=iterations)
     out = []
     for trace in traces:
         if trace.season_label not in factors:
@@ -200,8 +208,10 @@ def load_inputs(cfg: RunConfig, progress=lambda msg: None) -> tuple[SeasonSample
         cfg.traces_path, cfg.window(),
         installed_wind_mw=cfg.installed_wind_mw, allow_gaps=cfg.allow_gaps,
     )
-    if not traces:
-        raise DataError("no seasons found inside the study window")
+    if len(traces) < 2:
+        raise DataError(
+            f"{len(traces)} season(s) inside the study window; a bootstrap over seasons needs at least 2"
+        )
     history = load_quantile_history(cfg.quantiles_path) if cfg.quantiles_path else None
     progress("rescaling demand")
     traces, factors = rescale_traces(
@@ -237,7 +247,7 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
     # one config per column, so its index matrix is drawn once and shared by
     # both season CIs and the block bootstrap; for hindcast the block bootstrap
     # then reproduces the season bootstrap exactly (pooling is linear)
-    boots = {c: cfg.bootstrap(seed=(cfg.seed, 101, i)) for i, c in enumerate(col_labels)}
+    boots = {c: cfg.bootstrap(i) for i, c in enumerate(col_labels)}
     lole_table = MetricTable(
         metric="lole_hours",
         columns=col_labels,
@@ -306,6 +316,11 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
 # emission
 
 
+def _write_json(payload, path: Path) -> None:
+    """Write ``payload`` as strict JSON: a NaN or an infinity raises ValueError."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+
+
 def _format_ci(ci: ConfidenceInterval) -> str:
     return f"({ci.lower:.2f},{ci.upper:.2f})"
 
@@ -337,7 +352,7 @@ def emit_table(table: MetricTable, fmt: str, path: Path) -> Path:
                 for c in table.columns
             },
         }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        _write_json(payload, path)
     elif fmt == "text":
         width = max(12, *(len(c) + 2 for c in table.columns)) if table.columns else 12
         header = f"{'season':<10}" + "".join(f"{c:>{width}}" for c in table.columns)
@@ -377,7 +392,7 @@ def emit_pooled_table(table: PooledTable, fmt: str, path: Path) -> Path:
             "eeu_gwh": table.eeu_gwh,
             "eeu_ci_gwh": {c: [table.eeu_ci[c].lower, table.eeu_ci[c].upper] for c in table.columns},
         }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        _write_json(payload, path)
     elif fmt == "text":
         width = max(14, *(len(c) + 2 for c in table.columns)) if table.columns else 14
         lines = [f"{'':<10}" + "".join(f"{c:>{width}}" for c in table.columns)]
@@ -529,10 +544,10 @@ def run_full_study(cfg: RunConfig, progress=lambda msg: None) -> StudyResult:
         manifest["status"] = "complete"
         manifest["outputs"] = result.outputs
         manifest["bootstrap"] = result.bootstrap
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        _write_json(manifest, manifest_path)
         return result
     except Exception as exc:
         manifest["failed_stage"] = stage
         manifest["error"] = str(exc)
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        _write_json(manifest, manifest_path)
         raise

@@ -323,6 +323,12 @@ class TestInvalidSettings:
         ("study", ["--seed", "-5"], None),
         ("risk", ["--seed", "-5"], None),
         ("uncertainty", ["--seed", "-5"], None),
+        ("study", ["--installed-wind-mw=nan"], None),
+        ("study", [], {"installed_wind_mw": float("inf")}),
+        ("study", [], {"installed_wind_mw": 10**400}),  # an integer past float range
+        ("risk", ["--installed-wind-mw=-5"], None),
+        ("ingest", ["--installed-wind-mw=0"], None),
+        ("fit", ["--installed-wind-mw=inf"], None),
     ])
     def test_exits_2(self, demo_dataset_dir, tmp_path, capsys, command, extra, config):
         if config is not None:
@@ -344,6 +350,55 @@ class TestInvalidSettings:
         assert code == 2
         assert err.startswith("configuration error: ")
         assert not outdir.exists()
+
+
+class TestTooFewSeasons:
+    """Too few seasons for the bootstrap or the Lowess fit exits 2 or 3, with no traceback."""
+
+    @pytest.fixture(scope="class")
+    def first_seasons(self, demo_dataset_dir, tmp_path_factory):
+        """Traces files of the demo's first 1, 2 and 3 seasons."""
+        header, *rows = demo_dataset_dir["traces"].read_text().splitlines()
+        seasons = list(dict.fromkeys(row.split(",")[0] for row in rows))
+        root = tmp_path_factory.mktemp("first_seasons")
+        paths = {}
+        for n in (1, 2, 3):
+            paths[n] = root / f"traces_{n}.csv"
+            kept = [row for row in rows if row.split(",")[0] in seasons[:n]]
+            paths[n].write_text("\n".join([header, *kept]) + "\n")
+        return paths
+
+    @pytest.mark.parametrize("command, n, history, extra, code, message", [
+        ("study", 1, True, [], 3, "1 season(s) inside the study window"),
+        ("uncertainty", 1, True, [], 3, "1 season(s) inside the study window"),
+        ("risk", 2, False, [], 3, "at least 3 seasons, got 2"),
+        ("risk", 3, False, [], 2, "3/n = 1,"),
+        ("study", 3, True, ["--span", "0.01"], 2, "span 0.01"),
+        ("ingest", 3, False, ["--span", "0.01"], 2, "span 0.01"),
+    ])
+    def test_exit_code(self, demo_dataset_dir, first_seasons, tmp_path, capsys,
+                       command, n, history, extra, code, message):
+        argv = [command, "--traces", str(first_seasons[n]), *extra]
+        if history:
+            argv += ["--quantiles", str(demo_dataset_dir["quantiles"])]
+        if command != "ingest":
+            argv += ["--fleet", str(demo_dataset_dir["fleet"]), "--seed", "1", "--reps", "100"]
+        if command == "uncertainty":
+            argv += ["--metric", "lole", "--mode", "season"]
+        else:
+            argv += ["--out", str(tmp_path / "out")]
+        got, _, err = run_cli(capsys, *argv)
+        assert got == code, err
+        assert message in err
+        if command == "study":  # a failed study leaves its manifest
+            assert json.loads((tmp_path / "out" / "manifest.json").read_text())["status"] == "failed"
+
+    def test_ingest_with_no_season_inside_the_window(self, tmp_path, capsys):
+        traces = tmp_path / "traces.csv"
+        traces.write_text("season,timestamp,demand_mw,wind_mw\n2010-11,2010-06-01T00:00:00,100,10\n")
+        code, _, err = run_cli(capsys, "ingest", "--traces", str(traces), "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert "got 0" in err
 
 
 class TestUncertaintyCommand:
@@ -388,21 +443,47 @@ class TestUncertaintyCommand:
         assert payload["mode"] == "block"
         assert payload["ci_lower"] <= payload["ci_upper"]
 
-    def test_hindcast_block_point_is_the_study_pooled_hindcast(self, demo_dataset_dir, capsys):
+    @pytest.fixture(scope="class")
+    def study_tables(self, demo_dataset_dir, tmp_path_factory):
+        """The JSON tables of ``study --models <model>`` at seed 9 and 100 replications."""
+        inputs = [f"--{k}={demo_dataset_dir[k]}" for k in ("traces", "fleet", "quantiles")]
+        tables = {}
+        for model in ("hindcast", "evt"):
+            out = tmp_path_factory.mktemp(f"study_{model}")
+            assert main(["study", *inputs, "--models", model, "--threshold-quantiles", "0.95",
+                         "--reps", "100", "--seed", "9", "--out", str(out), "--quiet"]) == 0
+            tables[model] = {name: json.loads((out / f"{name}.json").read_text())
+                             for name in ("lole_per_season", "eeu_per_season", "pooled_metrics")}
+        return tables
+
+    @pytest.mark.parametrize("mode", ["season", "block"])
+    @pytest.mark.parametrize("metric", ["lole", "eeu"])
+    @pytest.mark.parametrize("model", ["hindcast", "evt"])
+    def test_prints_the_study_ci(self, demo_dataset_dir, study_tables, capsys, model, metric, mode):
         # the default --threshold-quantile must not turn hindcast into an evt fit
         traces, fleet, quantiles = (str(demo_dataset_dir[k]) for k in ("traces", "fleet", "quantiles"))
         code, out, err = run_cli(
             capsys,
             "uncertainty", "--traces", traces, "--fleet", fleet, "--quantiles", quantiles,
-            "--metric", "lole", "--mode", "block", "--model", "hindcast",
+            "--metric", metric, "--mode", mode, "--model", model,
             "--reps", "100", "--seed", "9",
         )
         assert code == 0, err
-        cfg = RunConfig(traces_path=traces, fleet_path=fleet, quantiles_path=quantiles, seed=9,
-                        model_kinds=("hindcast",), replications=100)
-        result, _ = run_study_computation(cfg)
-        assert json.loads(out)["point_estimate"] == pytest.approx(
-            result.pooled_table.lole["hindcast"], rel=1e-12)
+        printed = json.loads(out)
+        label = "evt_95" if model == "evt" else model
+        tables = study_tables[model]
+        if mode == "season":
+            table = tables[f"{metric}_per_season"]
+            expected = [table["mean"][label], table["ci"][label]["lower"], table["ci"][label]["upper"]]
+        else:
+            key = "lole" if metric == "lole" else "eeu_gwh"
+            ci_key = "lole_ci" if metric == "lole" else "eeu_ci_gwh"
+            expected = [tables["pooled_metrics"][key][label], *tables["pooled_metrics"][ci_key][label]]
+        got = [printed[k] for k in ("point_estimate", "ci_lower", "ci_upper")]
+        if metric == "lole":
+            assert got == expected
+        else:  # uncertainty prints MWh, the tables hold GWh
+            assert got == pytest.approx([1000.0 * x for x in expected], rel=1e-12, abs=0.0)
 
 
 class TestGappedSeason:

@@ -762,6 +762,16 @@ class TestRescaleFactors:
         with pytest.raises(DataError, match="reference"):
             compute_rescale_factors([("a", 1.0), ("b", 2.0), ("c", 3.0)], "zz")
 
+    def test_fewer_than_three_seasons(self):
+        with pytest.raises(DataError, match="at least 3 seasons, got 2"):
+            compute_rescale_factors([("a", 1.0), ("b", 2.0)], None)
+
+    def test_span_below_three_points_per_neighbourhood(self):
+        qs = [(f"s{i}", 50_000.0) for i in range(4)]
+        with pytest.raises(ConfigError, match=r"span 0\.5 .* n = 4 .* 3/n = 0\.75.*--quantiles"):
+            compute_rescale_factors(qs, "s3", span=0.5)
+        assert compute_rescale_factors(qs, None, span=0.75)["s3"] == 1.0
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(17)
         labels = [f"s{i}" for i in range(9)]
