@@ -23,6 +23,8 @@ from .study import (
     check_installed_wind,
     check_rescale_settings,
     emit_tables,
+    load_inputs,
+    pooled_column,
     rescale_traces,
     run_full_study,
     run_study_computation,
@@ -230,20 +232,25 @@ def cmd_risk(args) -> int:
 
 
 def cmd_uncertainty(args) -> int:
-    """The CI of one column of a one-column study, as ``study --models <model>`` writes it."""
+    """The CI of one column, as ``study --models <model>`` writes it.
+
+    Season mode reads a one-column study. Block mode computes only the
+    column's pooled estimate and its block bootstrap, as the study does, so a
+    season that an evt fit cannot fit on its own does not stop it.
+    """
     cfg = _run_config(args, model_kinds=(_KIND_ALIASES[args.model],),
-                      threshold_quantiles=(args.threshold_quantile,),
-                      include_pooled=args.mode == "block")
-    result, _ = run_study_computation(cfg)
-    [(label, _, _)] = cfg.columns()
+                      threshold_quantiles=(args.threshold_quantile,), include_pooled=False)
+    [(label, kind, q)] = cfg.columns()
     if args.mode == "season":
+        result, _ = run_study_computation(cfg)
         table = result.lole_table if args.metric == "lole" else result.eeu_table
         point, ci = table.means[label], table.cis[label]
-    elif args.metric == "lole":
-        point, ci = result.pooled_table.lole[label], result.pooled_table.lole_ci[label]
+        scale = 1000.0 if args.metric == "eeu" else 1.0  # EEU in MWh, as the table's GWh x 1000
     else:
-        point, ci = result.pooled_table.eeu_gwh[label], result.pooled_table.eeu_ci[label]
-    scale = 1000.0 if args.metric == "eeu" else 1.0  # EEU in MWh, as the tables' GWh x 1000
+        sample, _ = load_inputs(cfg)
+        metrics, _, pooled = pooled_column(sample, kind, q, cfg.bootstrap(0))
+        point = metrics.lole_hours if args.metric == "lole" else metrics.eeu_mwh
+        ci, scale = pooled.intervals[args.metric], 1.0
 
     payload = {
         "metric": args.metric,

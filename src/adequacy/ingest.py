@@ -501,16 +501,17 @@ def lowess_fit(points, span: float = 2.0 / 3.0, iterations: int = 1) -> np.ndarr
     of the scaled residuals.
     """
     pts = list(points)
-    if len(pts) < 3:
-        raise ValueError("lowess needs at least 3 points")
     if not 0.0 < span <= 1.0:
         raise ValueError("span must lie in (0, 1]")
     x = np.array([float(p[0]) for p in pts])
     y = np.array([float(p[1]) for p in pts])
     n = x.size
     neighborhood = int(ceil(span * n))
-    if neighborhood < 3:
-        raise ValueError(f"span {span} leaves fewer than 2 usable points per neighborhood")
+    if neighborhood < 3:  # so also fewer than 3 points, as span <= 1
+        raise ValueError(
+            f"span {span} puts ceil(span * n) = {neighborhood} of the n = {n} points "
+            f"in each neighbourhood, and the fit needs 3"
+        )
     r = min(n - 1, neighborhood)
 
     dist = np.abs(x[:, None] - x[None, :])
@@ -568,13 +569,13 @@ def compute_rescale_factors(
     reference_label = reference_label or labels[-1]
     if reference_label not in labels:
         raise DataError(f"reference season {reference_label!r} not in quantile history")
-    if ceil(span * n) < 3:  # lowess_fit's neighbourhood
+    try:
+        fitted = lowess_fit(list(enumerate(values)), span=span, iterations=iterations)
+    except ValueError as exc:  # the span leaves too few seasons in a neighbourhood
         raise ConfigError(
-            f"lowess span {span} puts ceil(span * n) = {ceil(span * n)} of the n = {n} seasons "
-            f"in each neighbourhood, and the fit needs 3; the smallest usable span is "
-            f"3/n = {3 / n:.4g}, or give a longer history with --quantiles"
-        )
-    fitted = lowess_fit(list(enumerate(values)), span=span, iterations=iterations)
+            f"lowess {exc}; the smallest usable span is 3/n = {3 / n:.4g}, "
+            f"or give a longer history with --quantiles"
+        ) from None
     if np.any(fitted <= 0.0):
         bad = labels[int(np.argmax(fitted <= 0.0))]
         raise DataError(f"non-positive Lowess fitted value for season {bad!r}")

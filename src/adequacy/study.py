@@ -30,7 +30,13 @@ from .ingest import (
     load_traces,
 )
 from .risk import RiskMetrics, SeasonSample, ShortfallFunctionals, long_run_mean
-from .uncertainty import BootstrapConfig, ConfidenceInterval, block_bootstrap, season_bootstrap
+from .uncertainty import (
+    BlockBootstrapResult,
+    BootstrapConfig,
+    ConfidenceInterval,
+    block_bootstrap,
+    season_bootstrap,
+)
 
 SCAN_QUANTILES = np.round(np.arange(0.80, 0.996, 0.01), 3)
 SURVIVOR_CURVE_POINTS = 200
@@ -160,6 +166,19 @@ def pooled_pipeline(sample: SeasonSample, kind: str, threshold_quantile: float |
     return run
 
 
+def pooled_column(sample: SeasonSample, kind: str, threshold_quantile: float | None,
+                  boot: BootstrapConfig) -> tuple[RiskMetrics, evt.GpdFit | None, BlockBootstrapResult]:
+    """The pooled metrics of one column of ``RunConfig.columns()``, its evt fit
+    (None for other kinds) and its block bootstrap with ``boot``.
+
+    Nothing is computed per season, so a season that an evt column cannot fit
+    on its own does not stop it.
+    """
+    metrics, fit = sample.metrics(np.ones(len(sample.seasons)), kind, threshold_quantile)
+    pipeline = pooled_pipeline(sample, kind, threshold_quantile)
+    return metrics, fit, block_bootstrap(sample.seasons, pipeline, boot)
+
+
 def rescale_traces(traces, history, reference_season, span, iterations,
                    rescale_quantile=0.90):
     """Forward-map demand using Lowess-smoothed quantile-history factors.
@@ -270,12 +289,11 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
     bootstrap_counts = {}
     pooled_fits: dict[str, evt.GpdFit] = {}
     for label, kind, q in columns if cfg.include_pooled else []:
-        metrics, fit = sample.metrics(np.ones(len(traces)), kind, q)
+        metrics, fit, result = pooled_column(sample, kind, q, boots[label])
         if fit is not None:
             pooled_fits[label] = fit
         pooled_lole[label] = metrics.lole_hours
         pooled_eeu[label] = metrics.eeu_gwh
-        result = block_bootstrap(traces, pooled_pipeline(sample, kind, q), boots[label])
         pooled_lole_ci[label] = result.intervals["lole"]
         bootstrap_counts[label] = {
             "used": result.replications_used,

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from adequacy import dnw
 from adequacy.cli import main
 from adequacy.demo import DEMO_SEED
-from adequacy.study import RunConfig, run_study_computation
+from adequacy.study import RunConfig, load_inputs, pooled_pipeline, run_study_computation
+from adequacy.uncertainty import BootstrapConfig, block_bootstrap
 
 
 def run_cli(capsys, *argv):
@@ -484,6 +486,32 @@ class TestUncertaintyCommand:
             assert got == expected
         else:  # uncertainty prints MWh, the tables hold GWh
             assert got == pytest.approx([1000.0 * x for x in expected], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("metric", ["lole", "eeu"])
+    def test_block_mode_needs_no_single_season_fit(self, demo_dataset_dir, capsys, metric):
+        # at q = 0.995 a 21-week demo season holds about 18 exceedances, below
+        # evt's 30, and the pooled seasons about 120
+        inputs = [f"--{k}={demo_dataset_dir[k]}" for k in ("traces", "fleet", "quantiles")]
+        settings = ["--threshold-quantile", "0.995", "--reps", "100", "--seed", "9"]
+        code, _, err = run_cli(capsys, "uncertainty", *inputs, "--model", "evt",
+                               "--metric", metric, "--mode", "season", *settings)
+        assert code == 4 and "exceedances" in err
+        code, out, err = run_cli(capsys, "uncertainty", *inputs, "--model", "evt",
+                                 "--metric", metric, "--mode", "block", *settings)
+        assert code == 0, err
+        printed = json.loads(out)
+
+        # the pooled step of the study, on substream key (seed, 101, column 0)
+        cfg = RunConfig(traces_path=str(demo_dataset_dir["traces"]),
+                        fleet_path=str(demo_dataset_dir["fleet"]),
+                        quantiles_path=str(demo_dataset_dir["quantiles"]), seed=9,
+                        model_kinds=(dnw.EVT,), threshold_quantiles=(0.995,), replications=100)
+        sample, _ = load_inputs(cfg)
+        metrics, _ = sample.metrics(np.ones(len(sample.seasons)), dnw.EVT, 0.995)
+        boot = BootstrapConfig(seed=(9, 101, 0), replications=100, ci_level=0.95)
+        ci = block_bootstrap(sample.seasons, pooled_pipeline(sample, dnw.EVT, 0.995), boot).intervals[metric]
+        point = metrics.lole_hours if metric == "lole" else metrics.eeu_mwh
+        assert [printed[k] for k in ("point_estimate", "ci_lower", "ci_upper")] == [point, ci.lower, ci.upper]
 
 
 class TestGappedSeason:
