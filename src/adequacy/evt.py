@@ -9,10 +9,14 @@ on y >= 0 with 1 + xi * y / sigma > 0; xi = 0 is the exponential limit
 1 - exp(-y / sigma). Parameters are estimated by maximum likelihood: the
 likelihood is maximised in closed form for fixed theta = xi / sigma
 (Grimshaw 1993), and a bounded one-dimensional search over theta finishes the
-fit, confined to xi >= -1. That search is Brent's bounded minimiser and, for
-the xi = -1 edge, his zeroin root finder (Brent 1973), both written here in
-plain floats. Standard errors come from the analytic observed information,
-computed from the fitted excesses the first time a fit's SEs are read.
+fit, confined to xi >= -1. That search takes Newton steps on the profile's
+analytic first and second derivatives from the method-of-moments estimate;
+where they cannot be trusted (non-positive curvature, the xi = -1 edge, the
+exponential limit theta = 0, or 20 steps) it falls back to Brent's bounded
+minimiser. Brent's zeroin root finder finds the xi = -1 edge (Brent 1973);
+both Brent methods are written here in plain floats. Standard errors come
+from the analytic observed information, computed from the fitted excesses
+the first time a fit's SEs are read.
 """
 
 from __future__ import annotations
@@ -41,6 +45,11 @@ _S_XTOL = 1e-12
 _MAX_EVALUATIONS = 500
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 _ROOT_MAX_ITERATIONS = 100
+# Newton steps on the profile in t = expm1(s) = theta * max(y).
+_T_START_FLOOR = -0.9  # the moment start is clamped to at least this
+_T_NEAR_ZERO = 1e-3  # the profile score cancels near the exponential limit t = 0
+_NEWTON_RTOL = 1e-9
+_NEWTON_MAX_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -166,12 +175,16 @@ def fit_gpd(excesses, weights=None) -> GpdMle:
     For fixed theta = xi / sigma the likelihood is maximised in closed form by
     xi(theta) = mean(log1p(theta * y)), sigma = xi / theta (Grimshaw 1993,
     Technometrics 35(2)), which leaves a one-dimensional profile likelihood.
-    A bounded Brent search (``_bounded_minimum``) minimises its negative over
-    s = log1p(theta * max(y)), confined to xi >= -1: below that the likelihood
-    is unbounded; ``_root`` finds the xi = -1 edge when it lies inside.
-    When no point of the profile beats the xi = -1 edge, the fit is its
-    uniform limit xi = -1, sigma = max(y). ``iterations`` counts profile
-    evaluations. Standard errors come from the inverse analytic observed
+    Its negative is minimised over s = log1p(theta * max(y)) in a bracket
+    confined to xi >= -1: below that the likelihood is unbounded; ``_root``
+    finds the xi = -1 edge when it lies inside. Newton steps in
+    t = theta * max(y) = expm1(s) (``_newton_minimum``), from the weighted
+    method-of-moments estimate, find the minimum; where they give up, a
+    bounded Brent search (``_bounded_minimum``) over s does. When no point
+    of the profile beats the xi = -1 edge, the fit is its uniform limit
+    xi = -1, sigma = max(y). ``iterations`` counts profile evaluations: one
+    per Newton step or Brent evaluation, plus those of the bracket and of
+    the optimum. Standard errors come from the inverse analytic observed
     information at the optimum (NaN at the xi = -1 edge); they assume i.i.d.
     excesses and should be read as approximations. They are not computed
     here: the fit keeps a copy of its excesses and weights, and computes
@@ -213,8 +226,7 @@ def fit_gpd(excesses, weights=None) -> GpdMle:
         xi = (n_top * s + (w_rest * np.log1p(e * rest)).sum()) / k
         return xi, xi * y_max / e
 
-    def nll(s):
-        xi, sigma = profile(s)
+    def nll(xi, sigma):
         if xi < -1.0:  # past the edge the best shape is -1, at sigma = -1/theta
             return k * np.log(-sigma / xi)
         return k * (np.log(sigma) + xi + 1.0)
@@ -228,17 +240,23 @@ def fit_gpd(excesses, weights=None) -> GpdMle:
     if profile(_S_FLOOR)[0] < -1.0:
         s_lo = _root(lambda s: profile(s)[0] + 1.0, _S_FLOOR, 0.0)
     s_hi = min(np.log(y_max / y.min()) + 10.0, _S_CEIL)
-    s_hat, f_hat, converged = _bounded_minimum(nll, s_lo, s_hi)
-    if not converged:
-        raise NumericalError(
-            f"GPD profile search did not converge after {evaluations} evaluations"
-        )
+    t_hat, steps = _newton_minimum(r, w, k, math.expm1(s_lo), math.expm1(s_hi))
+    evaluations += steps
+    if t_hat is None:
+        s_hat, _, converged = _bounded_minimum(lambda s: nll(*profile(s)), s_lo, s_hi)
+        if not converged:
+            raise NumericalError(
+                f"GPD profile search did not converge after {evaluations} evaluations"
+            )
+    else:
+        s_hat = math.log1p(t_hat)
 
+    xi_hat, sigma_hat = profile(s_hat)
+    f_hat = nll(xi_hat, sigma_hat)
     if f_hat >= k * np.log(y_max):
         sigma_hat, xi_hat, log_lik = float(y_max), -1.0, -k * float(np.log(y_max))
         y = w = None  # the information is infinite at the edge: no SEs
     else:
-        xi_hat, sigma_hat = profile(s_hat)
         xi_hat, sigma_hat, log_lik = float(xi_hat), float(sigma_hat), -float(f_hat)
         if not sigma_hat > 0.0:  # xi(s) rounded to 0 away from s = 0
             raise NumericalError(f"GPD fit gave scale {sigma_hat!r} at s = {s_hat!r}")
@@ -252,6 +270,53 @@ def fit_gpd(excesses, weights=None) -> GpdMle:
         excesses=y,
         weights=w,
     )
+
+
+def _newton_minimum(r, w, k, t_lo, t_hi):
+    """Newton's minimum of the profile in t = theta * max(y), or None to fall back.
+
+    With xi(t) = sum(w log1p(t r)) / k for r = y / max(y), the profile
+    negative log-likelihood is k (log(xi / t) + xi + 1) plus a constant, and
+    xi' = sum(w r / (1 + t r)) / k, xi'' = -sum(w r^2 / (1 + t r)^2) / k give
+    its first two derivatives. The steps start at the weighted method-of-moments
+    estimate, clamped to at least _T_START_FLOOR and into [t_lo, t_hi]; a step
+    that leaves (t_lo, t_hi) is halved until it lands inside. They stop at a
+    full step of at most _NEWTON_RTOL relative. Non-positive curvature, xi <= -1, |t| below
+    _T_NEAR_ZERO or _NEWTON_MAX_STEPS steps give None. Returns (t, steps),
+    one profile evaluation per step.
+    """
+    k = float(k)  # plain floats: no numpy scalar overhead or overflow warnings
+    mean = float(w @ r) / k
+    ratio = mean * mean / (float(w @ (r - mean) ** 2) / k)  # 1 - 2 xi for the GPD
+    t = min(max((1.0 - ratio) / (mean * (1.0 + ratio)), _T_START_FLOOR, t_lo), t_hi)
+    for step in range(1, _NEWTON_MAX_STEPS + 1):
+        if abs(t) < _T_NEAR_ZERO:
+            return None, step - 1
+        a = t * r
+        u = r / (1.0 + a)
+        xi = float(w @ np.log1p(a)) / k
+        if not xi > -1.0:
+            return None, step
+        d1 = float(w @ u) / k
+        d2 = -float(w @ (u * u)) / k
+        c = 1.0 + 1.0 / xi
+        g = d1 / xi
+        curvature = d2 * c - g * g + 1.0 / (t * t)
+        if not curvature > 0.0:
+            return None, step
+        dt = -(d1 * c - 1.0 / t) / curvature
+        if not math.isfinite(dt):
+            return None, step
+        t_new = t + dt
+        if t_lo < t_new < t_hi and abs(dt) <= _NEWTON_RTOL * abs(t_new):
+            return t_new, step  # converged on a full step: a halved one proves nothing
+        while not t_lo < t_new < t_hi:  # halve back into the bracket
+            dt *= 0.5
+            t_new = t + dt
+            if t_new == t:  # t sits on the bracket's end
+                return None, step
+        t = t_new
+    return None, _NEWTON_MAX_STEPS
 
 
 def _bounded_minimum(f, a, b):

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dnw, evt
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .genmodel import convolve_fleet, load_fleet
 from .ingest import (
     SeasonWindow,
@@ -255,8 +255,13 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[St
     per_season: dict[str, list[RiskMetrics]] = {}
     season_fits: dict[str, list[evt.GpdFit | None]] = {}
     for label, kind, q in columns:
+        results = []
         # a one-hot count is that season on its own
-        results = [sample.metrics(one, kind, q) for one in np.identity(len(traces))]
+        for season, one in zip(labels, np.identity(len(traces))):
+            try:
+                results.append(sample.metrics(one, kind, q))
+            except NumericalError as exc:
+                raise NumericalError(f"{label}, season {season}: {exc}") from exc
         per_season[label] = [m for m, _ in results]
         season_fits[label] = [fit for _, fit in results]
 

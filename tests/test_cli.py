@@ -607,6 +607,25 @@ class TestStudyCommand:
             else:
                 assert c["first_error"] is None, column
 
+    def test_failed_season_fit_names_column_and_season(self, demo_dataset_dir, tmp_path, capsys):
+        # at q = 0.995 a 21-week demo season holds 18 exceedances, below evt's 30;
+        # the q = 0.9 column fits every season first
+        outdir = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "study",
+            "--traces", str(demo_dataset_dir["traces"]),
+            "--fleet", str(demo_dataset_dir["fleet"]),
+            "--quantiles", str(demo_dataset_dir["quantiles"]),
+            "--models", "evt", "--threshold-quantiles", "0.9", "0.995",
+            "--reps", "100", "--seed", "3", "--out", str(outdir), "--quiet",
+        )
+        message = "evt_100, season 2007-08: need at least 30 exceedances to fit, got 18"
+        assert code == 4
+        assert err.strip() == f"numerical failure: {message}"
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["status"] != "complete"
+        assert manifest["error"] == message
+
     @pytest.mark.parametrize("key, value", [
         ("allow_gaps", "false"),
         ("allow_gaps", 1),

@@ -2,7 +2,9 @@
 
 Tiny systems (3-week seasons, a 5-unit fleet) are drawn with edge settings:
 too few seasons for the Lowess fit or the bootstrap, spans down to 0.01, and
-wind capacities that are negative, zero or not finite.
+wind capacities that are negative, zero or not finite. The model list is any
+non-empty subset of the three kinds, in any order, and a traces file may miss
+five hours of its last season, with or without ``--allow-gaps``.
 """
 
 import contextlib
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from adequacy.cli import main
@@ -53,8 +55,13 @@ def system(tmp_path_factory):
                        + "".join(f"{s},{1000.0 + 10.0 * i}\n" for i, s in enumerate(HISTORY)))
     files = {}
     for n in range(1, len(SEASONS) + 1):
-        files[n] = {"traces": write_trace_csv(root / f"traces_{n}.csv", traces[:n]),
-                    "fleet": fleet, "quantiles": history}
+        path = write_trace_csv(root / f"traces_{n}.csv", traces[:n])
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        del rows[-100:-95]  # 5 hours of the last season; --allow-gaps drops their day
+        gapped = root / f"gapped_{n}.csv"
+        gapped.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        for has_gap, traces_path in ((False, path), (True, gapped)):
+            files[n, has_gap] = {"traces": traces_path, "fleet": fleet, "quantiles": history}
     return files
 
 
@@ -77,6 +84,9 @@ def _run(argv):
     # 3-week seasons have 25 hours above their 95% quantile, too few for a GPD fit (exit 4)
     threshold_quantile=st.sampled_from(["0.9", "0.95"]),
     seed=st.integers(0, 3),
+    models=st.lists(st.sampled_from(["evt", "hindcast", "ind"]), min_size=1, max_size=3, unique=True),
+    has_gap=st.booleans(),
+    allow_gaps=st.booleans(),
     command=st.sampled_from([
         ["study", "--quiet"],
         ["risk", "--pooled", "--quiet"],
@@ -86,10 +96,12 @@ def _run(argv):
     ]),
 )
 def test_exit_code_and_strict_json(system, n_seasons, with_history, span, wind,
-                                   threshold_quantile, seed, command):
-    files = system[n_seasons]
+                                   threshold_quantile, seed, models, has_gap, allow_gaps, command):
+    files = system[n_seasons, has_gap]
     name = command[0]
     argv = [*command, "--traces", str(files["traces"]), "--window-weeks", str(WEEKS)]
+    if allow_gaps:
+        argv += ["--allow-gaps"]
     if with_history:
         argv += ["--quantiles", str(files["quantiles"])]
     if wind is not None:
@@ -100,11 +112,15 @@ def test_exit_code_and_strict_json(system, n_seasons, with_history, span, wind,
         argv += ["--fleet", str(files["fleet"]), "--reps", "100", "--seed", str(seed),
                  "--threshold-quantiles" if name == "study" else "--threshold-quantile",
                  threshold_quantile]
+        # uncertainty takes one model, the others a list
+        argv += ["--models" if name == "study" else "--model",
+                 *(models[:1] if name == "uncertainty" else models)]
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp) / "out"
         if name != "uncertainty":
             argv += ["--out", str(out_dir)]
         code, out, err = _run(argv)
+        event(f"{name} exit {code}")  # shown by --hypothesis-show-statistics
         assert code in (0, 2, 3, 4), (argv, code, err)
         assert "Traceback" not in err
         if code:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import optimize, stats
 
 from adequacy import evt
+from adequacy.cli import main
 from adequacy.errors import NumericalError
 from adequacy.evt import (
     GpdFit,
@@ -423,13 +424,15 @@ class TestBrentPortsMatchScipy:
 
     def test_fits_match_fminbound_and_brentq(self, monkeypatch):
         samples = list(self.corpus(1200))
-        edge = []
+        edge, searched = [], []
         monkeypatch.setattr(evt, "_root", lambda f, a, b: edge.append(1) or _scipy_root(f, a, b))
-        monkeypatch.setattr(evt, "_bounded_minimum", _scipy_minimum)
+        monkeypatch.setattr(evt, "_bounded_minimum",
+                            lambda f, a, b: searched.append(1) or _scipy_minimum(f, a, b))
         expected = self.outcomes(samples)
         monkeypatch.undo()
         assert sum(w is not None for _, w in samples) == 600
         assert len(edge) > 300  # fits that searched for the xi = -1 edge root
+        assert len(searched) > 400  # fits the Newton steps left to the Brent search (453)
         assert self.outcomes(samples) == expected
 
 
@@ -589,3 +592,41 @@ class TestDemoFitsMatchRecordedOptimum:
             assert fit.params.sigma == pytest.approx(sigma, rel=1e-6), label
             assert fit.params.xi == pytest.approx(xi, abs=1e-6), label
             assert fit.log_likelihood == pytest.approx(log_lik, rel=1e-6), label
+
+
+class TestNewtonMatchesBrentOnDemoStudy:
+    """The Newton steps find the Brent search's optimum on the fits a study makes."""
+
+    @pytest.fixture(scope="class")
+    def demo_fits(self, demo_dataset_dir, tmp_path_factory):
+        """(excesses, weights) of every fit_gpd call of a 100-replication demo study."""
+        inputs = []
+        fit = evt.fit_gpd
+
+        def spy(excesses, weights=None):
+            inputs.append((np.array(excesses), None if weights is None else np.array(weights)))
+            return fit(excesses, weights)
+
+        files = [f"--{k}={demo_dataset_dir[k]}" for k in ("traces", "fleet", "quantiles")]
+        out = tmp_path_factory.mktemp("newton_study")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evt, "fit_gpd", spy)
+            code = main(["study", *files, "--reps", "100", "--seed", "1", "--out", str(out), "--quiet"])
+        assert code == 0
+        return inputs
+
+    def test_optimum_matches_brent_search(self, demo_fits, monkeypatch):
+        newton = evt._newton_minimum
+        results = []
+        monkeypatch.setattr(evt, "_newton_minimum", lambda *a: results.append(newton(*a)) or results[-1])
+        fits = [fit_gpd(y, w) for y, w in demo_fits]
+        monkeypatch.setattr(evt, "_newton_minimum", lambda *a: (None, 0))  # give up: Brent runs
+        searched = [fit_gpd(y, w) for y, w in demo_fits]
+        assert len(demo_fits) == 440  # 300 in the evt columns, 140 in the threshold scans
+        assert sum(t is None for t, _ in results) <= 0.05 * len(results)
+        for ours, brent in zip(fits, searched):
+            assert ours.log_likelihood >= brent.log_likelihood - 1e-9 * abs(brent.log_likelihood)
+            assert ours.params.sigma == pytest.approx(brent.params.sigma, rel=1e-6)
+            assert ours.params.xi == pytest.approx(brent.params.xi, abs=1e-6)
+        # one evaluation per Newton step against about 24 per Brent search
+        assert sum(f.iterations for f in fits) < 0.5 * sum(f.iterations for f in searched)
