@@ -22,9 +22,11 @@ from .study import (
     RunConfig,
     check_installed_wind,
     check_rescale_settings,
+    check_threshold_quantile,
     emit_tables,
     load_inputs,
     pooled_column,
+    quantile_percent,
     rescale_traces,
     run_full_study,
     run_study_computation,
@@ -125,8 +127,8 @@ def _load(args):
     check_installed_wind(args.installed_wind_mw)
     if args.command == "ingest":
         check_rescale_settings(args.span, args.iterations, args.rescale_quantile)
-    elif not 0.0 < args.threshold_quantile < 1.0:
-        raise ConfigError(f"threshold quantile {args.threshold_quantile} outside (0, 1)")
+    else:
+        check_threshold_quantile(args.threshold_quantile)
     window = SeasonWindow(weeks=args.window_weeks, anchor_rule=args.anchor_rule)
     return load_traces(
         args.traces, window, installed_wind_mw=args.installed_wind_mw, allow_gaps=args.allow_gaps
@@ -168,7 +170,7 @@ def cmd_fit(args) -> int:
     u = evt.select_threshold(values, args.threshold_quantile)
     fit = evt.fit_threshold_excesses(values, u)
     print(
-        f"season {args.season}: u={u:.1f} MW ({args.threshold_quantile:.0%} quantile), "
+        f"season {args.season}: u={u:.1f} MW ({quantile_percent(args.threshold_quantile)}% quantile), "
         f"sigma={fit.params.sigma:.1f} (se {fit.se_sigma:.1f}), "
         f"xi={fit.params.xi:.3f} (se {fit.se_xi:.3f}), "
         f"k={fit.n_exceedances}, loglik={fit.log_likelihood:.2f}"

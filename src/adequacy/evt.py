@@ -12,11 +12,11 @@ likelihood is maximised in closed form for fixed theta = xi / sigma
 fit, confined to xi >= -1. That search takes Newton steps on the profile's
 analytic first and second derivatives from the method-of-moments estimate;
 where they cannot be trusted (non-positive curvature, the xi = -1 edge, the
-exponential limit theta = 0, or 20 steps) it falls back to Brent's bounded
-minimiser. Brent's zeroin root finder finds the xi = -1 edge (Brent 1973);
-both Brent methods are written here in plain floats. Standard errors come
-from the analytic observed information, computed from the fitted excesses
-the first time a fit's SEs are read.
+exponential limit theta = 0, or 20 steps) it falls back to a golden-section
+search. A bisection finds the xi = -1 edge. Both fallbacks stop at Brent's
+tolerances (Brent 1973) and are written here in plain floats. Standard errors
+come from the analytic observed information, computed from the fitted
+excesses the first time a fit's SEs are read.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ _S_FLOOR = -40.0  # expm1(s) rounds to -1 below this
 _S_CEIL = 700.0  # expm1 overflows past 709
 _S_TINY = 1e-200  # |s| below this is the exponential limit theta -> 0
 _S_XTOL = 1e-12
-_MAX_EVALUATIONS = 500
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)  # the golden section's shrink factor per step
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
-_ROOT_MAX_ITERATIONS = 100
 # Newton steps on the profile in t = expm1(s) = theta * max(y).
 _T_START_FLOOR = -0.9  # the moment start is clamped to at least this
 _T_NEAR_ZERO = 1e-3  # the profile score cancels near the exponential limit t = 0
@@ -177,18 +177,19 @@ def fit_gpd(excesses, weights=None) -> GpdMle:
     Technometrics 35(2)), which leaves a one-dimensional profile likelihood.
     Its negative is minimised over s = log1p(theta * max(y)) in a bracket
     confined to xi >= -1: below that the likelihood is unbounded; ``_root``
-    finds the xi = -1 edge when it lies inside. Newton steps in
+    bisects for the xi = -1 edge when it lies inside. Newton steps in
     t = theta * max(y) = expm1(s) (``_newton_minimum``), from the weighted
     method-of-moments estimate, find the minimum; where they give up, a
-    bounded Brent search (``_bounded_minimum``) over s does. When no point
+    golden-section search (``_bounded_minimum``) over s does. When no point
     of the profile beats the xi = -1 edge, the fit is its uniform limit
     xi = -1, sigma = max(y). ``iterations`` counts profile evaluations: one
-    per Newton step or Brent evaluation, plus those of the bracket and of
-    the optimum. Standard errors come from the inverse analytic observed
-    information at the optimum (NaN at the xi = -1 edge); they assume i.i.d.
-    excesses and should be read as approximations. They are not computed
-    here: the fit keeps a copy of its excesses and weights, and computes
-    ``se_sigma`` and ``se_xi`` the first time either is read.
+    per Newton step or golden-section evaluation, plus those of the bracket
+    (the edge root's bisection among them) and of the optimum. Standard
+    errors come from the inverse analytic observed information at the
+    optimum (NaN at the xi = -1 edge); they assume i.i.d. excesses and should
+    be read as approximations. They are not computed here: the fit keeps a
+    copy of its excesses and weights, and computes ``se_sigma`` and
+    ``se_xi`` the first time either is read.
 
     ``weights`` are positive integer counts, one per excess: the fit is that of
     the sample with excess i repeated weights[i] times, so every mean and sum
@@ -239,11 +240,12 @@ def fit_gpd(excesses, weights=None) -> GpdMle:
     s_lo = _S_FLOOR
     if profile(_S_FLOOR)[0] < -1.0:
         s_lo = _root(lambda s: profile(s)[0] + 1.0, _S_FLOOR, 0.0)
-    s_hi = min(np.log(y_max / y.min()) + 10.0, _S_CEIL)
+    # plain floats: a ratio past the float range is inf, without numpy's overflow warning
+    s_hi = min(np.log(float(y_max) / float(y.min())) + 10.0, _S_CEIL)
     t_hat, steps = _newton_minimum(r, w, k, math.expm1(s_lo), math.expm1(s_hi))
     evaluations += steps
     if t_hat is None:
-        s_hat, _, converged = _bounded_minimum(lambda s: nll(*profile(s)), s_lo, s_hi)
+        s_hat, converged = _bounded_minimum(lambda s: nll(*profile(s)), s_lo, s_hi)
         if not converged:
             raise NumericalError(
                 f"GPD profile search did not converge after {evaluations} evaluations"
@@ -320,127 +322,45 @@ def _newton_minimum(r, w, k, t_lo, t_hi):
 
 
 def _bounded_minimum(f, a, b):
-    """Minimise f on [a, b] by Brent's golden-section and parabolic search.
+    """Minimise f on [a, b] by golden-section search.
 
-    Brent (1973), Algorithms for Minimization without Derivatives, ch. 5, step
-    for step and constant for constant as ``scipy.optimize.fminbound`` runs
-    it with xtol = _S_XTOL, so both make the same evaluations. Returns (x,
-    f(x), converged); a search that made _MAX_EVALUATIONS evaluations or met a
-    NaN did not converge.
+    Each step keeps the part of the bracket around the lower of two interior
+    points. The search stops once the bracket is at most
+    2 (sqrt(eps) |mid| + _S_XTOL) wide, Brent's tolerance, or at a NaN.
+    Returns (x, converged) for the better interior point x; a search that met
+    a NaN did not converge.
     """
     a, b = float(a), float(b)
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    # x: best point so far; w, v: the previous two best; e: the step before last
-    x = w = v = a + golden_mean * (b - a)
-    fx = fw = fv = fu = float(f(x))
-    evaluations = 1
-    step = e = 0.0
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(x) + _S_XTOL / 3.0
-    tol2 = 2.0 * tol1
-    while abs(x - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through x, w and v
-            golden = False
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = step
-            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-                step = (p + 0.0) / q
-                u = x + step
-                if u - a < tol2 or b - u < tol2:  # too near an end: step tol1 inward
-                    step = tol1 * _sign(xm - x)
-            else:
-                golden = True
-        if golden:
-            e = (a - x) if x >= xm else (b - x)
-            step = golden_mean * e
-        u = x + _sign(step) * max(abs(step), tol1)
-        fu = float(f(u))
-        evaluations += 1
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(x) + _S_XTOL / 3.0
-        tol2 = 2.0 * tol1
-        if evaluations >= _MAX_EVALUATIONS:
-            return x, fx, False
-    return x, fx, not (math.isnan(x) or math.isnan(fx) or math.isnan(fu))
-
-
-def _sign(t):
-    """+1 for t >= 0, -1 below 0, and 0 for NaN (so a NaN step stays NaN)."""
-    return (t > 0) - (t < 0) + (t == 0)
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = float(f(c)), float(f(d))
+    while b - a > 2.0 * (_SQRT_EPS * abs(0.5 * (a + b)) + _S_XTOL):
+        if math.isnan(fc) or math.isnan(fd):
+            break
+        if fc <= fd:  # the minimum lies in [a, d]
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = float(f(c))
+        else:  # in [c, b]
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = float(f(d))
+    return (c if fc <= fd else d), not (math.isnan(fc) or math.isnan(fd))
 
 
 def _root(f, a, b):
-    """A root of f between a and b, where f changes sign, by Brent's zeroin.
+    """The root of an increasing f with f(a) <= 0 <= f(b), by bisection.
 
-    Brent (1973), ch. 4: inverse quadratic interpolation, secant or
-    bisection, each step kept inside the bracket. The same steps as
-    ``scipy.optimize.brentq`` with xtol = _S_XTOL and its default rtol and
-    maxiter: it stops once the bracket is narrower than xtol + rtol * |x|.
+    Stops once the bracket is at most _S_XTOL + _ROOT_RTOL |s| wide, s its
+    midpoint, and returns that midpoint.
     """
-    x_pre, x_cur = float(a), float(b)
-    f_pre, f_cur = float(f(x_pre)), float(f(x_cur))
-    if f_pre == 0.0:
-        return x_pre
-    if f_cur == 0.0:
-        return x_cur
-    if math.copysign(1.0, f_pre) == math.copysign(1.0, f_cur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    x_blk = f_blk = s_pre = s_cur = 0.0
-    for _ in range(_ROOT_MAX_ITERATIONS):
-        if f_pre != 0.0 and f_cur != 0.0 and math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur):
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):  # keep the best point in x_cur
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = (_S_XTOL + _ROOT_RTOL * abs(x_cur)) / 2.0
-        s_bis = (x_blk - x_cur) / 2.0
-        if f_cur == 0.0 or abs(s_bis) < delta:
-            return x_cur
-        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
-            if x_pre == x_blk:  # secant
-                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
-            else:  # inverse quadratic interpolation
-                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
-            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
-                s_pre, s_cur = s_cur, s_try
-            else:
-                s_pre = s_cur = s_bis
+    s = 0.5 * (a + b)
+    while b - a > _S_XTOL + _ROOT_RTOL * abs(s):
+        if f(s) < 0.0:
+            a = s
         else:
-            s_pre = s_cur = s_bis
-        x_pre, f_pre = x_cur, f_cur
-        if abs(s_cur) > delta:
-            x_cur += s_cur
-        else:
-            x_cur += delta if s_bis > 0 else -delta
-        f_cur = float(f(x_cur))
-    raise NumericalError(f"root search did not converge after {_ROOT_MAX_ITERATIONS} iterations")
+            b = s
+        s = 0.5 * (a + b)
+    return s
 
 
 # Taylor coefficients, highest power first, of

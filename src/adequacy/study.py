@@ -59,6 +59,18 @@ def check_installed_wind(installed_wind_mw: float | None) -> None:
         raise ConfigError(f"installed_wind_mw {installed_wind_mw} is not a finite positive capacity")
 
 
+def check_threshold_quantile(q: float) -> None:
+    """Raise ConfigError unless the GPD threshold quantile lies in (0.5, 1)."""
+    if not 0.5 < q < 1.0:
+        raise ConfigError(f"threshold quantile {q} outside (0.5, 1)")
+
+
+def quantile_percent(q: float) -> str:
+    """A threshold quantile in percent, as evt column and file names give it:
+    0.9 is "90" and 0.995 is "99.5" (six significant digits)."""
+    return f"{q * 100:g}"
+
+
 @dataclass(frozen=True)
 class RunConfig:
     traces_path: str
@@ -96,8 +108,7 @@ class RunConfig:
             if kind not in dnw.MODEL_KINDS:
                 raise ConfigError(f"unknown model kind {kind!r}")
         for q in self.threshold_quantiles:
-            if not 0.5 < q < 1.0:
-                raise ConfigError(f"threshold quantile {q} outside (0.5, 1)")
+            check_threshold_quantile(q)
         if dnw.EVT in self.model_kinds and not self.threshold_quantiles:
             raise ConfigError("evt models need at least one threshold quantile")
         labels = [label for label, _, _ in self.columns()]
@@ -105,7 +116,8 @@ class RunConfig:
         if repeated:
             raise ConfigError(
                 f"threshold quantiles {list(self.threshold_quantiles)} give repeated "
-                f"column labels {repeated}; labels are the quantile in whole percent"
+                f"column labels {repeated}; labels are the quantile in percent, "
+                "to six significant digits"
             )
 
     def window(self) -> SeasonWindow:
@@ -123,7 +135,7 @@ class RunConfig:
         for kind in self.model_kinds:
             if kind == dnw.EVT:
                 for q in self.threshold_quantiles:
-                    cols.append((f"evt_{round(q * 100):g}", dnw.EVT, q))
+                    cols.append((f"evt_{quantile_percent(q)}", dnw.EVT, q))
             else:
                 cols.append((kind if kind != dnw.INDEPENDENCE else "ind", kind, None))
         return cols
@@ -536,7 +548,7 @@ def run_full_study(cfg: RunConfig, progress=lambda msg: None) -> StudyResult:
                     f"{season},{f.threshold_u!r},{f.params.sigma!r},{f.params.xi!r},"
                     f"{f.se_sigma!r},{f.se_xi!r},{f.n_exceedances}"
                 )
-            p = outdir / f"gpd_parameters_q{round(q * 100):g}.csv"
+            p = outdir / f"gpd_parameters_q{quantile_percent(q)}.csv"
             p.write_text("\n".join(lines) + "\n", encoding="utf-8")
             outputs.append(p)
 
@@ -550,7 +562,7 @@ def run_full_study(cfg: RunConfig, progress=lambda msg: None) -> StudyResult:
             for label, q in evt_columns:
                 outputs.append(write_qq_csv(
                     season_fits[label][i], values,
-                    outdir / f"qq_{trace.season_label}_q{round(q * 100):g}.csv",
+                    outdir / f"qq_{trace.season_label}_q{quantile_percent(q)}.csv",
                 ))
 
         stage = "survivor curves"

@@ -331,6 +331,8 @@ class TestInvalidSettings:
         ("risk", ["--installed-wind-mw=-5"], None),
         ("ingest", ["--installed-wind-mw=0"], None),
         ("fit", ["--installed-wind-mw=inf"], None),
+        ("fit", ["--threshold-quantile", "0.3"], None),  # study's (0.5, 1) rule
+        ("dnw", ["--model", "evt", "--threshold-quantile", "0.3"], None),
     ])
     def test_exits_2(self, demo_dataset_dir, tmp_path, capsys, command, extra, config):
         if config is not None:
@@ -619,7 +621,7 @@ class TestStudyCommand:
             "--models", "evt", "--threshold-quantiles", "0.9", "0.995",
             "--reps", "100", "--seed", "3", "--out", str(outdir), "--quiet",
         )
-        message = "evt_100, season 2007-08: need at least 30 exceedances to fit, got 18"
+        message = "evt_99.5, season 2007-08: need at least 30 exceedances to fit, got 18"
         assert code == 4
         assert err.strip() == f"numerical failure: {message}"
         manifest = json.loads((outdir / "manifest.json").read_text())
@@ -671,16 +673,16 @@ class TestStudyCommand:
         assert "seed" in err
 
     def test_colliding_column_labels_are_config_error(self, demo_dataset_dir, tmp_path, capsys):
-        # 0.951 and 0.954 both round to the label evt_95
+        # 0.95 and 0.9500001 both give the label evt_95: labels keep six significant digits
         code, _, err = run_cli(
             capsys, "study",
             "--traces", str(demo_dataset_dir["traces"]),
             "--fleet", str(demo_dataset_dir["fleet"]),
-            "--threshold-quantiles", "0.951", "0.954",
+            "--threshold-quantiles", "0.95", "0.9500001",
             "--seed", "1", "--out", str(tmp_path / "z"),
         )
         assert code == 2
-        assert "evt_95" in err
+        assert "column labels ['evt_95']" in err and "six significant digits" in err
         assert not (tmp_path / "z").exists()
 
     @pytest.mark.parametrize("content, message", [

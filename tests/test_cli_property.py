@@ -4,7 +4,9 @@ Tiny systems (3-week seasons, a 5-unit fleet) are drawn with edge settings:
 too few seasons for the Lowess fit or the bootstrap, spans down to 0.01, and
 wind capacities that are negative, zero or not finite. The model list is any
 non-empty subset of the three kinds, in any order, and a traces file may miss
-five hours of its last season, with or without ``--allow-gaps``.
+five hours of its last season, with or without ``--allow-gaps``. Anchor rules
+are valid, of other windows, or unreadable, and ``study`` reads any of its
+settings from a ``--config`` file, one of them perhaps of the wrong JSON type.
 """
 
 import contextlib
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from adequacy.cli import main
@@ -75,12 +77,23 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# anchor rules: the traces' own (the first two), another window's, and two that
+# do not parse
+ANCHOR_RULES = ("last Sunday in October", "LAST sunday in october", "first Monday in November",
+                "last Funday in October", "Sunday")
+# a value of the wrong JSON type for each key a study config file may give
+WRONG_TYPES = {"traces": 1, "fleet": None, "out": ["out"], "quantiles": 2.0, "seed": "1",
+               "reps": 100.0, "span": "2/3", "threshold_quantiles": 0.9, "models": "evt",
+               "anchor_rule": 7, "window_weeks": 3.0, "allow_gaps": "yes"}
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     n_seasons=st.integers(1, len(SEASONS)),
     with_history=st.booleans(),
     span=st.one_of(st.sampled_from([0.01, 2.0 / 3.0, 1.0]), st.floats(0.01, 1.0)),
     wind=st.one_of(st.none(), st.sampled_from(["-5", "0", "nan", "inf", "400"])),
+    anchor_rule=st.one_of(st.none(), st.sampled_from(ANCHOR_RULES)),
     # 3-week seasons have 25 hours above their 95% quantile, too few for a GPD fit (exit 4)
     threshold_quantile=st.sampled_from(["0.9", "0.95"]),
     seed=st.integers(0, 3),
@@ -94,37 +107,66 @@ def _run(argv):
         ["uncertainty", "--metric", "eeu", "--mode", "block"],
         ["ingest"],
     ]),
+    # study reads these settings from a --config file instead of flags
+    config_keys=st.sets(st.sampled_from(sorted(WRONG_TYPES))),
+    wrong_key=st.one_of(st.none(), st.sampled_from(sorted(WRONG_TYPES))),
 )
-def test_exit_code_and_strict_json(system, n_seasons, with_history, span, wind,
-                                   threshold_quantile, seed, models, has_gap, allow_gaps, command):
+@example(  # a study that reads every setting from its config file, and completes
+    n_seasons=4, with_history=True, span=2.0 / 3.0, wind=None, anchor_rule="LAST sunday in october",
+    threshold_quantile="0.9", seed=0, models=["hindcast", "evt"], has_gap=True, allow_gaps=True,
+    command=["study", "--quiet"], config_keys=set(WRONG_TYPES), wrong_key=None,
+)
+def test_exit_code_and_strict_json(system, n_seasons, with_history, span, wind, anchor_rule,
+                                   threshold_quantile, seed, models, has_gap, allow_gaps, command,
+                                   config_keys, wrong_key):
     files = system[n_seasons, has_gap]
     name = command[0]
-    argv = [*command, "--traces", str(files["traces"]), "--window-weeks", str(WEEKS)]
-    if allow_gaps:
-        argv += ["--allow-gaps"]
-    if with_history:
-        argv += ["--quantiles", str(files["quantiles"])]
-    if wind is not None:
-        argv += [f"--installed-wind-mw={wind}"]
-    if name in ("study", "ingest"):  # the commands that take a Lowess span
-        argv += ["--span", repr(span)]
-    if name != "ingest":
-        argv += ["--fleet", str(files["fleet"]), "--reps", "100", "--seed", str(seed),
-                 "--threshold-quantiles" if name == "study" else "--threshold-quantile",
-                 threshold_quantile]
-        # uncertainty takes one model, the others a list
-        argv += ["--models" if name == "study" else "--model",
-                 *(models[:1] if name == "uncertainty" else models)]
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp) / "out"
+        # (config file key or None, flag tokens, JSON value) per setting
+        settings = [("traces", ["--traces", str(files["traces"])], str(files["traces"])),
+                    ("window_weeks", ["--window-weeks", str(WEEKS)], WEEKS)]
+        if allow_gaps:
+            settings.append(("allow_gaps", ["--allow-gaps"], True))
+        if with_history:
+            settings.append(("quantiles", ["--quantiles", str(files["quantiles"])], str(files["quantiles"])))
+        if anchor_rule is not None:
+            settings.append(("anchor_rule", ["--anchor-rule", anchor_rule], anchor_rule))
+        if wind is not None:  # nan and inf are not JSON: a flag only
+            settings.append((None, [f"--installed-wind-mw={wind}"], None))
+        if name in ("study", "ingest"):  # the commands that take a Lowess span
+            settings.append(("span", ["--span", repr(span)], span))
+        if name != "ingest":
+            # uncertainty takes one model, the others a list
+            chosen = models[:1] if name == "uncertainty" else models
+            settings += [
+                ("fleet", ["--fleet", str(files["fleet"])], str(files["fleet"])),
+                ("reps", ["--reps", "100"], 100),
+                ("seed", ["--seed", str(seed)], seed),
+                ("threshold_quantiles", ["--threshold-quantiles" if name == "study" else "--threshold-quantile",
+                                         threshold_quantile], [float(threshold_quantile)]),
+                ("models", ["--models" if name == "study" else "--model", *chosen], chosen),
+            ]
         if name != "uncertainty":
-            argv += ["--out", str(out_dir)]
+            settings.append(("out", ["--out", str(out_dir)], str(out_dir)))
+        config = {}
+        if name == "study":
+            config = {key: value for key, _, value in settings if key in config_keys}
+            if wrong_key is not None:
+                config[wrong_key] = WRONG_TYPES[wrong_key]
+        argv = [*command, *(token for key, flag, _ in settings if key not in config for token in flag)]
+        if config:
+            config_path = Path(tmp) / "study.json"
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+            argv += ["--config", str(config_path)]
         code, out, err = _run(argv)
         event(f"{name} exit {code}")  # shown by --hypothesis-show-statistics
         assert code in (0, 2, 3, 4), (argv, code, err)
         assert "Traceback" not in err
         if code:
             assert err.strip(), argv  # a failure says what failed
+        if name == "study" and wrong_key is not None:
+            assert code == 2 and f"{wrong_key} must be a JSON" in err, (config, err)
         for path in sorted(out_dir.glob("*.json")):
             _strict_json(path.read_text(encoding="utf-8"))
         if name == "uncertainty" and code == 0:

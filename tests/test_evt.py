@@ -232,6 +232,13 @@ class TestFitGpd:
         with pytest.raises(NumericalError, match="at least"):
             fit_gpd(np.linspace(0.1, 1.0, MIN_FIT_SIZE - 1))
 
+    def test_excesses_past_the_float_range_fit_without_warning(self):
+        # max(y) / min(y) overflows to inf: the bracket ends at s = 700, as it did
+        # with the warning; the suite turns warnings into errors
+        y = np.exp(np.random.default_rng(0).uniform(-600.0, 600.0, 100))
+        mle = fit_gpd(y)
+        assert mle.params.xi > 100.0 and math.isfinite(mle.log_likelihood)
+
     def test_optimum_dominates_random_feasible_points(self):
         rng = np.random.default_rng(5)
         y = stats.genpareto.rvs(c=-0.2, scale=3.0, size=500, random_state=rng)
@@ -330,10 +337,10 @@ def _counted(f):
 
 
 def _scipy_minimum(f, a, b):
-    x, fx, status, _ = optimize.fminbound(
-        f, a, b, xtol=evt._S_XTOL, maxfun=evt._MAX_EVALUATIONS, full_output=True, disp=0
+    x, _, status, _ = optimize.fminbound(
+        f, a, b, xtol=evt._S_XTOL, maxfun=500, full_output=True, disp=0
     )
-    return x, fx, status == 0
+    return x, status == 0
 
 
 def _scipy_root(f, a, b):
@@ -341,7 +348,8 @@ def _scipy_root(f, a, b):
 
 
 class TestBrentPortsMatchScipy:
-    """The in-house Brent minimiser and zeroin make scipy's steps bit for bit."""
+    """The golden-section and bisection searches stop within their tolerance of
+    scipy's Brent methods, and the fits they serve match fits made with scipy's."""
 
     @pytest.mark.parametrize(
         "f, a, b",
@@ -349,49 +357,37 @@ class TestBrentPortsMatchScipy:
             (lambda x: (x - 1.0) ** 2, -4.0, 4.0),
             (lambda x: (x - 1.0) ** 2, 3.0, 4.0),  # optimum at an end
             (math.cos, 0.0, 2.0 * math.pi),
-            (abs, -1.0, 2.0),  # a kink: golden-section steps
+            (abs, -1.0, 2.0),  # a kink
             (lambda x: x**4 - x, -2.0, 2.0),
             (lambda x: math.exp(x) - 3.0 * x, -700.0, 700.0),
         ],
     )
-    @pytest.mark.parametrize("max_evaluations", [500, 6])
-    def test_bounded_minimum(self, f, a, b, max_evaluations, monkeypatch):
-        monkeypatch.setattr(evt, "_MAX_EVALUATIONS", max_evaluations)
-        ours, our_calls = _counted(f)
-        ref, ref_calls = _counted(f)
-        assert evt._bounded_minimum(ours, a, b) == _scipy_minimum(ref, a, b)
-        assert our_calls == ref_calls
+    def test_bounded_minimum(self, f, a, b):
+        x, converged = evt._bounded_minimum(f, a, b)
+        x_ref, _ = _scipy_minimum(f, a, b)
+        tolerance = 2.0 * (evt._SQRT_EPS * abs(x_ref) + evt._S_XTOL)
+        assert converged
+        assert abs(x - x_ref) <= tolerance or f(x) <= f(x_ref)
+
+    def test_bounded_minimum_stops_at_a_nan(self):
+        f, calls = _counted(lambda x: math.nan if x > 0.5 else x)
+        assert not evt._bounded_minimum(f, 0.0, 1.0)[1]
+        assert len(calls) == 2  # the two interior points, one of them NaN
 
     @pytest.mark.parametrize(
         "f, a, b",
         [
-            (lambda x: x * x - 1.0, -2.0, 0.0),
+            (lambda x: 1.0 - x * x, -2.0, 0.0),
             (lambda x: x * x - 1.0, 0.0, 2.0),
-            (lambda x: math.cos(x) - x, 0.0, 1.0),
+            (lambda x: x - math.cos(x), 0.0, 1.0),
             (lambda x: x**3 - 2.0, 0.0, 2.0),
             (lambda x: x, 0.0, 1.0),  # a root at an end
             (lambda x: math.expm1(x) + 0.5, -40.0, 0.0),
         ],
     )
     def test_root(self, f, a, b):
-        ours, our_calls = _counted(f)
-        ref, ref_calls = _counted(f)
-        assert evt._root(ours, a, b) == _scipy_root(ref, a, b)
-        assert our_calls == ref_calls
-
-    def test_root_gives_up_where_brentq_does(self):
-        # a triple root at 0: the tolerance is absolute there, and 100 steps miss it
-        ours, our_calls = _counted(lambda x: x**3)
-        ref, ref_calls = _counted(lambda x: x**3)
-        with pytest.raises(NumericalError, match="100 iterations"):
-            evt._root(ours, -1.0, 2.0)
-        with pytest.raises(RuntimeError, match="100 iterations"):
-            _scipy_root(ref, -1.0, 2.0)
-        assert our_calls == ref_calls
-
-    def test_root_needs_a_sign_change(self):
-        with pytest.raises(ValueError, match="signs"):
-            evt._root(lambda x: x * x + 1.0, -1.0, 1.0)
+        x_ref = _scipy_root(f, a, b)
+        assert abs(evt._root(f, a, b) - x_ref) <= evt._S_XTOL + evt._ROOT_RTOL * abs(x_ref)
 
     @staticmethod
     def corpus(size):
@@ -416,7 +412,7 @@ class TestBrentPortsMatchScipy:
                 try:
                     m = fit_gpd(y, w)
                     result = (m.params.sigma, m.params.xi, m.log_likelihood, m.se_sigma, m.se_xi,
-                              m.n_excesses, m.iterations)
+                              m.n_excesses)
                 except NumericalError as exc:
                     result = str(exc)
             out.append((result, [str(c.message) for c in caught]))
@@ -432,8 +428,18 @@ class TestBrentPortsMatchScipy:
         monkeypatch.undo()
         assert sum(w is not None for _, w in samples) == 600
         assert len(edge) > 300  # fits that searched for the xi = -1 edge root
-        assert len(searched) > 400  # fits the Newton steps left to the Brent search (453)
-        assert self.outcomes(samples) == expected
+        assert len(searched) > 400  # fits the Newton steps left to the fallback search (453)
+        for (ours, our_warnings), (ref, ref_warnings) in zip(self.outcomes(samples), expected):
+            assert our_warnings == ref_warnings
+            if isinstance(ref, str):
+                assert ours == ref
+                continue
+            sigma, xi, log_lik, se_sigma, se_xi, n = ours
+            assert log_lik >= ref[2] - 1e-9 * abs(ref[2])
+            assert sigma == pytest.approx(ref[0], rel=1e-6)
+            assert xi == pytest.approx(ref[1], abs=1e-6)
+            assert [se_sigma, se_xi] == pytest.approx(ref[3:5], rel=1e-5, nan_ok=True)
+            assert n == ref[5]
 
 
 class TestThresholds:

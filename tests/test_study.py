@@ -57,6 +57,10 @@ class TestRunConfig:
         cfg = tiny_config()
         assert [c[0] for c in cfg.columns()] == ["evt_90", "evt_95", "evt_98", "hindcast", "ind"]
 
+    def test_evt_labels_are_the_exact_percent(self):
+        cfg = tiny_config(model_kinds=(dnw.EVT,), threshold_quantiles=(0.9, 0.995))
+        assert [c[0] for c in cfg.columns()] == ["evt_90", "evt_99.5"]
+
     def test_digest_tracks_numeric_flags_not_output_dir(self):
         a = config_digest(tiny_config())
         assert config_digest(tiny_config(output_dir="elsewhere")) == a
