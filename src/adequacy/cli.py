@@ -225,7 +225,7 @@ def cmd_fleet(args) -> int:
 
 def cmd_risk(args) -> int:
     cfg = _run_config(args, include_pooled=args.pooled)
-    result, _ = run_study_computation(cfg, progress=_progress(args))
+    result = run_study_computation(cfg, progress=_progress(args))
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     emit_tables(result, outdir)
@@ -242,13 +242,15 @@ def cmd_uncertainty(args) -> int:
     """
     cfg = _run_config(args, model_kinds=(_KIND_ALIASES[args.model],),
                       threshold_quantiles=(args.threshold_quantile,), include_pooled=False)
-    [(label, kind, q)] = cfg.columns()
     if args.mode == "season":
-        result, _ = run_study_computation(cfg)
-        table = result.lole_table if args.metric == "lole" else result.eeu_table
-        point, ci = table.means[label], table.cis[label]
+        [column] = run_study_computation(cfg).columns
+        if args.metric == "lole":
+            point, ci = column.mean.lole_hours, column.lole_ci
+        else:
+            point, ci = column.mean.eeu_gwh, column.eeu_ci
         scale = 1000.0 if args.metric == "eeu" else 1.0  # EEU in MWh, as the table's GWh x 1000
     else:
+        [(_, kind, q)] = cfg.columns()
         sample, _ = load_inputs(cfg)
         metrics, _, pooled = pooled_column(sample, kind, q, cfg.bootstrap(0))
         point = metrics.lole_hours if args.metric == "lole" else metrics.eeu_mwh

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -69,12 +69,37 @@ class GpdParams:
         return -self.sigma / self.xi if self.xi < 0.0 else np.inf
 
 
-class _StandardErrors:
-    """``se_sigma`` and ``se_xi`` from the fit's excesses and weights, on first read.
+@dataclass(frozen=True)
+class GpdFit:
+    """A GPD fit to the exceedances of u within a sample of ``n_total`` values.
 
-    A fit without excesses (the xi = -1 edge, or one assembled by hand) has NaN
-    standard errors. The warnings of ``_standard_errors`` fire at that read.
+    ``fit_gpd`` fits excesses on their own: u = 0 and ``n_total`` is the
+    number of excesses. ``iterations`` counts its profile evaluations.
+    ``se_sigma`` and ``se_xi`` are computed from the fitted excesses and
+    weights the first time they are read, so a fit whose SEs nobody reads
+    (a bootstrap replication) never computes them; the warnings of
+    ``_standard_errors`` fire at that read. A fit without excesses (the
+    xi = -1 edge, or one assembled by hand) has NaN standard errors. The
+    arrays take no part in ``==`` or ``repr``.
     """
+
+    threshold_u: float
+    params: GpdParams
+    n_exceedances: int
+    n_total: int
+    log_likelihood: float
+    iterations: int
+    excesses: np.ndarray | None = field(default=None, compare=False, repr=False)
+    weights: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def exceedance_prob(self) -> float:
+        return self.n_exceedances / self.n_total
+
+    @property
+    def sigma_star(self) -> float:
+        """Threshold-invariant modified scale sigma - u * xi."""
+        return self.params.sigma - self.threshold_u * self.params.xi
 
     @cached_property
     def _se(self) -> tuple[float, float]:
@@ -89,46 +114,6 @@ class _StandardErrors:
     @property
     def se_xi(self) -> float:
         return self._se[1]
-
-
-@dataclass(frozen=True)
-class GpdMle(_StandardErrors):
-    """Maximum-likelihood fit of a GPD to a sample of excesses."""
-
-    params: GpdParams
-    log_likelihood: float
-    n_excesses: int
-    iterations: int
-    excesses: np.ndarray | None = field(default=None, compare=False, repr=False)
-    weights: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class GpdFit(_StandardErrors):
-    """A GPD fit in threshold context: exceedances of u within a larger sample.
-
-    ``se_sigma`` and ``se_xi`` are computed from the fitted excesses and
-    weights the first time they are read, so a fit whose SEs nobody reads
-    (a bootstrap replication) never computes them. The arrays take no part
-    in ``==`` or ``repr``.
-    """
-
-    threshold_u: float
-    params: GpdParams
-    n_exceedances: int
-    n_total: int
-    log_likelihood: float
-    excesses: np.ndarray | None = field(default=None, compare=False, repr=False)
-    weights: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def exceedance_prob(self) -> float:
-        return self.n_exceedances / self.n_total
-
-    @property
-    def sigma_star(self) -> float:
-        """Threshold-invariant modified scale sigma - u * xi."""
-        return self.params.sigma - self.threshold_u * self.params.xi
 
 
 @dataclass(frozen=True)
@@ -169,7 +154,7 @@ def gpd_quantile(params: GpdParams, p):
     return float(out) if np.isscalar(p) or p_arr.ndim == 0 else out
 
 
-def fit_gpd(excesses, weights=None) -> GpdMle:
+def fit_gpd(excesses, weights=None) -> GpdFit:
     """Fit GPD parameters to a sample of positive excesses by maximum likelihood.
 
     For fixed theta = xi / sigma the likelihood is maximised in closed form by
@@ -264,10 +249,12 @@ def fit_gpd(excesses, weights=None) -> GpdMle:
             raise NumericalError(f"GPD fit gave scale {sigma_hat!r} at s = {s_hat!r}")
         if abs(xi_hat) < XI_ZERO_GUARD:
             xi_hat = 0.0
-    return GpdMle(
+    return GpdFit(
+        threshold_u=0.0,
         params=GpdParams(sigma_hat, xi_hat),
+        n_exceedances=int(k),
+        n_total=int(k),
         log_likelihood=log_lik,
-        n_excesses=int(k),
         iterations=int(evaluations),
         excesses=y,
         weights=w,
@@ -392,16 +379,17 @@ def _standard_errors(y: np.ndarray, sigma: float, xi: float, n=None) -> tuple[fl
     sum(n z^2) - 2/3 sum(n z^3). Counts default to 1.
     """
     n = np.ones(y.size) if n is None else n
-    z = y / sigma
-    t = xi * z
-    zw = z / (1.0 + t)
-    zw2 = zw * zw
-    l_ss = (n.sum() - (1.0 + xi) * ((n * zw).sum() + (n * zw / (1.0 + t)).sum())) / sigma**2
-    l_sx = ((n * zw).sum() - (1.0 + xi) * (n * zw2).sum()) / sigma
-    l_xx = (n * z**3 * _cubic_remainder(t)).sum() + (n * zw2).sum()
-    # observed information [[a, b], [b, d]] = minus the Hessian
-    a, b, d = -l_ss, -l_sx, -l_xx
-    det = a * d - b * b
+    with np.errstate(all="ignore"):  # past the float range z**3 overflows; det is then not finite
+        z = y / sigma
+        t = xi * z
+        zw = z / (1.0 + t)
+        zw2 = zw * zw
+        l_ss = (n.sum() - (1.0 + xi) * ((n * zw).sum() + (n * zw / (1.0 + t)).sum())) / sigma**2
+        l_sx = ((n * zw).sum() - (1.0 + xi) * (n * zw2).sum()) / sigma
+        l_xx = (n * z**3 * _cubic_remainder(t)).sum() + (n * zw2).sum()
+        # observed information [[a, b], [b, d]] = minus the Hessian
+        a, b, d = -l_ss, -l_sx, -l_xx
+        det = a * d - b * b
     if det == 0.0 or not np.isfinite(det):
         warnings.warn("observed information is singular; standard errors unavailable")
         return np.nan, np.nan
@@ -430,16 +418,7 @@ def fit_threshold_excesses(values, threshold_u: float) -> GpdFit:
     """
     v = np.asarray(values, dtype=float)
     excesses = np.sort(v[v > threshold_u]) - threshold_u
-    mle = fit_gpd(excesses)
-    return GpdFit(
-        threshold_u=float(threshold_u),
-        params=mle.params,
-        n_exceedances=mle.n_excesses,
-        n_total=int(v.size),
-        log_likelihood=mle.log_likelihood,
-        excesses=mle.excesses,
-        weights=mle.weights,
-    )
+    return replace(fit_gpd(excesses), threshold_u=float(threshold_u), n_total=int(v.size))
 
 
 def threshold_scan(values, thresholds) -> tuple[ScanEntry, ...]:

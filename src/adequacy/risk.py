@@ -16,7 +16,7 @@ building a demand-net-of-wind pmf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -199,11 +199,7 @@ class SeasonSample:
 
         cut = int(np.searchsorted(u_sorted, u, side="right"))
         keep = w[cut:] > 0.0
-        mle = evt.fit_gpd(u_sorted[cut:][keep] - u, w[cut:][keep])
-        fit = evt.GpdFit(
-            threshold_u=u, params=mle.params, n_exceedances=mle.n_excesses, n_total=n,
-            log_likelihood=mle.log_likelihood, excesses=mle.excesses, weights=mle.weights,
-        )
+        fit = replace(evt.fit_gpd(u_sorted[cut:][keep] - u, w[cut:][keep]), threshold_u=u, n_total=n)
 
         functionals = self.functionals
         top = functionals.fleet.last_mw + 2  # the first v that ``at`` reads in closed form

@@ -1,18 +1,17 @@
 """End-to-end study orchestration: configuration, pipelines, table emission.
 
 A study loads the traces and fleet, optionally rescales demand from the
-quantile history, computes per-season and pooled LoLE/EEU for every requested
-model variant, bootstraps confidence intervals, and writes tables plus
-plot-data CSVs and a manifest into the output directory. All randomness
+quantile history, computes one ``Column`` of per-season and pooled LoLE/EEU
+with bootstrap CIs for every requested model variant, and writes tables
+plus plot-data CSVs and a manifest into the output directory. All randomness
 derives from the single configured seed; rerunning with identical inputs
-produces byte-identical outputs.
+produces byte-identical outputs at a fixed OpenBLAS thread count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,7 +39,6 @@ from .uncertainty import (
 
 SCAN_QUANTILES = np.round(np.arange(0.80, 0.996, 0.01), 3)
 SURVIVOR_CURVE_POINTS = 200
-TABLE_FORMATS = (("csv", ".csv"), ("json", ".json"), ("text", ".txt"))
 
 
 def check_rescale_settings(span: float, iterations: int, rescale_quantile: float) -> None:
@@ -141,25 +139,6 @@ class RunConfig:
         return cols
 
 
-@dataclass
-class MetricTable:
-    metric: str  # "lole_hours" or "eeu_gwh"
-    columns: list[str]
-    season_labels: list[str]
-    values: dict[str, list[float]]  # column -> per-season values
-    means: dict[str, float]
-    cis: dict[str, ConfidenceInterval]
-
-
-@dataclass
-class PooledTable:
-    columns: list[str]
-    lole: dict[str, float]
-    lole_ci: dict[str, ConfidenceInterval]
-    eeu_gwh: dict[str, float]
-    eeu_ci: dict[str, ConfidenceInterval]  # in GWh
-
-
 def pooled_pipeline(sample: SeasonSample, kind: str, threshold_quantile: float | None):
     """Season-set -> {'lole', 'eeu'} mapping for the block bootstrap.
 
@@ -214,16 +193,44 @@ def rescale_traces(traces, history, reference_season, span, iterations,
 
 
 @dataclass
+class Column:
+    """An entry of ``RunConfig.columns()`` and what a study computes for it:
+    one estimate and one evt fit (None for other kinds) per season, the
+    season-bootstrap CIs of their mean (EEU in GWh), and the pooled estimate,
+    its evt fit and its block bootstrap, which are None without a pooled table.
+    """
+
+    label: str
+    kind: str
+    threshold_quantile: float | None
+    seasons: list[RiskMetrics]
+    fits: list[evt.GpdFit | None]
+    lole_ci: ConfidenceInterval
+    eeu_ci: ConfidenceInterval
+    pooled: RiskMetrics | None
+    pooled_fit: evt.GpdFit | None
+    bootstrap: BlockBootstrapResult | None
+
+    @property
+    def mean(self) -> RiskMetrics:
+        return long_run_mean(self.seasons)
+
+    def values(self, metric: str) -> list[float]:
+        """The per-season values of ``metric``, "lole_hours" or "eeu_gwh"."""
+        return [getattr(m, metric) for m in self.seasons]
+
+
+@dataclass
 class StudyResult:
     config: RunConfig
-    season_labels: list[str]
-    lole_table: MetricTable
-    eeu_table: MetricTable
-    pooled_table: PooledTable
+    sample: SeasonSample
+    columns: list[Column]
     rescale_factors: dict[str, float]
-    # column -> {"used", "dropped", "first_error"} of its block bootstrap
-    bootstrap: dict[str, dict] = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
+
+    @property
+    def season_labels(self) -> list[str]:
+        return [t.season_label for t in self.sample.seasons]
 
 
 def load_inputs(cfg: RunConfig, progress=lambda msg: None) -> tuple[SeasonSample, dict]:
@@ -254,97 +261,45 @@ def load_inputs(cfg: RunConfig, progress=lambda msg: None) -> tuple[SeasonSample
     return SeasonSample(ShortfallFunctionals(fleet), traces, cfg.window().expected_hours), factors
 
 
-def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> tuple[StudyResult, dict]:
+def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> StudyResult:
     """All numerical work for a study; file emission happens separately."""
     sample, factors = load_inputs(cfg, progress)
-    traces = sample.seasons
-    labels = [t.season_label for t in traces]
+    labels = [t.season_label for t in sample.seasons]
 
-    columns = cfg.columns()
-    col_labels = [c[0] for c in columns]
-
+    # every column's seasons first: a season one cannot fit stops the study before any bootstrap
     progress("computing per-season metrics")
-    per_season: dict[str, list[RiskMetrics]] = {}
-    season_fits: dict[str, list[evt.GpdFit | None]] = {}
-    for label, kind, q in columns:
+    per_season = []
+    for label, kind, q in cfg.columns():
         results = []
         # a one-hot count is that season on its own
-        for season, one in zip(labels, np.identity(len(traces))):
+        for season, one in zip(labels, np.identity(len(labels))):
             try:
                 results.append(sample.metrics(one, kind, q))
             except NumericalError as exc:
                 raise NumericalError(f"{label}, season {season}: {exc}") from exc
-        per_season[label] = [m for m, _ in results]
-        season_fits[label] = [fit for _, fit in results]
+        per_season.append(results)
 
     progress("season bootstrap")
-    lole_values = {c: [m.lole_hours for m in per_season[c]] for c in col_labels}
-    eeu_values = {c: [m.eeu_gwh for m in per_season[c]] for c in col_labels}
     # one config per column, so its index matrix is drawn once and shared by
     # both season CIs and the block bootstrap; for hindcast the block bootstrap
     # then reproduces the season bootstrap exactly (pooling is linear)
-    boots = {c: cfg.bootstrap(i) for i, c in enumerate(col_labels)}
-    lole_table = MetricTable(
-        metric="lole_hours",
-        columns=col_labels,
-        season_labels=labels,
-        values=lole_values,
-        means={c: long_run_mean(per_season[c]).lole_hours for c in col_labels},
-        cis={c: season_bootstrap(lole_values[c], boots[c]) for c in col_labels},
-    )
-    eeu_table = MetricTable(
-        metric="eeu_gwh",
-        columns=col_labels,
-        season_labels=labels,
-        values=eeu_values,
-        means={c: long_run_mean(per_season[c]).eeu_gwh for c in col_labels},
-        cis={c: season_bootstrap(eeu_values[c], boots[c]) for c in col_labels},
-    )
+    boots = [cfg.bootstrap(i) for i in range(len(per_season))]
+    season_cis = [
+        [season_bootstrap([getattr(m, metric) for m, _ in results], boot)
+         for metric in ("lole_hours", "eeu_gwh")]
+        for results, boot in zip(per_season, boots)
+    ]
 
     progress("pooled estimates and block bootstrap")
-    pooled_lole, pooled_lole_ci, pooled_eeu, pooled_eeu_ci = {}, {}, {}, {}
-    bootstrap_counts = {}
-    pooled_fits: dict[str, evt.GpdFit] = {}
-    for label, kind, q in columns if cfg.include_pooled else []:
-        metrics, fit, result = pooled_column(sample, kind, q, boots[label])
-        if fit is not None:
-            pooled_fits[label] = fit
-        pooled_lole[label] = metrics.lole_hours
-        pooled_eeu[label] = metrics.eeu_gwh
-        pooled_lole_ci[label] = result.intervals["lole"]
-        bootstrap_counts[label] = {
-            "used": result.replications_used,
-            "dropped": result.replications_dropped,
-            "first_error": result.first_error,
-        }
-        ci = result.intervals["eeu"]
-        pooled_eeu_ci[label] = ConfidenceInterval(ci.lower / 1000.0, ci.upper / 1000.0, ci.level)
-
-    pooled_table = PooledTable(
-        columns=col_labels if cfg.include_pooled else [],
-        lole=pooled_lole,
-        lole_ci=pooled_lole_ci,
-        eeu_gwh=pooled_eeu,
-        eeu_ci=pooled_eeu_ci,
-    )
-
-    result = StudyResult(
-        config=cfg,
-        season_labels=labels,
-        lole_table=lole_table,
-        eeu_table=eeu_table,
-        pooled_table=pooled_table,
-        rescale_factors=factors,
-        bootstrap=bootstrap_counts,
-    )
-    extras = {
-        "traces": traces,
-        "sample": sample,
-        "season_fits": season_fits,
-        "pooled_fits": pooled_fits,
-        "per_season": per_season,
-    }
-    return result, extras
+    pooled = [
+        pooled_column(sample, kind, q, boot) if cfg.include_pooled else (None, None, None)
+        for (_, kind, q), boot in zip(cfg.columns(), boots)
+    ]
+    columns = [
+        Column(label, kind, q, [m for m, _ in results], [fit for _, fit in results], *cis, *pool)
+        for (label, kind, q), results, cis, pool in zip(cfg.columns(), per_season, season_cis, pooled)
+    ]
+    return StudyResult(config=cfg, sample=sample, columns=columns, rescale_factors=factors)
 
 
 # ---------------------------------------------------------------------------
@@ -356,100 +311,94 @@ def _write_json(payload, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
+def _write_lines(lines, path: Path) -> Path:
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def _write_table(stem: Path, csv: list[str], payload: dict, text: list[str]) -> list[Path]:
+    """Write one table as ``stem`` .csv, .json and aligned .txt."""
+    paths = [Path(f"{stem}{suffix}") for suffix in (".csv", ".json", ".txt")]
+    _write_lines(csv, paths[0])
+    _write_json(payload, paths[1])
+    _write_lines(text, paths[2])
+    return paths
+
+
 def _format_ci(ci: ConfidenceInterval) -> str:
     return f"({ci.lower:.2f},{ci.upper:.2f})"
 
 
-def emit_table(table: MetricTable, fmt: str, path: Path) -> Path:
-    """Write a per-season metric table as csv, json or aligned text."""
-    if not table.columns:
-        warnings.warn(f"{table.metric}: no model columns; writing header only")
-    if fmt == "csv":
-        lines = ["season," + ",".join(table.columns)]
-        for i, season in enumerate(table.season_labels):
-            lines.append(
-                season + "," + ",".join(repr(table.values[c][i]) for c in table.columns)
-            )
-        lines.append("mean," + ",".join(repr(table.means[c]) for c in table.columns))
-        lines.append("ci_lower," + ",".join(repr(table.cis[c].lower) for c in table.columns))
-        lines.append("ci_upper," + ",".join(repr(table.cis[c].upper) for c in table.columns))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    elif fmt == "json":
-        payload = {
-            "metric": table.metric,
-            "columns": table.columns,
-            "seasons": table.season_labels,
-            "values": table.values,
-            "mean": table.means,
-            "ci": {
-                c: {"lower": table.cis[c].lower, "upper": table.cis[c].upper,
-                    "level": table.cis[c].level}
-                for c in table.columns
-            },
-        }
-        _write_json(payload, path)
-    elif fmt == "text":
-        width = max(12, *(len(c) + 2 for c in table.columns)) if table.columns else 12
-        header = f"{'season':<10}" + "".join(f"{c:>{width}}" for c in table.columns)
-        lines = [header]
-        for i, season in enumerate(table.season_labels):
-            lines.append(
-                f"{season:<10}"
-                + "".join(f"{table.values[c][i]:>{width}.2f}" for c in table.columns)
-            )
-        lines.append(
-            f"{'Mean':<10}" + "".join(f"{table.means[c]:>{width}.2f}" for c in table.columns)
-        )
-        lines.append(
-            f"{'CI':<10}" + "".join(f"{_format_ci(table.cis[c]):>{width}}" for c in table.columns)
-        )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    else:
-        raise ConfigError(f"unknown table format {fmt!r}")
-    return path
+def write_season_tables(columns: list[Column], seasons: list[str], metric: str, stem: Path) -> list[Path]:
+    """Write the per-season ``metric`` ("lole_hours" or "eeu_gwh") of each
+    column, with its mean and season-bootstrap CI, as the table ``stem``."""
+    labels = [c.label for c in columns]
+    values = [c.values(metric) for c in columns]
+    means = [getattr(c.mean, metric) for c in columns]
+    cis = [c.lole_ci if metric == "lole_hours" else c.eeu_ci for c in columns]
+
+    csv = ["season," + ",".join(labels)]
+    csv.extend(season + "," + ",".join(repr(v[i]) for v in values) for i, season in enumerate(seasons))
+    csv.append("mean," + ",".join(repr(m) for m in means))
+    csv.append("ci_lower," + ",".join(repr(ci.lower) for ci in cis))
+    csv.append("ci_upper," + ",".join(repr(ci.upper) for ci in cis))
+
+    width = max(12, *(len(c) + 2 for c in labels))
+    text = [f"{'season':<10}" + "".join(f"{c:>{width}}" for c in labels)]
+    text.extend(f"{season:<10}" + "".join(f"{v[i]:>{width}.2f}" for v in values)
+                for i, season in enumerate(seasons))
+    text.append(f"{'Mean':<10}" + "".join(f"{m:>{width}.2f}" for m in means))
+    text.append(f"{'CI':<10}" + "".join(f"{_format_ci(ci):>{width}}" for ci in cis))
+
+    return _write_table(stem, csv, {
+        "metric": metric,
+        "columns": labels,
+        "seasons": seasons,
+        "values": dict(zip(labels, values)),
+        "mean": dict(zip(labels, means)),
+        "ci": {c: {"lower": ci.lower, "upper": ci.upper, "level": ci.level} for c, ci in zip(labels, cis)},
+    }, text)
 
 
-def emit_pooled_table(table: PooledTable, fmt: str, path: Path) -> Path:
-    if fmt == "csv":
-        lines = ["row," + ",".join(table.columns)]
-        lines.append("lole," + ",".join(repr(table.lole[c]) for c in table.columns))
-        lines.append("lole_ci_lower," + ",".join(repr(table.lole_ci[c].lower) for c in table.columns))
-        lines.append("lole_ci_upper," + ",".join(repr(table.lole_ci[c].upper) for c in table.columns))
-        lines.append("eeu_gwh," + ",".join(repr(table.eeu_gwh[c]) for c in table.columns))
-        lines.append("eeu_ci_lower," + ",".join(repr(table.eeu_ci[c].lower) for c in table.columns))
-        lines.append("eeu_ci_upper," + ",".join(repr(table.eeu_ci[c].upper) for c in table.columns))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    elif fmt == "json":
-        payload = {
-            "columns": table.columns,
-            "lole": table.lole,
-            "lole_ci": {c: [table.lole_ci[c].lower, table.lole_ci[c].upper] for c in table.columns},
-            "eeu_gwh": table.eeu_gwh,
-            "eeu_ci_gwh": {c: [table.eeu_ci[c].lower, table.eeu_ci[c].upper] for c in table.columns},
-        }
-        _write_json(payload, path)
-    elif fmt == "text":
-        width = max(14, *(len(c) + 2 for c in table.columns)) if table.columns else 14
-        lines = [f"{'':<10}" + "".join(f"{c:>{width}}" for c in table.columns)]
-        lines.append(f"{'LoLE':<10}" + "".join(f"{table.lole[c]:>{width}.2f}" for c in table.columns))
-        lines.append(f"{'CI':<10}" + "".join(f"{_format_ci(table.lole_ci[c]):>{width}}" for c in table.columns))
-        lines.append(f"{'EEU':<10}" + "".join(f"{table.eeu_gwh[c]:>{width}.2f}" for c in table.columns))
-        lines.append(f"{'CI':<10}" + "".join(f"{_format_ci(table.eeu_ci[c]):>{width}}" for c in table.columns))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    else:
-        raise ConfigError(f"unknown table format {fmt!r}")
-    return path
+def write_pooled_tables(columns: list[Column], stem: Path) -> list[Path]:
+    """Write each column's pooled LoLE/EEU (GWh) with its block-bootstrap CIs
+    as the table ``stem``."""
+    labels = [c.label for c in columns]
+    lole = [c.pooled.lole_hours for c in columns]
+    eeu = [c.pooled.eeu_gwh for c in columns]
+    lole_ci = [c.bootstrap.intervals["lole"] for c in columns]
+    eeu_ci = [ConfidenceInterval(ci.lower / 1000.0, ci.upper / 1000.0, ci.level)
+              for ci in (c.bootstrap.intervals["eeu"] for c in columns)]
+
+    csv = ["row," + ",".join(labels)]
+    for row, values in (("lole", lole), ("lole_ci_lower", [ci.lower for ci in lole_ci]),
+                        ("lole_ci_upper", [ci.upper for ci in lole_ci]), ("eeu_gwh", eeu),
+                        ("eeu_ci_lower", [ci.lower for ci in eeu_ci]),
+                        ("eeu_ci_upper", [ci.upper for ci in eeu_ci])):
+        csv.append(row + "," + ",".join(repr(v) for v in values))
+
+    width = max(14, *(len(c) + 2 for c in labels))
+    text = [f"{'':<10}" + "".join(f"{c:>{width}}" for c in labels)]
+    for row, values, cis in (("LoLE", lole, lole_ci), ("EEU", eeu, eeu_ci)):
+        text.append(f"{row:<10}" + "".join(f"{v:>{width}.2f}" for v in values))
+        text.append(f"{'CI':<10}" + "".join(f"{_format_ci(ci):>{width}}" for ci in cis))
+
+    return _write_table(stem, csv, {
+        "columns": labels,
+        "lole": dict(zip(labels, lole)),
+        "lole_ci": {c: [ci.lower, ci.upper] for c, ci in zip(labels, lole_ci)},
+        "eeu_gwh": dict(zip(labels, eeu)),
+        "eeu_ci_gwh": {c: [ci.lower, ci.upper] for c, ci in zip(labels, eeu_ci)},
+    }, text)
 
 
 def emit_tables(result: StudyResult, outdir: Path) -> list[Path]:
     """Write the per-season LoLE/EEU tables, and the pooled table if computed, in every format."""
     paths = []
-    for table, stem in ((result.lole_table, "lole_per_season"), (result.eeu_table, "eeu_per_season")):
-        for fmt, suffix in TABLE_FORMATS:
-            paths.append(emit_table(table, fmt, outdir / f"{stem}{suffix}"))
+    for metric, stem in (("lole_hours", "lole_per_season"), ("eeu_gwh", "eeu_per_season")):
+        paths.extend(write_season_tables(result.columns, result.season_labels, metric, outdir / stem))
     if result.config.include_pooled:
-        for fmt, suffix in TABLE_FORMATS:
-            paths.append(emit_pooled_table(result.pooled_table, fmt, outdir / f"pooled_metrics{suffix}"))
+        paths.extend(write_pooled_tables(result.columns, outdir / "pooled_metrics"))
     return paths
 
 
@@ -464,8 +413,7 @@ def write_scan_csv(values, thresholds, path: Path) -> Path:
             f"{entry.threshold_u!r},{f.params.sigma!r},{f.params.xi!r},"
             f"{f.sigma_star!r},{f.se_sigma!r},{f.se_xi!r},{f.n_exceedances}"
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _write_lines(lines, path)
 
 
 def write_qq_csv(fit: evt.GpdFit, values, path: Path) -> Path:
@@ -473,8 +421,7 @@ def write_qq_csv(fit: evt.GpdFit, values, path: Path) -> Path:
     points = evt.qq_points(fit, excesses)
     lines = ["model_mw,empirical_mw"]
     lines.extend(f"{float(m)!r},{float(e)!r}" for m, e in points)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _write_lines(lines, path)
 
 
 def write_survivor_csv(seasons, kind: str, fit: evt.GpdFit | None, path: Path) -> Path:
@@ -487,16 +434,14 @@ def write_survivor_csv(seasons, kind: str, fit: evt.GpdFit | None, path: Path) -
     probs = dnw.survivor(seasons, kind, grid, fit)
     lines = ["v_mw,prob"]
     lines.extend(f"{float(v)!r},{float(p)!r}" for v, p in zip(grid, probs))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _write_lines(lines, path)
 
 
 def write_factors_csv(factors: dict[str, float], path: Path) -> Path:
     """The demand rescaling factor of each season, in the map's order."""
     lines = ["season,factor"]
     lines.extend(f"{label},{f!r}" for label, f in factors.items())
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _write_lines(lines, path)
 
 
 def _config_payload(cfg: RunConfig) -> dict:
@@ -529,28 +474,27 @@ def run_full_study(cfg: RunConfig, progress=lambda msg: None) -> StudyResult:
     }
     stage = "compute"
     try:
-        result, extras = run_study_computation(cfg, progress)
+        result = run_study_computation(cfg, progress)
         outputs = []
 
         stage = "metric tables"
         outputs.extend(emit_tables(result, outdir))
 
         stage = "parameter tables"
-        traces, season_fits = extras["traces"], extras["season_fits"]
-        evt_columns = [(label, q) for label, kind, q in cfg.columns() if kind == dnw.EVT]
-        for label, q in evt_columns:
+        traces = result.sample.seasons
+        evt_columns = [c for c in result.columns if c.kind == dnw.EVT]
+        for column in evt_columns:
             # the study's own fits; without a pooled table the pooled fit is made here
-            pooled = (extras["pooled_fits"].get(label)
-                      or extras["sample"].metrics(np.ones(len(traces)), dnw.EVT, q)[1])
+            pooled = (column.pooled_fit
+                      or result.sample.metrics(np.ones(len(traces)), dnw.EVT, column.threshold_quantile)[1])
             lines = ["season,threshold_mw,sigma,xi,se_sigma,se_xi,n_exceed"]
-            for season, f in [*zip(result.season_labels, season_fits[label]), ("pooled", pooled)]:
+            for season, f in [*zip(result.season_labels, column.fits), ("pooled", pooled)]:
                 lines.append(
                     f"{season},{f.threshold_u!r},{f.params.sigma!r},{f.params.xi!r},"
                     f"{f.se_sigma!r},{f.se_xi!r},{f.n_exceedances}"
                 )
-            p = outdir / f"gpd_parameters_q{quantile_percent(q)}.csv"
-            p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            outputs.append(p)
+            q = quantile_percent(column.threshold_quantile)
+            outputs.append(_write_lines(lines, outdir / f"gpd_parameters_q{q}.csv"))
 
         stage = "diagnostics"
         for i, trace in enumerate(traces):
@@ -559,17 +503,17 @@ def run_full_study(cfg: RunConfig, progress=lambda msg: None) -> StudyResult:
             outputs.append(
                 write_scan_csv(values, thresholds, outdir / f"threshold_scan_{trace.season_label}.csv")
             )
-            for label, q in evt_columns:
+            for column in evt_columns:
                 outputs.append(write_qq_csv(
-                    season_fits[label][i], values,
-                    outdir / f"qq_{trace.season_label}_q{quantile_percent(q)}.csv",
+                    column.fits[i], values,
+                    outdir / f"qq_{trace.season_label}_q{quantile_percent(column.threshold_quantile)}.csv",
                 ))
 
         stage = "survivor curves"
-        for label, kind, _ in cfg.columns():
-            for trace, fit in zip(traces, season_fits[label]):
+        for column in result.columns:
+            for trace, fit in zip(traces, column.fits):
                 outputs.append(write_survivor_csv(
-                    [trace], kind, fit, outdir / f"survivor_{label}_{trace.season_label}.csv",
+                    [trace], column.kind, fit, outdir / f"survivor_{column.label}_{trace.season_label}.csv",
                 ))
 
         stage = "rescale factors"
@@ -578,7 +522,11 @@ def run_full_study(cfg: RunConfig, progress=lambda msg: None) -> StudyResult:
         result.outputs = sorted(str(p.name) for p in outputs)
         manifest["status"] = "complete"
         manifest["outputs"] = result.outputs
-        manifest["bootstrap"] = result.bootstrap
+        manifest["bootstrap"] = {  # column -> its block bootstrap's replication counts
+            c.label: {"used": c.bootstrap.replications_used, "dropped": c.bootstrap.replications_dropped,
+                      "first_error": c.bootstrap.first_error}
+            for c in result.columns if c.bootstrap is not None
+        }
         _write_json(manifest, manifest_path)
         return result
     except Exception as exc:

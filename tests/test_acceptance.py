@@ -160,9 +160,10 @@ def test_criterion_08_threshold_robustness_full_study(demo_dataset_dir, tmp_path
     )
     result = run_full_study(cfg)
     elapsed = time.perf_counter() - start
-    evt_cols = ["evt_90", "evt_95", "evt_98"]
-    means = [result.lole_table.means[c] for c in evt_cols]
-    pooled = [result.pooled_table.lole[c] for c in evt_cols]
+    evt_cols = [c for c in result.columns if c.label in ("evt_90", "evt_95", "evt_98")]
+    assert len(evt_cols) == 3
+    means = [c.mean.lole_hours for c in evt_cols]
+    pooled = [c.pooled.lole_hours for c in evt_cols]
     assert max(means) / min(means) <= 1.15
     assert max(pooled) / min(pooled) <= 1.15
     assert elapsed < 300.0

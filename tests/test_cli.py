@@ -1,9 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from adequacy import dnw
+from adequacy import dnw, uncertainty
 from adequacy.cli import main
 from adequacy.demo import DEMO_SEED
 from adequacy.study import RunConfig, load_inputs, pooled_pipeline, run_study_computation
@@ -545,9 +546,9 @@ class TestGappedSeason:
             output_dir=str(tmp_path / "unused"), model_kinds=("hindcast",),
             replications=100, allow_gaps=True, include_pooled=False,
         )
-        _, extras = run_study_computation(cfg)
-        assert sorted({t.n_hours for t in extras["traces"]}) == [3504, 3528]
-        assert [m.n_hours for m in extras["per_season"]["hindcast"]] == [3528] * 7
+        result = run_study_computation(cfg)
+        assert sorted({t.n_hours for t in result.sample.seasons}) == [3504, 3528]
+        assert [m.n_hours for m in result.columns[0].seasons] == [3528] * 7
 
         code, out, err = run_cli(
             capsys, "uncertainty", *common, "--metric", "lole", "--mode", "season",
@@ -627,6 +628,37 @@ class TestStudyCommand:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["status"] != "complete"
         assert manifest["error"] == message
+
+    def test_failed_season_fit_stops_before_any_bootstrap(self, demo_dataset_dir, tmp_path, capsys,
+                                                          monkeypatch):
+        # every column's per-season metrics come before the first bootstrap,
+        # so the evt_90 column's bootstraps never run
+        calls = []
+        for name in ("block_bootstrap", "season_bootstrap"):
+            original = getattr(uncertainty, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            for module in list(sys.modules.values()):  # every adequacy module that binds it
+                if module.__name__.startswith("adequacy") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, spy)
+        outdir = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "study",
+            "--traces", str(demo_dataset_dir["traces"]),
+            "--fleet", str(demo_dataset_dir["fleet"]),
+            "--quantiles", str(demo_dataset_dir["quantiles"]),
+            "--threshold-quantiles", "0.9", "0.995",
+            "--reps", "100", "--seed", "1", "--out", str(outdir), "--quiet",
+        )
+        assert code == 4
+        assert err.strip() == (
+            "numerical failure: evt_99.5, season 2007-08: need at least 30 exceedances to fit, got 18"
+        )
+        assert json.loads((outdir / "manifest.json").read_text())["failed_stage"] == "compute"
+        assert calls == []
 
     @pytest.mark.parametrize("key, value", [
         ("allow_gaps", "false"),

@@ -24,7 +24,7 @@ def quantile_fit(values, q):
 def hand_fit(u, sigma, xi, k, n_total):
     """A tail fit with exact parameters; its standard errors and likelihood are unused."""
     return GpdFit(threshold_u=u, params=GpdParams(sigma, xi), n_exceedances=k, n_total=n_total,
-                  log_likelihood=0.0)
+                  log_likelihood=0.0, iterations=0)
 
 
 def reference_evt_model(pu=0.05, sigma=2850.0, xi=-0.32, u=45_280.0, n_total=1000):

@@ -239,6 +239,13 @@ class TestFitGpd:
         mle = fit_gpd(y)
         assert mle.params.xi > 100.0 and math.isfinite(mle.log_likelihood)
 
+    def test_excesses_past_the_float_range_have_no_standard_errors(self):
+        # z**3 overflows in the information; only the singular warning is raised
+        y = np.exp(np.random.default_rng(0).uniform(-600.0, 600.0, 100))
+        mle = fit_gpd(y)
+        with pytest.warns(UserWarning, match="singular"):
+            assert math.isnan(mle.se_sigma) and math.isnan(mle.se_xi)
+
     def test_optimum_dominates_random_feasible_points(self):
         rng = np.random.default_rng(5)
         y = stats.genpareto.rvs(c=-0.2, scale=3.0, size=500, random_state=rng)
@@ -296,7 +303,7 @@ class TestWeightedFit:
         assert ones.log_likelihood == pytest.approx(plain.log_likelihood, rel=1e-12)
         assert ones.se_sigma == pytest.approx(plain.se_sigma, rel=1e-12)
         assert ones.se_xi == pytest.approx(plain.se_xi, rel=1e-12)
-        assert ones.n_excesses == plain.n_excesses
+        assert ones.n_exceedances == plain.n_exceedances
 
     @pytest.mark.parametrize("seed", range(6))
     def test_integer_weights_match_repeated_sample(self, seed):
@@ -305,7 +312,7 @@ class TestWeightedFit:
         rng, y = self.sample(seed)
         w = rng.integers(1, 4, y.size)
         weighted, repeated = fit_gpd(y, w), fit_gpd(np.repeat(y, w))
-        assert weighted.n_excesses == repeated.n_excesses == w.sum()
+        assert weighted.n_exceedances == repeated.n_exceedances == w.sum()
         assert weighted.params.sigma == pytest.approx(repeated.params.sigma, rel=1e-6)
         assert weighted.params.xi == pytest.approx(repeated.params.xi, abs=1e-6)
         assert weighted.log_likelihood == pytest.approx(repeated.log_likelihood, rel=1e-12)
@@ -316,7 +323,7 @@ class TestWeightedFit:
         y = np.linspace(1.0, 100.0, 10)
         with pytest.raises(NumericalError, match="at least"):
             fit_gpd(y)
-        assert fit_gpd(y, np.full(10, 3)).n_excesses == 30
+        assert fit_gpd(y, np.full(10, 3)).n_exceedances == 30
 
     def test_bad_weights_rejected(self):
         y = np.linspace(1.0, 100.0, 40)
@@ -412,7 +419,7 @@ class TestBrentPortsMatchScipy:
                 try:
                     m = fit_gpd(y, w)
                     result = (m.params.sigma, m.params.xi, m.log_likelihood, m.se_sigma, m.se_xi,
-                              m.n_excesses)
+                              m.n_exceedances)
                 except NumericalError as exc:
                     result = str(exc)
             out.append((result, [str(c.message) for c in caught]))
@@ -500,6 +507,7 @@ class TestQqPoints:
             n_exceedances=k,
             n_total=n_total,
             log_likelihood=0.0,
+            iterations=0,
         )
 
     def test_exact_quantile_grid_is_diagonal(self):

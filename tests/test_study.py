@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from adequacy import dnw, evt, risk, study
 from adequacy.errors import ConfigError, DataError, NumericalError
 from adequacy.study import (
-    MetricTable,
+    Column,
     RunConfig,
     config_digest,
-    emit_table,
     pooled_pipeline,
     rescale_traces,
     run_full_study,
+    write_season_tables,
 )
 from adequacy.pmf import convolve
 from adequacy.risk import SeasonSample, ShortfallFunctionals
@@ -70,22 +70,23 @@ class TestRunConfig:
 
 class TestEmitTable:
     @staticmethod
-    def table():
-        return MetricTable(
-            metric="lole_hours",
-            columns=["evt_95", "hindcast"],
-            season_labels=["2007-08", "2008-09"],
-            values={"evt_95": [2.82, 2.22], "hindcast": [3.07, 2.29]},
-            means={"evt_95": 2.52, "hindcast": 2.68},
-            cis={
-                "evt_95": ConfidenceInterval(1.92, 9.37, 0.95),
-                "hindcast": ConfidenceInterval(1.97, 9.79, 0.95),
-            },
-        )
+    def columns(first_value=2.82):
+        def column(label, lole, ci):
+            seasons = [risk.RiskMetrics(v, 0.0, 3528, v / 3528) for v in lole]
+            return Column(label, dnw.HINDCAST, None, seasons, [None] * len(lole), ci, ci, None, None, None)
+
+        return [
+            column("evt_95", [first_value, 2.22], ConfidenceInterval(1.92, 9.37, 0.95)),
+            column("hindcast", [3.07, 2.29], ConfidenceInterval(1.97, 9.79, 0.95)),
+        ]
+
+    @staticmethod
+    def write(columns, stem):
+        return write_season_tables(columns, ["2007-08", "2008-09"], "lole_hours", stem)
 
     def test_text_layout(self, tmp_path):
-        path = emit_table(self.table(), "text", tmp_path / "t.txt")
-        lines = path.read_text().splitlines()
+        self.write(self.columns(), tmp_path / "t")
+        lines = (tmp_path / "t.txt").read_text().splitlines()
         # 2 seasons + Mean + CI + header
         assert len(lines) == 5
         assert lines[0].startswith("season")
@@ -94,29 +95,18 @@ class TestEmitTable:
         assert "(1.92,9.37)" in lines[-1]
 
     def test_csv_roundtrip_full_precision(self, tmp_path):
-        table = self.table()
-        table.values["evt_95"][0] = 2.0 / 3.0  # not representable in 2 decimals
-        path = emit_table(table, "csv", tmp_path / "t.csv")
-        rows = [line.split(",") for line in path.read_text().splitlines()]
+        columns = self.columns(first_value=2.0 / 3.0)  # not representable in 2 decimals
+        self.write(columns, tmp_path / "t")
+        rows = [line.split(",") for line in (tmp_path / "t.csv").read_text().splitlines()]
         assert float(rows[1][1]) == 2.0 / 3.0
         assert rows[0] == ["season", "evt_95", "hindcast"]
         assert [r[0] for r in rows[1:]] == ["2007-08", "2008-09", "mean", "ci_lower", "ci_upper"]
 
     def test_json_structure(self, tmp_path):
-        path = emit_table(self.table(), "json", tmp_path / "t.json")
-        payload = json.loads(path.read_text())
+        self.write(self.columns(), tmp_path / "t")
+        payload = json.loads((tmp_path / "t.json").read_text())
         assert payload["columns"] == ["evt_95", "hindcast"]
         assert payload["ci"]["evt_95"]["lower"] == 1.92
-
-    def test_empty_columns_header_only_with_warning(self, tmp_path):
-        table = MetricTable("lole_hours", [], ["2007-08"], {}, {}, {})
-        with pytest.warns(UserWarning, match="header"):
-            path = emit_table(table, "csv", tmp_path / "empty.csv")
-        assert path.read_text().splitlines()[0] == "season,"
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            emit_table(self.table(), "parquet", tmp_path / "t.x")
 
 
 class TestRescaleTraces:
@@ -254,10 +244,10 @@ class TestOneSamplePerStudy:
         for module in list(sys.modules.values()):  # every adequacy module that binds it
             if module.__name__.startswith("adequacy.") and getattr(module, "convolve", None) is convolve:
                 monkeypatch.setattr(module, "convolve", counting)
-        result, extras = study.run_study_computation(
+        result = study.run_study_computation(
             self.config(demo_dataset_dir, tmp_path, model_kinds=(dnw.INDEPENDENCE,)))
-        assert result.bootstrap["ind"]["dropped"] == 0
-        assert len(calls) == len(extras["traces"]) == 7
+        assert result.columns[0].bootstrap.replications_dropped == 0
+        assert len(calls) == len(result.sample.seasons) == 7
 
 
 class TestEvtPipeline:
