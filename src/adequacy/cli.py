@@ -39,9 +39,9 @@ from .study import (
 _KIND_ALIASES = {"evt": dnw.EVT, "hindcast": dnw.HINDCAST, "ind": dnw.INDEPENDENCE}
 
 
-# flag destination, which is also the study config-file key -> (RunConfig
-# field, the JSON type a config file must give it, conversion of its value,
-# if any); a key left unset takes RunConfig's default
+# study config-file key, which also spells the flag (ref_season -> --ref-season)
+# -> (RunConfig field, the JSON type a config file must give it and the flag's
+# type, conversion of its value, if any); a key left unset takes RunConfig's default
 _CONFIG_KEYS = {
     "traces": ("traces_path", "string", None),
     "fleet": ("fleet_path", "string", None),
@@ -61,6 +61,9 @@ _CONFIG_KEYS = {
     "installed_wind_mw": ("installed_wind_mw", "number or null", lambda w: None if w is None else float(w)),
     "allow_gaps": ("allow_gaps", "boolean", None),
 }
+
+# the season window's settings, which every command that reads traces takes
+_WINDOW_KEYS = ("window_weeks", "anchor_rule", "allow_gaps", "installed_wind_mw")
 
 
 def _is_json(value, kind: str) -> bool:
@@ -293,6 +296,28 @@ def cmd_demo(args) -> int:
     return 0
 
 
+def _add_settings(parser, keys, required=(), defaults=False):
+    """Add the flag of each ``_CONFIG_KEYS`` key (``--ref-season`` for
+    ref_season), typed by the key's JSON type.
+
+    An unset flag reads None, so that the study config file or RunConfig
+    decides; with ``defaults`` it reads RunConfig's default instead.
+    """
+    for key in keys:
+        name, kind, _ = _CONFIG_KEYS[key]
+        kind = kind.removesuffix(" or null")
+        opts = {"default": getattr(RunConfig, name, None) if defaults else None}
+        if kind == "boolean":
+            opts.update(action="store_const", const=True)
+        elif kind in ("integer", "number", "list of numbers"):
+            opts["type"] = int if kind == "integer" else float
+        if kind.startswith("list of "):
+            opts["nargs"] = "+"
+        if key == "models":
+            opts["choices"] = sorted(_KIND_ALIASES)
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, required=key in required, **opts)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adequacy",
@@ -301,100 +326,54 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"adequacy {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_window_opts(p):
-        p.add_argument("--window-weeks", type=int, default=SeasonWindow.weeks)
-        p.add_argument("--anchor-rule", default=SeasonWindow.anchor_rule)
-        p.add_argument("--allow-gaps", action="store_true")
-        p.add_argument("--installed-wind-mw", type=float, default=None)
-
     p = sub.add_parser("ingest", help="load, window and rescale traces")
-    p.add_argument("--traces", required=True)
-    p.add_argument("--quantiles", default=None)
-    p.add_argument("--ref-season", default=None)
-    p.add_argument("--span", type=float, default=RunConfig.lowess_span)
-    p.add_argument("--iterations", type=int, default=RunConfig.lowess_iterations)
-    p.add_argument("--rescale-quantile", type=float, default=RunConfig.rescale_quantile)
-    p.add_argument("--out", default=".")
-    add_window_opts(p)
+    _add_settings(p, ("traces", "quantiles", "ref_season", "span", "iterations", "rescale_quantile",
+                      "out", *_WINDOW_KEYS), required=("traces",), defaults=True)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("fit", help="fit the GPD tail for one season")
-    p.add_argument("--traces", required=True)
+    _add_settings(p, ("traces", "out", *_WINDOW_KEYS), required=("traces",), defaults=True)
     p.add_argument("--season", required=True)
     p.add_argument("--threshold-quantile", type=float, default=0.95)
     p.add_argument("--scan", default=None, help="threshold scan as lo:hi:step (MW)")
-    p.add_argument("--out", default=".")
-    add_window_opts(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("dnw", help="export survivor curves for a demand-net-of-wind model")
-    p.add_argument("--traces", required=True)
+    _add_settings(p, ("traces", "out", *_WINDOW_KEYS), required=("traces",), defaults=True)
     p.add_argument("--model", choices=sorted(_KIND_ALIASES), required=True)
     p.add_argument("--threshold-quantile", type=float, default=0.95)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--pooled", action="store_true")
     group.add_argument("--per-season", dest="pooled", action="store_false")
-    p.set_defaults(pooled=False)
-    p.add_argument("--out", default=".")
-    add_window_opts(p)
-    p.set_defaults(func=cmd_dnw)
+    p.set_defaults(pooled=False, func=cmd_dnw)
 
     p = sub.add_parser("fleet", help="validate a fleet file and print a summary")
-    p.add_argument("--fleet", required=True)
+    _add_settings(p, ("fleet",), required=("fleet",))
     p.set_defaults(func=cmd_fleet)
 
     p = sub.add_parser("risk", help="per-season and pooled LoLE/EEU tables")
-    p.add_argument("--traces", required=True)
-    p.add_argument("--fleet", required=True)
-    p.add_argument("--quantiles", default=None)
-    p.add_argument("--ref-season", default=None)
+    _add_settings(p, ("traces", "fleet", "quantiles", "ref_season", "reps", "level", "seed", "out",
+                      *_WINDOW_KEYS), required=("traces", "fleet"))
     p.add_argument("--model", dest="models", nargs="+", choices=sorted(_KIND_ALIASES))
     p.add_argument("--threshold-quantile", dest="threshold_quantiles", type=float, nargs="+",
                    metavar="THRESHOLD_QUANTILE")
     p.add_argument("--pooled", action="store_true",
                    help="also fit pooled models and emit the pooled table")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--level", type=float)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.add_argument("--quiet", action="store_true")
-    add_window_opts(p)
-    p.set_defaults(func=cmd_risk)
+    p.set_defaults(seed=0, func=cmd_risk)
 
     p = sub.add_parser("uncertainty", help="bootstrap CI for one metric")
-    p.add_argument("--traces", required=True)
-    p.add_argument("--fleet", required=True)
-    p.add_argument("--quantiles", default=None)
-    p.add_argument("--ref-season", default=None)
+    _add_settings(p, ("traces", "fleet", "quantiles", "ref_season", "reps", "seed", "level",
+                      *_WINDOW_KEYS), required=("traces", "fleet"))
     p.add_argument("--metric", choices=["lole", "eeu"], required=True)
     p.add_argument("--mode", choices=["season", "block"], required=True)
     p.add_argument("--model", choices=sorted(_KIND_ALIASES), default="evt")
     p.add_argument("--threshold-quantile", type=float, default=0.95)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--level", type=float)
-    add_window_opts(p)
     p.set_defaults(func=cmd_uncertainty)
 
     p = sub.add_parser("study", help="full study: tables, diagnostics, manifest")
     p.add_argument("--config", default=None, help="JSON config file (flags win)")
-    p.add_argument("--traces", default=None)
-    p.add_argument("--fleet", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--quantiles", default=None)
-    p.add_argument("--ref-season", dest="ref_season", default=None)
-    p.add_argument("--models", nargs="+", choices=sorted(_KIND_ALIASES), default=None)
-    p.add_argument("--threshold-quantiles", type=float, nargs="+", default=None)
-    p.add_argument("--window-weeks", dest="window_weeks", type=int, default=None)
-    p.add_argument("--anchor-rule", dest="anchor_rule", default=None)
-    p.add_argument("--span", type=float, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--level", type=float, default=None)
-    p.add_argument("--rescale-quantile", dest="rescale_quantile", type=float, default=None)
-    p.add_argument("--installed-wind-mw", dest="installed_wind_mw", type=float, default=None)
-    p.add_argument("--allow-gaps", dest="allow_gaps", action="store_const", const=True, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    _add_settings(p, _CONFIG_KEYS)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_study)
 

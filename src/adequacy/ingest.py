@@ -103,7 +103,6 @@ class SeasonTrace:
     timestamps: np.ndarray = field(repr=False)
     demand_mw: np.ndarray = field(repr=False)
     wind_mw: np.ndarray = field(repr=False)
-    rescale_factor: float = 1.0
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype="datetime64[s]")
@@ -117,8 +116,6 @@ class SeasonTrace:
             raise ValueError("timestamps must be strictly increasing")
         if np.any(d < 0.0) or np.any(w < 0.0):
             raise ValueError("demand and wind must be non-negative")
-        if not self.rescale_factor > 0.0:
-            raise ValueError("rescale_factor must be positive")
         for name, arr in (("timestamps", ts), ("demand_mw", d), ("wind_mw", w)):
             arr = arr.copy()
             arr.flags.writeable = False
@@ -450,7 +447,6 @@ def load_traces(
                 timestamps=ts[rows].astype("datetime64[s]"),
                 demand_mw=demand[rows],
                 wind_mw=wind[rows],
-                rescale_factor=1.0,
             )
         )
     if wind_violations:
@@ -587,11 +583,7 @@ def apply_rescaling(trace: SeasonTrace, factor: float) -> SeasonTrace:
     """Multiply demand by ``factor``; wind is already forward-mapped."""
     if not factor > 0.0:
         raise ValueError("rescale factor must be positive")
-    return replace(
-        trace,
-        demand_mw=trace.demand_mw * factor,
-        rescale_factor=trace.rescale_factor * factor,
-    )
+    return replace(trace, demand_mw=trace.demand_mw * factor)
 
 
 def load_quantile_history(path) -> list[tuple[str, float]]:

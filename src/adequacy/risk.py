@@ -26,6 +26,12 @@ from .errors import NumericalError
 from .pmf import DiscretePmf, convolve, pmf_from_samples
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.float64:
+    """a @ b summed in one fixed order: ``@`` splits a long dot across OpenBLAS
+    threads, which makes its last bits depend on the thread count."""
+    return np.einsum("i,i", a, b)
+
+
 @dataclass(frozen=True)
 class RiskMetrics:
     lole_hours: float
@@ -99,8 +105,8 @@ class ShortfallFunctionals:
         inside = probs[lo:hi]
         above = probs[hi:]
         excess = origin + np.arange(hi, probs.size) - self.mean_mw  # v - E[X]
-        return (float(inside @ self._cdf[k0 + lo : k0 + hi] + above.sum()),
-                float(inside @ self._gap[k0 + lo : k0 + hi] + above @ excess))
+        return (float(_dot(inside, self._cdf[k0 + lo : k0 + hi]) + above.sum()),
+                float(_dot(inside, self._gap[k0 + lo : k0 + hi]) + _dot(above, excess)))
 
 
 def _season_sums(functionals: ShortfallFunctionals, values) -> tuple[float, float]:
@@ -217,8 +223,8 @@ class SeasonSample:
             mean_excess = (sigma + xi * (start - u)) / (1.0 - xi)
             energy_above = p_above * (start + mean_excess - 0.5 - functionals.mean_mw)
         p_tail = fit.exceedance_prob
-        p_shortfall = (w[:cut] @ body_cdf[:cut]) / n + p_tail * (tail_cdf + p_above)
-        energy = (w[:cut] @ body_gap[:cut]) / n + p_tail * (tail_gap + energy_above)
+        p_shortfall = _dot(w[:cut], body_cdf[:cut]) / n + p_tail * (tail_cdf + p_above)
+        energy = _dot(w[:cut], body_gap[:cut]) / n + p_tail * (tail_gap + energy_above)
         return p_shortfall, energy, fit
 
     def _threshold(self, w: np.ndarray, n: int, q: float) -> float:

@@ -5,7 +5,8 @@ quantile history, computes one ``Column`` of per-season and pooled LoLE/EEU
 with bootstrap CIs for every requested model variant, and writes tables
 plus plot-data CSVs and a manifest into the output directory. All randomness
 derives from the single configured seed; rerunning with identical inputs
-produces byte-identical outputs at a fixed OpenBLAS thread count.
+produces byte-identical outputs at any OpenBLAS thread count, unless a GPD fit
+runs over more than about 10,000 distinct exceedances.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ def make_trace(
     demand,
     wind,
     window: SeasonWindow | None = None,
-    rescale_factor: float = 1.0,
 ) -> SeasonTrace:
     window = window or SeasonWindow()
     demand = np.asarray(demand, dtype=float)
@@ -28,7 +27,6 @@ def make_trace(
         timestamps=hourly_timestamps(window, season_label, demand.size),
         demand_mw=demand,
         wind_mw=np.asarray(wind, dtype=float),
-        rescale_factor=rescale_factor,
     )
 
 
@@ -170,7 +168,6 @@ def legacy_load_traces(path, window=None, installed_wind_mw=None, allow_gaps=Fal
                 timestamps=np.array(ts, dtype="datetime64[s]"),
                 demand_mw=np.array(demand),
                 wind_mw=np.array(wind),
-                rescale_factor=1.0,
             )
         )
     if wind_violations:

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from adequacy import dnw, uncertainty
+import adequacy
+from adequacy import cli, dnw, uncertainty
 from adequacy.cli import main
 from adequacy.demo import DEMO_SEED
 from adequacy.study import RunConfig, load_inputs, pooled_pipeline, run_study_computation
@@ -304,6 +309,75 @@ class TestRiskCommand:
             for suffix in (".csv", ".json", ".txt"):
                 name = stem + suffix
                 assert (tmp_path / "risk" / name).read_bytes() == (tmp_path / "study" / name).read_bytes(), name
+
+    def test_outputs_do_not_depend_on_the_openblas_thread_count(self, demo_dataset_dir, tmp_path):
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(adequacy.__file__).parents[1]))
+            outdir = tmp_path / threads
+            proc = subprocess.run(
+                [sys.executable, "-m", "adequacy.cli", "risk",
+                 "--traces", str(demo_dataset_dir["traces"]), "--fleet", str(demo_dataset_dir["fleet"]),
+                 "--model", "evt", "hindcast", "--pooled", "--reps", "100", "--seed", "1",
+                 "--out", str(outdir), "--quiet"],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({path.name: path.read_bytes() for path in outdir.iterdir()})
+        assert outputs[0].keys() == outputs[1].keys()
+        for name in outputs[0]:
+            assert outputs[0][name] == outputs[1][name], f"{name} differs between thread counts"
+
+
+class TestSettingsTable:
+    """Each study setting is declared once, in ``cli._CONFIG_KEYS``."""
+
+    # a valid value of every key, none of them RunConfig's default
+    VALUES = {
+        "traces": "x.csv", "fleet": "y.csv", "out": "z", "seed": 9, "quantiles": "q.csv",
+        "ref_season": "2009-10", "models": ["ind", "evt"], "threshold_quantiles": [0.9, 0.99],
+        "window_weeks": 3, "anchor_rule": "first Sunday in November", "span": 0.5, "iterations": 2,
+        "reps": 150, "level": 0.9, "rescale_quantile": 0.8, "installed_wind_mw": 5000.5,
+        "allow_gaps": True,
+    }
+    BASE = {"traces": "t.csv", "fleet": "f.csv", "out": "o", "seed": 1}
+
+    def study_config(self, monkeypatch, capsys, argv):
+        configs = []
+        monkeypatch.setattr(cli, "run_full_study",
+                            lambda cfg, progress: configs.append(cfg) or SimpleNamespace(outputs=[]))
+        code, _, err = run_cli(capsys, "study", *argv)
+        assert code == 0, err
+        return configs[0]
+
+    @staticmethod
+    def flags(values):
+        argv = []
+        for key, value in values.items():
+            words = value if isinstance(value, list) else [] if value is True else [value]
+            argv += ["--" + key.replace("_", "-"), *map(str, words)]
+        return argv
+
+    def test_every_key_has_a_value(self):
+        assert self.VALUES.keys() == cli._CONFIG_KEYS.keys()
+
+    @pytest.mark.parametrize("key", sorted(VALUES))
+    def test_flag_and_config_key_give_one_run_config(self, monkeypatch, capsys, tmp_path, key):
+        others = self.flags({k: v for k, v in self.BASE.items() if k != key})
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({key: self.VALUES[key]}))
+        from_file = self.study_config(monkeypatch, capsys, ["--config", str(path), *others])
+        from_flag = self.study_config(monkeypatch, capsys, [*self.flags({key: self.VALUES[key]}), *others])
+        assert from_flag == from_file != self.study_config(monkeypatch, capsys, self.flags(self.BASE))
+
+    @pytest.mark.parametrize("command", ["ingest", "fit", "dnw", "fleet", "risk", "uncertainty",
+                                         "study", "demo"])
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: adequacy {command} ")
 
 
 class TestInvalidSettings:

@@ -63,7 +63,6 @@ class TestLoadTraces:
         loaded = load_traces(path, window)
         assert len(loaded) == 1
         assert loaded[0].n_hours == 3528
-        assert loaded[0].rescale_factor == 1.0
         np.testing.assert_array_equal(loaded[0].demand_mw, trace.demand_mw)
 
     def test_seven_seasons(self, tmp_path, small_window):
@@ -787,14 +786,12 @@ class TestApplyRescaling:
         trace = make_trace("2007-08", np.full(24, 50_000.0), np.zeros(24), SeasonWindow(weeks=1))
         out = apply_rescaling(trace, 1.0)
         np.testing.assert_array_equal(out.demand_mw, trace.demand_mw)
-        assert out.rescale_factor == 1.0
 
     def test_arithmetic(self):
         trace = make_trace("2007-08", np.full(24, 50_000.0), np.zeros(24), SeasonWindow(weeks=1))
         out = apply_rescaling(trace, 1.05)
         assert out.demand_mw[0] == pytest.approx(52_500.0)
         assert out.wind_mw[0] == 0.0
-        assert out.rescale_factor == 1.05
 
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(4)

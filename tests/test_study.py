@@ -311,3 +311,25 @@ class TestManifestOnFailure:
         assert manifest["status"] == "failed"
         assert manifest["failed_stage"] == "compute"
         assert "fleet" in manifest["error"]
+
+
+class TestFullStudyWithoutPooled:
+    def test_writes_the_pooled_fits_but_no_pooled_table(self, tmp_path, demo_dataset_dir):
+        files = {}
+        for include_pooled in (True, False):
+            outdir = tmp_path / str(include_pooled)
+            run_full_study(RunConfig(
+                traces_path=str(demo_dataset_dir["traces"]), fleet_path=str(demo_dataset_dir["fleet"]),
+                quantiles_path=str(demo_dataset_dir["quantiles"]), seed=1, output_dir=str(outdir),
+                replications=100, include_pooled=include_pooled,
+            ))
+            files[include_pooled] = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        pooled, unpooled = files[True], files[False]
+        assert pooled.keys() - unpooled.keys() == {f"pooled_metrics.{s}" for s in ("csv", "json", "txt")}
+        assert unpooled.keys() < pooled.keys()
+        # the pooled row of each evt column's parameters is refit without the pooled column
+        for q in (90, 95, 98):
+            name = f"gpd_parameters_q{q}.csv"
+            assert unpooled[name] == pooled[name], name
+            assert b"\npooled," in unpooled[name]
+        assert json.loads(unpooled["manifest.json"])["bootstrap"] == {}
