@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import __version__, dnw, evt
 from .errors import ConfigError, DataError, NumericalError
 from .genmodel import fleet_summary, load_fleet
-from .ingest import SeasonWindow, load_quantile_history, load_traces
+from .ingest import SeasonWindow, load_quantile_history, load_traces, make_output_dir, write_traces_csv
 from .study import (
     RunConfig,
     check_installed_wind,
@@ -126,16 +127,18 @@ def _run_config(args, **fixed) -> RunConfig:
 
 
 def _load(args):
-    """The traces of ingest, fit or dnw, once the command's settings pass RunConfig's checks."""
+    """The traces of ingest, fit or dnw and its output directory, made once
+    the command's settings pass RunConfig's checks."""
     check_installed_wind(args.installed_wind_mw)
     if args.command == "ingest":
         check_rescale_settings(args.span, args.iterations, args.rescale_quantile)
     else:
         check_threshold_quantile(args.threshold_quantile)
     window = SeasonWindow(weeks=args.window_weeks, anchor_rule=args.anchor_rule)
-    return load_traces(
-        args.traces, window, installed_wind_mw=args.installed_wind_mw, allow_gaps=args.allow_gaps
-    )
+    outdir = make_output_dir(args.out)
+    traces = load_traces(args.traces, window, installed_wind_mw=args.installed_wind_mw,
+                         allow_gaps=args.allow_gaps)
+    return traces, outdir
 
 
 def _pick_season(traces, label):
@@ -146,19 +149,12 @@ def _pick_season(traces, label):
 
 
 def cmd_ingest(args) -> int:
-    traces = _load(args)
+    traces, outdir = _load(args)
     history = load_quantile_history(args.quantiles) if args.quantiles else None
     traces, factors = rescale_traces(
         traces, history, args.ref_season, args.span, args.iterations, args.rescale_quantile
     )
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "rescaled_traces.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("season,timestamp,demand_mw,wind_mw\n")
-        for trace in traces:
-            for ts, d, w in zip(trace.timestamps.astype(object), trace.demand_mw, trace.wind_mw):
-                fh.write(f"{trace.season_label},{ts.isoformat()},{float(d)!r},{float(w)!r}\n")
+    path = write_traces_csv(traces, outdir / "rescaled_traces.csv")
     factors_path = write_factors_csv(factors, outdir / "rescale_factors.csv")
     for trace in traces:
         print(f"{trace.season_label}: {trace.n_hours} hours, factor {factors[trace.season_label]:.4f}")
@@ -167,7 +163,14 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    traces = _load(args)
+    if args.scan:
+        try:
+            lo, hi, step = (float(x) for x in args.scan.split(":"))
+        except ValueError:
+            raise ConfigError(f"--scan expects lo:hi:step, got {args.scan!r}") from None
+        if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi <= lo:
+            raise ConfigError(f"--scan needs finite lo < hi and step > 0, got {args.scan!r}")
+    traces, outdir = _load(args)
     trace = _pick_season(traces, args.season)
     values = trace.net_demand_mw
     u = evt.select_threshold(values, args.threshold_quantile)
@@ -178,17 +181,9 @@ def cmd_fit(args) -> int:
         f"xi={fit.params.xi:.3f} (se {fit.se_xi:.3f}), "
         f"k={fit.n_exceedances}, loglik={fit.log_likelihood:.2f}"
     )
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     qq_path = write_qq_csv(fit, values, outdir / f"qq_{args.season}.csv")
     print(f"wrote {qq_path}")
     if args.scan:
-        try:
-            lo, hi, step = (float(x) for x in args.scan.split(":"))
-        except ValueError:
-            raise ConfigError(f"--scan expects lo:hi:step, got {args.scan!r}") from None
-        if step <= 0 or hi <= lo:
-            raise ConfigError("--scan needs lo < hi and step > 0")
         thresholds = np.arange(lo, hi + step / 2, step)
         scan_path = write_scan_csv(values, thresholds, outdir / f"threshold_scan_{args.season}.csv")
         print(f"wrote {scan_path}")
@@ -196,10 +191,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_dnw(args) -> int:
-    traces = _load(args)
+    traces, outdir = _load(args)
     kind = _KIND_ALIASES[args.model]
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     def emit(seasons, label):
         fit = None
@@ -228,9 +221,8 @@ def cmd_fleet(args) -> int:
 
 def cmd_risk(args) -> int:
     cfg = _run_config(args, include_pooled=args.pooled)
+    outdir = make_output_dir(cfg.output_dir)
     result = run_study_computation(cfg, progress=_progress(args))
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     emit_tables(result, outdir)
     print((outdir / "lole_per_season.txt").read_text(), end="")
     return 0

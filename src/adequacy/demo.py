@@ -20,7 +20,7 @@ from scipy import signal, stats
 
 from .evt import GpdParams, gpd_quantile
 from .genmodel import GeneratingUnit
-from .ingest import SeasonTrace, SeasonWindow
+from .ingest import SeasonTrace, SeasonWindow, make_output_dir, write_traces_csv
 
 DEMO_SEED = 74205
 FLEET_SEED = 918273
@@ -155,16 +155,9 @@ def write_demo_dataset(outdir, seed: int | None = None) -> dict[str, Path]:
 
     The traces are drawn with ``seed``, or with DEMO_SEED when it is None.
     """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = make_output_dir(outdir)
     traces = demo_traces(DEMO_SEED if seed is None else seed)
-
-    traces_path = outdir / "traces.csv"
-    with open(traces_path, "w", encoding="utf-8") as fh:
-        fh.write("season,timestamp,demand_mw,wind_mw\n")
-        for trace in traces:
-            for ts, d, w in zip(trace.timestamps.astype(object), trace.demand_mw, trace.wind_mw):
-                fh.write(f"{trace.season_label},{ts.isoformat()},{float(d)!r},{float(w)!r}\n")
+    traces_path = write_traces_csv(traces, outdir / "traces.csv")
 
     fleet_path = outdir / "fleet.csv"
     with open(fleet_path, "w", encoding="utf-8") as fh:

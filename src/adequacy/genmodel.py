@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -78,11 +77,8 @@ def fleet_summary(units) -> dict:
 
 def load_fleet(path) -> list[GeneratingUnit]:
     """Read and validate a fleet CSV with columns name, capacity_mw, availability."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"fleet file not found: {path}")
     units = []
-    for line, row in _csv_rows(path, ("name", "capacity_mw", "availability")):
+    for line, row in _csv_rows(path, ("name", "capacity_mw", "availability"), "fleet"):
         name = (row["name"] or "").strip()
         if not name:
             raise DataError(f"line {line}: unit without a name")

@@ -13,7 +13,9 @@ pass cannot read exactly as ``csv.DictReader`` would (a quote, a NUL, a lone
 carriage return, invalid UTF-8, a ragged line, an over-wide field) or that
 holds any faulty field is read again one ``csv.DictReader`` row at a time, and
 the first faulty row is reported by its line number. The fleet and quantile
-history CSVs are read by that row loop too (``_csv_rows``).
+history CSVs are read by that row loop too (``_csv_rows``). Every input file
+is read through ``_read_input``, every output directory made by
+``make_output_dir``.
 """
 
 from __future__ import annotations
@@ -154,8 +156,39 @@ def _parse_float(raw: str, what: str, line_num: int) -> float:
     return value
 
 
-def _csv_rows(path: Path, columns):
-    """(line number, row) for each row of a CSV file, by csv.DictReader.
+def _read_input(path, what: str) -> bytes:
+    """The bytes of the ``what`` input file ("trace", "fleet", ...); any OSError
+    (missing, a directory, no permission) is a DataError naming the file."""
+    try:
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        raise DataError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"{what} file {path}: {exc.strerror or exc}") from None
+
+
+def make_output_dir(path) -> Path:
+    """``path`` as a directory, made with its parents; ConfigError if it cannot be."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {path}: {exc.strerror or exc}") from None
+    return path
+
+
+def write_traces_csv(traces, path: Path) -> Path:
+    """Write ``traces`` as a traces CSV, one row per hour, each number to full precision."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        for trace in traces:
+            for ts, d, w in zip(trace.timestamps.astype(object), trace.demand_mw, trace.wind_mw):
+                fh.write(f"{trace.season_label},{ts.isoformat()},{float(d)!r},{float(w)!r}\n")
+    return path
+
+
+def _csv_rows(path, columns, what: str):
+    """(line number, row) for each row of the ``what`` CSV file, by csv.DictReader.
 
     The file is UTF-8 with an optional byte order mark, and its header must
     name every one of ``columns``. A byte that is not UTF-8 is a DataError
@@ -164,7 +197,7 @@ def _csv_rows(path: Path, columns):
     header as read. A row's missing fields read as None, and line numbers are
     those of the row's last line.
     """
-    data = path.read_bytes()
+    data = _read_input(path, what)
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -240,7 +273,7 @@ def _read_csv(path: Path):
     """
     codes_of: dict[str, int] = {}
     codes, stamps, demand, wind = [], [], [], []
-    for line, row in _csv_rows(path, TRACE_COLUMNS):
+    for line, row in _csv_rows(path, TRACE_COLUMNS, "trace"):
         season = (row["season"] or "").strip()
         if not season:
             raise DataError(f"line {line}: empty season label")
@@ -384,7 +417,7 @@ def _read_columns(path: Path):
     of first appearance, timestamps as naive-UTC datetime64[us] and float64
     demand and wind.
     """
-    columns = _scan_bytes(path.read_bytes())
+    columns = _scan_bytes(_read_input(path, "trace"))
     return _read_csv(path) if columns is None else columns
 
 
@@ -406,9 +439,6 @@ def load_traces(
     are dropped instead. Duplicate timestamps are always an error.
     """
     window = window or SeasonWindow()
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"trace file not found: {path}")
     codes_of, codes, ts, demand, wind = _read_columns(path)
     # a label's year places its window, and the label names the season's output files
     for season in codes_of:
@@ -588,11 +618,8 @@ def apply_rescaling(trace: SeasonTrace, factor: float) -> SeasonTrace:
 
 def load_quantile_history(path) -> list[tuple[str, float]]:
     """Read the optional per-season quantile history CSV, in file order."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"quantile history file not found: {path}")
     out = []
-    for line, row in _csv_rows(path, QUANTILE_COLUMNS):
+    for line, row in _csv_rows(path, QUANTILE_COLUMNS, "quantile history"):
         season = (row["season"] or "").strip()
         if not season:
             raise DataError(f"line {line}: empty season label")

@@ -132,8 +132,8 @@ class SeasonSample:
     * ind bins demand and wind at their floors, and P(X < D - W) =
       P(X + W < D). Its pooled pmfs are hours-weighted mixes of the seasons'
       pmfs, so the metrics mix pairs[a, b], season a's demand sums against
-      the functionals of the fleet plus season b's wind. Column b is filled,
-      with one fleet + wind convolution, the first time season b is drawn;
+      the functionals of the fleet plus season b's wind. All S columns are
+      filled, with one fleet + wind convolution each, on the first ind call;
     * evt sorts all seasons' values together once, on its first call, so a
       multiset is a weight per value. The threshold is numpy's linear
       quantile of the weighted values, bit for bit, found by a reverse
@@ -158,8 +158,6 @@ class SeasonSample:
         self.n_hours = n_hours
         self.hours = np.array([s.n_hours for s in self.seasons], dtype=float)  # observed
         self._sums = np.array([_season_sums(functionals, s.net_demand_mw) for s in self.seasons])
-        self._pairs = np.zeros((2, len(self.seasons), len(self.seasons)))  # ind: [m, a, b]
-        self._filled = np.zeros(len(self.seasons), dtype=bool)
 
     @cached_property
     def _sorted(self) -> tuple[np.ndarray, ...]:
@@ -189,12 +187,17 @@ class SeasonSample:
             raise ValueError(f"unknown model kind {kind!r}")
         return RiskMetrics.from_hourly(float(p_shortfall), float(energy), self.n_hours), fit
 
+    @cached_property
+    def _pairs(self) -> np.ndarray:
+        """[m, a, b]: season a's demand sums of metric m against the fleet plus
+        season b's wind; ind only."""
+        pairs = np.zeros((2, len(self.seasons), len(self.seasons)))
+        for b, season in enumerate(self.seasons):
+            total = ShortfallFunctionals(convolve(self.functionals.fleet, pmf_from_samples(season.wind_mw)))
+            pairs[:, :, b] = np.transpose([_season_sums(total, s.demand_mw) for s in self.seasons])
+        return pairs
+
     def _ind(self, c: np.ndarray) -> np.ndarray:
-        for b in np.flatnonzero((c > 0.0) & ~self._filled):
-            wind = pmf_from_samples(self.seasons[b].wind_mw)
-            total = ShortfallFunctionals(convolve(self.functionals.fleet, wind))
-            self._pairs[:, :, b] = np.transpose([_season_sums(total, s.demand_mw) for s in self.seasons])
-            self._filled[b] = True
         return self._pairs @ (c * self.hours) @ c / (c @ self.hours) ** 2
 
     def _evt(self, c: np.ndarray, q: float) -> tuple[float, float, evt.GpdFit]:

@@ -1,4 +1,4 @@
-"""End-to-end study orchestration: configuration, pipelines, table emission.
+"""End-to-end study orchestration: configuration, computation, table emission.
 
 A study loads the traces and fleet, optionally rescales demand from the
 quantile history, computes one ``Column`` of per-season and pooled LoLE/EEU
@@ -28,6 +28,7 @@ from .ingest import (
     daily_peak_quantile,
     load_quantile_history,
     load_traces,
+    make_output_dir,
 )
 from .risk import RiskMetrics, SeasonSample, ShortfallFunctionals, long_run_mean
 from .uncertainty import (
@@ -140,24 +141,6 @@ class RunConfig:
         return cols
 
 
-def pooled_pipeline(sample: SeasonSample, kind: str, threshold_quantile: float | None):
-    """Season-set -> {'lole', 'eeu'} mapping for the block bootstrap.
-
-    ``kind`` and ``threshold_quantile`` are a column of ``RunConfig.columns()``.
-    The drawn traces, each one of ``sample.seasons``, become a count per
-    season, and ``sample`` reads that multiset; evt refits the GPD on every
-    call, as a fit is not linear.
-    """
-    slot = {id(t): i for i, t in enumerate(sample.seasons)}
-
-    def run(traces):
-        counts = np.bincount([slot[id(t)] for t in traces], minlength=len(slot))
-        metrics, _ = sample.metrics(counts, kind, threshold_quantile)
-        return {"lole": metrics.lole_hours, "eeu": metrics.eeu_mwh}
-
-    return run
-
-
 def pooled_column(sample: SeasonSample, kind: str, threshold_quantile: float | None,
                   boot: BootstrapConfig) -> tuple[RiskMetrics, evt.GpdFit | None, BlockBootstrapResult]:
     """The pooled metrics of one column of ``RunConfig.columns()``, its evt fit
@@ -166,9 +149,13 @@ def pooled_column(sample: SeasonSample, kind: str, threshold_quantile: float | N
     Nothing is computed per season, so a season that an evt column cannot fit
     on its own does not stop it.
     """
+    def replicate(counts):
+        # evt refits the GPD on every count row, as a fit is not linear
+        drawn, _ = sample.metrics(counts, kind, threshold_quantile)
+        return {"lole": drawn.lole_hours, "eeu": drawn.eeu_mwh}
+
     metrics, fit = sample.metrics(np.ones(len(sample.seasons)), kind, threshold_quantile)
-    pipeline = pooled_pipeline(sample, kind, threshold_quantile)
-    return metrics, fit, block_bootstrap(sample.seasons, pipeline, boot)
+    return metrics, fit, block_bootstrap(replicate, len(sample.seasons), boot)
 
 
 def rescale_traces(traces, history, reference_season, span, iterations,
@@ -461,8 +448,7 @@ def config_digest(cfg: RunConfig) -> str:
 
 def run_full_study(cfg: RunConfig, progress=lambda msg: None) -> StudyResult:
     """Run every stage and write the full set of study artifacts."""
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = make_output_dir(cfg.output_dir)
     manifest_path = outdir / "manifest.json"
     manifest = {
         "config": _config_payload(cfg),

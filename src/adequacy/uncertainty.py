@@ -5,9 +5,10 @@ independent blocks:
 
 * season bootstrap -- resample the per-season metric estimates themselves and
   take percentile quantiles of the resample means;
-* block bootstrap  -- resample whole season datasets, rerun the pooled
-  pipeline (model fit, convolution, metrics) on each distinct season
-  multiset, and take percentile quantiles of the replicated metrics.
+* block bootstrap  -- resample whole seasons, so that a replication is a row
+  of counts (how often each season was drawn), recompute the pooled metrics
+  once per distinct count row, and take percentile quantiles of the
+  replicated metrics.
 
 Replication r draws its indices from numpy's PCG64 seeded by
 SeedSequence((*seed, r)), where the seed is an integer or a key tuple (a
@@ -229,49 +230,44 @@ def season_bootstrap(per_season_values, cfg: BootstrapConfig) -> ConfidenceInter
     return percentile_interval(means, cfg.ci_level)
 
 
-def block_bootstrap(seasons, pipeline, cfg: BootstrapConfig) -> BlockBootstrapResult:
-    """Percentile CIs from rerunning ``pipeline`` on resampled season blocks.
+def block_bootstrap(replicate, n_seasons: int, cfg: BootstrapConfig) -> BlockBootstrapResult:
+    """Percentile CIs from rerunning ``replicate`` on resampled season blocks.
 
-    ``pipeline`` maps a list of season datasets to a mapping of metric name to
-    value. It runs once per distinct season multiset, on the seasons in index
-    order, so its result depends only on which seasons a replication drew.
-    Replications whose pipeline raises NumericalError are dropped and counted;
-    more than MAX_DROP_RATE of them is an error. Any other exception is a bug
-    and propagates.
+    A replication is a row of counts, how often each of the ``n_seasons``
+    seasons was drawn. ``replicate`` maps a count row to a mapping of metric
+    name to value; it runs once per distinct row. Replications whose
+    ``replicate`` raises NumericalError are dropped and counted; more than
+    MAX_DROP_RATE of them is an error. Any other exception is a bug and
+    propagates.
     """
-    seasons = list(seasons)
-    if len(seasons) < 2:
+    if n_seasons < 2:
         raise ValueError("block bootstrap needs at least 2 seasons")
-    outcomes: dict[tuple[int, ...], dict | Exception] = {}
-    kept: list[dict] = []
-    errors: list[str] = []
-    for r, row in enumerate(np.sort(cfg.indices(len(seasons)), axis=1).tolist()):
-        key = tuple(row)
-        if key not in outcomes:
-            try:
-                outcomes[key] = dict(pipeline([seasons[i] for i in key]))
-            except NumericalError as exc:  # recorded, not fatal unless widespread
-                outcomes[key] = exc
-        outcome = outcomes[key]
-        if isinstance(outcome, Exception):
-            errors.append(f"replication {r}: {outcome}")
-        else:
-            kept.append(outcome)
-
-    dropped = cfg.replications - len(kept)
+    idx = cfg.indices(n_seasons)
+    rows = np.arange(idx.shape[0])[:, None]
+    counts = np.bincount((idx + n_seasons * rows).ravel(), minlength=idx.size).reshape(idx.shape)
+    distinct, which = np.unique(counts, axis=0, return_inverse=True)
+    outcomes = []
+    for row in distinct:
+        try:
+            outcomes.append(dict(replicate(row)))
+        except NumericalError as exc:  # recorded, not fatal unless widespread
+            outcomes.append(exc)
+    replications = [outcomes[i] for i in which.ravel().tolist()]
+    kept = [m for m in replications if not isinstance(m, Exception)]
+    dropped = len(replications) - len(kept)
+    first_error = next((f"replication {r}: {m}" for r, m in enumerate(replications)
+                        if isinstance(m, Exception)), None)
     if dropped > MAX_DROP_RATE * cfg.replications:
         raise NumericalError(
-            f"{dropped}/{cfg.replications} bootstrap replications failed; first: "
-            + (errors[0] if errors else "unknown")
+            f"{dropped}/{cfg.replications} bootstrap replications failed; first: {first_error}"
         )
-    metric_names = kept[0].keys()
     intervals = {
         name: percentile_interval(np.array([m[name] for m in kept]), cfg.ci_level)
-        for name in metric_names
+        for name in kept[0]
     }
     return BlockBootstrapResult(
         intervals=intervals,
         replications_used=len(kept),
         replications_dropped=dropped,
-        first_error=errors[0] if errors else None,
+        first_error=first_error,
     )

@@ -18,8 +18,8 @@ from adequacy.dnw import survivor
 from adequacy.evt import fit_gpd, fit_threshold_excesses, select_threshold
 from adequacy.genmodel import GeneratingUnit, convolve_fleet
 from adequacy.risk import SeasonSample, ShortfallFunctionals, long_run_mean
-from adequacy.study import RunConfig, pooled_pipeline, run_full_study
-from adequacy.uncertainty import BootstrapConfig, block_bootstrap, season_bootstrap
+from adequacy.study import RunConfig, pooled_column, run_full_study
+from adequacy.uncertainty import BootstrapConfig, season_bootstrap
 from conftest import sample_pmf
 from helpers import random_season
 from oracles import balance_distribution, build_model, compute_metrics, discretize, from_lole_eeu
@@ -137,10 +137,9 @@ def test_criterion_07_hindcast_pooled_vs_mean_ci(demo_system):
     traces = demo_system["traces"]
     n_hours = traces[0].n_hours
     sample = SeasonSample(ShortfallFunctionals(fleet), traces, n_hours)
-    pipeline = pooled_pipeline(sample, "hindcast", None)
-    per_season = [pipeline([t])["lole"] for t in traces]
+    per_season = [sample.metrics(one, "hindcast")[0].lole_hours for one in np.identity(len(traces))]
     cfg = BootstrapConfig(seed=5150, replications=10_000)
-    block_ci = block_bootstrap(traces, pipeline, cfg).intervals["lole"]
+    block_ci = pooled_column(sample, "hindcast", None, cfg)[2].intervals["lole"]
     season_ci = season_bootstrap(per_season, cfg)
     assert abs(block_ci.lower - season_ci.lower) <= 0.02 * abs(season_ci.lower)
     assert abs(block_ci.upper - season_ci.upper) <= 0.02 * abs(season_ci.upper)

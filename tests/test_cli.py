@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import adequacy
-from adequacy import cli, dnw, uncertainty
+from adequacy import cli, demo, dnw, study, uncertainty
 from adequacy.cli import main
 from adequacy.demo import DEMO_SEED
-from adequacy.study import RunConfig, load_inputs, pooled_pipeline, run_study_computation
+from adequacy.study import RunConfig, load_inputs, run_study_computation
 from adequacy.uncertainty import BootstrapConfig, block_bootstrap
 
 
@@ -161,6 +161,15 @@ class TestFitCommand:
         )
         assert code == 2
         assert "configuration error" in err
+
+    @pytest.mark.parametrize("scan", ["nan:1:1", "0:inf:1", "1:2:nan"])
+    def test_non_finite_scan_is_config_error(self, demo_dataset_dir, tmp_path, capsys, scan):
+        outdir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "fit", "--traces", str(demo_dataset_dir["traces"]),
+                               "--season", "2007-08", "--scan", scan, "--out", str(outdir))
+        assert code == 2
+        assert err.startswith("configuration error: ") and scan in err
+        assert not outdir.exists()
 
     def test_too_extreme_quantile_is_numerical_failure(self, demo_dataset_dir, tmp_path, capsys):
         code, _, err = run_cli(
@@ -431,6 +440,50 @@ class TestInvalidSettings:
         assert not outdir.exists()
 
 
+class TestUnusablePaths:
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    @pytest.mark.parametrize("command", ["study", "risk", "ingest", "fit", "dnw", "demo"])
+    def test_output_dir_that_cannot_be_made_exits_2(self, demo_dataset_dir, tmp_path, capsys,
+                                                     monkeypatch, command, under):
+        # the check comes before any input is read
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an input was read before --out was checked")
+
+        for module, name in ((cli, "load_traces"), (study, "load_traces"), (demo, "demo_traces")):
+            monkeypatch.setattr(module, name, unreachable)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "sub" if under else taken
+        traces, fleet = str(demo_dataset_dir["traces"]), str(demo_dataset_dir["fleet"])
+        argv = {
+            "study": ["--traces", traces, "--fleet", fleet, "--seed", "1"],
+            "risk": ["--traces", traces, "--fleet", fleet],
+            "ingest": ["--traces", traces],
+            "fit": ["--traces", traces, "--season", "2007-08"],
+            "dnw": ["--traces", traces, "--model", "hindcast"],
+            "demo": [],
+        }[command]
+        code, _, err = run_cli(capsys, command, *argv, "--out", str(out))
+        assert code == 2
+        assert err.startswith("configuration error: ") and str(out) in err
+        assert taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command, key", [
+        ("study", "traces"), ("study", "fleet"), ("study", "quantiles"), ("fleet", "fleet"),
+    ])
+    def test_input_that_is_a_directory_exits_3(self, demo_dataset_dir, tmp_path, capsys, command, key):
+        inputs = {k: str(path) for k, path in demo_dataset_dir.items()}
+        inputs[key] = str(tmp_path)
+        if command == "fleet":
+            argv = ["--fleet", inputs["fleet"]]
+        else:
+            argv = [*(f"--{k}={v}" for k, v in inputs.items()), "--reps", "100", "--seed", "1",
+                    "--quiet", "--out", str(tmp_path / "out")]
+        code, _, err = run_cli(capsys, command, *argv)
+        assert code == 3
+        assert err.startswith("data error: ") and str(tmp_path) in err
+
+
 class TestTooFewSeasons:
     """Too few seasons for the bootstrap or the Lowess fit exits 2 or 3, with no traceback."""
 
@@ -586,7 +639,12 @@ class TestUncertaintyCommand:
         sample, _ = load_inputs(cfg)
         metrics, _ = sample.metrics(np.ones(len(sample.seasons)), dnw.EVT, 0.995)
         boot = BootstrapConfig(seed=(9, 101, 0), replications=100, ci_level=0.95)
-        ci = block_bootstrap(sample.seasons, pooled_pipeline(sample, dnw.EVT, 0.995), boot).intervals[metric]
+
+        def replicate(counts):
+            drawn, _ = sample.metrics(counts, dnw.EVT, 0.995)
+            return {"lole": drawn.lole_hours, "eeu": drawn.eeu_mwh}
+
+        ci = block_bootstrap(replicate, len(sample.seasons), boot).intervals[metric]
         point = metrics.lole_hours if metric == "lole" else metrics.eeu_mwh
         assert [printed[k] for k in ("point_estimate", "ci_lower", "ci_upper")] == [point, ci.lower, ci.upper]
 

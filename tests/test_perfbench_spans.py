@@ -18,10 +18,13 @@ PERFBENCH = ROOT / "perfbench"
 # test oracles (tests/oracles.py), which no production path calls, so their
 # metrics read 0: risk.balance_distribution is that of ShortfallFunctionals,
 # and the dnw.build_* models, dnw.discretize and ShortfallFunctionals.metrics
-# together that of SeasonSample
+# together that of SeasonSample. perfbench/tracer.py times a replication by
+# wrapping the closure of study.pooled_pipeline, which the package no longer
+# has: a replication is a count row, read by pooled_column's local replicate
 NOT_CALLED = {
     "risk.balance_distribution", "dnw.discretize", "risk.ShortfallFunctionals.metrics",
     "dnw.build_evt_model", "dnw.build_hindcast_model", "dnw.build_independence_model",
+    "uncertainty.replication",
 }
 
 

@@ -11,7 +11,7 @@ from adequacy.study import (
     Column,
     RunConfig,
     config_digest,
-    pooled_pipeline,
+    pooled_column,
     rescale_traces,
     run_full_study,
     write_season_tables,
@@ -22,11 +22,18 @@ from adequacy.uncertainty import (
     MAX_DROP_RATE,
     BootstrapConfig,
     ConfidenceInterval,
-    block_bootstrap,
     season_bootstrap,
 )
 from helpers import make_trace
 from oracles import build_model, discretize, shortfall_metrics
+
+
+def drawn_metrics(sample, drawn, kind, q=None):
+    """{"lole", "eeu"} of ``sample`` on a drawn list of its traces: each of
+    its seasons counts as often as its label is drawn."""
+    labels = [t.season_label for t in drawn]
+    metrics, _ = sample.metrics([labels.count(t.season_label) for t in sample.seasons], kind, q)
+    return {"lole": metrics.lole_hours, "eeu": metrics.eeu_mwh}
 
 
 def tiny_config(**overrides):
@@ -128,10 +135,9 @@ class TestHindcastBootstrapIdentity:
         traces = demo_system["traces"]
         n_hours = traces[0].n_hours
         sample = SeasonSample(ShortfallFunctionals(fleet), traces, n_hours)
-        pipeline = pooled_pipeline(sample, "hindcast", None)
-        per_season = [pipeline([t])["lole"] for t in traces]
+        per_season = [drawn_metrics(sample, [t], "hindcast")["lole"] for t in traces]
         cfg = BootstrapConfig(seed=404, replications=500)
-        block = block_bootstrap(traces, pipeline, cfg)
+        _, _, block = pooled_column(sample, "hindcast", None, cfg)
         block_ci = block.intervals["lole"]
         season_ci = season_bootstrap(per_season, cfg)
         assert block.replications_dropped == 0  # hindcast has no fit step to fail
@@ -155,9 +161,9 @@ class TestPooledClosedForms:
         n_hours = traces[0].n_hours
         functionals = ShortfallFunctionals(demo_system["fleet"])
         # the sample holds the seasons in another order than drawn
-        pipeline = pooled_pipeline(SeasonSample(functionals, traces[::-1], n_hours), kind, None)
+        sample = SeasonSample(functionals, traces[::-1], n_hours)
         seasons = [traces[i] for i in drawn]
-        got = pipeline(seasons)
+        got = drawn_metrics(sample, seasons, kind)
         model = build_model(seasons, kind, None)
         want = shortfall_metrics(functionals, discretize(model), n_hours)
         rel = 1e-12 if kind == dnw.HINDCAST else 1e-9
@@ -176,8 +182,8 @@ class TestOneSamplePerStudy:
         monkeypatch.setattr(risk, "convolve", counting)
         traces = demo_system["traces"]
         sample = SeasonSample(ShortfallFunctionals(demo_system["fleet"]), traces, 3528)
-        run = pooled_pipeline(sample, dnw.INDEPENDENCE, None)
-        result = block_bootstrap(traces, run, BootstrapConfig(seed=1, replications=1000))
+        _, _, result = pooled_column(sample, dnw.INDEPENDENCE, None,
+                                     BootstrapConfig(seed=1, replications=1000))
         assert result.replications_dropped == 0
         assert len(calls) == len(traces)
 
@@ -193,8 +199,7 @@ class TestOneSamplePerStudy:
         monkeypatch.setattr(evt, "_standard_errors", counting)
         traces = demo_system["traces"]
         sample = SeasonSample(ShortfallFunctionals(demo_system["fleet"]), traces, 3528)
-        run = pooled_pipeline(sample, dnw.EVT, 0.90)
-        result = block_bootstrap(traces, run, BootstrapConfig(seed=1, replications=100))
+        _, _, result = pooled_column(sample, dnw.EVT, 0.90, BootstrapConfig(seed=1, replications=100))
         assert result.replications_used == 100
         assert calls == []
         fit = sample.metrics(np.ones(len(traces)), dnw.EVT, 0.90)[1]
@@ -251,13 +256,17 @@ class TestOneSamplePerStudy:
 
 
 class TestEvtPipeline:
-    """The evt block-bootstrap pipeline: one SeasonSample.metrics call per season multiset."""
+    """The evt block-bootstrap replication: one SeasonSample.metrics call per count row."""
 
     @staticmethod
-    def pipeline(demo_system, seasons=None, q=0.95):
+    def sample(demo_system, seasons=None):
         seasons = demo_system["traces"] if seasons is None else seasons
-        sample = SeasonSample(ShortfallFunctionals(demo_system["fleet"]), seasons, 3528)
-        return pooled_pipeline(sample, dnw.EVT, q)
+        return SeasonSample(ShortfallFunctionals(demo_system["fleet"]), seasons, 3528)
+
+    @classmethod
+    def pipeline(cls, demo_system, seasons=None, q=0.95):
+        sample = cls.sample(demo_system, seasons)
+        return lambda drawn: drawn_metrics(sample, drawn, dnw.EVT, q)
 
     def test_order_of_the_traces_changes_nothing(self, demo_system):
         traces = demo_system["traces"]
@@ -285,13 +294,13 @@ class TestEvtPipeline:
         # multisets drawing only it fail numerically and are dropped
         flat = make_trace("2014-15", np.full(3528, 20_000.0), np.zeros(3528))
         seasons = demo_system["traces"][:3] + [flat]
-        run = self.pipeline(demo_system, seasons)
+        sample = self.sample(demo_system, seasons)
         with pytest.raises(NumericalError, match="exceedances"):
-            run([flat])
+            drawn_metrics(sample, [flat], dnw.EVT, 0.95)
         cfg = BootstrapConfig(seed=1, replications=1000)
         failing = np.flatnonzero((cfg.indices(4) == 3).all(axis=1))
         assert 0 < failing.size <= MAX_DROP_RATE * cfg.replications
-        result = block_bootstrap(seasons, run, cfg)
+        _, _, result = pooled_column(sample, dnw.EVT, 0.95, cfg)
         assert result.replications_dropped == failing.size
         assert result.first_error.startswith(f"replication {failing[0]}: need at least")
 

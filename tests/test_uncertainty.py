@@ -153,13 +153,20 @@ class TestSeasonBootstrap:
 
 class TestBlockBootstrap:
     @staticmethod
-    def mean_pipeline(seasons):
-        pooled = np.concatenate([np.asarray(s, dtype=float) for s in seasons])
-        return {"mean": float(pooled.mean())}
+    def mean_replicate(seasons):
+        """The count-row replicate of the pooled mean of ``seasons``."""
+        sums = np.array([np.sum(s, dtype=float) for s in seasons])
+        sizes = np.array([np.size(s) for s in seasons], dtype=float)
+
+        def replicate(counts):
+            return {"mean": float(counts @ sums / (counts @ sizes))}
+
+        return replicate
 
     def test_identical_seasons_degenerate(self):
         seasons = [np.array([5.0, 7.0])] * 7
-        result = block_bootstrap(seasons, self.mean_pipeline, BootstrapConfig(seed=2, replications=500))
+        result = block_bootstrap(self.mean_replicate(seasons), len(seasons),
+                                 BootstrapConfig(seed=2, replications=500))
         ci = result.intervals["mean"]
         assert (ci.lower, ci.upper) == (6.0, 6.0)
         assert result.replications_dropped == 0
@@ -170,18 +177,16 @@ class TestBlockBootstrap:
         rng = np.random.default_rng(9)
         seasons = [rng.uniform(0.0, 10.0, 50) for _ in range(7)]
         cfg = BootstrapConfig(seed=31, replications=3000)
-        block = block_bootstrap(seasons, self.mean_pipeline, cfg).intervals["mean"]
+        block = block_bootstrap(self.mean_replicate(seasons), len(seasons), cfg).intervals["mean"]
         season = season_bootstrap([s.mean() for s in seasons], cfg)
         assert block.lower == pytest.approx(season.lower, rel=1e-12)
         assert block.upper == pytest.approx(season.upper, rel=1e-12)
 
     def test_failures_counted_and_bounded(self):
-        # the pipeline fails on exactly the multiset that draws season 0 every
+        # the replicate fails on exactly the row that draws season 0 every
         # time, so the drop count is fixed by the index matrix alone
-        seasons = [np.full(3, float(i)) for i in range(4)]
-
-        def flaky(drawn):
-            if all(s[0] == 0.0 for s in drawn):
+        def flaky(counts):
+            if counts[0] == counts.sum():
                 raise NumericalError("numerical hiccup")
             return {"m": 1.0}
 
@@ -189,50 +194,51 @@ class TestBlockBootstrap:
         failing = np.flatnonzero((resample_indices(4, cfg.replications, cfg.seed) == 0).all(axis=1))
         expected = failing.size
         assert 0 < expected <= MAX_DROP_RATE * cfg.replications
-        result = block_bootstrap(seasons, flaky, cfg)
+        result = block_bootstrap(flaky, 4, cfg)
         assert result.replications_dropped == expected
         assert result.replications_used == cfg.replications - expected
         assert result.first_error == f"replication {failing[0]}: numerical hiccup"
 
-    def test_pipeline_runs_once_per_distinct_sorted_row(self):
-        seasons = [np.array([float(i)]) for i in range(5)]
+    def test_replicate_runs_once_per_distinct_count_row(self):
         calls = []
 
-        def recording(drawn):
-            calls.append(tuple(int(s[0]) for s in drawn))
-            return {"m": float(np.mean(drawn))}
+        def recording(counts):
+            calls.append(tuple(counts.tolist()))
+            return {"m": float(counts @ np.arange(5.0)) / 5.0}
 
         cfg = BootstrapConfig(seed=8, replications=400)
-        result = block_bootstrap(seasons, recording, cfg)
-        rows = {tuple(row) for row in np.sort(resample_indices(5, cfg.replications, cfg.seed), axis=1).tolist()}
+        result = block_bootstrap(recording, 5, cfg)
+        rows = {tuple(np.bincount(row, minlength=5).tolist())
+                for row in resample_indices(5, cfg.replications, cfg.seed)}
         assert len(calls) == len(set(calls)) == len(rows) < cfg.replications
-        assert set(calls) == rows  # seasons passed in sorted index order
+        assert set(calls) == rows  # a row counts how often each season was drawn
         assert result.replications_used == cfg.replications
         assert result.first_error is None
 
     def test_widespread_failure_is_error(self):
-        def broken(seasons):
+        def broken(counts):
             raise NumericalError("always fails")
 
         with pytest.raises(NumericalError, match="replications failed"):
-            block_bootstrap([np.arange(3.0)] * 4, broken, BootstrapConfig(seed=1, replications=200))
+            block_bootstrap(broken, 4, BootstrapConfig(seed=1, replications=200))
 
     def test_a_bug_aborts_instead_of_dropping(self):
         # only NumericalError is a droppable replication; a TypeError is a bug
         calls = []
 
-        def buggy(seasons):
-            calls.append(len(seasons))
+        def buggy(counts):
+            calls.append(counts.sum())
             if len(calls) == 3:
                 raise TypeError("unsupported operand")
             return {"m": 1.0}
 
         with pytest.raises(TypeError, match="unsupported operand"):
-            block_bootstrap([np.arange(3.0)] * 4, buggy, BootstrapConfig(seed=1, replications=200))
+            block_bootstrap(buggy, 4, BootstrapConfig(seed=1, replications=200))
 
     def test_needs_two_seasons(self):
         with pytest.raises(ValueError):
-            block_bootstrap([np.arange(3.0)], self.mean_pipeline, BootstrapConfig(seed=1, replications=100))
+            block_bootstrap(self.mean_replicate([np.arange(3.0)]), 1,
+                            BootstrapConfig(seed=1, replications=100))
 
 
 def test_percentile_interval_type7():
