@@ -33,9 +33,9 @@ from .ingest import (  # noqa: F401
 from .pmf import DiscretePmf  # noqa: F401
 from .risk import RiskMetrics, ShortfallFunctionals, long_run_mean  # noqa: F401
 from .uncertainty import (  # noqa: F401
-    BootstrapConfig,
     ConfidenceInterval,
     block_bootstrap,
+    resample_counts,
     resample_indices,
     season_bootstrap,
 )

@@ -247,7 +247,8 @@ def cmd_uncertainty(args) -> int:
     else:
         [(_, kind, q)] = cfg.columns()
         sample, _ = load_inputs(cfg)
-        metrics, _, pooled = pooled_column(sample, kind, q, cfg.bootstrap(0))
+        counts = cfg.counts(0, len(sample.seasons))
+        metrics, _, pooled = pooled_column(sample, kind, q, counts, cfg.ci_level)
         point = metrics.lole_hours if args.metric == "lole" else metrics.eeu_mwh
         ci, scale = pooled.intervals[args.metric], 1.0
 

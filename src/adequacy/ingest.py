@@ -617,12 +617,18 @@ def apply_rescaling(trace: SeasonTrace, factor: float) -> SeasonTrace:
 
 
 def load_quantile_history(path) -> list[tuple[str, float]]:
-    """Read the optional per-season quantile history CSV, in file order."""
-    out = []
+    """Read the optional per-season quantile history CSV, in file order.
+
+    A season may appear once: a repeat would count twice in the Lowess fit.
+    """
+    out, first_line = [], {}
     for line, row in _csv_rows(path, QUANTILE_COLUMNS, "quantile history"):
         season = (row["season"] or "").strip()
         if not season:
             raise DataError(f"line {line}: empty season label")
+        if season in first_line:
+            raise DataError(f"{path}: season {season} on line {first_line[season]} and again on line {line}")
+        first_line[season] = line
         out.append((season, _parse_float(row["quantile_mw"], "quantile_mw", line)))
     if not out:
         raise DataError(f"{path}: no quantile rows")

@@ -106,36 +106,20 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _fft_is_faster(n: int, m: int) -> bool:
-    """Whether a full convolution of lengths n and m costs less through the FFT.
-
-    The operation-count model and the 1-D timing constants of
-    ``scipy.signal.choose_conv_method``, so both pick the same method at
-    every size.
-    """
-    size = n + m - 1
-    return 1.7649070e-9 * (3 * size * np.log(size)) < 2.1414831e-10 * (n * m) - 1e-3
-
-
 def convolve(a: DiscretePmf, b: DiscretePmf) -> DiscretePmf:
     """Distribution of the sum of independent variables A + B.
 
     Zero padding is trimmed first so the result's support is the exact
-    Minkowski sum of the inputs' supports. Small convolutions are direct
-    (``np.convolve``); large ones multiply real FFTs (``numpy.fft``) padded to
-    a 5-smooth length. The FFT's round-off can leave tiny negative entries,
-    which are clipped before renormalizing.
+    Minkowski sum of the inputs' supports. The sum multiplies real FFTs
+    (``numpy.fft``) padded to a 5-smooth length. The FFT's round-off can leave
+    tiny negative entries, which are clipped before renormalizing.
     """
     a_origin, a_probs = _trimmed(a)
     b_origin, b_probs = _trimmed(b)
     size = a_probs.size + b_probs.size - 1
-    if _fft_is_faster(a_probs.size, b_probs.size):
-        n_fft = _fast_length(size)
-        spectrum = np.fft.rfft(a_probs, n_fft) * np.fft.rfft(b_probs, n_fft)
-        raw = np.fft.irfft(spectrum, n_fft)[:size]
-    else:
-        raw = np.convolve(a_probs, b_probs)
-    raw = np.clip(raw, 0.0, None)
+    n_fft = _fast_length(size)
+    spectrum = np.fft.rfft(a_probs, n_fft) * np.fft.rfft(b_probs, n_fft)
+    raw = np.clip(np.fft.irfft(spectrum, n_fft)[:size], 0.0, None)
     total = raw.sum()
     if not np.isfinite(total) or total <= 0.0:
         raise NumericalError("convolution produced a degenerate mass function")

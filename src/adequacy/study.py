@@ -33,9 +33,9 @@ from .ingest import (
 from .risk import RiskMetrics, SeasonSample, ShortfallFunctionals, long_run_mean
 from .uncertainty import (
     BlockBootstrapResult,
-    BootstrapConfig,
     ConfidenceInterval,
     block_bootstrap,
+    resample_counts,
     season_bootstrap,
 )
 
@@ -96,10 +96,10 @@ class RunConfig:
         self.window()  # raises ConfigError on a bad window
         if self.seed < 0:
             raise ConfigError(f"seed {self.seed} is negative; seeds are non-negative integers")
-        try:
-            self.bootstrap(0)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        if self.replications < 100:
+            raise ConfigError("bootstrap needs at least 100 replications")
+        if not 0.0 < self.ci_level < 1.0:
+            raise ConfigError("ci_level must lie strictly between 0 and 1")
         check_rescale_settings(self.lowess_span, self.lowess_iterations, self.rescale_quantile)
         check_installed_wind(self.installed_wind_mw)
         if not self.model_kinds:
@@ -123,11 +123,10 @@ class RunConfig:
     def window(self) -> SeasonWindow:
         return SeasonWindow(weeks=self.window_weeks, anchor_rule=self.anchor_rule)
 
-    def bootstrap(self, column: int) -> BootstrapConfig:
-        """The bootstrap of the column at this position of ``columns()``: its
-        replications draw from substreams keyed (seed, 101, column)."""
-        return BootstrapConfig(seed=(self.seed, 101, column), replications=self.replications,
-                               ci_level=self.ci_level)
+    def counts(self, column: int, n_seasons: int) -> np.ndarray:
+        """The bootstrap count matrix of the column at this position of
+        ``columns()``: its replications draw from substreams keyed (seed, 101, column)."""
+        return resample_counts(n_seasons, self.replications, (self.seed, 101, column))
 
     def columns(self) -> list[tuple[str, str, float | None]]:
         """(label, kind, threshold_quantile) per model variant, in fixed order."""
@@ -142,9 +141,10 @@ class RunConfig:
 
 
 def pooled_column(sample: SeasonSample, kind: str, threshold_quantile: float | None,
-                  boot: BootstrapConfig) -> tuple[RiskMetrics, evt.GpdFit | None, BlockBootstrapResult]:
+                  counts: np.ndarray, level: float,
+                  ) -> tuple[RiskMetrics, evt.GpdFit | None, BlockBootstrapResult]:
     """The pooled metrics of one column of ``RunConfig.columns()``, its evt fit
-    (None for other kinds) and its block bootstrap with ``boot``.
+    (None for other kinds) and its block bootstrap over the rows of ``counts``.
 
     Nothing is computed per season, so a season that an evt column cannot fit
     on its own does not stop it.
@@ -155,7 +155,7 @@ def pooled_column(sample: SeasonSample, kind: str, threshold_quantile: float | N
         return {"lole": drawn.lole_hours, "eeu": drawn.eeu_mwh}
 
     metrics, fit = sample.metrics(np.ones(len(sample.seasons)), kind, threshold_quantile)
-    return metrics, fit, block_bootstrap(replicate, len(sample.seasons), boot)
+    return metrics, fit, block_bootstrap(replicate, counts, level)
 
 
 def rescale_traces(traces, history, reference_season, span, iterations,
@@ -268,20 +268,20 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> StudyRes
         per_season.append(results)
 
     progress("season bootstrap")
-    # one config per column, so its index matrix is drawn once and shared by
-    # both season CIs and the block bootstrap; for hindcast the block bootstrap
-    # then reproduces the season bootstrap exactly (pooling is linear)
-    boots = [cfg.bootstrap(i) for i in range(len(per_season))]
+    # one count matrix per column, read by both season CIs and the block
+    # bootstrap; for hindcast the block bootstrap then reproduces the season
+    # bootstrap up to rounding (pooling is linear)
+    counts = [cfg.counts(i, len(labels)) for i in range(len(per_season))]
     season_cis = [
-        [season_bootstrap([getattr(m, metric) for m, _ in results], boot)
+        [season_bootstrap([getattr(m, metric) for m, _ in results], c, cfg.ci_level)
          for metric in ("lole_hours", "eeu_gwh")]
-        for results, boot in zip(per_season, boots)
+        for results, c in zip(per_season, counts)
     ]
 
     progress("pooled estimates and block bootstrap")
     pooled = [
-        pooled_column(sample, kind, q, boot) if cfg.include_pooled else (None, None, None)
-        for (_, kind, q), boot in zip(cfg.columns(), boots)
+        pooled_column(sample, kind, q, c, cfg.ci_level) if cfg.include_pooled else (None, None, None)
+        for (_, kind, q), c in zip(cfg.columns(), counts)
     ]
     columns = [
         Column(label, kind, q, [m for m, _ in results], [fit for _, fit in results], *cis, *pool)

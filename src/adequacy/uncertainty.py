@@ -5,27 +5,26 @@ independent blocks:
 
 * season bootstrap -- resample the per-season metric estimates themselves and
   take percentile quantiles of the resample means;
-* block bootstrap  -- resample whole seasons, so that a replication is a row
-  of counts (how often each season was drawn), recompute the pooled metrics
-  once per distinct count row, and take percentile quantiles of the
+* block bootstrap  -- resample whole seasons, recompute the pooled metrics
+  once per distinct replication, and take percentile quantiles of the
   replicated metrics.
 
-Replication r draws its indices from numpy's PCG64 seeded by
-SeedSequence((*seed, r)), where the seed is an integer or a key tuple (a
-study column uses (seed, 101, column position)), so replication r draws the
-same indices however many replications are asked for. ``resample_indices``
-computes every row at once with an exact port of SeedSequence, PCG64 and
-numpy's bounded integer draw in whole-array integer arithmetic; a row that
-would enter the bounded draw's rejection loop is drawn by numpy itself. A
-BootstrapConfig builds its index matrix once per season count, so every
-scheme run with the same config object sees the same matrix without drawing
-it again.
+Both read a replication as a row of counts, how often each season was drawn:
+an (R, S) count matrix from ``resample_counts``, so that a study column hands
+one matrix to both schemes. Replication r draws its indices from numpy's
+PCG64 seeded by SeedSequence((*seed, r)), where the seed is an integer or a
+key tuple (a study column uses (seed, 101, column position)), so replication
+r draws the same indices however many replications are asked for.
+``resample_indices`` computes every row at once with an exact port of
+SeedSequence, PCG64 and numpy's bounded integer draw in whole-array integer
+arithmetic; a row that would enter the bounded draw's rejection loop is
+drawn by numpy itself.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # noqa: F401  loaded at import, not on the first draw
@@ -33,28 +32,6 @@ import numpy.random  # noqa: F401  loaded at import, not on the first draw
 from .errors import NumericalError
 
 MAX_DROP_RATE = 0.01
-
-
-@dataclass(frozen=True)
-class BootstrapConfig:
-    seed: int | tuple[int, ...]
-    replications: int = 10_000
-    ci_level: float = 0.95
-    _indices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.replications < 100:
-            raise ValueError("bootstrap needs at least 100 replications")
-        if not 0.0 < self.ci_level < 1.0:
-            raise ValueError("ci_level must lie strictly between 0 and 1")
-
-    def indices(self, n: int) -> np.ndarray:
-        """Read-only resample_indices(n, replications, seed), drawn once per n."""
-        if n not in self._indices:
-            idx = resample_indices(n, self.replications, self.seed)
-            idx.flags.writeable = False
-            self._indices[n] = idx
-        return self._indices[n]
 
 
 @dataclass(frozen=True)
@@ -89,6 +66,14 @@ def resample_indices(n: int, replications: int, seed) -> np.ndarray:
     entropy = [np.full(replications, w, dtype=np.uint32) for w in _entropy_words(key)]
     entropy.append(np.arange(replications, dtype=np.uint32))
     return _bounded(_pcg64_words(_seed_pool(entropy), n), n, key)
+
+
+def resample_counts(n: int, replications: int, seed) -> np.ndarray:
+    """(replications, n) matrix whose row r counts how often each index in
+    [0, n) is drawn in row r of ``resample_indices(n, replications, seed)``."""
+    idx = resample_indices(n, replications, seed)
+    rows = np.arange(replications)[:, None]
+    return np.bincount((idx + n * rows).ravel(), minlength=idx.size).reshape(idx.shape)
 
 
 # An exact port of numpy's SeedSequence -> PCG64 -> Generator.integers(0, n)
@@ -215,36 +200,40 @@ def _bounded(words: np.ndarray, n: int, key: tuple) -> np.ndarray:
 
 
 def percentile_interval(samples: np.ndarray, level: float) -> ConfidenceInterval:
+    if not 0.0 < level < 1.0:
+        raise ValueError("ci_level must lie strictly between 0 and 1")
     alpha = (1.0 - level) / 2.0
     lower, upper = np.quantile(samples, [alpha, 1.0 - alpha])
     return ConfidenceInterval(float(lower), float(upper), level)
 
 
-def season_bootstrap(per_season_values, cfg: BootstrapConfig) -> ConfidenceInterval:
-    """Percentile CI for the mean of per-season estimates."""
+def season_bootstrap(per_season_values, counts: np.ndarray, level: float) -> ConfidenceInterval:
+    """Percentile CI for the mean of per-season estimates, each row of the
+    (R, S) ``counts`` one resample of the S values.
+
+    A resample's mean is its counts-weighted sum over S, taken by einsum:
+    unlike a BLAS product, it does not depend on the thread count.
+    """
     values = np.asarray(per_season_values, dtype=float)
     if values.size < 2:
         raise ValueError("season bootstrap needs at least 2 values")
-    idx = cfg.indices(values.size)
-    means = values[idx].mean(axis=1)
-    return percentile_interval(means, cfg.ci_level)
+    means = np.einsum("rs,s->r", counts, values) / values.size
+    return percentile_interval(means, level)
 
 
-def block_bootstrap(replicate, n_seasons: int, cfg: BootstrapConfig) -> BlockBootstrapResult:
+def block_bootstrap(replicate, counts: np.ndarray, level: float) -> BlockBootstrapResult:
     """Percentile CIs from rerunning ``replicate`` on resampled season blocks.
 
-    A replication is a row of counts, how often each of the ``n_seasons``
-    seasons was drawn. ``replicate`` maps a count row to a mapping of metric
+    Each row of the (R, S) ``counts`` is a replication, how often each of the
+    S seasons was drawn. ``replicate`` maps a count row to a mapping of metric
     name to value; it runs once per distinct row. Replications whose
     ``replicate`` raises NumericalError are dropped and counted; more than
     MAX_DROP_RATE of them is an error. Any other exception is a bug and
     propagates.
     """
+    n_replications, n_seasons = counts.shape
     if n_seasons < 2:
         raise ValueError("block bootstrap needs at least 2 seasons")
-    idx = cfg.indices(n_seasons)
-    rows = np.arange(idx.shape[0])[:, None]
-    counts = np.bincount((idx + n_seasons * rows).ravel(), minlength=idx.size).reshape(idx.shape)
     distinct, which = np.unique(counts, axis=0, return_inverse=True)
     outcomes = []
     for row in distinct:
@@ -257,12 +246,12 @@ def block_bootstrap(replicate, n_seasons: int, cfg: BootstrapConfig) -> BlockBoo
     dropped = len(replications) - len(kept)
     first_error = next((f"replication {r}: {m}" for r, m in enumerate(replications)
                         if isinstance(m, Exception)), None)
-    if dropped > MAX_DROP_RATE * cfg.replications:
+    if dropped > MAX_DROP_RATE * n_replications:
         raise NumericalError(
-            f"{dropped}/{cfg.replications} bootstrap replications failed; first: {first_error}"
+            f"{dropped}/{n_replications} bootstrap replications failed; first: {first_error}"
         )
     intervals = {
-        name: percentile_interval(np.array([m[name] for m in kept]), cfg.ci_level)
+        name: percentile_interval(np.array([m[name] for m in kept]), level)
         for name in kept[0]
     }
     return BlockBootstrapResult(

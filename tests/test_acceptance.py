@@ -19,7 +19,7 @@ from adequacy.evt import fit_gpd, fit_threshold_excesses, select_threshold
 from adequacy.genmodel import GeneratingUnit, convolve_fleet
 from adequacy.risk import SeasonSample, ShortfallFunctionals, long_run_mean
 from adequacy.study import RunConfig, pooled_column, run_full_study
-from adequacy.uncertainty import BootstrapConfig, season_bootstrap
+from adequacy.uncertainty import resample_counts, season_bootstrap
 from conftest import sample_pmf
 from helpers import random_season
 from oracles import balance_distribution, build_model, compute_metrics, discretize, from_lole_eeu
@@ -44,7 +44,7 @@ def test_criterion_01_long_run_means():
 def test_criterion_02_season_bootstrap_interval():
     """Percentile CI of the reference LoLE values hits (1.92, 9.37) +/- 0.25 (< 1 s)."""
     start = time.perf_counter()
-    ci = season_bootstrap(REFERENCE_LOLE, BootstrapConfig(seed=314159, replications=10_000))
+    ci = season_bootstrap(REFERENCE_LOLE, resample_counts(len(REFERENCE_LOLE), 10_000, 314159), 0.95)
     elapsed = time.perf_counter() - start
     assert ci.lower == pytest.approx(1.92, abs=0.25)
     assert ci.upper == pytest.approx(9.37, abs=0.25)
@@ -138,9 +138,9 @@ def test_criterion_07_hindcast_pooled_vs_mean_ci(demo_system):
     n_hours = traces[0].n_hours
     sample = SeasonSample(ShortfallFunctionals(fleet), traces, n_hours)
     per_season = [sample.metrics(one, "hindcast")[0].lole_hours for one in np.identity(len(traces))]
-    cfg = BootstrapConfig(seed=5150, replications=10_000)
-    block_ci = pooled_column(sample, "hindcast", None, cfg)[2].intervals["lole"]
-    season_ci = season_bootstrap(per_season, cfg)
+    counts = resample_counts(len(traces), 10_000, 5150)
+    block_ci = pooled_column(sample, "hindcast", None, counts, 0.95)[2].intervals["lole"]
+    season_ci = season_bootstrap(per_season, counts, 0.95)
     assert abs(block_ci.lower - season_ci.lower) <= 0.02 * abs(season_ci.lower)
     assert abs(block_ci.upper - season_ci.upper) <= 0.02 * abs(season_ci.upper)
 

@@ -13,7 +13,7 @@ from adequacy import cli, demo, dnw, study, uncertainty
 from adequacy.cli import main
 from adequacy.demo import DEMO_SEED
 from adequacy.study import RunConfig, load_inputs, run_study_computation
-from adequacy.uncertainty import BootstrapConfig, block_bootstrap
+from adequacy.uncertainty import block_bootstrap, resample_counts
 
 
 def run_cli(capsys, *argv):
@@ -280,6 +280,24 @@ class TestRiskCommand:
         assert (tmp_path / "lole_per_season.csv").exists()
         assert not (tmp_path / "pooled_metrics.csv").exists()
 
+    def test_repeated_history_season_exits_3(self, demo_dataset_dir, tmp_path, capsys):
+        # a repeated row would count twice in the Lowess fit, and the last
+        # copy would become the default reference season
+        text = demo_dataset_dir["quantiles"].read_text()
+        first = text.splitlines()[1]
+        quantiles = tmp_path / "quantiles.csv"
+        quantiles.write_text(text + " " + first + "\n")
+        code, _, err = run_cli(
+            capsys, "risk",
+            "--traces", str(demo_dataset_dir["traces"]),
+            "--fleet", str(demo_dataset_dir["fleet"]),
+            "--quantiles", str(quantiles),
+            "--model", "hindcast", "--reps", "100", "--quiet",
+            "--out", str(tmp_path / "out"),
+        )
+        n_lines = len(text.splitlines()) + 1
+        assert code == 3
+        assert f"season {first.split(',')[0]} on line 2 and again on line {n_lines}" in err
 
     def test_anchor_rule_reaches_the_loader(self, demo_dataset_dir, tmp_path, capsys):
         code, _, err = run_cli(
@@ -638,13 +656,13 @@ class TestUncertaintyCommand:
                         model_kinds=(dnw.EVT,), threshold_quantiles=(0.995,), replications=100)
         sample, _ = load_inputs(cfg)
         metrics, _ = sample.metrics(np.ones(len(sample.seasons)), dnw.EVT, 0.995)
-        boot = BootstrapConfig(seed=(9, 101, 0), replications=100, ci_level=0.95)
+        matrix = resample_counts(len(sample.seasons), 100, (9, 101, 0))
 
         def replicate(counts):
             drawn, _ = sample.metrics(counts, dnw.EVT, 0.995)
             return {"lole": drawn.lole_hours, "eeu": drawn.eeu_mwh}
 
-        ci = block_bootstrap(replicate, len(sample.seasons), boot).intervals[metric]
+        ci = block_bootstrap(replicate, matrix, 0.95).intervals[metric]
         point = metrics.lole_hours if metric == "lole" else metrics.eeu_mwh
         assert [printed[k] for k in ("point_estimate", "ci_lower", "ci_upper")] == [point, ci.lower, ci.upper]
 

@@ -105,22 +105,15 @@ class TestConvolveMatchesScipy:
         sizes = list(range(1, 20_001)) + [n + m - 1 for n, m in self.WORKLOAD_SIZES] + [2**31 + 1]
         assert [pmf_module._fast_length(n) for n in sizes] == [fft.next_fast_len(n, True) for n in sizes]
 
-    def test_method_is_scipys_choice(self):
-        for n in (1, 2, 5, 30, 100, 400, 1_000, 5_000, 40_000):
-            for m in (1, 3, 10, 50, 200, 1_000, 12_790):
-                chosen = signal.choose_conv_method(np.ones(n), np.ones(m), mode="full")
-                assert pmf_module._fft_is_faster(n, m) == (chosen == "fft"), (n, m)
-
     @pytest.mark.parametrize("n, m", WORKLOAD_SIZES)
     def test_bit_identical_at_workload_sizes(self, n, m):
-        assert pmf_module._fft_is_faster(n, m)
         rng = np.random.default_rng(n)
         a, b = _random_pmf(rng, n, origin=-n), _random_pmf(rng, m, origin=7)
         c = convolve(a, b)
         assert c.origin_mw == 7 - n
         np.testing.assert_array_equal(c.probabilities, _scipy_convolve(a, b))
 
-    # sizes on both sides of the direct/FFT switch
+    # small sizes too, where scipy convolves directly
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 20_000), m=st.integers(1, 2_000))
     def test_small_inputs_within_1e16(self, seed, n, m):

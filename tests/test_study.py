@@ -20,8 +20,9 @@ from adequacy.pmf import convolve
 from adequacy.risk import SeasonSample, ShortfallFunctionals
 from adequacy.uncertainty import (
     MAX_DROP_RATE,
-    BootstrapConfig,
     ConfidenceInterval,
+    resample_counts,
+    resample_indices,
     season_bootstrap,
 )
 from helpers import make_trace
@@ -136,10 +137,10 @@ class TestHindcastBootstrapIdentity:
         n_hours = traces[0].n_hours
         sample = SeasonSample(ShortfallFunctionals(fleet), traces, n_hours)
         per_season = [drawn_metrics(sample, [t], "hindcast")["lole"] for t in traces]
-        cfg = BootstrapConfig(seed=404, replications=500)
-        _, _, block = pooled_column(sample, "hindcast", None, cfg)
+        counts = resample_counts(len(traces), 500, 404)
+        _, _, block = pooled_column(sample, "hindcast", None, counts, 0.95)
         block_ci = block.intervals["lole"]
-        season_ci = season_bootstrap(per_season, cfg)
+        season_ci = season_bootstrap(per_season, counts, 0.95)
         assert block.replications_dropped == 0  # hindcast has no fit step to fail
         assert block_ci.lower == pytest.approx(season_ci.lower, rel=0.02)
         assert block_ci.upper == pytest.approx(season_ci.upper, rel=0.02)
@@ -183,7 +184,7 @@ class TestOneSamplePerStudy:
         traces = demo_system["traces"]
         sample = SeasonSample(ShortfallFunctionals(demo_system["fleet"]), traces, 3528)
         _, _, result = pooled_column(sample, dnw.INDEPENDENCE, None,
-                                     BootstrapConfig(seed=1, replications=1000))
+                                     resample_counts(len(traces), 1000, 1), 0.95)
         assert result.replications_dropped == 0
         assert len(calls) == len(traces)
 
@@ -199,7 +200,7 @@ class TestOneSamplePerStudy:
         monkeypatch.setattr(evt, "_standard_errors", counting)
         traces = demo_system["traces"]
         sample = SeasonSample(ShortfallFunctionals(demo_system["fleet"]), traces, 3528)
-        _, _, result = pooled_column(sample, dnw.EVT, 0.90, BootstrapConfig(seed=1, replications=100))
+        _, _, result = pooled_column(sample, dnw.EVT, 0.90, resample_counts(len(traces), 100, 1), 0.95)
         assert result.replications_used == 100
         assert calls == []
         fit = sample.metrics(np.ones(len(traces)), dnw.EVT, 0.90)[1]
@@ -297,10 +298,9 @@ class TestEvtPipeline:
         sample = self.sample(demo_system, seasons)
         with pytest.raises(NumericalError, match="exceedances"):
             drawn_metrics(sample, [flat], dnw.EVT, 0.95)
-        cfg = BootstrapConfig(seed=1, replications=1000)
-        failing = np.flatnonzero((cfg.indices(4) == 3).all(axis=1))
-        assert 0 < failing.size <= MAX_DROP_RATE * cfg.replications
-        _, _, result = pooled_column(sample, dnw.EVT, 0.95, cfg)
+        failing = np.flatnonzero((resample_indices(4, 1000, 1) == 3).all(axis=1))
+        assert 0 < failing.size <= MAX_DROP_RATE * 1000
+        _, _, result = pooled_column(sample, dnw.EVT, 0.95, resample_counts(4, 1000, 1), 0.95)
         assert result.replications_dropped == failing.size
         assert result.first_error.startswith(f"replication {failing[0]}: need at least")
 

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from adequacy.errors import NumericalError
+from adequacy.study import RunConfig
 from adequacy.uncertainty import (
     MAX_DROP_RATE,
-    BootstrapConfig,
     ConfidenceInterval,
     _bounded,
     block_bootstrap,
     percentile_interval,
+    resample_counts,
     resample_indices,
     season_bootstrap,
 )
@@ -22,10 +23,8 @@ PUBLISHED_LOLE = [2.82, 2.22, 4.02, 16.77, 1.92, 7.69, 0.15]
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            BootstrapConfig(seed=1, replications=50)
-        with pytest.raises(ValueError):
-            BootstrapConfig(seed=1, ci_level=1.0)
+        with pytest.raises(ValueError, match="ci_level"):
+            percentile_interval(np.arange(5.0), 1.0)
         with pytest.raises(ValueError):
             ConfidenceInterval(2.0, 1.0, 0.95)
 
@@ -47,12 +46,13 @@ class TestResampleIndices:
         many = resample_indices(5, 300, seed=4)
         np.testing.assert_array_equal(few, many[:10])
 
-    def test_config_draws_matrix_once(self):
-        cfg = BootstrapConfig(seed=(4, 101, 2), replications=300)
-        idx = cfg.indices(7)
-        assert cfg.indices(7) is idx
-        np.testing.assert_array_equal(idx, resample_indices(7, 300, (4, 101, 2)))
-        assert not idx.flags.writeable  # shared by every scheme run with cfg
+    def test_run_config_counts_are_row_bincounts(self):
+        cfg = RunConfig(traces_path="t.csv", fleet_path="f.csv", seed=4, replications=300)
+        counts = cfg.counts(2, 7)
+        idx = resample_indices(7, 300, (4, 101, 2))
+        assert counts.shape == (300, 7)
+        for row, drawn in zip(counts, idx):
+            np.testing.assert_array_equal(row, np.bincount(drawn, minlength=7))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 28, 112])
     @pytest.mark.parametrize("seed", [0, 2**40 + 3, (5, 101, 2), (1, 2**33, 3, 4, 5, 6)])
@@ -97,27 +97,41 @@ class TestResampleIndices:
 
 class TestSeasonBootstrap:
     def test_reference_interval(self):
-        cfg = BootstrapConfig(seed=314159, replications=10_000)
-        ci = season_bootstrap(PUBLISHED_LOLE, cfg)
+        ci = season_bootstrap(PUBLISHED_LOLE, resample_counts(7, 10_000, 314159), 0.95)
         assert ci.lower == pytest.approx(1.92, abs=0.25)
         assert ci.upper == pytest.approx(9.37, abs=0.25)
 
     def test_degenerate_values(self):
-        ci = season_bootstrap([3.0] * 7, BootstrapConfig(seed=1, replications=1000))
+        ci = season_bootstrap([3.0] * 7, resample_counts(7, 1000, 1), 0.95)
         assert (ci.lower, ci.upper) == (3.0, 3.0)
 
     def test_two_values_exact_atoms(self):
-        cfg = BootstrapConfig(seed=7, replications=10_000)
-        ci = season_bootstrap([0.0, 10.0], cfg)
+        reps = 10_000
+        ci = season_bootstrap([0.0, 10.0], resample_counts(2, reps, 7), 0.95)
         assert ci.lower in {0.0, 5.0, 10.0}
         assert ci.upper in {0.0, 5.0, 10.0}
         # the four equally likely resamples give mean 0, 5, 5, 10
-        idx = resample_indices(2, cfg.replications, cfg.seed)
+        idx = resample_indices(2, reps, 7)
         means = np.array([0.0, 10.0])[idx].mean(axis=1)
         freqs = collections.Counter(means)
-        assert freqs[0.0] / cfg.replications == pytest.approx(0.25, abs=0.02)
-        assert freqs[5.0] / cfg.replications == pytest.approx(0.50, abs=0.02)
-        assert freqs[10.0] / cfg.replications == pytest.approx(0.25, abs=0.02)
+        assert freqs[0.0] / reps == pytest.approx(0.25, abs=0.02)
+        assert freqs[5.0] / reps == pytest.approx(0.50, abs=0.02)
+        assert freqs[10.0] / reps == pytest.approx(0.25, abs=0.02)
+
+    def test_means_are_the_gathered_means(self):
+        # a counts-weighted mean is the mean of the drawn values up to
+        # rounding, and equal count rows give bit-equal means
+        values = np.random.default_rng(12).uniform(0.0, 20.0, 7)
+        idx = resample_indices(7, 5000, 21)
+        counts = resample_counts(7, 5000, 21)
+        means = np.einsum("rs,s->r", counts, values) / 7
+        np.testing.assert_allclose(means, values[idx].mean(axis=1), rtol=1e-15, atol=0.0)
+        _, which = np.unique(counts, axis=0, return_inverse=True)
+        first = {}
+        for r, key in enumerate(which.ravel().tolist()):
+            assert means[r].tobytes() == means[first.setdefault(key, r)].tobytes()
+        assert len(first) < 5000  # some rows repeat
+        assert season_bootstrap(values, counts, 0.95) == percentile_interval(means, 0.95)
 
     def test_matches_exhaustive_enumeration(self):
         values = np.array([0.0, 1.0, 5.0, 6.0])
@@ -125,9 +139,7 @@ class TestSeasonBootstrap:
             [np.mean(values[list(tup)]) for tup in product(range(4), repeat=4)]
         )
         exact_lo, exact_hi = np.quantile(all_means, [0.05, 0.95])
-        ci = season_bootstrap(
-            values, BootstrapConfig(seed=11, replications=1_000_000, ci_level=0.90)
-        )
+        ci = season_bootstrap(values, resample_counts(4, 1_000_000, 11), 0.90)
         assert ci.lower == exact_lo
         assert ci.upper == exact_hi
 
@@ -135,20 +147,22 @@ class TestSeasonBootstrap:
         rng = np.random.default_rng(3)
         x = rng.uniform(0.0, 10.0, 7)
         a, b = 4.0, 2.5
-        base = season_bootstrap(x, BootstrapConfig(seed=5, replications=2000))
-        scaled = season_bootstrap(a + b * x, BootstrapConfig(seed=5, replications=2000))
+        counts = resample_counts(7, 2000, 5)
+        base = season_bootstrap(x, counts, 0.95)
+        scaled = season_bootstrap(a + b * x, counts, 0.95)
         assert scaled.lower == pytest.approx(a + b * base.lower, rel=1e-12)
         assert scaled.upper == pytest.approx(a + b * base.upper, rel=1e-12)
 
     def test_wider_level_widens_interval(self):
-        lo = season_bootstrap(PUBLISHED_LOLE, BootstrapConfig(seed=5, replications=5000, ci_level=0.90))
-        hi = season_bootstrap(PUBLISHED_LOLE, BootstrapConfig(seed=5, replications=5000, ci_level=0.99))
+        counts = resample_counts(7, 5000, 5)
+        lo = season_bootstrap(PUBLISHED_LOLE, counts, 0.90)
+        hi = season_bootstrap(PUBLISHED_LOLE, counts, 0.99)
         assert hi.lower <= lo.lower
         assert hi.upper >= lo.upper
 
     def test_needs_two_values(self):
         with pytest.raises(ValueError):
-            season_bootstrap([1.0], BootstrapConfig(seed=1, replications=100))
+            season_bootstrap([1.0], resample_counts(1, 100, 1), 0.95)
 
 
 class TestBlockBootstrap:
@@ -165,8 +179,7 @@ class TestBlockBootstrap:
 
     def test_identical_seasons_degenerate(self):
         seasons = [np.array([5.0, 7.0])] * 7
-        result = block_bootstrap(self.mean_replicate(seasons), len(seasons),
-                                 BootstrapConfig(seed=2, replications=500))
+        result = block_bootstrap(self.mean_replicate(seasons), resample_counts(len(seasons), 500, 2), 0.95)
         ci = result.intervals["mean"]
         assert (ci.lower, ci.upper) == (6.0, 6.0)
         assert result.replications_dropped == 0
@@ -176,9 +189,9 @@ class TestBlockBootstrap:
         # bootstrap schemes coincide at matched seeds
         rng = np.random.default_rng(9)
         seasons = [rng.uniform(0.0, 10.0, 50) for _ in range(7)]
-        cfg = BootstrapConfig(seed=31, replications=3000)
-        block = block_bootstrap(self.mean_replicate(seasons), len(seasons), cfg).intervals["mean"]
-        season = season_bootstrap([s.mean() for s in seasons], cfg)
+        counts = resample_counts(len(seasons), 3000, 31)
+        block = block_bootstrap(self.mean_replicate(seasons), counts, 0.95).intervals["mean"]
+        season = season_bootstrap([s.mean() for s in seasons], counts, 0.95)
         assert block.lower == pytest.approx(season.lower, rel=1e-12)
         assert block.upper == pytest.approx(season.upper, rel=1e-12)
 
@@ -190,13 +203,13 @@ class TestBlockBootstrap:
                 raise NumericalError("numerical hiccup")
             return {"m": 1.0}
 
-        cfg = BootstrapConfig(seed=1, replications=1000)
-        failing = np.flatnonzero((resample_indices(4, cfg.replications, cfg.seed) == 0).all(axis=1))
+        reps = 1000
+        failing = np.flatnonzero((resample_indices(4, reps, 1) == 0).all(axis=1))
         expected = failing.size
-        assert 0 < expected <= MAX_DROP_RATE * cfg.replications
-        result = block_bootstrap(flaky, 4, cfg)
+        assert 0 < expected <= MAX_DROP_RATE * reps
+        result = block_bootstrap(flaky, resample_counts(4, reps, 1), 0.95)
         assert result.replications_dropped == expected
-        assert result.replications_used == cfg.replications - expected
+        assert result.replications_used == reps - expected
         assert result.first_error == f"replication {failing[0]}: numerical hiccup"
 
     def test_replicate_runs_once_per_distinct_count_row(self):
@@ -206,13 +219,13 @@ class TestBlockBootstrap:
             calls.append(tuple(counts.tolist()))
             return {"m": float(counts @ np.arange(5.0)) / 5.0}
 
-        cfg = BootstrapConfig(seed=8, replications=400)
-        result = block_bootstrap(recording, 5, cfg)
+        reps = 400
+        result = block_bootstrap(recording, resample_counts(5, reps, 8), 0.95)
         rows = {tuple(np.bincount(row, minlength=5).tolist())
-                for row in resample_indices(5, cfg.replications, cfg.seed)}
-        assert len(calls) == len(set(calls)) == len(rows) < cfg.replications
+                for row in resample_indices(5, reps, 8)}
+        assert len(calls) == len(set(calls)) == len(rows) < reps
         assert set(calls) == rows  # a row counts how often each season was drawn
-        assert result.replications_used == cfg.replications
+        assert result.replications_used == reps
         assert result.first_error is None
 
     def test_widespread_failure_is_error(self):
@@ -220,7 +233,7 @@ class TestBlockBootstrap:
             raise NumericalError("always fails")
 
         with pytest.raises(NumericalError, match="replications failed"):
-            block_bootstrap(broken, 4, BootstrapConfig(seed=1, replications=200))
+            block_bootstrap(broken, resample_counts(4, 200, 1), 0.95)
 
     def test_a_bug_aborts_instead_of_dropping(self):
         # only NumericalError is a droppable replication; a TypeError is a bug
@@ -233,12 +246,11 @@ class TestBlockBootstrap:
             return {"m": 1.0}
 
         with pytest.raises(TypeError, match="unsupported operand"):
-            block_bootstrap(buggy, 4, BootstrapConfig(seed=1, replications=200))
+            block_bootstrap(buggy, resample_counts(4, 200, 1), 0.95)
 
     def test_needs_two_seasons(self):
         with pytest.raises(ValueError):
-            block_bootstrap(self.mean_replicate([np.arange(3.0)]), 1,
-                            BootstrapConfig(seed=1, replications=100))
+            block_bootstrap(self.mean_replicate([np.arange(3.0)]), resample_counts(1, 100, 1), 0.95)
 
 
 def test_percentile_interval_type7():
