@@ -42,7 +42,11 @@ def convolve_fleet(units, trim_threshold: float = TRIM_THRESHOLD) -> DiscretePmf
     if not units:
         raise ValueError("empty fleet")
     total = sum(u.capacity_mw for u in units)
-    p = np.zeros(total + 1)
+    try:
+        p = np.zeros(total + 1)
+    except (ValueError, MemoryError):  # past numpy's largest array, or more than memory holds
+        raise DataError(f"the fleet's total capacity of {total} MW is too large for its "
+                        f"1 MW grid") from None
     p[0] = 1.0
     top = 0
     trimmed = 0.0

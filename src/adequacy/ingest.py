@@ -5,17 +5,17 @@ The study works on one peak season per historical year (for GB-like systems,
 study season by a multiplicative factor derived from a Lowess fit to a
 long-run series of high-demand quantiles.
 
-A traces CSV is read in one numpy pass over its bytes: newline and comma
-positions give every field's byte range, labels are decoded once per distinct
-value, plain ``YYYY-MM-DDTHH:MM:SS`` timestamps are converted by integer
-arithmetic and numbers are parsed as one fixed-width byte array. A file that
-pass cannot read exactly as ``csv.DictReader`` would (a quote, a NUL, a lone
-carriage return, invalid UTF-8, a ragged line, an over-wide field) or that
-holds any faulty field is read again one ``csv.DictReader`` row at a time, and
-the first faulty row is reported by its line number. The fleet and quantile
-history CSVs are read by that row loop too (``_csv_rows``). Every input file
-is read through ``_read_input``, every output directory made by
-``make_output_dir``.
+A traces CSV in the layout ``write_traces_csv`` writes (the exact header,
+ASCII, LF line endings, three commas a line, unpadded labels and plain
+``YYYY-MM-DDTHH:MM:SS`` timestamps) is read in one numpy pass over its bytes:
+newline and comma positions give every field's byte range, labels are decoded
+once per distinct value, timestamps are converted by integer arithmetic and
+numbers are parsed as one fixed-width byte array. Any other file, or one that
+holds a faulty field, is read one ``csv.DictReader`` row at a time, to the
+same arrays, and the first faulty row is reported by its line number. The
+fleet and quantile history CSVs are read by that row loop too (``_csv_rows``).
+Every input file is read through ``_read_input``, every output directory made
+by ``make_output_dir``.
 """
 
 from __future__ import annotations
@@ -94,7 +94,11 @@ class SeasonWindow:
 
     def bounds(self, season_label: str) -> tuple[datetime, datetime]:
         start = self.start(season_label)
-        return start, start + timedelta(hours=self.expected_hours)
+        try:
+            return start, start + timedelta(hours=self.expected_hours)
+        except OverflowError:
+            raise DataError(f"season {season_label}: the {self.weeks}-week window from "
+                            f"{start.date()} ends after the year 9999") from None
 
 
 @dataclass(frozen=True)
@@ -219,15 +223,14 @@ def _csv_rows(path, columns, what: str):
 
 _HOUR_US = 3_600_000_000
 _DAY_US = 24 * _HOUR_US
-# the one timestamp form converted by integer arithmetic: a digit wherever the
-# template has a 0; anything else (offsets, Z, a space separator, fractions)
-# takes datetime.fromisoformat
+# the one timestamp form the byte pass reads: a digit wherever the template
+# has a 0; any other (offsets, Z, a space separator, fractions) is the row loop's
 _PLAIN_ISO = np.frombuffer(b"0000-00-00T00:00:00", dtype=np.uint8)
 # a character minus the template's, in unsigned arithmetic, is at most this
 # where it fits: a digit 0-9 at a 0, the template's own character elsewhere
 _PLAIN_SLACK = np.where(_PLAIN_ISO == ord("0"), 9, 0).astype(np.uint8)
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-_BOM = b"\xef\xbb\xbf"
+_HEADER = ",".join(TRACE_COLUMNS).encode() + b"\n"
 # widest label or number field the byte pass copies into a matrix: one long
 # field would otherwise widen every row's copy
 _MAX_FIELD_BYTES = 64
@@ -306,25 +309,23 @@ def _gather(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | Non
 
 def _scan_labels(buf, lo, hi):
     """Season labels as (label -> code, code per row), codes in order of first
-    appearance; None if a label is empty once stripped."""
+    appearance; None if a label is empty or padded."""
     rows = _gather(buf, lo, hi)
     if rows is None:
         return None
     keys = rows.view(f"S{rows.shape[1]}").ravel()  # an S value drops the zero padding
     raw, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    names = [label.decode().strip() for label in raw]
-    if not all(names):
+    names = [label.decode() for label in raw]
+    if any(name != name.strip() for name in names):
         return None
-    codes_of: dict[str, int] = {}
-    for i in np.argsort(first):  # labels equal once stripped share the first one's code
-        codes_of.setdefault(names[i], len(codes_of))
-    return codes_of, np.array([codes_of[name] for name in names], dtype=np.int64)[inverse]
+    order = np.argsort(first)
+    return {names[i]: code for code, i in enumerate(order)}, np.argsort(order)[inverse]
 
 
 def _scan_floats(buf, lo, hi):
     """Non-negative finite floats by Python's float() grammar; None if one is not."""
     rows = _gather(buf, lo, hi)
-    if rows is None or (rows >= 0x80).any():  # float() reads non-ASCII digits; bytes do not
+    if rows is None:
         return None
     try:
         values = rows.view(f"S{rows.shape[1]}").ravel().astype(float)
@@ -338,73 +339,41 @@ def _scan_floats(buf, lo, hi):
 def _scan_bytes(data: bytes):
     """_read_columns in one numpy pass over the file's bytes; None to decline.
 
-    Lines end at LF, a CR before it is dropped, and empty lines are skipped.
-    Every data line must hold the header's comma count, so the commas give each
-    field's byte range. Labels and numbers are copied into fixed-width byte
-    matrices (_gather), labels are read once per distinct value, and plain
-    timestamps are converted by integer arithmetic (_plain_stamps). The pass
-    declines a file csv.reader would read differently (a quote, a NUL, a CR
-    not before LF, bytes that are not UTF-8, a ragged line, an empty header
-    line or missing columns) and one with a faulty field or a field wider than
-    _MAX_FIELD_BYTES; the row loop (_read_csv) then reads it, and reports any
-    fault.
+    The pass reads the one layout write_traces_csv writes: the header line
+    ``season,timestamp,demand_mw,wind_mw``, then ASCII lines of three commas
+    each, every line ending in LF, with unpadded labels and plain timestamps.
+    The commas give each field's byte range; labels and numbers are copied
+    into fixed-width byte matrices (_gather) and timestamps are converted by
+    integer arithmetic (_plain_stamps). Any other file, or one with a faulty
+    field or a field wider than _MAX_FIELD_BYTES, is declined; the row loop
+    (_read_csv) then reads it and reports any fault.
     """
-    buf = np.frombuffer(data, dtype=np.uint8, offset=len(_BOM) if data.startswith(_BOM) else 0)
-    if buf.size and buf.max() >= 0x80:
-        try:
-            data.decode("utf-8-sig")
-        except UnicodeDecodeError:
-            return None
-    if (buf == ord('"')).any() or not buf.all():
+    if not (data.startswith(_HEADER) and data.endswith(b"\n") and data.isascii()):
         return None
+    if any(byte in data for byte in (b"\0", b"\r", b'"')):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
     newlines = np.flatnonzero(buf == ord("\n"))
-    returns = np.flatnonzero(buf == ord("\r"))
-    if returns.size and (returns[-1] + 1 == buf.size or (buf[returns + 1] != ord("\n")).any()):
-        return None
-    starts = np.concatenate(([0], newlines + 1))
-    ends = np.append(newlines, buf.size)
-    ends[np.searchsorted(newlines, returns + 1)] -= 1
-    if ends[0] == 0:
-        return None  # csv.reader reads an empty first line as an empty header
-    full = ends > starts
-    starts, ends = starts[full], ends[full]
-    header = buf[: ends[0]].tobytes().decode().split(",")
-    if not set(TRACE_COLUMNS) <= set(header):
-        return None
-    index = {name: i for i, name in enumerate(header)}  # the last occurrence wins
     commas = np.flatnonzero(buf == ord(","))
-    k = len(header) - 1
-    if (np.searchsorted(commas, ends) - np.searchsorted(commas, starts) != k).any():
-        return None
-    if starts.size == 1:  # a header and no rows
+    if (np.diff(np.searchsorted(commas, newlines), prepend=0) != 3).any():
+        return None  # a blank, short or long line
+    if newlines.size == 1:  # a header and no rows
         return {}, *(np.empty(0, dtype=d) for d in ("int64", "datetime64[us]", float, float))
-    cuts = commas.reshape(-1, k)[1:]
-    starts, ends = starts[1:], ends[1:]
-
-    def span(name):
-        j = index[name]
-        return (starts if j == 0 else cuts[:, j - 1] + 1), (ends if j == k else cuts[:, j])
-
-    labels = _scan_labels(buf, *span("season"))
+    cuts = commas.reshape(-1, 3)[1:]
+    labels = _scan_labels(buf, newlines[:-1] + 1, cuts[:, 0])
     if labels is None:
         return None
-    lo, hi = span("timestamp")
-    ts = np.empty(lo.size, dtype="datetime64[us]")
-    plain = np.flatnonzero(hi - lo == _PLAIN_ISO.size)
-    us, ok = _plain_stamps(sliding_window_view(buf, _PLAIN_ISO.size)[lo[plain]])
-    ts[plain[ok]] = us[ok].view("datetime64[us]")
-    other = np.ones(lo.size, dtype=bool)
-    other[plain[ok]] = False
-    for i in np.flatnonzero(other):  # offsets, Z, a space separator, fractions
-        try:
-            ts[i] = _parse_timestamp(buf[lo[i] : hi[i]].tobytes().decode(), 0)
-        except DataError:
-            return None
-    demand = _scan_floats(buf, *span("demand_mw"))
-    wind = None if demand is None else _scan_floats(buf, *span("wind_mw"))
+    lo = cuts[:, 0] + 1
+    if (cuts[:, 1] - lo != _PLAIN_ISO.size).any():
+        return None
+    us, ok = _plain_stamps(sliding_window_view(buf, _PLAIN_ISO.size)[lo])
+    if not ok.all():
+        return None
+    demand = _scan_floats(buf, cuts[:, 1] + 1, cuts[:, 2])
+    wind = None if demand is None else _scan_floats(buf, cuts[:, 2] + 1, newlines[1:])
     if wind is None:
         return None
-    return *labels, ts, demand, wind
+    return *labels, us.view("datetime64[us]"), demand, wind
 
 
 def _read_columns(path: Path):
@@ -433,19 +402,24 @@ def load_traces(
 ) -> list[SeasonTrace]:
     """Read a traces CSV and return one windowed SeasonTrace per season.
 
-    Every season label starts with a four-digit year and holds no ``/`` or
-    ``\\``. Rows outside the season window are dropped. Within the window the
-    hourly grid must be complete; with ``allow_gaps`` incomplete calendar days
-    are dropped instead. Duplicate timestamps are always an error.
+    Every season label starts with a four-digit year and holds no ``/``,
+    ``\\``, comma, quote or line break. Rows outside the season window are
+    dropped. Within the window the hourly grid must be complete; with
+    ``allow_gaps`` incomplete calendar days are dropped instead. Duplicate
+    timestamps are always an error.
     """
     window = window or SeasonWindow()
     codes_of, codes, ts, demand, wind = _read_columns(path)
-    # a label's year places its window, and the label names the season's output files
+    # a label's year places its window, and the label names the season's output
+    # files and rows
     for season in codes_of:
         if not re.match(r"\d{4}", season):
             raise DataError(f"season label {season!r} does not start with a four-digit year")
         if "/" in season or "\\" in season:
             raise DataError(f"season label {season!r} holds a path separator")
+        if re.search(r'[,"\r\n]', season):
+            raise DataError(f"season label {season!r} holds a comma, quote or line break, "
+                            f"which the CSV tables cannot hold")
 
     traces = []
     wind_violations = 0

@@ -75,10 +75,15 @@ def pmf_from_samples(values) -> DiscretePmf:
     vals = np.asarray(values, dtype=float)
     if vals.size == 0:
         raise ValueError("cannot build a pmf from an empty sample")
-    bins = np.floor(vals).astype(np.int64)
-    origin = int(bins.min())
-    counts = np.bincount(bins - origin)
-    return DiscretePmf(origin, counts / vals.size)
+    lo, hi = np.floor(vals.min()), np.floor(vals.max())
+    off_grid = NumericalError(f"values from {lo:g} to {hi:g} MW do not fit on the 1 MW grid")
+    if not -(2.0**63) <= lo <= hi < 2.0**63:  # a floor outside int64
+        raise off_grid
+    try:
+        counts = np.bincount(np.floor(vals).astype(np.int64) - int(lo))
+    except (ValueError, MemoryError):  # a span past int64, or more bins than numpy makes
+        raise off_grid from None
+    return DiscretePmf(int(lo), counts / vals.size)
 
 
 def reflect(pmf: DiscretePmf) -> DiscretePmf:

@@ -124,6 +124,10 @@ def legacy_load_traces(path, window=None, installed_wind_mw=None, allow_gaps=Fal
             if demand < 0.0 or wind < 0.0:
                 raise DataError(f"line {line}: negative demand or wind")
             per_season.setdefault(season, []).append((ts, demand, wind))
+    for season in per_season:
+        if any(char in season for char in ',"\r\n'):
+            raise DataError(f"season label {season!r} holds a comma, quote or line break, "
+                            f"which the CSV tables cannot hold")
 
     traces = []
     wind_violations = 0

@@ -915,3 +915,55 @@ class TestStudyCommand:
         assert "modles" in err
         assert not (tmp_path / "y").exists()
 
+
+
+def set_first_row(column, value):
+    """An edit of the demo traces text: ``column`` of the first row, 2007-10-28T00:00, set to ``value``."""
+    def edit(text):
+        header, first, rest = text.split("\n", 2)
+        fields = first.split(",")
+        fields[header.split(",").index(column)] = value
+        return "\n".join([header, ",".join(fields), rest])
+    return edit
+
+
+class TestInputsPastTheirLimits:
+    """Inputs that the CSV tables, the calendar or the 1 MW grid cannot hold exit 3 or 4,
+    naming the cause, not with a traceback."""
+
+    @pytest.mark.parametrize("traces_edit, fleet_edit, argv, code, message", [
+        # a comma in a label would split its rows in lole_per_season.csv
+        (lambda t: t.replace("2008-09,", '"2008,09",'), None, ["risk", "--model", "hindcast"],
+         3, "season label '2008,09' holds a comma, quote or line break"),
+        (None, None, ["risk", "--window-weeks", "1000000"],
+         3, "season 2007-08: the 1000000-week window from 2007-10-28 ends after the year 9999"),
+        (lambda t: t.replace("2008-09,", "9999-00,"), None, ["risk"],
+         3, "season 9999-00: the 21-week window from 9999-10-31 ends after the year 9999"),
+        # 1e20 MW is past numpy's largest array, so nothing is allocated
+        (None, lambda f: f + "huge,1e20,0.5\n", ["risk", "--model", "hindcast"],
+         3, "the fleet's total capacity of 1000000000000000"),
+        (set_first_row("wind_mw", "1e300"), None, ["risk", "--model", "ind"],
+         4, "ind, season 2007-08: values from 467 to 1e+300 MW do not fit on the 1 MW grid"),
+        (set_first_row("wind_mw", "1e300"), None, ["study", "--models", "ind", "--reps", "100"],
+         4, "ind, season 2007-08: values from 467 to 1e+300 MW do not fit on the 1 MW grid"),
+        (set_first_row("wind_mw", "1e300"), None, ["dnw", "--model", "ind"],
+         4, "values from 467 to 1e+300 MW do not fit on the 1 MW grid"),
+        (set_first_row("demand_mw", "1e300"), None, ["dnw", "--model", "ind"],
+         4, "values from 23620 to 1e+300 MW do not fit on the 1 MW grid"),
+    ], ids=["comma_label", "long_window", "year_9999", "huge_unit", "huge_wind_risk",
+            "huge_wind_study", "huge_wind_dnw", "huge_demand_dnw"])
+    def test_exit_code(self, demo_dataset_dir, tmp_path, capsys, traces_edit, fleet_edit, argv,
+                       code, message):
+        inputs = {}
+        for name, edit in (("traces", traces_edit), ("fleet", fleet_edit)):
+            inputs[name] = demo_dataset_dir[name]
+            if edit:
+                inputs[name] = tmp_path / f"{name}.csv"
+                inputs[name].write_text(edit(demo_dataset_dir[name].read_text()))
+        argv = [*argv, "--traces", str(inputs["traces"]), "--out", str(tmp_path / "out")]
+        if argv[0] != "dnw":
+            argv += ["--fleet", str(inputs["fleet"]), "--quantiles", str(demo_dataset_dir["quantiles"]),
+                     "--seed", "1", "--quiet"]
+        got, _, err = run_cli(capsys, *argv)
+        assert got == code, err
+        assert message in err

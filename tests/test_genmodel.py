@@ -93,6 +93,12 @@ class TestConvolveFleet:
         with pytest.raises(ValueError):
             convolve_fleet([])
 
+    def test_capacity_past_the_grid_is_data_error(self):
+        # past numpy's largest array: an error before any allocation
+        units = [GeneratingUnit("big", 10**20, 0.9), GeneratingUnit("small", 5, 0.9)]
+        with pytest.raises(DataError, match="^the fleet's total capacity of 100000000000000000005 MW "):
+            convolve_fleet(units)
+
 
 class TestLoadFleet:
     def test_three_valid_rows(self, tmp_path):

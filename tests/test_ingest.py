@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adequacy import ingest
+from adequacy import cli, ingest
 from adequacy.errors import ConfigError, DataError
 from adequacy.ingest import (
     SeasonTrace,
@@ -379,9 +379,15 @@ class TestLoaderEdgeCases:
         ("2007/08", "season label '2007/08' holds a path separator"),
         ("2007-08/../../x", "season label '2007-08/../../x' holds a path separator"),
         ("2007-08\\x", "season label '2007-08\\\\x' holds a path separator"),
+        ('"2008,09"', "season label '2008,09' holds a comma, quote or line break, "
+                      "which the CSV tables cannot hold"),
+        ('"2008""09"', "season label '2008\"09' holds a comma, quote or line break, "
+                       "which the CSV tables cannot hold"),
+        ('"2008\r09"', "season label '2008\\r09' holds a comma, quote or line break, "
+                        "which the CSV tables cannot hold"),
     ])
     def test_bad_season_label(self, tmp_path, week, label, message):
-        # the label places the season's window and names its output files
+        # the label places the season's window and names its output files and table rows
         rows = trace_rows(week, SEASONS[:2], margin=0)
         rows = [[label if r[0] == "2008-09" else r[0], *r[1:]] for r in rows]
         with pytest.raises(DataError) as excinfo:
@@ -408,11 +414,14 @@ class TestLoaderEdgeCases:
         with pytest.raises(DataError, match="^line 8: non-finite demand_mw$"):
             legacy_load_traces(path, week)
 
-    def test_quoted_newline_in_label_accepted(self, tmp_path, week):
+    def test_quoted_newline_in_label_rejected(self, tmp_path, week):
+        # a line break in a label would split its rows in every table and its output file names
         rows = trace_rows(week, SEASONS[:1], margin=0)
-        result = self.outcome(tmp_path, week, {i: "quoted_newline" for i in range(len(rows))})
-        assert [season[0] for season in result] == ["2007-\n08"]
-        assert result[0][1:] == self.outcome(tmp_path, week, {})[0][1:]
+        assert self.outcome(tmp_path, week, {i: "quoted_newline" for i in range(len(rows))}) == (
+            "DataError",
+            "season label '2007-\\n08' holds a comma, quote or line break, "
+            "which the CSV tables cannot hold",
+        )
 
 
 def csv_bytes(lines, newline="\n", bom=False, final_newline=True):
@@ -432,10 +441,14 @@ def with_stamp(rows, i, stamp):
     return [[*f[:1], stamp, *f[2:]] if j == i else f for j, f in enumerate(rows)]
 
 
-# whole files the byte pass reads itself; each maps [label, timestamp, demand,
-# wind] rows to the file's bytes
+# the one layout the byte pass reads itself, as write_traces_csv writes it; maps
+# [label, timestamp, demand, wind] rows to the file's bytes
 BYTE_PASS_FILES = {
     "plain": lambda rows: csv_bytes(csv_lines(rows)),
+}
+
+# whole files the byte pass declines, so csv.reader reads them
+CSV_PATH_FILES = {
     "crlf": lambda rows: csv_bytes(csv_lines(rows), newline="\r\n"),
     "bom": lambda rows: csv_bytes(csv_lines(rows), bom=True),
     "no_final_newline": lambda rows: csv_bytes(csv_lines(rows), final_newline=False),
@@ -456,10 +469,6 @@ BYTE_PASS_FILES = {
         csv_lines([[f" {r[0]}" if i % 3 else r[0], *r[1:]] for i, r in enumerate(rows)])
     ),
     "non_ascii_label": lambda rows: csv_bytes(csv_lines([[r[0] + " hiveré", *r[1:]] for r in rows])),
-}
-
-# whole files the byte pass declines, so csv.reader reads them
-CSV_PATH_FILES = {
     "quoted": lambda rows: csv_bytes(csv_lines([[f'"{r[0]}"', *r[1:]] for r in rows])),
     "lone_cr": lambda rows: csv_bytes(csv_lines(rows), newline="\r"),
     "wide_label": lambda rows: csv_bytes(csv_lines([[r[0] + " " * 70, *r[1:]] for r in rows])),
@@ -468,10 +477,14 @@ CSV_PATH_FILES = {
     "hour_24": lambda rows: csv_bytes(csv_lines(with_stamp(rows, 5, "2007-10-28T24:00:00"))),
     "year_0": lambda rows: csv_bytes(csv_lines(with_stamp(rows, 5, "0000-10-28T05:00:00"))),
 }
+# the CSV_PATH_FILES with a faulty timestamp on line 7
+FAULTY_FILES = {"feb_29_2007", "nov_31", "hour_24", "year_0"}
 
-# ROW_EDITS that make the byte pass decline: a faulty row, a ragged one or a quote
-CSV_PATH_EDITS = {"short", "extra_field", "nan", "inf_wind", "negative", "empty_label",
-                  "bad_float", "garbage_ts", "hour_24", "year_0", "quoted_newline"}
+# ROW_EDITS that make the byte pass decline: another layout, a faulty row, a
+# ragged one or a quote
+CSV_PATH_EDITS = {"blank_before", "zulu", "offset", "space", "fraction", "padded", "short",
+                  "extra_field", "nan", "inf_wind", "negative", "empty_label", "bad_float",
+                  "garbage_ts", "hour_24", "year_0", "quoted_newline"}
 
 
 def perfbench_module(name):
@@ -515,12 +528,12 @@ class TestBytePass:
     def test_csv_path_reads(self, tmp_path, week, variant):
         path = tmp_path / "traces.csv"
         path.write_bytes(CSV_PATH_FILES[variant](trace_rows(week, SEASONS[:2], seed=3)))
-        result, used_csv = self.outcome(path, week)
+        result, used_csv = self.outcome(path, week, installed_wind_mw=11_000.0)
         assert used_csv
-        if variant in ("quoted", "lone_cr", "wide_label"):
-            assert len(result) == 2
-        else:
+        if variant in FAULTY_FILES:
             assert result[0] == "DataError" and result[1].startswith("line 7: bad timestamp")
+        else:
+            assert len(result) == 2 and all(len(season[2]) == 168 for season in result)
 
     @pytest.mark.parametrize("edit", sorted(ROW_EDITS))
     def test_row_edits(self, tmp_path, week, edit):
@@ -536,14 +549,14 @@ class TestBytePass:
         assert datetime(2008, 2, 29, 23) in season[2]
 
     def test_labels_merged_in_order_of_first_appearance(self, tmp_path, week):
-        rows = trace_rows(week, SEASONS[:2], margin=0)
-        rows = [[" 2008-09 " if r[0] == "2008-09" else r[0], *r[1:]] for r in rows[::-1]]
-        rows[5][0] = "2008-09"
+        rows = trace_rows(week, SEASONS, margin=0)
+        per = len(rows) // 3
         path = tmp_path / "traces.csv"
-        path.write_bytes(csv_bytes(csv_lines(rows)))
-        via_bytes = ingest._read_columns(path)
+        path.write_bytes(csv_bytes(csv_lines(rows[per:] + rows[:per])))  # 2007-08 last
+        via_bytes = ingest._scan_bytes(path.read_bytes())
         via_csv = ingest._read_csv(path)
-        assert list(via_bytes[0].items()) == list(via_csv[0].items()) == [("2008-09", 0), ("2007-08", 1)]
+        assert (list(via_bytes[0].items()) == list(via_csv[0].items())
+                == [("2008-09", 0), ("2009-10", 1), ("2007-08", 2)])
         for a, b in zip(via_bytes[1:], via_csv[1:]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -552,14 +565,21 @@ class TestBytePass:
         path.write_bytes(csv_bytes([HEADER]))
         assert self.outcome(path, week) == ([], False)
 
-    @pytest.mark.parametrize("source", ["demo", "perfbench"])
-    def test_benchmark_inputs(self, demo_dataset_dir, tmp_path, source):
-        # the traces the demo and perfbench's generated systems write: a change
-        # to either writer that sends them to the row loop fails here
+    @pytest.mark.parametrize("source", ["demo", "perfbench", "ingest"])
+    def test_benchmark_inputs(self, demo_dataset_dir, tmp_path, capsys, source):
+        # the traces the demo, perfbench's generated systems and ingest
+        # (write_traces_csv) write: a change to a writer that sends them to the
+        # row loop fails here
         if source == "demo":
             path = demo_dataset_dir["traces"]
-        else:
+        elif source == "perfbench":
             path = perfbench_module("gen_system").write_system(tmp_path, 1, 2, 4.0)["traces"]
+        else:
+            assert cli.main(["ingest", "--traces", str(demo_dataset_dir["traces"]),
+                             "--quantiles", str(demo_dataset_dir["quantiles"]),
+                             "--out", str(tmp_path)]) == 0
+            capsys.readouterr()
+            path = tmp_path / "rescaled_traces.csv"
         result, used_csv = self.outcome(path, SeasonWindow())
         assert not used_csv
         assert len(result) >= 2 and all(len(season[2]) == 3528 for season in result)

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import fft, signal
 
 from adequacy import pmf as pmf_module
+from adequacy.errors import NumericalError
 from adequacy.pmf import DiscretePmf, convolve, pmf_from_samples, reflect
 from helpers import point_mass
 from oracles import rebin
@@ -49,6 +52,16 @@ class TestFromSamples:
         p = pmf_from_samples(vals)
         assert p.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
         assert p.mean() == pytest.approx(np.floor(vals).mean(), abs=1e-9)
+
+    @pytest.mark.parametrize("values, message", [
+        ([0.0, 1e300], "values from 0 to 1e+300 MW"),  # a floor past int64
+        ([-1e300, 0.0], "values from -1e+300 to 0 MW"),
+        ([-9e18, 9e18], "values from -9e+18 to 9e+18 MW"),  # a span past int64
+        ([0.0, 1e18], "values from 0 to 1e+18 MW"),  # 7 EiB of bins: past any address space
+    ])
+    def test_values_past_the_grid_are_numerical_error(self, values, message):
+        with pytest.raises(NumericalError, match=f"^{re.escape(message)} do not fit on the 1 MW grid$"):
+            pmf_from_samples(values)
 
 
 class TestConvolve:
