@@ -7,13 +7,12 @@ long-run series of high-demand quantiles.
 
 A traces CSV in the layout ``write_traces_csv`` writes (the exact header,
 ASCII, LF line endings, three commas a line, unpadded labels and plain
-``YYYY-MM-DDTHH:MM:SS`` timestamps) is read in one numpy pass over its bytes:
-newline and comma positions give every field's byte range, labels are decoded
-once per distinct value, timestamps are converted by integer arithmetic and
-numbers are parsed as one fixed-width byte array. Any other file, or one that
-holds a faulty field, is read one ``csv.DictReader`` row at a time, to the
-same arrays, and the first faulty row is reported by its line number. The
-fleet and quantile history CSVs are read by that row loop too (``_csv_rows``).
+``YYYY-MM-DDTHH:MM:SS`` timestamps) is read by one ``np.loadtxt`` call, labels
+and timestamps as fixed-width byte strings and numbers as float64. Any other
+file, one that holds a faulty field, or one with a number numpy's reader
+refuses, is read one ``csv.DictReader`` row at a time, to the same arrays, and
+the first faulty row is reported by its line number. The fleet and quantile
+history CSVs are read by that row loop too (``_csv_rows``).
 Every input file is read through ``_read_input``, every output directory made
 by ``make_output_dir``.
 """
@@ -32,7 +31,6 @@ from pathlib import Path
 
 import numpy as np
 import numpy.ma  # noqa: F401  np.median loads it: at import, not inside a run
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 
@@ -223,49 +221,25 @@ def _csv_rows(path, columns, what: str):
 
 _HOUR_US = 3_600_000_000
 _DAY_US = 24 * _HOUR_US
+_HEADER = ",".join(TRACE_COLUMNS).encode() + b"\n"
+# bytes the byte pass declines: NUL, CR and the quote, which csv reads in its own
+# way, and 0x1c-0x1f, which numpy's number reader skips and float() refuses
+_DECLINED_BYTES = (b"\0", b"\r", b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # the one timestamp form the byte pass reads: a digit wherever the template
-# has a 0; any other (offsets, Z, a space separator, fractions) is the row loop's
-_PLAIN_ISO = np.frombuffer(b"0000-00-00T00:00:00", dtype=np.uint8)
+# has a 0, then the zero byte that pads it in its field; any other (offsets,
+# Z, a space separator, fractions) is the row loop's
+_PLAIN_ISO = np.frombuffer(b"0000-00-00T00:00:00\0", dtype=np.uint8)
 # a character minus the template's, in unsigned arithmetic, is at most this
 # where it fits: a digit 0-9 at a 0, the template's own character elsewhere
 _PLAIN_SLACK = np.where(_PLAIN_ISO == ord("0"), 9, 0).astype(np.uint8)
-_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-_HEADER = ",".join(TRACE_COLUMNS).encode() + b"\n"
-# widest label or number field the byte pass copies into a matrix: one long
-# field would otherwise widen every row's copy
-_MAX_FIELD_BYTES = 64
-
-
-def _plain_stamps(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of 19 character codes as microseconds since 1970, and which are valid.
-
-    A valid row is a ``YYYY-MM-DDTHH:MM:SS`` stamp that datetime.fromisoformat
-    reads: year at least 1, a day that exists in its month (leap years
-    included), hour below 24, minute and second below 60. The days are counted
-    by the proleptic Gregorian civil-to-days formula (Hinnant's
-    ``days_from_civil``); an invalid row's value is meaningless.
-    """
-    ok = (chars - _PLAIN_ISO <= _PLAIN_SLACK).all(axis=1)
-
-    def number(lo, hi):
-        value = np.zeros(len(chars), dtype=np.int64)
-        for i in range(lo, hi):
-            value = value * 10 + chars[:, i] - ord("0")
-        return value
-
-    year, month, day = number(0, 4), number(5, 7), number(8, 10)
-    hour, minute, second = number(11, 13), number(14, 16), number(17, 19)
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[np.clip(month, 1, 12) - 1] + (leap & (month == 2))
-    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
-    ok &= (hour < 24) & (minute < 60) & (second < 60)
-    y = year - (month <= 2)  # count years from March: a leap day ends its year
-    era = y // 400
-    year_of_era = y - era * 400
-    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    days = (era * 146_097 + year_of_era * 365 + year_of_era // 4 - year_of_era // 100
-            + day_of_year - 719_468)
-    return (((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000, ok
+# loadtxt cuts a value longer than its S field short without an error, so each
+# field is one byte wider than the widest label (64 bytes) or stamp the byte
+# pass reads; a value that fills its field may have been cut, and is declined
+_FIELDS = [("season", "S65"), ("timestamp", f"S{_PLAIN_ISO.size}"),
+           ("demand_mw", float), ("wind_mw", float)]
+# numpy 2.4's cast of more than 500 byte strings to datetime64 crashes the
+# interpreter on an invalid stamp; cast 500 at a time, it raises ValueError
+_CAST_ROWS = 500
 
 
 def _read_csv(path: Path):
@@ -290,96 +264,57 @@ def _read_csv(path: Path):
             np.array(demand, dtype=float), np.array(wind, dtype=float))
 
 
-def _gather(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
-    """Fields buf[lo:hi] as the rows of a zero-padded uint8 matrix.
-
-    None if a field is empty or wider than _MAX_FIELD_BYTES.
-    """
-    lengths = hi - lo
-    width = int(lengths.max())
-    if width > _MAX_FIELD_BYTES or not lengths.all():
-        return None
-    last = buf.size - width  # a field starting after it has fewer than width bytes left
-    rows = sliding_window_view(buf, width)[np.minimum(lo, last)]
-    for i in np.flatnonzero(lo > last):
-        rows[i, : lengths[i]] = buf[lo[i] : hi[i]]
-    rows *= np.arange(width) < lengths[:, None]
-    return rows
-
-
-def _scan_labels(buf, lo, hi):
-    """Season labels as (label -> code, code per row), codes in order of first
-    appearance; None if a label is empty or padded."""
-    rows = _gather(buf, lo, hi)
-    if rows is None:
-        return None
-    keys = rows.view(f"S{rows.shape[1]}").ravel()  # an S value drops the zero padding
-    raw, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    names = [label.decode() for label in raw]
-    if any(name != name.strip() for name in names):
-        return None
-    order = np.argsort(first)
-    return {names[i]: code for code, i in enumerate(order)}, np.argsort(order)[inverse]
-
-
-def _scan_floats(buf, lo, hi):
-    """Non-negative finite floats by Python's float() grammar; None if one is not."""
-    rows = _gather(buf, lo, hi)
-    if rows is None:
-        return None
-    try:
-        values = rows.view(f"S{rows.shape[1]}").ravel().astype(float)
-    except ValueError:
-        return None
-    if not np.isfinite(values).all() or (values < 0.0).any():
-        return None
-    return values
-
-
 def _scan_bytes(data: bytes):
-    """_read_columns in one numpy pass over the file's bytes; None to decline.
+    """_read_columns by one np.loadtxt call over the file's bytes; None to decline.
 
     The pass reads the one layout write_traces_csv writes: the header line
-    ``season,timestamp,demand_mw,wind_mw``, then ASCII lines of three commas
-    each, every line ending in LF, with unpadded labels and plain timestamps.
-    The commas give each field's byte range; labels and numbers are copied
-    into fixed-width byte matrices (_gather) and timestamps are converted by
-    integer arithmetic (_plain_stamps). Any other file, or one with a faulty
-    field or a field wider than _MAX_FIELD_BYTES, is declined; the row loop
-    (_read_csv) then reads it and reports any fault.
+    ``season,timestamp,demand_mw,wind_mw``, then ASCII lines of four fields
+    ending in LF, with unpadded labels and plain timestamps. Any other file, or
+    one with a faulty field or a number numpy's reader refuses (``40_000``), is
+    declined; the row loop (_read_csv) then reads it and reports any fault.
     """
     if not (data.startswith(_HEADER) and data.endswith(b"\n") and data.isascii()):
         return None
-    if any(byte in data for byte in (b"\0", b"\r", b'"')):
+    if any(byte in data for byte in _DECLINED_BYTES):
         return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    newlines = np.flatnonzero(buf == ord("\n"))
-    commas = np.flatnonzero(buf == ord(","))
-    if (np.diff(np.searchsorted(commas, newlines), prepend=0) != 3).any():
-        return None  # a blank, short or long line
-    if newlines.size == 1:  # a header and no rows
+    if data == _HEADER:  # loadtxt warns on a file with no rows
         return {}, *(np.empty(0, dtype=d) for d in ("int64", "datetime64[us]", float, float))
-    cuts = commas.reshape(-1, 3)[1:]
-    labels = _scan_labels(buf, newlines[:-1] + 1, cuts[:, 0])
-    if labels is None:
+    try:
+        rows = np.loadtxt(io.BytesIO(data), dtype=_FIELDS, delimiter=",", comments=None,
+                          skiprows=1, ndmin=1)
+    except ValueError:  # a short or long line, or a field that is not a number
         return None
-    lo = cuts[:, 0] + 1
-    if (cuts[:, 1] - lo != _PLAIN_ISO.size).any():
+    if rows.size != data.count(b"\n") - 1:
+        return None  # loadtxt skipped a blank line
+    labels = rows["season"]
+    # a file holds each season's rows together: np.unique sorts one label per run
+    starts = np.flatnonzero(np.concatenate(([True], labels[1:] != labels[:-1])))
+    raw, first, inverse = np.unique(labels[starts], return_index=True, return_inverse=True)
+    names = [label.decode() for label in raw]
+    if any(not name or name != name.strip() or len(name) == labels.itemsize for name in names):
+        return None  # an empty or padded label, or one that fills its field
+    stamps = np.ascontiguousarray(rows["timestamp"])
+    if not (stamps.view(np.uint8).reshape(-1, _PLAIN_ISO.size) - _PLAIN_ISO <= _PLAIN_SLACK).all():
         return None
-    us, ok = _plain_stamps(sliding_window_view(buf, _PLAIN_ISO.size)[lo])
-    if not ok.all():
+    try:
+        us = np.concatenate([stamps[i : i + _CAST_ROWS].astype("datetime64[us]")
+                             for i in range(0, stamps.size, _CAST_ROWS)])
+    except ValueError:  # no such day, hour, minute or second
         return None
-    demand = _scan_floats(buf, cuts[:, 1] + 1, cuts[:, 2])
-    wind = None if demand is None else _scan_floats(buf, cuts[:, 2] + 1, newlines[1:])
-    if wind is None:
-        return None
-    return *labels, us.view("datetime64[us]"), demand, wind
+    if us.min() < np.datetime64("0001-01-01"):
+        return None  # numpy reads the year 0, fromisoformat does not
+    demand, wind = rows["demand_mw"], rows["wind_mw"]
+    if not ((demand >= 0.0) & (demand < np.inf) & (wind >= 0.0) & (wind < np.inf)).all():
+        return None  # a negative, infinite or NaN number
+    order = np.argsort(first)  # codes in order of first appearance
+    codes = np.repeat(np.argsort(order)[inverse], np.diff(starts, append=labels.size))
+    return {names[i]: code for code, i in enumerate(order)}, codes, us, demand, wind
 
 
 def _read_columns(path: Path):
     """All rows of a traces CSV as (label -> code, code, timestamp, demand, wind).
 
-    One vectorised pass over the file's bytes reads it (_scan_bytes), or
+    One np.loadtxt call over the file's bytes reads it (_scan_bytes), or
     declines it. A declined file is read one csv.DictReader row at a time
     (_read_csv), which raises the first faulty row's DataError with its line
     number, so every message comes from that loop. Both give codes in order
@@ -415,6 +350,8 @@ def load_traces(
     for season in codes_of:
         if not re.match(r"\d{4}", season):
             raise DataError(f"season label {season!r} does not start with a four-digit year")
+        if int(season[:4]) == 0:
+            raise DataError(f"season label {season!r} starts with the year 0; the calendar starts at 1")
         if "/" in season or "\\" in season:
             raise DataError(f"season label {season!r} holds a path separator")
         if re.search(r'[,"\r\n]', season):

@@ -126,7 +126,11 @@ class RunConfig:
     def counts(self, column: int, n_seasons: int) -> np.ndarray:
         """The bootstrap count matrix of the column at this position of
         ``columns()``: its replications draw from substreams keyed (seed, 101, column)."""
-        return resample_counts(n_seasons, self.replications, (self.seed, 101, column))
+        try:
+            return resample_counts(n_seasons, self.replications, (self.seed, 101, column))
+        except (ValueError, MemoryError):  # past numpy's largest array, or more than memory holds
+            raise ConfigError(f"reps: {self.replications} replications of {n_seasons} seasons "
+                              f"are too many for one count matrix") from None
 
     def columns(self) -> list[tuple[str, str, float | None]]:
         """(label, kind, threshold_quantile) per model variant, in fixed order."""

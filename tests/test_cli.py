@@ -929,7 +929,8 @@ def set_first_row(column, value):
 
 class TestInputsPastTheirLimits:
     """Inputs that the CSV tables, the calendar or the 1 MW grid cannot hold exit 3 or 4,
-    naming the cause, not with a traceback."""
+    and a replication count numpy cannot index exits 2, naming the cause, not with a
+    traceback."""
 
     @pytest.mark.parametrize("traces_edit, fleet_edit, argv, code, message", [
         # a comma in a label would split its rows in lole_per_season.csv
@@ -939,6 +940,8 @@ class TestInputsPastTheirLimits:
          3, "season 2007-08: the 1000000-week window from 2007-10-28 ends after the year 9999"),
         (lambda t: t.replace("2008-09,", "9999-00,"), None, ["risk"],
          3, "season 9999-00: the 21-week window from 9999-10-31 ends after the year 9999"),
+        (lambda t: t.replace("2008-09,", "0000-01,"), None, ["risk"],
+         3, "season label '0000-01' starts with the year 0; the calendar starts at 1"),
         # 1e20 MW is past numpy's largest array, so nothing is allocated
         (None, lambda f: f + "huge,1e20,0.5\n", ["risk", "--model", "hindcast"],
          3, "the fleet's total capacity of 1000000000000000"),
@@ -950,7 +953,7 @@ class TestInputsPastTheirLimits:
          4, "values from 467 to 1e+300 MW do not fit on the 1 MW grid"),
         (set_first_row("demand_mw", "1e300"), None, ["dnw", "--model", "ind"],
          4, "values from 23620 to 1e+300 MW do not fit on the 1 MW grid"),
-    ], ids=["comma_label", "long_window", "year_9999", "huge_unit", "huge_wind_risk",
+    ], ids=["comma_label", "long_window", "year_9999", "year_0", "huge_unit", "huge_wind_risk",
             "huge_wind_study", "huge_wind_dnw", "huge_demand_dnw"])
     def test_exit_code(self, demo_dataset_dir, tmp_path, capsys, traces_edit, fleet_edit, argv,
                        code, message):
@@ -967,3 +970,18 @@ class TestInputsPastTheirLimits:
         got, _, err = run_cli(capsys, *argv)
         assert got == code, err
         assert message in err
+
+    # numpy refuses both counts before it allocates anything
+    @pytest.mark.parametrize("reps", [10**20, 2**62])
+    @pytest.mark.parametrize("command", ["uncertainty", "study"])
+    def test_reps_numpy_cannot_index(self, demo_dataset_dir, tmp_path, capsys, command, reps):
+        argv = {"uncertainty": ["--model", "hindcast", "--metric", "lole", "--mode", "block"],
+                "study": ["--models", "hindcast", "--out", str(tmp_path / "out"), "--quiet"]}[command]
+        code, _, err = run_cli(capsys, command, *argv, "--reps", str(reps), "--seed", "1",
+                               "--traces", str(demo_dataset_dir["traces"]),
+                               "--fleet", str(demo_dataset_dir["fleet"]))
+        message = f"reps: {reps} replications of 7 seasons are too many for one count matrix"
+        assert code == 2 and err == f"configuration error: {message}\n"
+        if command == "study":
+            manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+            assert manifest["failed_stage"] == "compute" and manifest["error"] == message

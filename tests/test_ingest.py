@@ -216,6 +216,11 @@ ROW_EDITS = {
     "year_0": lambda f: [",".join([f[0], "0000" + f[1][4:], *f[2:]])],
     "garbage_ts": lambda f: [",".join([f[0], "garbage", *f[2:]])],
     "underscore": lambda f: [",".join([f[0], f[1], "40_000.0", f[3]])],
+    # numpy's number reader skips 0x1c-0x1f as whitespace, float() refuses them
+    "unit_separator": lambda f: [",".join([f[0], f[1], f[2] + "\x1f", f[3]])],
+    "file_separator": lambda f: [",".join([*f[:3], "\x1c" + f[3]])],
+    "long_label": lambda f: [",".join([f[0] + "x" * 63, *f[1:]])],  # 70 bytes
+    "wide_number": lambda f: [",".join([f[0], f[1], "0" * 64 + f[2], f[3]])],  # read by both
     "nan": lambda f: [",".join([f[0], f[1], "nan", f[3]])],
     "inf_wind": lambda f: [",".join([*f[:3], "inf"])],
     "bad_float": lambda f: [",".join([f[0], f[1], "much", f[3]])],
@@ -481,10 +486,12 @@ CSV_PATH_FILES = {
 FAULTY_FILES = {"feb_29_2007", "nov_31", "hour_24", "year_0"}
 
 # ROW_EDITS that make the byte pass decline: another layout, a faulty row, a
-# ragged one or a quote
+# ragged one, a quote, a label wider than 64 bytes or a number numpy's reader
+# refuses (underscores) or reads where float() does not (beside 0x1c-0x1f)
 CSV_PATH_EDITS = {"blank_before", "zulu", "offset", "space", "fraction", "padded", "short",
                   "extra_field", "nan", "inf_wind", "negative", "empty_label", "bad_float",
-                  "garbage_ts", "hour_24", "year_0", "quoted_newline"}
+                  "garbage_ts", "hour_24", "year_0", "quoted_newline", "underscore",
+                  "unit_separator", "file_separator", "long_label"}
 
 
 def perfbench_module(name):
@@ -540,6 +547,18 @@ class TestBytePass:
         path = write_lines(tmp_path / "traces.csv", trace_rows(week, SEASONS[:1]), {5: edit})
         assert self.outcome(path, week)[1] == (edit in CSV_PATH_EDITS)
 
+    @pytest.mark.parametrize("stamp", ["2007-02-29T00:00:00", "2007-11-31T00:00:00",
+                                       "2007-10-28T24:00:00"])
+    @pytest.mark.parametrize("row", [0, 600])
+    def test_faulty_stamp_in_a_long_file(self, tmp_path, stamp, row):
+        # numpy 2.4's cast of more than 500 stamps at once crashes the
+        # interpreter on an invalid one
+        window = SeasonWindow(weeks=4)
+        path = tmp_path / "traces.csv"
+        path.write_bytes(csv_bytes(csv_lines(with_stamp(trace_rows(window, SEASONS[:1]), row, stamp))))
+        result, used_csv = self.outcome(path, window)
+        assert used_csv and result == ("DataError", f"line {row + 2}: bad timestamp {stamp!r}")
+
     def test_leap_day(self, tmp_path):
         window = SeasonWindow(weeks=1, anchor_rule="last Monday in February")
         path = tmp_path / "traces.csv"
@@ -588,24 +607,19 @@ class TestBytePass:
 PLAIN_STAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d", re.ASCII)
 
 
-def numpy_stamp(text):
-    """µs since 1970 as numpy parses a plain stamp that formats back to the
-    same text and is not in year 0 (fromisoformat's first year is 1); None
-    otherwise."""
-    if not PLAIN_STAMP.fullmatch(text) or text.startswith("0000"):
-        return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            value = np.datetime64(text, "s")
-        except ValueError:
-            return None
-    if np.datetime_as_string(value, unit="s") != text:
-        return None
-    return int(value.astype("datetime64[us]").astype(np.int64))
+def row_loop_reads(stamp):
+    try:
+        datetime.fromisoformat(stamp)
+    except ValueError:
+        return False
+    return True
 
 
-class TestPlainStamps:
+class TestStampsInFiles:
+    """The byte pass reads a file whose stamps are plain stamps the row loop
+    reads, to the row loop's microseconds, and declines a file holding any
+    other stamp."""
+
     @staticmethod
     def stamps(seed, n=4000):
         rng = np.random.default_rng(seed)
@@ -621,26 +635,25 @@ class TestPlainStamps:
                   for mo in range(1, 13) for d in (1, 30, 31)]
         return texts
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_numpy_parse_and_round_trip(self, seed):
-        texts = self.stamps(seed)
-        expected = [numpy_stamp(t) for t in texts]
-        chars = np.frombuffer("".join(texts).encode(), dtype=np.uint8).reshape(-1, 19)
-        us, ok = ingest._plain_stamps(chars)
-        assert ok.tolist() == [e is not None for e in expected]
-        assert us[ok].tolist() == [e for e in expected if e is not None]
-        assert 0.4 < ok.mean() < 0.8  # both valid and invalid stamps are drawn
-        wide = np.array(texts, dtype="U19").view(np.uint32).reshape(-1, 19)
-        us_wide, ok_wide = ingest._plain_stamps(wide)
-        assert ok_wide.tolist() == ok.tolist() and us_wide[ok].tolist() == us[ok].tolist()
+    @staticmethod
+    def file_bytes(stamps):
+        return csv_bytes(csv_lines([["2007-08", stamp, "1.0", "2.0"] for stamp in stamps]))
 
-    def test_valid_stamps_are_fromisoformat(self):
-        texts = self.stamps(3)
-        chars = np.frombuffer("".join(texts).encode(), dtype=np.uint8).reshape(-1, 19)
-        us, ok = ingest._plain_stamps(chars)
-        epoch = datetime(1970, 1, 1)
-        for text, value in zip(np.array(texts)[ok], us[ok]):
-            assert (datetime.fromisoformat(text) - epoch) // timedelta(microseconds=1) == value
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_read_as_the_row_loop_reads_or_declined(self, tmp_path, seed):
+        texts = self.stamps(seed)
+        plain = [t for t in texts if PLAIN_STAMP.fullmatch(t) and row_loop_reads(t)]
+        assert 0.4 < len(plain) / len(texts) < 0.8  # both kinds are drawn
+        path = tmp_path / "traces.csv"
+        path.write_bytes(self.file_bytes(plain))
+        via_bytes, via_csv = ingest._scan_bytes(path.read_bytes()), ingest._read_csv(path)
+        assert via_bytes[2].dtype == via_csv[2].dtype
+        assert via_bytes[2].tolist() == via_csv[2].tolist()
+        read = set(plain)
+        declined = [t for t in texts if t not in read]
+        assert "0000-02-29T12:00:00" in declined and "2000-02-29T12:00:00" in plain
+        for text in declined:
+            assert ingest._scan_bytes(self.file_bytes([text])) is None, text
 
 
 def latin1_file(path, lines):
