@@ -170,6 +170,14 @@ def cmd_fit(args) -> int:
             raise ConfigError(f"--scan expects lo:hi:step, got {args.scan!r}") from None
         if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi <= lo:
             raise ConfigError(f"--scan needs finite lo < hi and step > 0, got {args.scan!r}")
+        try:
+            thresholds = np.arange(lo, hi + step / 2, step)
+        except (ValueError, MemoryError) as exc:  # numpy cannot make a grid that large
+            raise ConfigError(f"--scan grid {args.scan!r} cannot be made: {exc}") from None
+        if np.any(np.diff(thresholds) <= 0.0):
+            raise ConfigError(
+                f"--scan step is below the float spacing of its thresholds, got {args.scan!r}"
+            )
     traces, outdir = _load(args)
     trace = _pick_season(traces, args.season)
     values = trace.net_demand_mw
@@ -184,7 +192,6 @@ def cmd_fit(args) -> int:
     qq_path = write_qq_csv(fit, values, outdir / f"qq_{args.season}.csv")
     print(f"wrote {qq_path}")
     if args.scan:
-        thresholds = np.arange(lo, hi + step / 2, step)
         scan_path = write_scan_csv(values, thresholds, outdir / f"threshold_scan_{args.season}.csv")
         print(f"wrote {scan_path}")
     return 0

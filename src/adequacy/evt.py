@@ -10,11 +10,11 @@ on y >= 0 with 1 + xi * y / sigma > 0; xi = 0 is the exponential limit
 likelihood is maximised in closed form for fixed theta = xi / sigma
 (Grimshaw 1993), and a bounded one-dimensional search over theta finishes the
 fit, confined to xi >= -1. That search takes Newton steps on the profile's
-analytic first and second derivatives from the method-of-moments estimate;
-where they cannot be trusted (non-positive curvature, the xi = -1 edge, the
-exponential limit theta = 0, or 20 steps) it falls back to a golden-section
-search. A bisection finds the xi = -1 edge. Both fallbacks stop at Brent's
-tolerances (Brent 1973) and are written here in plain floats. Standard errors
+analytic first and second derivatives from the method-of-moments estimate
+inside a bracket that every step narrows; where a step cannot be trusted
+(non-positive curvature, the xi = -1 edge, the exponential limit theta = 0,
+or a step longer than the last) it bisects the bracket instead. A bisection
+finds the xi = -1 edge. Both are written here in plain floats. Standard errors
 come from the analytic observed information, computed from the fitted
 excesses the first time a fit's SEs are read.
 """
@@ -38,18 +38,16 @@ XI_ZERO_GUARD = 1e-6
 MIN_FIT_SIZE = 30
 
 # Profile search over s = log1p(theta * max(y)), theta = xi / sigma.
-_S_FLOOR = -40.0  # expm1(s) rounds to -1 below this
+_S_FLOOR = -40.0  # past s = -37.4, below which expm1(s) rounds to -1
 _S_CEIL = 700.0  # expm1 overflows past 709
 _S_TINY = 1e-200  # |s| below this is the exponential limit theta -> 0
 _S_XTOL = 1e-12
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
-_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)  # the golden section's shrink factor per step
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 # Newton steps on the profile in t = expm1(s) = theta * max(y).
 _T_START_FLOOR = -0.9  # the moment start is clamped to at least this
 _T_NEAR_ZERO = 1e-3  # the profile score cancels near the exponential limit t = 0
 _NEWTON_RTOL = 1e-9
-_NEWTON_MAX_STEPS = 20
+_T_ABOVE_EDGE = math.nextafter(-1.0, 0.0)  # the least t the search evaluates
 
 
 @dataclass(frozen=True)
@@ -162,13 +160,13 @@ def fit_gpd(excesses, weights=None) -> GpdFit:
     Technometrics 35(2)), which leaves a one-dimensional profile likelihood.
     Its negative is minimised over s = log1p(theta * max(y)) in a bracket
     confined to xi >= -1: below that the likelihood is unbounded; ``_root``
-    bisects for the xi = -1 edge when it lies inside. Newton steps in
-    t = theta * max(y) = expm1(s) (``_newton_minimum``), from the weighted
-    method-of-moments estimate, find the minimum; where they give up, a
-    golden-section search (``_bounded_minimum``) over s does. When no point
-    of the profile beats the xi = -1 edge, the fit is its uniform limit
-    xi = -1, sigma = max(y). ``iterations`` counts profile evaluations: one
-    per Newton step or golden-section evaluation, plus those of the bracket
+    bisects for the xi = -1 edge when it lies inside. One search
+    (``_profile_minimum``) finds the minimum: Newton steps in
+    t = theta * max(y) = expm1(s) from the weighted method-of-moments
+    estimate, and bisection steps in s where a Newton step cannot be trusted.
+    When no point of the profile beats the xi = -1 edge, the fit is its
+    uniform limit xi = -1, sigma = max(y). ``iterations`` counts profile
+    evaluations: one per Newton or bisection step, plus those of the bracket
     (the edge root's bisection among them) and of the optimum. Standard
     errors come from the inverse analytic observed information at the
     optimum (NaN at the xi = -1 edge); they assume i.i.d. excesses and should
@@ -212,11 +210,6 @@ def fit_gpd(excesses, weights=None) -> GpdFit:
         xi = (n_top * s + (w_rest * np.log1p(e * rest)).sum()) / k
         return xi, xi * y_max / e
 
-    def nll(xi, sigma):
-        if xi < -1.0:  # past the edge the best shape is -1, at sigma = -1/theta
-            return k * np.log(-sigma / xi)
-        return k * (np.log(sigma) + xi + 1.0)
-
     # The search interval. Below _S_FLOOR theta is -1/max(y) to machine
     # precision and the profile falls as s grows, so the optimum is not there.
     # xi(s) increases with s and xi(0) = 0, so if xi(_S_FLOOR) < -1 the edge
@@ -227,19 +220,11 @@ def fit_gpd(excesses, weights=None) -> GpdFit:
         s_lo = _root(lambda s: profile(s)[0] + 1.0, _S_FLOOR, 0.0)
     # plain floats: a ratio past the float range is inf, without numpy's overflow warning
     s_hi = min(np.log(float(y_max) / float(y.min())) + 10.0, _S_CEIL)
-    t_hat, steps = _newton_minimum(r, w, k, math.expm1(s_lo), math.expm1(s_hi))
+    s_hat, steps = _profile_minimum(r, w, k, s_lo, s_hi)
     evaluations += steps
-    if t_hat is None:
-        s_hat, converged = _bounded_minimum(lambda s: nll(*profile(s)), s_lo, s_hi)
-        if not converged:
-            raise NumericalError(
-                f"GPD profile search did not converge after {evaluations} evaluations"
-            )
-    else:
-        s_hat = math.log1p(t_hat)
-
     xi_hat, sigma_hat = profile(s_hat)
-    f_hat = nll(xi_hat, sigma_hat)
+    # past the edge the best shape is -1, at sigma = -1/theta
+    f_hat = k * (np.log(-sigma_hat / xi_hat) if xi_hat < -1.0 else np.log(sigma_hat) + xi_hat + 1.0)
     if f_hat >= k * np.log(y_max):
         sigma_hat, xi_hat, log_lik = float(y_max), -1.0, -k * float(np.log(y_max))
         y = w = None  # the information is infinite at the edge: no SEs
@@ -261,77 +246,76 @@ def fit_gpd(excesses, weights=None) -> GpdFit:
     )
 
 
-def _newton_minimum(r, w, k, t_lo, t_hi):
-    """Newton's minimum of the profile in t = theta * max(y), or None to fall back.
+def _profile_minimum(r, w, k, lo, hi):
+    """The minimum of the profile over s in [lo, hi], by safeguarded Newton steps.
 
     With xi(t) = sum(w log1p(t r)) / k for r = y / max(y), the profile
     negative log-likelihood is k (log(xi / t) + xi + 1) plus a constant, and
     xi' = sum(w r / (1 + t r)) / k, xi'' = -sum(w r^2 / (1 + t r)^2) / k give
-    its first two derivatives. The steps start at the weighted method-of-moments
-    estimate, clamped to at least _T_START_FLOOR and into [t_lo, t_hi]; a step
-    that leaves (t_lo, t_hi) is halved until it lands inside. They stop at a
-    full step of at most _NEWTON_RTOL relative. Non-positive curvature, xi <= -1, |t| below
-    _T_NEAR_ZERO or _NEWTON_MAX_STEPS steps give None. Returns (t, steps),
-    one profile evaluation per step.
+    its first two derivatives in t = expm1(s). The search keeps a bracket in
+    s, and every evaluation moves one end of it to the point, by the sign of
+    the slope (rtsafe: Press et al., Numerical Recipes, 3rd ed., 9.4). The
+    first point is the weighted method-of-moments estimate, clamped to at
+    least _T_START_FLOOR. Each next one is a Newton step, halved until it
+    lands inside the bracket, or, where the step cannot be trusted
+    (non-positive curvature, xi <= -1, |t| below _T_NEAR_ZERO, a step that is
+    not finite or is longer than the last move), the bracket's midpoint in s.
+    The search stops at a full step of at most _NEWTON_RTOL relative to
+    min(|t|, 1 + t), or once the bracket is as narrow as ``_root``'s
+    tolerance. Returns (s, evaluations).
     """
     k = float(k)  # plain floats: no numpy scalar overhead or overflow warnings
     mean = float(w @ r) / k
     ratio = mean * mean / (float(w @ (r - mean) ** 2) / k)  # 1 - 2 xi for the GPD
-    t = min(max((1.0 - ratio) / (mean * (1.0 + ratio)), _T_START_FLOOR, t_lo), t_hi)
-    for step in range(1, _NEWTON_MAX_STEPS + 1):
-        if abs(t) < _T_NEAR_ZERO:
-            return None, step - 1
+    t_lo, t_hi = math.expm1(lo), math.expm1(hi)
+    t = max((1.0 - ratio) / (mean * (1.0 + ratio)), _T_START_FLOOR)
+    s = math.log1p(t)
+    if not t_lo < t < t_hi:  # a point on the bracket's end would close it
+        s, t = _bisection_point(lo, hi)
+    last = math.inf
+    evaluations = 0
+    while True:
+        evaluations += 1
         a = t * r
         u = r / (1.0 + a)
         xi = float(w @ np.log1p(a)) / k
-        if not xi > -1.0:
-            return None, step
         d1 = float(w @ u) / k
         d2 = -float(w @ (u * u)) / k
-        c = 1.0 + 1.0 / xi
-        g = d1 / xi
-        curvature = d2 * c - g * g + 1.0 / (t * t)
-        if not curvature > 0.0:
-            return None, step
-        dt = -(d1 * c - 1.0 / t) / curvature
-        if not math.isfinite(dt):
-            return None, step
+        if t == 0.0:  # the exponential limit of the slope
+            slope, curvature = d1 + 0.5 * d2 / d1, 0.0
+        else:
+            c, g = 1.0 + 1.0 / xi, d1 / xi
+            slope = d1 * c - 1.0 / t
+            curvature = d2 * c - g * g + 1.0 / (t * t)
+        if slope > 0.0:
+            hi, t_hi = s, t
+        else:
+            lo, t_lo = s, t
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= _S_XTOL + _ROOT_RTOL * abs(mid):
+            return mid, evaluations
+        dt = -slope / curvature if curvature > 0.0 else math.inf
         t_new = t + dt
-        if t_lo < t_new < t_hi and abs(dt) <= _NEWTON_RTOL * abs(t_new):
-            return t_new, step  # converged on a full step: a halved one proves nothing
-        while not t_lo < t_new < t_hi:  # halve back into the bracket
-            dt *= 0.5
-            t_new = t + dt
-            if t_new == t:  # t sits on the bracket's end
-                return None, step
+        newton = xi > -1.0 and abs(t) >= _T_NEAR_ZERO and abs(dt) < last
+        if newton:
+            if abs(dt) <= _NEWTON_RTOL * min(abs(t_new), 1.0 + t_new) and t_lo <= t_new <= t_hi:
+                return math.log1p(t_new), evaluations  # a full step: a halved one proves nothing
+            while t_new != t and not t_lo < t_new < t_hi:  # halve back into the bracket
+                dt *= 0.5
+                t_new = t + dt
+        if newton and t_new != t:
+            s = math.log1p(t_new)
+        else:
+            s, t_new = _bisection_point(lo, hi)
+        last = abs(t_new - t)
         t = t_new
-    return None, _NEWTON_MAX_STEPS
 
 
-def _bounded_minimum(f, a, b):
-    """Minimise f on [a, b] by golden-section search.
-
-    Each step keeps the part of the bracket around the lower of two interior
-    points. The search stops once the bracket is at most
-    2 (sqrt(eps) |mid| + _S_XTOL) wide, Brent's tolerance, or at a NaN.
-    Returns (x, converged) for the better interior point x; a search that met
-    a NaN did not converge.
-    """
-    a, b = float(a), float(b)
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, fd = float(f(c)), float(f(d))
-    while b - a > 2.0 * (_SQRT_EPS * abs(0.5 * (a + b)) + _S_XTOL):
-        if math.isnan(fc) or math.isnan(fd):
-            break
-        if fc <= fd:  # the minimum lies in [a, d]
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = float(f(c))
-        else:  # in [c, b]
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = float(f(d))
-    return (c if fc <= fd else d), not (math.isnan(fc) or math.isnan(fd))
+def _bisection_point(lo, hi):
+    """The bracket's midpoint s and its t = expm1(s), kept above -1: expm1
+    rounds to -1 below s = -37.4."""
+    s = 0.5 * (lo + hi)
+    return s, max(math.expm1(s), _T_ABOVE_EDGE)
 
 
 def _root(f, a, b):

@@ -162,7 +162,7 @@ class TestFitCommand:
         assert code == 2
         assert "configuration error" in err
 
-    @pytest.mark.parametrize("scan", ["nan:1:1", "0:inf:1", "1:2:nan"])
+    @pytest.mark.parametrize("scan", ["nan:1:1", "0:inf:1", "1:2:nan", "0:1e20:1", "1e17:1.000000000000001e17:1"])
     def test_non_finite_scan_is_config_error(self, demo_dataset_dir, tmp_path, capsys, scan):
         outdir = tmp_path / "out"
         code, _, err = run_cli(capsys, "fit", "--traces", str(demo_dataset_dir["traces"]),
