@@ -61,11 +61,6 @@ class GpdParams:
         if not (self.sigma > 0.0):
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
-    @property
-    def upper_endpoint(self) -> float:
-        """Supremum of the excess support: -sigma/xi for xi < 0, else +inf."""
-        return -self.sigma / self.xi if self.xi < 0.0 else np.inf
-
 
 @dataclass(frozen=True)
 class GpdFit:

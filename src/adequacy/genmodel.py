@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .ingest import _csv_rows
 from .pmf import DiscretePmf
 
@@ -37,7 +37,14 @@ class GeneratingUnit:
 
 
 def convolve_fleet(units, trim_threshold: float = TRIM_THRESHOLD) -> DiscretePmf:
-    """Distribution of total available capacity over independent two-state units."""
+    """Distribution of total available capacity over independent two-state units.
+
+    Each unit updates only the live window [lo, top]: the bins below lo and
+    above top hold zero, and a unit moves zeros only onto zeros. After a trim
+    both ends move in to the first and last bins still above zero. Zeros stay
+    zeros and the trim sees the same values, so the pmf is the same, bit for
+    bit, as updating every bin for every unit.
+    """
     units = list(units)
     if not units:
         raise ValueError("empty fleet")
@@ -48,20 +55,27 @@ def convolve_fleet(units, trim_threshold: float = TRIM_THRESHOLD) -> DiscretePmf
         raise DataError(f"the fleet's total capacity of {total} MW is too large for its "
                         f"1 MW grid") from None
     p[0] = 1.0
-    top = 0
+    lo = top = 0
     trimmed = 0.0
     for unit in units:
         cap, a = unit.capacity_mw, unit.availability
-        shifted = p[: top + 1] * a
-        p[: top + 1] *= 1.0 - a
-        p[cap : top + cap + 1] += shifted
+        shifted = p[lo : top + 1] * a
+        p[lo : top + 1] *= 1.0 - a
+        p[lo + cap : top + cap + 1] += shifted
         top += cap
         if trim_threshold > 0.0:
-            live = p[: top + 1]
+            live = p[lo : top + 1]
             small = (live > 0.0) & (live < trim_threshold)
             if small.any():
                 trimmed += live[small].sum()
                 live[small] = 0.0
+                kept = live > 0.0
+                first = int(kept.argmax())  # 0 when nothing is kept
+                if not kept[first]:
+                    raise NumericalError(
+                        f"trimming at {trim_threshold:g} removed all probability mass from the "
+                        f"fleet convolution ({trimmed:.3e} in all); use a smaller trim threshold")
+                lo, top = lo + first, top - int(kept[::-1].argmax())
     if trimmed > _TRIM_BUDGET:
         warnings.warn(
             f"trimmed {trimmed:.3e} probability mass during fleet convolution; "

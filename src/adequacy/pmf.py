@@ -8,6 +8,7 @@ contributes to the bin floor(x).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,9 @@ class DiscretePmf:
             raise ValueError("probabilities must be a non-empty 1-D array")
         if np.any(p < 0.0):
             raise ValueError("probabilities must be non-negative")
-        total = p.sum()
+        total = p.sum()  # NaN or inf if any probability is
+        if not np.isfinite(total):
+            raise ValueError("probabilities must be finite")
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1 within {MASS_TOL}")
         p = p.copy()
@@ -55,9 +58,6 @@ class DiscretePmf:
     @property
     def last_mw(self) -> int:
         return self.origin_mw + self.probabilities.size - 1
-
-    def mean(self) -> float:
-        return float(self.origin_mw + np.dot(np.arange(self.probabilities.size), self.probabilities))
 
     def survivor(self, v) -> np.ndarray | float:
         """P(V > v), with atoms treated as point masses at their integer value."""
@@ -111,22 +111,34 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def convolve(a: DiscretePmf, b: DiscretePmf) -> DiscretePmf:
-    """Distribution of the sum of independent variables A + B.
+def convolve_each(a: DiscretePmf, bs) -> Iterator[DiscretePmf]:
+    """The distribution of A + B for each B in ``bs``, all independent of A.
 
-    Zero padding is trimmed first so the result's support is the exact
-    Minkowski sum of the inputs' supports. The sum multiplies real FFTs
-    (``numpy.fft``) padded to a 5-smooth length. The FFT's round-off can leave
-    tiny negative entries, which are clipped before renormalizing.
+    Zero padding is trimmed first so each result's support is the exact
+    Minkowski sum of the inputs' supports. Each sum multiplies real FFTs
+    (``numpy.fft``) padded to the 5-smooth length of its own size; A is
+    transformed once per distinct length. The FFT's round-off can leave tiny
+    negative entries, which are clipped before renormalizing. The results are
+    yielded one at a time, so a caller need hold only the one it reads.
     """
     a_origin, a_probs = _trimmed(a)
-    b_origin, b_probs = _trimmed(b)
-    size = a_probs.size + b_probs.size - 1
-    n_fft = _fast_length(size)
-    spectrum = np.fft.rfft(a_probs, n_fft) * np.fft.rfft(b_probs, n_fft)
-    raw = np.clip(np.fft.irfft(spectrum, n_fft)[:size], 0.0, None)
-    total = raw.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise NumericalError("convolution produced a degenerate mass function")
-    return DiscretePmf(a_origin + b_origin, raw / total)
+    a_spectra = {}  # FFT length -> rfft of A
+    for b in bs:
+        b_origin, b_probs = _trimmed(b)
+        size = a_probs.size + b_probs.size - 1
+        n_fft = _fast_length(size)
+        if n_fft not in a_spectra:
+            a_spectra[n_fft] = np.fft.rfft(a_probs, n_fft)
+        # a named operand: numpy reuses a temporary right operand in place and
+        # swaps the product's operands, which moves its last bits
+        b_spectrum = np.fft.rfft(b_probs, n_fft)
+        raw = np.clip(np.fft.irfft(a_spectra[n_fft] * b_spectrum, n_fft)[:size], 0.0, None)
+        total = raw.sum()
+        if not np.isfinite(total) or total <= 0.0:
+            raise NumericalError("convolution produced a degenerate mass function")
+        yield DiscretePmf(a_origin + b_origin, raw / total)
 
+
+def convolve(a: DiscretePmf, b: DiscretePmf) -> DiscretePmf:
+    """Distribution of the sum of independent variables A + B (``convolve_each``)."""
+    return next(convolve_each(a, [b]))

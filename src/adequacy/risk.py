@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dnw, evt
 from .errors import NumericalError
-from .pmf import DiscretePmf, convolve, pmf_from_samples
+from .pmf import DiscretePmf, convolve_each, pmf_from_samples
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.float64:
@@ -109,10 +109,17 @@ class ShortfallFunctionals:
                 float(_dot(inside, self._gap[k0 + lo : k0 + hi]) + _dot(above, excess)))
 
 
-def _season_sums(functionals: ShortfallFunctionals, values) -> tuple[float, float]:
-    """Sums of P(X < v) and E[(v - X)+] over the values, each read at its floor."""
-    cdf, gap = functionals.at(np.floor(values))
-    return cdf.sum(), gap.sum()
+def _floors(arrays) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays' values floored and concatenated, and where each array ends but the last."""
+    return np.floor(np.concatenate(arrays)), np.cumsum([a.size for a in arrays])[:-1]
+
+
+def _season_sums(functionals: ShortfallFunctionals, floors: np.ndarray, ends: np.ndarray
+                 ) -> np.ndarray:
+    """[s, m]: sums over season s of P(X < v) (m = 0) and E[(v - X)+] (m = 1),
+    read in one gather at ``_floors``' values and summed season by season."""
+    cdf, gap = functionals.at(floors)
+    return np.array([(c.sum(), g.sum()) for c, g in zip(np.split(cdf, ends), np.split(gap, ends))])
 
 
 class SeasonSample:
@@ -133,7 +140,9 @@ class SeasonSample:
       P(X + W < D). Its pooled pmfs are hours-weighted mixes of the seasons'
       pmfs, so the metrics mix pairs[a, b], season a's demand sums against
       the functionals of the fleet plus season b's wind. All S columns are
-      filled, with one fleet + wind convolution each, on the first ind call;
+      filled on the first ind call: one fleet + wind convolution each, with
+      the fleet transformed once per FFT length, and one gather of every
+      season's floored demand each;
     * evt sorts all seasons' values together once, on its first call, so a
       multiset is a weight per value. The threshold is numpy's linear
       quantile of the weighted values, bit for bit, found by a reverse
@@ -157,7 +166,7 @@ class SeasonSample:
         self.seasons = list(seasons)
         self.n_hours = n_hours
         self.hours = np.array([s.n_hours for s in self.seasons], dtype=float)  # observed
-        self._sums = np.array([_season_sums(functionals, s.net_demand_mw) for s in self.seasons])
+        self._sums = _season_sums(functionals, *_floors([s.net_demand_mw for s in self.seasons]))
 
     @cached_property
     def _sorted(self) -> tuple[np.ndarray, ...]:
@@ -190,11 +199,13 @@ class SeasonSample:
     @cached_property
     def _pairs(self) -> np.ndarray:
         """[m, a, b]: season a's demand sums of metric m against the fleet plus
-        season b's wind; ind only."""
+        season b's wind; ind only. One ``convolve_each`` makes every fleet +
+        wind pmf, and each is read at every season's demand in one gather."""
+        winds = (pmf_from_samples(s.wind_mw) for s in self.seasons)
+        demand = _floors([s.demand_mw for s in self.seasons])
         pairs = np.zeros((2, len(self.seasons), len(self.seasons)))
-        for b, season in enumerate(self.seasons):
-            total = ShortfallFunctionals(convolve(self.functionals.fleet, pmf_from_samples(season.wind_mw)))
-            pairs[:, :, b] = np.transpose([_season_sums(total, s.demand_mw) for s in self.seasons])
+        for b, total in enumerate(convolve_each(self.functionals.fleet, winds)):
+            pairs[:, :, b] = _season_sums(ShortfallFunctionals(total), *demand).T
         return pairs
 
     def _ind(self, c: np.ndarray) -> np.ndarray:

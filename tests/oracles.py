@@ -6,6 +6,10 @@ The model of the concatenated seasons (``build_model``) on the 1 MW grid
 ``shortfall_metrics`` reads the same pmf through ``ShortfallFunctionals``.
 ``resample_indices`` draws the bootstrap index matrix one numpy generator per
 row, the stream ``uncertainty.resample_indices`` reproduces.
+``convolve_fleet_full`` updates every bin for every unit, the loop
+``genmodel.convolve_fleet`` reproduces bit for bit on its live window, and
+``fft_convolve`` is the product of padded real FFTs ``pmf.convolve_each``
+reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -13,10 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as scipy_fft
 
 from adequacy import evt
 from adequacy.dnw import EVT, HINDCAST, INDEPENDENCE
 from adequacy.errors import NumericalError
+from adequacy.genmodel import TRIM_THRESHOLD
 from adequacy.ingest import SeasonTrace
 from adequacy.pmf import DiscretePmf, convolve, pmf_from_samples, reflect
 from adequacy.risk import RiskMetrics
@@ -117,7 +123,7 @@ def default_bounds(model: TailModel) -> tuple[float, float]:
         # endpoint of a bounded tail
         p_cut = TRUNCATION_TOL / fit.exceedance_prob
         if p_cut < 1.0:
-            excess = min(evt.gpd_quantile(fit.params, 1.0 - p_cut), fit.params.upper_endpoint)
+            excess = min(evt.gpd_quantile(fit.params, 1.0 - p_cut), upper_endpoint(fit.params))
             hi = max(hi, fit.threshold_u + excess + 1.0)
         if hi - lo > _MAX_SUPPORT_BINS:
             raise NumericalError(
@@ -183,6 +189,19 @@ def rebin(pmf: DiscretePmf, lo: float, hi: float, max_outside_mass: float = 1e-1
     return DiscretePmf(origin, out / out.sum())
 
 
+def fft_convolve(a: DiscretePmf, b: DiscretePmf) -> DiscretePmf:
+    """A + B as one product of the two padded real FFTs, both taken in the
+    product's own expression: the bits ``pmf.convolve`` must give."""
+    a_nz, b_nz = np.flatnonzero(a.probabilities), np.flatnonzero(b.probabilities)
+    a_probs = a.probabilities[a_nz[0] : a_nz[-1] + 1]
+    b_probs = b.probabilities[b_nz[0] : b_nz[-1] + 1]
+    size = a_probs.size + b_probs.size - 1
+    n_fft = scipy_fft.next_fast_len(size, True)
+    spectrum = np.fft.rfft(a_probs, n_fft) * np.fft.rfft(b_probs, n_fft)
+    raw = np.clip(np.fft.irfft(spectrum, n_fft)[:size], 0.0, None)
+    return DiscretePmf(a.origin_mw + int(a_nz[0]) + b.origin_mw + int(b_nz[0]), raw / raw.sum())
+
+
 def balance_distribution(fleet: DiscretePmf, dnw_pmf: DiscretePmf) -> DiscretePmf:
     """Distribution of Z = available capacity minus demand-net-of-wind."""
     return convolve(fleet, reflect(dnw_pmf))
@@ -206,6 +225,35 @@ def shortfall_metrics(functionals, dnw_pmf: DiscretePmf, n_hours: int) -> RiskMe
 
 def from_lole_eeu(lole_hours: float, eeu_mwh: float, n_hours: int) -> RiskMetrics:
     return RiskMetrics(lole_hours, eeu_mwh, int(n_hours), lole_hours / n_hours)
+
+
+def pmf_mean(pmf: DiscretePmf) -> float:
+    """E[V] for V ~ pmf."""
+    return float(pmf.origin_mw + np.dot(np.arange(pmf.probabilities.size), pmf.probabilities))
+
+
+def upper_endpoint(params: evt.GpdParams) -> float:
+    """Supremum of the excess support: -sigma/xi for xi < 0, else +inf."""
+    return -params.sigma / params.xi if params.xi < 0.0 else np.inf
+
+
+def convolve_fleet_full(units, trim_threshold: float = TRIM_THRESHOLD) -> DiscretePmf:
+    """The fleet pmf with every bin up to the running total capacity updated
+    and trim-checked for every unit."""
+    units = list(units)
+    p = np.zeros(sum(u.capacity_mw for u in units) + 1)
+    p[0] = 1.0
+    top = 0
+    for unit in units:
+        cap, a = unit.capacity_mw, unit.availability
+        shifted = p[: top + 1] * a
+        p[: top + 1] *= 1.0 - a
+        p[cap : top + cap + 1] += shifted
+        top += cap
+        if trim_threshold > 0.0:
+            live = p[: top + 1]
+            live[(live > 0.0) & (live < trim_threshold)] = 0.0
+    return DiscretePmf(0, p / p.sum())
 
 
 def gpd_cdf(params: evt.GpdParams, y):

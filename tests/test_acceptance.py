@@ -22,7 +22,8 @@ from adequacy.study import RunConfig, pooled_column, run_full_study
 from adequacy.uncertainty import resample_counts, season_bootstrap
 from conftest import sample_pmf
 from helpers import random_season
-from oracles import balance_distribution, build_model, compute_metrics, discretize, from_lole_eeu
+from oracles import (balance_distribution, build_model, compute_metrics, discretize, from_lole_eeu,
+                     pmf_mean)
 
 REFERENCE_LOLE = [2.82, 2.22, 4.02, 16.77, 1.92, 7.69, 0.15]
 REFERENCE_EEU_GWH = [2.81, 2.12, 4.15, 24.01, 1.95, 9.16, 0.10]
@@ -98,7 +99,7 @@ def test_criterion_05_monte_carlo_risk_oracle():
         for i in range(200)
     ]
     fleet = convolve_fleet(fleet_units)
-    trace = random_season("2007-08", rng, demand_level=0.93 * fleet.mean(), wind_capacity=14_000.0)
+    trace = random_season("2007-08", rng, demand_level=0.93 * pmf_mean(fleet), wind_capacity=14_000.0)
     n_draws = 1_000_000
     mc_rng = np.random.default_rng(909)
     for kind in ("evt", "hindcast", "independence"):

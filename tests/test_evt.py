@@ -22,7 +22,7 @@ from adequacy.evt import (
     select_threshold,
     threshold_scan,
 )
-from oracles import gpd_cdf, gpd_loglik
+from oracles import gpd_cdf, gpd_loglik, upper_endpoint
 
 TABLE_PARAMS = GpdParams(sigma=2.85, xi=-0.32)
 
@@ -67,7 +67,7 @@ class TestGpdCdf:
 
     def test_saturates_at_endpoint(self):
         params = GpdParams(2.0, -0.5)
-        assert params.upper_endpoint == 4.0
+        assert upper_endpoint(params) == 4.0
         assert gpd_cdf(params, 4.0) == pytest.approx(1.0, abs=1e-12)
         assert gpd_cdf(params, 10.0) == 1.0
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from adequacy.errors import DataError
+from adequacy.errors import DataError, NumericalError
 from adequacy.genmodel import GeneratingUnit, convolve_fleet, fleet_summary, load_fleet
 from helpers import write_fleet_csv
+from oracles import convolve_fleet_full, pmf_mean
 
 
 def brute_force_fleet(units):
@@ -60,7 +61,7 @@ class TestConvolveFleet:
         fleet = random_fleet(rng, 60)
         pmf = convolve_fleet(fleet)
         expected = sum(u.capacity_mw * u.availability for u in fleet)
-        assert pmf.mean() == pytest.approx(expected, rel=1e-6)
+        assert pmf_mean(pmf) == pytest.approx(expected, rel=1e-6)
 
     def test_order_invariance(self):
         rng = np.random.default_rng(14)
@@ -88,6 +89,29 @@ class TestConvolveFleet:
         fleet = random_fleet(rng, 500)
         pmf = convolve_fleet(fleet)
         assert abs(pmf.probabilities.sum() - 1.0) <= 1e-9
+
+    def test_live_window_matches_the_full_array_loop(self):
+        # 400 units trim mass at both ends: the pmf's first and last bins are empty
+        fleet = random_fleet(np.random.default_rng(18), 400)
+        pmf = convolve_fleet(fleet)
+        assert pmf.probabilities[0] == pmf.probabilities[-1] == 0.0
+        assert np.array_equal(pmf.probabilities, convolve_fleet_full(fleet).probabilities)
+
+    def test_live_window_with_perfect_units_matches_the_full_array_loop(self):
+        # an availability-1.0 unit empties every bin below its capacity
+        rng = np.random.default_rng(19)
+        fleet = random_fleet(rng, 120)
+        for i in (0, 1, 40, 119):
+            fleet.insert(i, GeneratingUnit(f"firm{i}", int(rng.integers(1, 800)), 1.0))
+        for trim in (1e-15, 0.0):
+            want = convolve_fleet_full(fleet, trim_threshold=trim).probabilities
+            assert np.array_equal(convolve_fleet(fleet, trim_threshold=trim).probabilities, want)
+
+    def test_trimming_all_mass_is_numerical_error(self):
+        # the first half-available unit leaves two states of 0.5 < 0.6
+        units = [GeneratingUnit("a", 100, 0.5), GeneratingUnit("b", 100, 0.5)]
+        with pytest.raises(NumericalError, match=r"removed all probability mass .*\(1\.000e\+00 in all\)"):
+            convolve_fleet(units, trim_threshold=0.6)
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(ValueError):

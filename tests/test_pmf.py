@@ -7,9 +7,9 @@ from scipy import fft, signal
 
 from adequacy import pmf as pmf_module
 from adequacy.errors import NumericalError
-from adequacy.pmf import DiscretePmf, convolve, pmf_from_samples, reflect
+from adequacy.pmf import DiscretePmf, convolve, convolve_each, pmf_from_samples, reflect
 from helpers import point_mass
-from oracles import rebin
+from oracles import fft_convolve, pmf_mean, rebin
 
 
 class TestDiscretePmf:
@@ -21,10 +21,16 @@ class TestDiscretePmf:
         with pytest.raises(ValueError):
             DiscretePmf(0, np.array([]))
 
+    @pytest.mark.parametrize("probs", [[np.nan, 0.5], [0.5, np.nan, 0.5], [np.inf, 1.0]])
+    def test_non_finite_probabilities_rejected(self, probs):
+        # nan < 0 and |nan - 1| > tol are both False
+        with pytest.raises(ValueError, match="^probabilities must be finite$"):
+            DiscretePmf(0, np.array(probs))
+
     def test_values_and_mean(self):
         p = DiscretePmf(10, np.array([0.25, 0.5, 0.25]))
         np.testing.assert_array_equal(p.values_mw, [10, 11, 12])
-        assert p.mean() == pytest.approx(11.0)
+        assert pmf_mean(p) == pytest.approx(11.0)
 
     def test_survivor_steps(self):
         p = DiscretePmf(0, np.array([0.2, 0.3, 0.5]))
@@ -51,7 +57,7 @@ class TestFromSamples:
         vals = rng.uniform(-50.0, 50.0, 1000)
         p = pmf_from_samples(vals)
         assert p.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
-        assert p.mean() == pytest.approx(np.floor(vals).mean(), abs=1e-9)
+        assert pmf_mean(p) == pytest.approx(np.floor(vals).mean(), abs=1e-9)
 
     @pytest.mark.parametrize("values, message", [
         ([0.0, 1e300], "values from 0 to 1e+300 MW"),  # a floor past int64
@@ -82,7 +88,7 @@ class TestConvolve:
         a = pmf_from_samples(rng.uniform(0, 100, 400))
         b = pmf_from_samples(rng.uniform(-40, 10, 300))
         c = convolve(a, b)
-        assert c.mean() == pytest.approx(a.mean() + b.mean(), rel=1e-9)
+        assert pmf_mean(c) == pytest.approx(pmf_mean(a) + pmf_mean(b), rel=1e-9)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -95,7 +101,7 @@ class TestConvolve:
         d = rng.integers(0, 200, n).astype(float)
         w = rng.integers(0, 60, m).astype(float)
         z = convolve(pmf_from_samples(d), reflect(pmf_from_samples(w)))
-        assert z.mean() == pytest.approx(d.mean() - w.mean(), abs=1e-9)
+        assert pmf_mean(z) == pytest.approx(d.mean() - w.mean(), abs=1e-9)
 
 
 def _scipy_convolve(a: DiscretePmf, b: DiscretePmf) -> np.ndarray:
@@ -133,6 +139,37 @@ class TestConvolveMatchesScipy:
         rng = np.random.default_rng(seed)
         a, b = _random_pmf(rng, n), _random_pmf(rng, m)
         np.testing.assert_allclose(convolve(a, b).probabilities, _scipy_convolve(a, b), rtol=0.0, atol=1e-16)
+
+
+class TestConvolveEach:
+    @staticmethod
+    def padded(rng, n, origin):
+        """A pmf with zero padding at both ends, for ``_trimmed`` to cut."""
+        p = _random_pmf(rng, n).probabilities
+        return DiscretePmf(origin - 3, np.concatenate([np.zeros(3), p, np.zeros(5)]))
+
+    def test_equals_one_convolve_per_pmf(self):
+        # six B's over three FFT lengths, returning to lengths already used
+        rng = np.random.default_rng(31)
+        a = self.padded(rng, 5_000, 1_000)
+        bs = [self.padded(rng, m, -m) for m in (1_000, 3_000, 1_001, 7_000, 2_999, 1_000)]
+        lengths = [pmf_module._fast_length(len(a) + len(b) - 2 * 8 - 1) for b in bs]  # 8 padding bins each
+        assert len(set(lengths)) == 3
+        for got, b in zip(convolve_each(a, bs), bs, strict=True):
+            want = convolve(a, b)
+            assert got.origin_mw == want.origin_mw
+            np.testing.assert_array_equal(got.probabilities, want.probabilities)
+
+    @pytest.mark.parametrize("n, m", [(5_000, 1_000), (52_536, 41_300), (300, 7)])
+    def test_convolve_is_the_product_of_both_transforms(self, n, m):
+        # a reused spectrum times a temporary rfft multiplies in swapped
+        # operand order, which moves the last bits
+        rng = np.random.default_rng(n)
+        a, b = self.padded(rng, n, 17), self.padded(rng, m, -2)
+        want = fft_convolve(a, b)
+        for got in (convolve(a, b), *convolve_each(a, [b, b])):
+            assert got.origin_mw == want.origin_mw == 15
+            np.testing.assert_array_equal(got.probabilities, want.probabilities)
 
 
 class TestRebin:

@@ -16,7 +16,7 @@ from adequacy.study import (
     run_full_study,
     write_season_tables,
 )
-from adequacy.pmf import convolve
+from adequacy.pmf import convolve_each
 from adequacy.risk import SeasonSample, ShortfallFunctionals
 from adequacy.uncertainty import (
     MAX_DROP_RATE,
@@ -172,21 +172,49 @@ class TestPooledClosedForms:
         assert got["eeu"] == pytest.approx(want.eeu_mwh, rel=rel)
 
 
+def count_convolutions(monkeypatch) -> tuple[list, list]:
+    """Record each pmf that ``convolve_each`` yields, through every adequacy
+    module that binds it, and the input and length of each numpy rfft."""
+    made, transforms = [], []
+    rfft = np.fft.rfft
+
+    def counting_each(a, bs):
+        for total in convolve_each(a, bs):
+            made.append(total)
+            yield total
+
+    def counting_rfft(x, n=None, *args, **kwargs):
+        transforms.append((x, n))
+        return rfft(x, n, *args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("adequacy.") and getattr(module, "convolve_each", None) is convolve_each:
+            monkeypatch.setattr(module, "convolve_each", counting_each)
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    return made, transforms
+
+
+def fleet_transform_lengths(fleet, transforms) -> tuple[list, list]:
+    """The FFT lengths the fleet's probabilities were transformed at, and
+    every distinct length any input was transformed at."""
+    fleet_lengths = [n for x, n in transforms if np.shares_memory(x, fleet.probabilities)]
+    return fleet_lengths, sorted({n for _, n in transforms})
+
+
 class TestOneSamplePerStudy:
     def test_ind_convolves_once_per_wind_season(self, demo_system, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return convolve(*args)
-
-        monkeypatch.setattr(risk, "convolve", counting)
+        made, transforms = count_convolutions(monkeypatch)
         traces = demo_system["traces"]
         sample = SeasonSample(ShortfallFunctionals(demo_system["fleet"]), traces, 3528)
         _, _, result = pooled_column(sample, dnw.INDEPENDENCE, None,
                                      resample_counts(len(traces), 1000, 1), 0.95)
         assert result.replications_dropped == 0
-        assert len(calls) == len(traces)
+        assert len(made) == len(traces)
+        # the fleet is transformed once per FFT length, each wind once; the
+        # demo's seven seasons need two lengths
+        fleet_lengths, lengths = fleet_transform_lengths(demo_system["fleet"], transforms)
+        assert sorted(fleet_lengths) == lengths and len(lengths) == 2
+        assert len(transforms) == len(traces) + len(fleet_lengths)
 
     def test_evt_replications_compute_no_standard_errors(self, demo_system, monkeypatch):
         # a replication keeps only LoLE and EEU; its fit's SEs wait to be read
@@ -240,20 +268,15 @@ class TestOneSamplePerStudy:
 
     def test_ind_study_convolves_once_per_wind_season(self, demo_dataset_dir, tmp_path, monkeypatch):
         # per-season values, the pooled point and the block bootstrap share one
-        # fleet + wind convolution per season
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return convolve(*args)
-
-        for module in list(sys.modules.values()):  # every adequacy module that binds it
-            if module.__name__.startswith("adequacy.") and getattr(module, "convolve", None) is convolve:
-                monkeypatch.setattr(module, "convolve", counting)
+        # fleet + wind convolution per season, and one fleet transform per FFT length
+        made, transforms = count_convolutions(monkeypatch)
         result = study.run_study_computation(
             self.config(demo_dataset_dir, tmp_path, model_kinds=(dnw.INDEPENDENCE,)))
         assert result.columns[0].bootstrap.replications_dropped == 0
-        assert len(calls) == len(result.sample.seasons) == 7
+        assert len(made) == len(result.sample.seasons) == 7
+        fleet_lengths, lengths = fleet_transform_lengths(result.sample.functionals.fleet, transforms)
+        assert sorted(fleet_lengths) == lengths
+        assert len(transforms) == len(made) + len(fleet_lengths)
 
 
 class TestEvtPipeline:
