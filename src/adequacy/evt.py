@@ -8,15 +8,13 @@ two-parameter GPD with scale sigma > 0 and shape xi:
 on y >= 0 with 1 + xi * y / sigma > 0; xi = 0 is the exponential limit
 1 - exp(-y / sigma). Parameters are estimated by maximum likelihood: the
 likelihood is maximised in closed form for fixed theta = xi / sigma
-(Grimshaw 1993), and a bounded one-dimensional search over theta finishes the
-fit, confined to xi >= -1. That search takes Newton steps on the profile's
-analytic first and second derivatives from the method-of-moments estimate
-inside a bracket that every step narrows; where a step cannot be trusted
-(non-positive curvature, the xi = -1 edge, the exponential limit theta = 0,
-or a step longer than the last) it bisects the bracket instead. A bisection
-finds the xi = -1 edge. Both are written here in plain floats. Standard errors
-come from the analytic observed information, computed from the fitted
-excesses the first time a fit's SEs are read.
+(Grimshaw 1993), and one bracketed search over theta, confined to xi >= -1,
+finishes the fit: Newton steps on the profile's analytic derivatives from the
+method-of-moments estimate, and bisection where a step cannot be trusted, so
+that the same search finds the xi = -1 edge. It is written in plain floats,
+with its sums in one fixed order (``np.einsum``) at any OpenBLAS thread count.
+Standard errors come from the analytic observed information, computed from
+the fitted excesses the first time a fit's SEs are read.
 """
 
 from __future__ import annotations
@@ -42,12 +40,11 @@ _S_FLOOR = -40.0  # past s = -37.4, below which expm1(s) rounds to -1
 _S_CEIL = 700.0  # expm1 overflows past 709
 _S_TINY = 1e-200  # |s| below this is the exponential limit theta -> 0
 _S_XTOL = 1e-12
-_ROOT_RTOL = 4.0 * np.finfo(float).eps
+_S_RTOL = 4.0 * np.finfo(float).eps
 # Newton steps on the profile in t = expm1(s) = theta * max(y).
 _T_START_FLOOR = -0.9  # the moment start is clamped to at least this
 _T_NEAR_ZERO = 1e-3  # the profile score cancels near the exponential limit t = 0
 _NEWTON_RTOL = 1e-9
-_T_ABOVE_EDGE = math.nextafter(-1.0, 0.0)  # the least t the search evaluates
 
 
 @dataclass(frozen=True)
@@ -67,12 +64,12 @@ class GpdFit:
     """A GPD fit to the exceedances of u within a sample of ``n_total`` values.
 
     ``fit_gpd`` fits excesses on their own: u = 0 and ``n_total`` is the
-    number of excesses. ``iterations`` counts its profile evaluations.
-    ``se_sigma`` and ``se_xi`` are computed from the fitted excesses and
-    weights the first time they are read, so a fit whose SEs nobody reads
-    (a bootstrap replication) never computes them; the warnings of
-    ``_standard_errors`` fire at that read. A fit without excesses (the
-    xi = -1 edge, or one assembled by hand) has NaN standard errors. The
+    number of excesses. ``iterations`` counts its profile evaluations, the one
+    at the estimate among them. ``se_sigma`` and ``se_xi`` are computed from
+    the fitted excesses and weights the first time they are read, so a fit
+    whose SEs nobody reads (a bootstrap replication) never computes them; the
+    warnings of ``_standard_errors`` fire at that read. A fit without excesses
+    (the xi = -1 edge, or one assembled by hand) has NaN standard errors. The
     arrays take no part in ``==`` or ``repr``.
     """
 
@@ -152,22 +149,15 @@ def fit_gpd(excesses, weights=None) -> GpdFit:
 
     For fixed theta = xi / sigma the likelihood is maximised in closed form by
     xi(theta) = mean(log1p(theta * y)), sigma = xi / theta (Grimshaw 1993,
-    Technometrics 35(2)), which leaves a one-dimensional profile likelihood.
-    Its negative is minimised over s = log1p(theta * max(y)) in a bracket
-    confined to xi >= -1: below that the likelihood is unbounded; ``_root``
-    bisects for the xi = -1 edge when it lies inside. One search
-    (``_profile_minimum``) finds the minimum: Newton steps in
-    t = theta * max(y) = expm1(s) from the weighted method-of-moments
-    estimate, and bisection steps in s where a Newton step cannot be trusted.
-    When no point of the profile beats the xi = -1 edge, the fit is its
-    uniform limit xi = -1, sigma = max(y). ``iterations`` counts profile
-    evaluations: one per Newton or bisection step, plus those of the bracket
-    (the edge root's bisection among them) and of the optimum. Standard
-    errors come from the inverse analytic observed information at the
-    optimum (NaN at the xi = -1 edge); they assume i.i.d. excesses and should
-    be read as approximations. They are not computed here: the fit keeps a
-    copy of its excesses and weights, and computes ``se_sigma`` and
-    ``se_xi`` the first time either is read.
+    Technometrics 35(2)). One search (``_profile_minimum``) minimises the
+    negative profile likelihood over s = log1p(theta * max(y)) with xi >= -1,
+    below which the likelihood is unbounded; where no point beats that edge,
+    the fit is its uniform limit xi = -1, sigma = max(y). ``iterations``
+    counts profile evaluations, the one at the estimate among them. Standard
+    errors come from the inverse analytic observed information at the optimum
+    (NaN at the edge); they assume i.i.d. excesses and are approximations.
+    The fit keeps a copy of its excesses and weights, and computes
+    ``se_sigma`` and ``se_xi`` the first time either is read.
 
     ``weights`` are positive integer counts, one per excess: the fit is that of
     the sample with excess i repeated weights[i] times, so every mean and sum
@@ -176,48 +166,32 @@ def fit_gpd(excesses, weights=None) -> GpdFit:
     """
     y = np.array(excesses, dtype=float)  # copies: the fit reads them again for its SEs
     w = np.ones(y.size) if weights is None else np.array(weights, dtype=float)
-    if w.shape != y.shape or np.any(w <= 0.0):
-        raise ValueError("weights must be positive, one per excess")
-    k = w.sum()
+    k = float(w.sum())  # plain floats: no numpy scalar overhead or overflow warnings
+    if w.shape != y.shape or not ((w >= 1.0).all() and (np.floor(w) == w).all() and k < math.inf):
+        raise ValueError("weights must be positive integer counts, one per excess")
     if k < MIN_FIT_SIZE:
-        raise NumericalError(
-            f"need at least {MIN_FIT_SIZE} exceedances to fit, got {int(k)}"
-        )
-    if np.any(y <= 0.0):
-        raise ValueError("excesses must be strictly positive")
-    if np.ptp(y) == 0.0:
+        raise NumericalError(f"need at least {MIN_FIT_SIZE} exceedances to fit, got {int(k)}")
+    y_min, y_max = y.min(), y.max()
+    if not 0.0 < y_min <= y_max < math.inf:  # NaN fails this too
+        raise ValueError("excesses must be finite and strictly positive")
+    if y_min == y_max:
         raise NumericalError("degenerate sample: all excesses identical")
 
-    y_max = y.max()
-    r = y / y_max
-    below = r < 1.0  # log1p(theta * max(y)) is s itself: never log1p(-1)
-    rest, w_rest = r[below], w[below]
-    n_top = k - w_rest.sum()
-    evaluations = 0
-
-    def profile(s):
-        """(xi, sigma) maximising the likelihood at theta = expm1(s) / max(y)."""
-        nonlocal evaluations
-        evaluations += 1
-        if abs(s) < _S_TINY:
-            return 0.0, float((w * y).sum() / k)  # the exponential limit theta -> 0
-        e = np.expm1(s)
-        xi = (n_top * s + (w_rest * np.log1p(e * rest)).sum()) / k
-        return xi, xi * y_max / e
-
+    below = y < y_max
+    rest, w_rest = y[below] / y_max, w[below]
+    n_top = k - float(w_rest.sum())
     # The search interval. Below _S_FLOOR theta is -1/max(y) to machine
     # precision and the profile falls as s grows, so the optimum is not there.
-    # xi(s) increases with s and xi(0) = 0, so if xi(_S_FLOOR) < -1 the edge
-    # xi = -1 is the one root in (_S_FLOOR, 0). Past log(max(y)/min(y)) + 10
-    # the profile rises with s.
-    s_lo = _S_FLOOR
-    if profile(_S_FLOOR)[0] < -1.0:
-        s_lo = _root(lambda s: profile(s)[0] + 1.0, _S_FLOOR, 0.0)
+    # Past log(max(y)/min(y)) + 10 the profile rises with s.
     # plain floats: a ratio past the float range is inf, without numpy's overflow warning
-    s_hi = min(np.log(float(y_max) / float(y.min())) + 10.0, _S_CEIL)
-    s_hat, steps = _profile_minimum(r, w, k, s_lo, s_hi)
-    evaluations += steps
-    xi_hat, sigma_hat = profile(s_hat)
+    s_hi = min(np.log(float(y_max) / float(y_min)) + 10.0, _S_CEIL)
+    s_hat, evaluations = _profile_minimum(rest, w_rest, n_top, k, _S_FLOOR, s_hi)
+    if abs(s_hat) < _S_TINY:
+        xi_hat, sigma_hat = 0.0, float((w * y).sum() / k)  # the exponential limit theta -> 0
+    else:
+        t_hat = math.expm1(s_hat)
+        xi_hat = _profile(rest, w_rest, n_top, k, s_hat, t_hat)[0]
+        sigma_hat = xi_hat * y_max / t_hat
     # past the edge the best shape is -1, at sigma = -1/theta
     f_hat = k * (np.log(-sigma_hat / xi_hat) if xi_hat < -1.0 else np.log(sigma_hat) + xi_hat + 1.0)
     if f_hat >= k * np.log(y_max):
@@ -235,33 +209,53 @@ def fit_gpd(excesses, weights=None) -> GpdFit:
         n_exceedances=int(k),
         n_total=int(k),
         log_likelihood=log_lik,
-        iterations=int(evaluations),
+        iterations=evaluations + 1,
         excesses=y,
         weights=w,
     )
 
 
-def _profile_minimum(r, w, k, lo, hi):
+def _profile(rest, w_rest, n_top, k, s, t):
+    """xi(t) = sum(w log1p(t r)) / k at t = expm1(s), and its first two t-derivatives.
+
+    r = y / max(y) runs over the excesses below the largest (``rest``, with
+    counts ``w_rest``) and the ``n_top`` excesses equal to it, for which
+    log1p(t r) is s and r / (1 + t r) is exp(-s). So t = -1, where expm1
+    rounds below s = -37.4, is harmless: every other 1 + t r is positive.
+    The sums over ``rest`` are one ``np.einsum``, in one fixed order.
+    """
+    a = t * rest
+    terms = np.empty((3, rest.size))
+    np.log1p(a, out=terms[0])
+    np.divide(rest, 1.0 + a, out=terms[1])
+    np.multiply(terms[1], terms[1], out=terms[2])
+    log_sum, d1_sum, d2_sum = np.einsum("ji,i->j", terms, w_rest).tolist()
+    e = math.exp(-s)
+    return (n_top * s + log_sum) / k, (n_top * e + d1_sum) / k, -(n_top * e * e + d2_sum) / k
+
+
+def _profile_minimum(rest, w_rest, n_top, k, lo, hi):
     """The minimum of the profile over s in [lo, hi], by safeguarded Newton steps.
 
-    With xi(t) = sum(w log1p(t r)) / k for r = y / max(y), the profile
-    negative log-likelihood is k (log(xi / t) + xi + 1) plus a constant, and
-    xi' = sum(w r / (1 + t r)) / k, xi'' = -sum(w r^2 / (1 + t r)^2) / k give
-    its first two derivatives in t = expm1(s). The search keeps a bracket in
-    s, and every evaluation moves one end of it to the point, by the sign of
-    the slope (rtsafe: Press et al., Numerical Recipes, 3rd ed., 9.4). The
-    first point is the weighted method-of-moments estimate, clamped to at
-    least _T_START_FLOOR. Each next one is a Newton step, halved until it
-    lands inside the bracket, or, where the step cannot be trusted
+    With xi and its t-derivatives from ``_profile``, the profile negative
+    log-likelihood is k (log(xi / t) + xi + 1) plus a constant, in
+    t = expm1(s). The search keeps a bracket in s, and every evaluation moves
+    one end of it to the point (rtsafe: Press et al., Numerical Recipes, 3rd
+    ed., 9.4): the lower end where the slope is not positive or xi <= -1
+    (xi increases with s, so the edge and the optimum lie above), else the
+    upper end. The first point is the weighted method-of-moments estimate,
+    clamped to at least _T_START_FLOOR. Each next one is a Newton step, halved
+    until it lands inside the bracket, or, where the step cannot be trusted
     (non-positive curvature, xi <= -1, |t| below _T_NEAR_ZERO, a step that is
     not finite or is longer than the last move), the bracket's midpoint in s.
-    The search stops at a full step of at most _NEWTON_RTOL relative to
-    min(|t|, 1 + t), or once the bracket is as narrow as ``_root``'s
-    tolerance. Returns (s, evaluations).
+    The search stops at a full step of less than _NEWTON_RTOL relative to
+    min(|t|, 1 + t), which no step to t = -1 is, or once the bracket is at
+    most _S_XTOL + _S_RTOL |s| wide, s its midpoint. Returns (s, evaluations).
     """
-    k = float(k)  # plain floats: no numpy scalar overhead or overflow warnings
-    mean = float(w @ r) / k
-    ratio = mean * mean / (float(w @ (r - mean) ** 2) / k)  # 1 - 2 xi for the GPD
+    mean = (n_top + float(np.einsum("i,i", w_rest, rest))) / k
+    d = rest - mean
+    variance = (n_top * (1.0 - mean) ** 2 + float(np.einsum("i,i", w_rest, d * d))) / k
+    ratio = mean * mean / variance  # 1 - 2 xi for the GPD
     t_lo, t_hi = math.expm1(lo), math.expm1(hi)
     t = max((1.0 - ratio) / (mean * (1.0 + ratio)), _T_START_FLOOR)
     s = math.log1p(t)
@@ -271,29 +265,25 @@ def _profile_minimum(r, w, k, lo, hi):
     evaluations = 0
     while True:
         evaluations += 1
-        a = t * r
-        u = r / (1.0 + a)
-        xi = float(w @ np.log1p(a)) / k
-        d1 = float(w @ u) / k
-        d2 = -float(w @ (u * u)) / k
+        xi, d1, d2 = _profile(rest, w_rest, n_top, k, s, t)
         if t == 0.0:  # the exponential limit of the slope
             slope, curvature = d1 + 0.5 * d2 / d1, 0.0
         else:
             c, g = 1.0 + 1.0 / xi, d1 / xi
             slope = d1 * c - 1.0 / t
             curvature = d2 * c - g * g + 1.0 / (t * t)
-        if slope > 0.0:
+        if slope > 0.0 and xi > -1.0:
             hi, t_hi = s, t
         else:
             lo, t_lo = s, t
         mid = 0.5 * (lo + hi)
-        if hi - lo <= _S_XTOL + _ROOT_RTOL * abs(mid):
+        if hi - lo <= _S_XTOL + _S_RTOL * abs(mid):
             return mid, evaluations
         dt = -slope / curvature if curvature > 0.0 else math.inf
         t_new = t + dt
         newton = xi > -1.0 and abs(t) >= _T_NEAR_ZERO and abs(dt) < last
         if newton:
-            if abs(dt) <= _NEWTON_RTOL * min(abs(t_new), 1.0 + t_new) and t_lo <= t_new <= t_hi:
+            if abs(dt) < _NEWTON_RTOL * min(abs(t_new), 1.0 + t_new) and t_lo <= t_new <= t_hi:
                 return math.log1p(t_new), evaluations  # a full step: a halved one proves nothing
             while t_new != t and not t_lo < t_new < t_hi:  # halve back into the bracket
                 dt *= 0.5
@@ -307,26 +297,9 @@ def _profile_minimum(r, w, k, lo, hi):
 
 
 def _bisection_point(lo, hi):
-    """The bracket's midpoint s and its t = expm1(s), kept above -1: expm1
-    rounds to -1 below s = -37.4."""
+    """The bracket's midpoint s and its t = expm1(s)."""
     s = 0.5 * (lo + hi)
-    return s, max(math.expm1(s), _T_ABOVE_EDGE)
-
-
-def _root(f, a, b):
-    """The root of an increasing f with f(a) <= 0 <= f(b), by bisection.
-
-    Stops once the bracket is at most _S_XTOL + _ROOT_RTOL |s| wide, s its
-    midpoint, and returns that midpoint.
-    """
-    s = 0.5 * (a + b)
-    while b - a > _S_XTOL + _ROOT_RTOL * abs(s):
-        if f(s) < 0.0:
-            a = s
-        else:
-            b = s
-        s = 0.5 * (a + b)
-    return s
+    return s, math.expm1(s)
 
 
 # Taylor coefficients, highest power first, of

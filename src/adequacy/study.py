@@ -5,8 +5,7 @@ quantile history, computes one ``Column`` of per-season and pooled LoLE/EEU
 with bootstrap CIs for every requested model variant, and writes tables
 plus plot-data CSVs and a manifest into the output directory. All randomness
 derives from the single configured seed; rerunning with identical inputs
-produces byte-identical outputs at any OpenBLAS thread count, unless a GPD fit
-runs over more than about 10,000 distinct exceedances.
+produces byte-identical outputs at any OpenBLAS thread count.
 """
 
 from __future__ import annotations
