@@ -106,13 +106,6 @@ class GpdFit:
         return self._se[1]
 
 
-@dataclass(frozen=True)
-class ScanEntry:
-    threshold_u: float
-    fit: GpdFit | None
-    error: str | None = None
-
-
 def gpd_survivor(params: GpdParams, y):
     """1 - H(y) = P(Y > y) for excess y >= 0, computed directly so that tail
     masses far below 1e-16 keep their relative precision. Accepts scalars or
@@ -184,7 +177,7 @@ def fit_gpd(excesses, weights=None) -> GpdFit:
     # precision and the profile falls as s grows, so the optimum is not there.
     # Past log(max(y)/min(y)) + 10 the profile rises with s.
     # plain floats: a ratio past the float range is inf, without numpy's overflow warning
-    s_hi = min(np.log(float(y_max) / float(y_min)) + 10.0, _S_CEIL)
+    s_hi = min(float(np.log(float(y_max) / float(y_min))) + 10.0, _S_CEIL)
     s_hat, evaluations = _profile_minimum(rest, w_rest, n_top, k, _S_FLOOR, s_hi)
     if abs(s_hat) < _S_TINY:
         xi_hat, sigma_hat = 0.0, float((w * y).sum() / k)  # the exponential limit theta -> 0
@@ -368,30 +361,31 @@ def fit_threshold_excesses(values, threshold_u: float) -> GpdFit:
     them, so one season's fit does not depend on the command that makes it:
     the order of the fit's float sums moves its optimum.
     """
-    v = np.asarray(values, dtype=float)
-    excesses = np.sort(v[v > threshold_u]) - threshold_u
-    return replace(fit_gpd(excesses), threshold_u=float(threshold_u), n_total=int(v.size))
+    return _fit_sorted(np.sort(np.asarray(values, dtype=float)), float(threshold_u))
 
 
-def threshold_scan(values, thresholds) -> tuple[ScanEntry, ...]:
-    """Fit the GPD at each threshold, recording failures without aborting."""
+def _fit_sorted(v: np.ndarray, u: float) -> GpdFit:
+    """Fit v's suffix strictly above u, v ascending; NaN sorts last, so it raises ValueError."""
+    excesses = v[np.searchsorted(v, u, side="right"):] - u
+    return replace(fit_gpd(excesses), threshold_u=u, n_total=v.size)
+
+
+def threshold_scan(values, thresholds) -> tuple[GpdFit, ...]:
+    """``fit_threshold_excesses`` at each of the increasing thresholds, in order, on values
+    sorted once; a threshold whose fit raises NumericalError is left out."""
     thr = np.asarray(thresholds, dtype=float)
     if thr.size == 0:
         raise ValueError("empty threshold list")
     if np.any(np.diff(thr) <= 0.0):
         raise ValueError("thresholds must be strictly increasing")
-    v = np.asarray(values, dtype=float)
-    entries = []
-    for u in thr:
-        n_exc = int(np.count_nonzero(v > u))
-        if n_exc < MIN_FIT_SIZE:
-            entries.append(ScanEntry(float(u), None, f"only {n_exc} exceedances"))
-            continue
+    v = np.sort(np.asarray(values, dtype=float))
+    fits = []
+    for u in thr.tolist():
         try:
-            entries.append(ScanEntry(float(u), fit_threshold_excesses(v, float(u))))
-        except NumericalError as exc:
-            entries.append(ScanEntry(float(u), None, str(exc)))
-    return tuple(entries)
+            fits.append(_fit_sorted(v, u))
+        except NumericalError:
+            pass
+    return tuple(fits)
 
 
 def qq_points(fit: GpdFit, excesses) -> np.ndarray:

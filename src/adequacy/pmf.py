@@ -111,12 +111,19 @@ def _fast_length(n: int) -> int:
     return best
 
 
+# the longest sum taken directly: short supports have the largest entries
+_DIRECT_SIZE = 64
+
+
 def convolve_each(a: DiscretePmf, bs) -> Iterator[DiscretePmf]:
     """The distribution of A + B for each B in ``bs``, all independent of A.
 
     Zero padding is trimmed first so each result's support is the exact
-    Minkowski sum of the inputs' supports. Each sum multiplies real FFTs
-    (``numpy.fft``) padded to the 5-smooth length of its own size; A is
+    Minkowski sum of the inputs' supports. A sum of at most ``_DIRECT_SIZE``
+    bins is taken directly (``numpy.convolve``): the FFT's round-off scales
+    with the largest entry, which only short supports make large, and there
+    it reaches two ulps of the direct sum. Every longer sum multiplies real
+    FFTs (``numpy.fft``) padded to the 5-smooth length of its own size; A is
     transformed once per distinct length. The FFT's round-off can leave tiny
     negative entries, which are clipped before renormalizing. The results are
     yielded one at a time, so a caller need hold only the one it reads.
@@ -126,6 +133,9 @@ def convolve_each(a: DiscretePmf, bs) -> Iterator[DiscretePmf]:
     for b in bs:
         b_origin, b_probs = _trimmed(b)
         size = a_probs.size + b_probs.size - 1
+        if size <= _DIRECT_SIZE:
+            yield _normalized(a_origin + b_origin, np.convolve(a_probs, b_probs))
+            continue
         n_fft = _fast_length(size)
         if n_fft not in a_spectra:
             a_spectra[n_fft] = np.fft.rfft(a_probs, n_fft)
@@ -133,10 +143,14 @@ def convolve_each(a: DiscretePmf, bs) -> Iterator[DiscretePmf]:
         # swaps the product's operands, which moves its last bits
         b_spectrum = np.fft.rfft(b_probs, n_fft)
         raw = np.clip(np.fft.irfft(a_spectra[n_fft] * b_spectrum, n_fft)[:size], 0.0, None)
-        total = raw.sum()
-        if not np.isfinite(total) or total <= 0.0:
-            raise NumericalError("convolution produced a degenerate mass function")
-        yield DiscretePmf(a_origin + b_origin, raw / total)
+        yield _normalized(a_origin + b_origin, raw)
+
+
+def _normalized(origin: int, raw: np.ndarray) -> DiscretePmf:
+    total = raw.sum()
+    if not np.isfinite(total) or total <= 0.0:
+        raise NumericalError("convolution produced a degenerate mass function")
+    return DiscretePmf(origin, raw / total)
 
 
 def convolve(a: DiscretePmf, b: DiscretePmf) -> DiscretePmf:

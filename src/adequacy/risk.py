@@ -34,10 +34,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.float64:
 
 @dataclass(frozen=True)
 class RiskMetrics:
+    """LoLE (h) and EEU (MWh) of an n_hours-hour season; p_shortfall is LoLE / n_hours."""
+
     lole_hours: float
     eeu_mwh: float
     n_hours: int
-    p_shortfall: float
 
     def __post_init__(self):
         if self.n_hours <= 0:
@@ -47,15 +48,15 @@ class RiskMetrics:
                 f"risk metrics must be finite and non-negative, got LoLE {self.lole_hours!r} "
                 f"h and EEU {self.eeu_mwh!r} MWh"
             )
-        if abs(self.lole_hours - self.n_hours * self.p_shortfall) > 1e-9 * max(
-            1.0, self.lole_hours
-        ):
-            raise ValueError("lole_hours must equal n_hours * p_shortfall")
 
     @classmethod
     def from_hourly(cls, p_shortfall: float, shortfall_mw: float, n_hours: int) -> "RiskMetrics":
         """From P(Z < 0) and E[max(-Z, 0)] in one hour of an n-hour season."""
-        return cls(n_hours * p_shortfall, n_hours * shortfall_mw, int(n_hours), p_shortfall)
+        return cls(n_hours * p_shortfall, n_hours * shortfall_mw, int(n_hours))
+
+    @property
+    def p_shortfall(self) -> float:
+        return self.lole_hours / self.n_hours
 
     @property
     def eeu_gwh(self) -> float:
@@ -280,5 +281,4 @@ def long_run_mean(per_season: list[RiskMetrics]) -> RiskMetrics:
         lole_hours=lole,
         eeu_mwh=eeu,
         n_hours=n_hours,
-        p_shortfall=lole / n_hours,
     )

@@ -394,16 +394,12 @@ def emit_tables(result: StudyResult, outdir: Path) -> list[Path]:
 
 
 def write_scan_csv(values, thresholds, path: Path) -> Path:
-    scan = evt.threshold_scan(values, thresholds)
     lines = ["threshold_mw,sigma,xi,sigma_star,se_sigma,se_xi,n_exceed"]
-    for entry in scan:
-        if entry.fit is None:
-            continue
-        f = entry.fit
-        lines.append(
-            f"{entry.threshold_u!r},{f.params.sigma!r},{f.params.xi!r},"
-            f"{f.sigma_star!r},{f.se_sigma!r},{f.se_xi!r},{f.n_exceedances}"
-        )
+    lines.extend(
+        f"{f.threshold_u!r},{f.params.sigma!r},{f.params.xi!r},"
+        f"{f.sigma_star!r},{f.se_sigma!r},{f.se_xi!r},{f.n_exceedances}"
+        for f in evt.threshold_scan(values, thresholds)
+    )
     return _write_lines(lines, path)
 
 

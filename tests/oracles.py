@@ -9,12 +9,14 @@ row, the stream ``uncertainty.resample_indices`` reproduces.
 ``convolve_fleet_full`` updates every bin for every unit, the loop
 ``genmodel.convolve_fleet`` reproduces bit for bit on its live window, and
 ``fft_convolve`` is the product of padded real FFTs ``pmf.convolve_each``
-reproduces bit for bit.
+reproduces bit for bit. ``threshold_scan`` masks, counts and sorts the
+exceedances of every threshold afresh, the scan ``evt.threshold_scan``
+reproduces on values sorted once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import fft as scipy_fft
@@ -224,7 +226,7 @@ def shortfall_metrics(functionals, dnw_pmf: DiscretePmf, n_hours: int) -> RiskMe
 
 
 def from_lole_eeu(lole_hours: float, eeu_mwh: float, n_hours: int) -> RiskMetrics:
-    return RiskMetrics(lole_hours, eeu_mwh, int(n_hours), lole_hours / n_hours)
+    return RiskMetrics(lole_hours, eeu_mwh, int(n_hours))
 
 
 def pmf_mean(pmf: DiscretePmf) -> float:
@@ -275,6 +277,22 @@ def gpd_loglik(params: evt.GpdParams, excesses) -> float:
     if z.min() <= -1.0:
         return -np.inf
     return -y.size * np.log(sigma) - (1.0 + 1.0 / xi) * np.log1p(z).sum()
+
+
+def threshold_scan(values, thresholds) -> tuple[evt.GpdFit, ...]:
+    """The GPD fits at each threshold with at least MIN_FIT_SIZE exceedances
+    whose fit succeeds, each on the sorted values strictly above it."""
+    v = np.asarray(values, dtype=float)
+    fits = []
+    for u in np.asarray(thresholds, dtype=float).tolist():
+        exceedances = v[v > u]
+        if exceedances.size < evt.MIN_FIT_SIZE:
+            continue
+        try:
+            fits.append(replace(evt.fit_gpd(np.sort(exceedances) - u), threshold_u=u, n_total=v.size))
+        except NumericalError:
+            continue
+    return tuple(fits)
 
 
 def resample_indices(n: int, replications: int, seed) -> np.ndarray:

@@ -27,6 +27,8 @@ from adequacy.evt import (
     select_threshold,
     threshold_scan,
 )
+from adequacy.study import SCAN_QUANTILES
+import oracles
 from oracles import gpd_cdf, gpd_loglik, upper_endpoint
 
 TABLE_PARAMS = GpdParams(sigma=2.85, xi=-0.32)
@@ -249,6 +251,20 @@ class TestFitGpd:
         y = np.exp(np.random.default_rng(0).uniform(-600.0, 600.0, 100))
         mle = fit_gpd(y)
         assert mle.params.xi > 100.0 and math.isfinite(mle.log_likelihood)
+
+    def test_search_bracket_is_plain_floats(self, monkeypatch):
+        # np.float64 subclasses float: only an exact type check sees a numpy scalar
+        brackets = []
+        search = evt._profile_minimum
+
+        def spy(rest, w_rest, n_top, k, lo, hi):
+            brackets.append((type(lo), type(hi)))
+            return search(rest, w_rest, n_top, k, lo, hi)
+
+        monkeypatch.setattr(evt, "_profile_minimum", spy)
+        fit_gpd(np.random.default_rng(5).uniform(1.0, 50.0, 200))
+        fit_gpd(np.exp(np.random.default_rng(0).uniform(-600.0, 600.0, 100)))  # hi at _S_CEIL
+        assert brackets == [(float, float), (float, float)]
 
     def test_excesses_past_the_float_range_have_no_standard_errors(self):
         # z**3 overflows in the information; only the singular warning is raised
@@ -516,6 +532,10 @@ class TestBrentPortsMatchScipy:
             assert n == ref[5]
 
 
+def _se_bits(fit):
+    return np.array([fit.se_sigma, fit.se_xi]).tobytes()
+
+
 class TestThresholds:
     def test_select_median_of_three(self):
         assert select_threshold([1.0, 2.0, 3.0], 0.5) == 2.0
@@ -540,23 +560,32 @@ class TestThresholds:
         data = stats.genpareto.rvs(c=-0.25, scale=2.0, size=20_000, random_state=rng)
         thresholds = np.quantile(data, [0.0, 0.5, 0.8, 0.9, 0.95])
         scan = threshold_scan(data, thresholds)
-        for entry in scan:
-            assert entry.fit is not None
-            assert abs(entry.fit.params.xi + 0.25) <= 2.0 * entry.fit.se_xi
+        assert len(scan) == len(thresholds)
+        for fit in scan:
+            assert abs(fit.params.xi + 0.25) <= 2.0 * fit.se_xi
 
     def test_scan_flags_unfittable_thresholds(self):
         data = np.linspace(0.0, 1.0, 200)
         scan = threshold_scan(data, [0.5, 2.0])
-        assert scan[1].fit is None
-        assert "exceedances" in scan[1].error
+        assert [f.threshold_u for f in scan] == [0.5]
 
     def test_scan_sigma_star_identity(self):
         rng = np.random.default_rng(3)
         data = stats.genpareto.rvs(c=-0.2, scale=2.0, size=5000, random_state=rng)
         scan = threshold_scan(data, np.quantile(data, [0.5, 0.8, 0.9]))
-        for entry in scan:
-            f = entry.fit
+        for f in scan:
             assert f.sigma_star == f.params.sigma - f.threshold_u * f.params.xi
+
+    def test_scan_is_the_per_threshold_oracle_on_the_demo(self, demo_system):
+        # the study's grid, plus thresholds at and past the maximum, where no fit survives
+        for trace in demo_system["traces"]:
+            values = trace.net_demand_mw
+            top = float(values.max())
+            thresholds = np.r_[np.unique(np.quantile(values, SCAN_QUANTILES)), top, top + 1.0, top + 1e3]
+            scan, expected = threshold_scan(values, thresholds), oracles.threshold_scan(values, thresholds)
+            assert len(expected) == len(SCAN_QUANTILES)
+            assert scan == expected
+            assert [_se_bits(f) for f in scan] == [_se_bits(f) for f in expected]
 
     def test_scan_validates_inputs(self):
         with pytest.raises(ValueError):
@@ -625,6 +654,14 @@ class TestFitThresholdExcesses:
         data = np.concatenate([np.full(50, 5.0), 5.0 + np.linspace(0.01, 2.0, 60)])
         fit = fit_threshold_excesses(data, 5.0)
         assert fit.n_exceedances == 60
+
+    def test_nan_value_rejected(self):
+        # a NaN used to drop out of the excesses but count in n_total
+        data = np.r_[np.linspace(0.0, 10.0, 400), np.nan]
+        with pytest.raises(ValueError, match="strictly positive"):
+            fit_threshold_excesses(data, 5.0)
+        with pytest.raises(ValueError, match="strictly positive"):
+            threshold_scan(data, [5.0])
 
 
 # (sigma, xi, log-likelihood) of the demo dataset's fits, recorded from the

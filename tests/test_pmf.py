@@ -132,6 +132,14 @@ class TestConvolveMatchesScipy:
         assert c.origin_mw == 7 - n
         np.testing.assert_array_equal(c.probabilities, _scipy_convolve(a, b))
 
+    # supports this short make entries near 1/3, where the FFT's round-off
+    # is two ulps; the direct sum gives scipy's bits
+    @pytest.mark.parametrize("seed, n, m", [(8, 1, 6), (12, 6, 1), (0, 3, 1), (0, 14, 14), (1, 40, 25)])
+    def test_short_supports_bit_identical(self, seed, n, m):
+        rng = np.random.default_rng(seed)
+        a, b = _random_pmf(rng, n), _random_pmf(rng, m)
+        np.testing.assert_array_equal(convolve(a, b).probabilities, _scipy_convolve(a, b))
+
     # small sizes too, where scipy convolves directly
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 20_000), m=st.integers(1, 2_000))

@@ -8,7 +8,7 @@ from adequacy.errors import NumericalError
 from adequacy.evt import fit_threshold_excesses, select_threshold
 from adequacy.genmodel import GeneratingUnit, convolve_fleet
 from adequacy.pmf import DiscretePmf
-from adequacy.risk import RiskMetrics, SeasonSample, ShortfallFunctionals, long_run_mean
+from adequacy.risk import SeasonSample, ShortfallFunctionals, long_run_mean
 from conftest import sample_pmf
 from helpers import make_trace, point_mass
 from oracles import (balance_distribution, build_evt_model, build_hindcast_model, build_model,
@@ -48,10 +48,6 @@ class TestComputeMetrics:
     def test_zero_hours_rejected(self):
         with pytest.raises(ValueError):
             compute_metrics(point_mass(5.0), 0)
-
-    def test_lole_p_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            RiskMetrics(lole_hours=10.0, eeu_mwh=1.0, n_hours=100, p_shortfall=0.5)
 
 
 class TestBalanceDistribution:

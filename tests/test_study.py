@@ -80,7 +80,7 @@ class TestEmitTable:
     @staticmethod
     def columns(first_value=2.82):
         def column(label, lole, ci):
-            seasons = [risk.RiskMetrics(v, 0.0, 3528, v / 3528) for v in lole]
+            seasons = [risk.RiskMetrics(v, 0.0, 3528) for v in lole]
             return Column(label, dnw.HINDCAST, None, seasons, [None] * len(lole), ci, ci, None, None, None)
 
         return [
