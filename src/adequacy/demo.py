@@ -20,7 +20,7 @@ from scipy import signal, stats
 
 from .evt import GpdParams, gpd_quantile
 from .genmodel import GeneratingUnit
-from .ingest import SeasonTrace, SeasonWindow, make_output_dir, write_traces_csv
+from .ingest import SeasonTrace, SeasonWindow, make_output_dir, write_csv, write_traces_csv
 
 DEMO_SEED = 74205
 FLEET_SEED = 918273
@@ -159,16 +159,8 @@ def write_demo_dataset(outdir, seed: int | None = None) -> dict[str, Path]:
     traces = demo_traces(DEMO_SEED if seed is None else seed)
     traces_path = write_traces_csv(traces, outdir / "traces.csv")
 
-    fleet_path = outdir / "fleet.csv"
-    with open(fleet_path, "w", encoding="utf-8") as fh:
-        fh.write("name,capacity_mw,availability\n")
-        for unit in demo_fleet():
-            fh.write(f"{unit.name},{unit.capacity_mw},{unit.availability!r}\n")
-
-    history_path = outdir / "quantile_history.csv"
-    with open(history_path, "w", encoding="utf-8") as fh:
-        fh.write("season,quantile_mw\n")
-        for label, value in demo_quantile_history(traces=traces):
-            fh.write(f"{label},{value!r}\n")
-
+    fleet_path = write_csv(outdir / "fleet.csv", ("name", "capacity_mw", "availability"),
+                           ((u.name, u.capacity_mw, u.availability) for u in demo_fleet()))
+    history_path = write_csv(outdir / "quantile_history.csv", ("season", "quantile_mw"),
+                             demo_quantile_history(traces=traces))
     return {"traces": traces_path, "fleet": fleet_path, "quantiles": history_path}

@@ -155,18 +155,19 @@ def fit_gpd(excesses, weights=None) -> GpdFit:
     ``weights`` are positive integer counts, one per excess: the fit is that of
     the sample with excess i repeated weights[i] times, so every mean and sum
     is weighted and the sample size is k = sum(weights). All-ones weights are
-    the unweighted fit, bit for bit.
+    the unweighted fit, bit for bit. A NaN, infinite or non-positive excess
+    raises ValueError whatever k is; k below MIN_FIT_SIZE raises NumericalError.
     """
     y = np.array(excesses, dtype=float)  # copies: the fit reads them again for its SEs
     w = np.ones(y.size) if weights is None else np.array(weights, dtype=float)
     k = float(w.sum())  # plain floats: no numpy scalar overhead or overflow warnings
     if w.shape != y.shape or not ((w >= 1.0).all() and (np.floor(w) == w).all() and k < math.inf):
         raise ValueError("weights must be positive integer counts, one per excess")
+    if y.size and not 0.0 < y.min() <= y.max() < math.inf:  # NaN fails this too
+        raise ValueError("excesses must be finite and strictly positive")
     if k < MIN_FIT_SIZE:
         raise NumericalError(f"need at least {MIN_FIT_SIZE} exceedances to fit, got {int(k)}")
     y_min, y_max = y.min(), y.max()
-    if not 0.0 < y_min <= y_max < math.inf:  # NaN fails this too
-        raise ValueError("excesses must be finite and strictly positive")
     if y_min == y_max:
         raise NumericalError("degenerate sample: all excesses identical")
 
@@ -364,10 +365,14 @@ def fit_threshold_excesses(values, threshold_u: float) -> GpdFit:
     return _fit_sorted(np.sort(np.asarray(values, dtype=float)), float(threshold_u))
 
 
+def _excesses(v: np.ndarray, u: float) -> np.ndarray:
+    """v's values strictly above u, less u, v ascending; a NaN sorts last, so it is among them."""
+    return v[np.searchsorted(v, u, side="right"):] - u
+
+
 def _fit_sorted(v: np.ndarray, u: float) -> GpdFit:
-    """Fit v's suffix strictly above u, v ascending; NaN sorts last, so it raises ValueError."""
-    excesses = v[np.searchsorted(v, u, side="right"):] - u
-    return replace(fit_gpd(excesses), threshold_u=u, n_total=v.size)
+    """Fit v's excesses over u, v ascending; a NaN among them raises ValueError."""
+    return replace(fit_gpd(_excesses(v, u)), threshold_u=u, n_total=v.size)
 
 
 def threshold_scan(values, thresholds) -> tuple[GpdFit, ...]:

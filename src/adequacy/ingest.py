@@ -14,7 +14,7 @@ refuses, is read one ``csv.DictReader`` row at a time, to the same arrays, and
 the first faulty row is reported by its line number. The fleet and quantile
 history CSVs are read by that row loop too (``_csv_rows``).
 Every input file is read through ``_read_input``, every output directory made
-by ``make_output_dir``.
+by ``make_output_dir`` and every output CSV written by ``write_csv``.
 """
 
 from __future__ import annotations
@@ -180,12 +180,21 @@ def make_output_dir(path) -> Path:
 
 
 def write_traces_csv(traces, path: Path) -> Path:
-    """Write ``traces`` as a traces CSV, one row per hour, each number to full precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for trace in traces:
-            for ts, d, w in zip(trace.timestamps.astype(object), trace.demand_mw, trace.wind_mw):
-                fh.write(f"{trace.season_label},{ts.isoformat()},{float(d)!r},{float(w)!r}\n")
+    """Write ``traces`` as a traces CSV, one row per hour."""
+    return write_csv(path, TRACE_COLUMNS, (
+        row for t in traces
+        for row in zip([t.season_label] * t.n_hours, np.datetime_as_string(t.timestamps).tolist(),
+                       t.demand_mw.tolist(), t.wind_mw.tolist())
+    ))
+
+
+def write_csv(path, header, rows) -> Path:
+    """Write ``header`` and each of ``rows`` as a comma-joined line, in one write.
+    A field is written as ``str`` gives it: a Python float as its shortest
+    repr, which reads back as the same float."""
+    path = Path(path)
+    lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 

@@ -28,6 +28,7 @@ from .ingest import (
     load_quantile_history,
     load_traces,
     make_output_dir,
+    write_csv,
 )
 from .risk import RiskMetrics, SeasonSample, ShortfallFunctionals, long_run_mean
 from .uncertainty import (
@@ -302,17 +303,12 @@ def _write_json(payload, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
-def _write_lines(lines, path: Path) -> Path:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
-
-
-def _write_table(stem: Path, csv: list[str], payload: dict, text: list[str]) -> list[Path]:
-    """Write one table as ``stem`` .csv, .json and aligned .txt."""
+def _write_table(stem: Path, header: list[str], rows: list, payload: dict, text: list[str]) -> list[Path]:
+    """Write one table as ``stem`` .csv, .json and aligned .txt, whose lines are one-field rows."""
     paths = [Path(f"{stem}{suffix}") for suffix in (".csv", ".json", ".txt")]
-    _write_lines(csv, paths[0])
+    write_csv(paths[0], header, rows)
     _write_json(payload, paths[1])
-    _write_lines(text, paths[2])
+    write_csv(paths[2], text[:1], ([line] for line in text[1:]))
     return paths
 
 
@@ -328,11 +324,8 @@ def write_season_tables(columns: list[Column], seasons: list[str], metric: str, 
     means = [getattr(c.mean, metric) for c in columns]
     cis = [c.lole_ci if metric == "lole_hours" else c.eeu_ci for c in columns]
 
-    csv = ["season," + ",".join(labels)]
-    csv.extend(season + "," + ",".join(repr(v[i]) for v in values) for i, season in enumerate(seasons))
-    csv.append("mean," + ",".join(repr(m) for m in means))
-    csv.append("ci_lower," + ",".join(repr(ci.lower) for ci in cis))
-    csv.append("ci_upper," + ",".join(repr(ci.upper) for ci in cis))
+    rows = [*zip(seasons, *values), ("mean", *means),
+            ("ci_lower", *(ci.lower for ci in cis)), ("ci_upper", *(ci.upper for ci in cis))]
 
     width = max(12, *(len(c) + 2 for c in labels))
     text = [f"{'season':<10}" + "".join(f"{c:>{width}}" for c in labels)]
@@ -341,7 +334,7 @@ def write_season_tables(columns: list[Column], seasons: list[str], metric: str, 
     text.append(f"{'Mean':<10}" + "".join(f"{m:>{width}.2f}" for m in means))
     text.append(f"{'CI':<10}" + "".join(f"{_format_ci(ci):>{width}}" for ci in cis))
 
-    return _write_table(stem, csv, {
+    return _write_table(stem, ["season", *labels], rows, {
         "metric": metric,
         "columns": labels,
         "seasons": seasons,
@@ -361,12 +354,9 @@ def write_pooled_tables(columns: list[Column], stem: Path) -> list[Path]:
     eeu_ci = [ConfidenceInterval(ci.lower / 1000.0, ci.upper / 1000.0, ci.level)
               for ci in (c.bootstrap.intervals["eeu"] for c in columns)]
 
-    csv = ["row," + ",".join(labels)]
-    for row, values in (("lole", lole), ("lole_ci_lower", [ci.lower for ci in lole_ci]),
-                        ("lole_ci_upper", [ci.upper for ci in lole_ci]), ("eeu_gwh", eeu),
-                        ("eeu_ci_lower", [ci.lower for ci in eeu_ci]),
-                        ("eeu_ci_upper", [ci.upper for ci in eeu_ci])):
-        csv.append(row + "," + ",".join(repr(v) for v in values))
+    rows = [("lole", *lole), ("lole_ci_lower", *(ci.lower for ci in lole_ci)),
+            ("lole_ci_upper", *(ci.upper for ci in lole_ci)), ("eeu_gwh", *eeu),
+            ("eeu_ci_lower", *(ci.lower for ci in eeu_ci)), ("eeu_ci_upper", *(ci.upper for ci in eeu_ci))]
 
     width = max(14, *(len(c) + 2 for c in labels))
     text = [f"{'':<10}" + "".join(f"{c:>{width}}" for c in labels)]
@@ -374,7 +364,7 @@ def write_pooled_tables(columns: list[Column], stem: Path) -> list[Path]:
         text.append(f"{row:<10}" + "".join(f"{v:>{width}.2f}" for v in values))
         text.append(f"{'CI':<10}" + "".join(f"{_format_ci(ci):>{width}}" for ci in cis))
 
-    return _write_table(stem, csv, {
+    return _write_table(stem, ["row", *labels], rows, {
         "columns": labels,
         "lole": dict(zip(labels, lole)),
         "lole_ci": {c: [ci.lower, ci.upper] for c, ci in zip(labels, lole_ci)},
@@ -394,21 +384,15 @@ def emit_tables(result: StudyResult, outdir: Path) -> list[Path]:
 
 
 def write_scan_csv(values, thresholds, path: Path) -> Path:
-    lines = ["threshold_mw,sigma,xi,sigma_star,se_sigma,se_xi,n_exceed"]
-    lines.extend(
-        f"{f.threshold_u!r},{f.params.sigma!r},{f.params.xi!r},"
-        f"{f.sigma_star!r},{f.se_sigma!r},{f.se_xi!r},{f.n_exceedances}"
+    return write_csv(path, "threshold_mw sigma xi sigma_star se_sigma se_xi n_exceed".split(), (
+        (f.threshold_u, f.params.sigma, f.params.xi, f.sigma_star, f.se_sigma, f.se_xi, f.n_exceedances)
         for f in evt.threshold_scan(values, thresholds)
-    )
-    return _write_lines(lines, path)
+    ))
 
 
 def write_qq_csv(fit: evt.GpdFit, values, path: Path) -> Path:
-    excesses = values[values > fit.threshold_u] - fit.threshold_u
-    points = evt.qq_points(fit, excesses)
-    lines = ["model_mw,empirical_mw"]
-    lines.extend(f"{float(m)!r},{float(e)!r}" for m, e in points)
-    return _write_lines(lines, path)
+    excesses = evt._excesses(np.sort(values), fit.threshold_u)  # the excesses the fit was made on
+    return write_csv(path, ("model_mw", "empirical_mw"), evt.qq_points(fit, excesses).tolist())
 
 
 def write_survivor_csv(seasons, kind: str, fit: evt.GpdFit | None, path: Path) -> Path:
@@ -419,16 +403,12 @@ def write_survivor_csv(seasons, kind: str, fit: evt.GpdFit | None, path: Path) -
     grid = np.linspace(float(np.quantile(values, 0.10)), float(values.max() + 2_000.0),
                        SURVIVOR_CURVE_POINTS)
     probs = dnw.survivor(seasons, kind, grid, fit)
-    lines = ["v_mw,prob"]
-    lines.extend(f"{float(v)!r},{float(p)!r}" for v, p in zip(grid, probs))
-    return _write_lines(lines, path)
+    return write_csv(path, ("v_mw", "prob"), zip(grid.tolist(), probs.tolist()))
 
 
 def write_factors_csv(factors: dict[str, float], path: Path) -> Path:
     """The demand rescaling factor of each season, in the map's order."""
-    lines = ["season,factor"]
-    lines.extend(f"{label},{f!r}" for label, f in factors.items())
-    return _write_lines(lines, path)
+    return write_csv(path, ("season", "factor"), factors.items())
 
 
 def _config_payload(cfg: RunConfig) -> dict:
@@ -473,14 +453,12 @@ def run_full_study(cfg: RunConfig, progress=lambda msg: None) -> StudyResult:
             # the study's own fits; without a pooled table the pooled fit is made here
             pooled = (column.pooled_fit
                       or result.sample.metrics(np.ones(len(traces)), dnw.EVT, column.threshold_quantile)[1])
-            lines = ["season,threshold_mw,sigma,xi,se_sigma,se_xi,n_exceed"]
-            for season, f in [*zip(result.season_labels, column.fits), ("pooled", pooled)]:
-                lines.append(
-                    f"{season},{f.threshold_u!r},{f.params.sigma!r},{f.params.xi!r},"
-                    f"{f.se_sigma!r},{f.se_xi!r},{f.n_exceedances}"
-                )
             q = quantile_percent(column.threshold_quantile)
-            outputs.append(_write_lines(lines, outdir / f"gpd_parameters_q{q}.csv"))
+            header = "season threshold_mw sigma xi se_sigma se_xi n_exceed".split()
+            outputs.append(write_csv(outdir / f"gpd_parameters_q{q}.csv", header, (
+                (season, f.threshold_u, f.params.sigma, f.params.xi, f.se_sigma, f.se_xi, f.n_exceedances)
+                for season, f in [*zip(result.season_labels, column.fits), ("pooled", pooled)]
+            )))
 
         stage = "diagnostics"
         for i, trace in enumerate(traces):

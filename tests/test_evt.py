@@ -244,6 +244,15 @@ class TestFitGpd:
     def test_too_few_excesses_rejected(self):
         with pytest.raises(NumericalError, match="at least"):
             fit_gpd(np.linspace(0.1, 1.0, MIN_FIT_SIZE - 1))
+        with pytest.raises(NumericalError, match="at least"):
+            fit_gpd([])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_excess_rejected_before_counting(self, bad):
+        # a short sample is a NumericalError, which the threshold scan skips;
+        # a faulty excess must not hide behind it
+        with pytest.raises(ValueError, match="strictly positive"):
+            fit_gpd(np.r_[np.linspace(1.0, 2.0, 3), bad])
 
     def test_excesses_past_the_float_range_fit_without_warning(self):
         # max(y) / min(y) overflows to inf: the bracket ends at s = 700, as it did
@@ -662,6 +671,15 @@ class TestFitThresholdExcesses:
             fit_threshold_excesses(data, 5.0)
         with pytest.raises(ValueError, match="strictly positive"):
             threshold_scan(data, [5.0])
+
+    def test_nan_value_rejected_where_too_few_exceed(self):
+        # at 9.9 only four values exceed, too few to fit, but the NaN among
+        # them is a fault in the data, not a threshold for the scan to skip
+        data = np.r_[np.linspace(0.0, 10.0, 400), np.nan]
+        with pytest.raises(ValueError, match="strictly positive"):
+            threshold_scan(data, [9.9])
+        with pytest.raises(ValueError, match="strictly positive"):
+            threshold_scan(data, [5.0, 9.9])
 
 
 # (sigma, xi, log-likelihood) of the demo dataset's fits, recorded from the

@@ -1,5 +1,6 @@
-"""What the CLI imports: no scipy on the study/risk path, and no numpy submodule
-first loaded inside a call, where its import cost would count as run time.
+"""What the CLI imports: no scipy on any path but ``demo``'s, and no numpy
+submodule first loaded inside a call, where its import cost would count as
+run time.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported scipy and every numpy submodule.
@@ -68,6 +69,27 @@ def test_study_and_risk_load_no_new_modules(demo_dataset_dir, tmp_path):
     ])
     assert _scipy(report["import"]) == []
     assert [call["argv"] for call in report["calls"]] == ["study", "risk"]
+    for call in report["calls"]:
+        assert call["rc"] == 0, call
+        assert call["new"] == [], f"{call['argv']} loaded {call['new']}"
+
+
+def test_other_commands_load_no_new_modules(demo_dataset_dir, tmp_path):
+    traces = ["--traces", str(demo_dataset_dir["traces"])]
+    inputs = [*traces, "--fleet", str(demo_dataset_dir["fleet"]),
+              "--quantiles", str(demo_dataset_dir["quantiles"]), "--seed", "3"]
+    calls = [
+        ["fit", *traces, "--season", "2007-08", "--scan", "44000:48000:1000", "--out", str(tmp_path / "fit")],
+        ["dnw", *traces, "--model", "evt", "--out", str(tmp_path / "dnw")],
+        ["dnw", *traces, "--model", "ind", "--pooled", "--out", str(tmp_path / "dnw")],
+        ["ingest", *traces, "--quantiles", str(demo_dataset_dir["quantiles"]),
+         "--out", str(tmp_path / "ingest")],
+        ["uncertainty", *inputs, "--metric", "lole", "--mode", "season", "--reps", "100"],
+        ["uncertainty", *inputs, "--metric", "eeu", "--mode", "block", "--reps", "100"],
+        ["fleet", "--fleet", str(demo_dataset_dir["fleet"])],
+    ]
+    report = _run_child(calls)
+    assert [call["argv"] for call in report["calls"]] == [argv[0] for argv in calls]
     for call in report["calls"]:
         assert call["rc"] == 0, call
         assert call["new"] == [], f"{call['argv']} loaded {call['new']}"
