@@ -37,9 +37,6 @@ from .study import (
     write_survivor_csv,
 )
 
-_KIND_ALIASES = {"evt": dnw.EVT, "hindcast": dnw.HINDCAST, "ind": dnw.INDEPENDENCE}
-
-
 # study config-file key, which also spells the flag (ref_season -> --ref-season)
 # -> (RunConfig field, the JSON type a config file must give it and the flag's
 # type, conversion of its value, if any); a key left unset takes RunConfig's default
@@ -50,7 +47,7 @@ _CONFIG_KEYS = {
     "seed": ("seed", "integer", None),
     "quantiles": ("quantiles_path", "string or null", None),
     "ref_season": ("reference_season", "string or null", None),
-    "models": ("model_kinds", "list of strings", lambda ms: tuple(dict.fromkeys(_KIND_ALIASES[m] for m in ms))),
+    "models": ("model_kinds", "list of strings", lambda ms: tuple(dict.fromkeys(ms))),
     "threshold_quantiles": ("threshold_quantiles", "list of numbers", lambda qs: tuple(float(q) for q in qs)),
     "window_weeks": ("window_weeks", "integer", None),
     "anchor_rule": ("anchor_rule", "string", None),
@@ -121,7 +118,7 @@ def _run_config(args, **fixed) -> RunConfig:
         name, _, convert = _CONFIG_KEYS[key]
         try:
             fields[name] = convert(value) if convert else value
-        except (KeyError, OverflowError):  # a model name that is not one, a float past 1e308
+        except OverflowError:  # a float past 1e308
             raise ConfigError(f"{key}: bad value {value!r}") from None
     return RunConfig(**fields, **fixed)
 
@@ -138,6 +135,9 @@ def _load(args):
     outdir = make_output_dir(args.out)
     traces = load_traces(args.traces, window, installed_wind_mw=args.installed_wind_mw,
                          allow_gaps=args.allow_gaps)
+    if not traces:
+        raise DataError(f"{args.traces}: no season inside the {window.weeks}-week window "
+                        f"from the {window.anchor_rule}")
     return traces, outdir
 
 
@@ -199,14 +199,13 @@ def cmd_fit(args) -> int:
 
 def cmd_dnw(args) -> int:
     traces, outdir = _load(args)
-    kind = _KIND_ALIASES[args.model]
 
     def emit(seasons, label):
         fit = None
-        if kind == dnw.EVT:
+        if args.model == dnw.EVT:
             values = np.concatenate([t.net_demand_mw for t in seasons])
             fit = evt.fit_threshold_excesses(values, evt.select_threshold(values, args.threshold_quantile))
-        path = write_survivor_csv(seasons, kind, fit, outdir / f"survivor_{args.model}_{label}.csv")
+        path = write_survivor_csv(seasons, args.model, fit, outdir / f"survivor_{args.model}_{label}.csv")
         print(f"wrote {path}")
 
     if args.pooled:
@@ -240,24 +239,23 @@ def cmd_uncertainty(args) -> int:
 
     Season mode reads a one-column study. Block mode computes only the
     column's pooled estimate and its block bootstrap, as the study does, so a
-    season that an evt fit cannot fit on its own does not stop it.
+    season that an evt fit cannot fit on its own does not stop it. Both print
+    the tables' value, EEU in MWh as their GWh x 1000.
     """
-    cfg = _run_config(args, model_kinds=(_KIND_ALIASES[args.model],),
+    cfg = _run_config(args, model_kinds=(args.model,),
                       threshold_quantiles=(args.threshold_quantile,), include_pooled=False)
     if args.mode == "season":
         [column] = run_study_computation(cfg).columns
-        if args.metric == "lole":
-            point, ci = column.mean.lole_hours, column.lole_ci
-        else:
-            point, ci = column.mean.eeu_gwh, column.eeu_ci
-        scale = 1000.0 if args.metric == "eeu" else 1.0  # EEU in MWh, as the table's GWh x 1000
+        metrics, intervals = column.mean, column.ci
     else:
         [(_, kind, q)] = cfg.columns()
         sample, _ = load_inputs(cfg)
         counts = cfg.counts(0, len(sample.seasons))
         metrics, _, pooled = pooled_column(sample, kind, q, counts, cfg.ci_level)
-        point = metrics.lole_hours if args.metric == "lole" else metrics.eeu_mwh
-        ci, scale = pooled.intervals[args.metric], 1.0
+        intervals = pooled.intervals
+    metric = "lole_hours" if args.metric == "lole" else "eeu_gwh"
+    point, ci = getattr(metrics, metric), intervals[metric]
+    scale = 1000.0 if args.metric == "eeu" else 1.0
 
     payload = {
         "metric": args.metric,
@@ -314,7 +312,7 @@ def _add_settings(parser, keys, required=(), defaults=False):
         if kind.startswith("list of "):
             opts["nargs"] = "+"
         if key == "models":
-            opts["choices"] = sorted(_KIND_ALIASES)
+            opts["choices"] = dnw.MODEL_KINDS
         parser.add_argument("--" + key.replace("_", "-"), dest=key, required=key in required, **opts)
 
 
@@ -340,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dnw", help="export survivor curves for a demand-net-of-wind model")
     _add_settings(p, ("traces", "out", *_WINDOW_KEYS), required=("traces",), defaults=True)
-    p.add_argument("--model", choices=sorted(_KIND_ALIASES), required=True)
+    p.add_argument("--model", choices=dnw.MODEL_KINDS, required=True)
     p.add_argument("--threshold-quantile", type=float, default=0.95)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--pooled", action="store_true")
@@ -354,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("risk", help="per-season and pooled LoLE/EEU tables")
     _add_settings(p, ("traces", "fleet", "quantiles", "ref_season", "reps", "level", "seed", "out",
                       *_WINDOW_KEYS), required=("traces", "fleet"))
-    p.add_argument("--model", dest="models", nargs="+", choices=sorted(_KIND_ALIASES))
+    p.add_argument("--model", dest="models", nargs="+", choices=dnw.MODEL_KINDS)
     p.add_argument("--threshold-quantile", dest="threshold_quantiles", type=float, nargs="+",
                    metavar="THRESHOLD_QUANTILE")
     p.add_argument("--pooled", action="store_true",
@@ -367,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                       *_WINDOW_KEYS), required=("traces", "fleet"))
     p.add_argument("--metric", choices=["lole", "eeu"], required=True)
     p.add_argument("--mode", choices=["season", "block"], required=True)
-    p.add_argument("--model", choices=sorted(_KIND_ALIASES), default="evt")
+    p.add_argument("--model", choices=dnw.MODEL_KINDS, default=dnw.EVT)
     p.add_argument("--threshold-quantile", type=float, default=0.95)
     p.set_defaults(func=cmd_uncertainty)
 

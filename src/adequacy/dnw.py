@@ -2,11 +2,11 @@
 
 Three interchangeable models of the same quantity:
 
-* ``evt``          -- empirical distribution below a high threshold, fitted
-                      generalized Pareto tail above it;
-* ``hindcast``     -- empirical distribution everywhere;
-* ``independence`` -- convolution of the demand and (negated) wind empirical
-                      distributions, i.e. demand and wind treated as independent.
+* ``evt``      -- empirical distribution below a high threshold, fitted
+                  generalized Pareto tail above it;
+* ``hindcast`` -- empirical distribution everywhere;
+* ``ind``      -- convolution of the demand and (negated) wind empirical
+                  distributions, i.e. demand and wind treated as independent.
 
 ``survivor`` reads a model's survivor curve from the season values.
 ``risk.SeasonSample`` reads every model's LoLE/EEU from them.
@@ -22,7 +22,7 @@ from .pmf import convolve, pmf_from_samples, reflect
 
 EVT = "evt"
 HINDCAST = "hindcast"
-INDEPENDENCE = "independence"
+INDEPENDENCE = "ind"
 MODEL_KINDS = (EVT, HINDCAST, INDEPENDENCE)
 
 

@@ -26,6 +26,7 @@ import re
 import warnings
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
+from itertools import chain, islice
 from math import ceil
 from pathlib import Path
 
@@ -189,12 +190,14 @@ def write_traces_csv(traces, path: Path) -> Path:
 
 
 def write_csv(path, header, rows) -> Path:
-    """Write ``header`` and each of ``rows`` as a comma-joined line, in one write.
+    """Write ``header`` and each of ``rows`` as a comma-joined line, 256 lines to a write.
     A field is written as ``str`` gives it: a Python float as its shortest
     repr, which reads back as the same float."""
     path = Path(path)
-    lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = chain([header], rows)
+    with path.open("w", encoding="utf-8") as out:
+        while chunk := list(islice(lines, 256)):
+            out.write("".join(",".join(map(str, row)) + "\n" for row in chunk))
     return path
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +79,7 @@ class RunConfig:
     output_dir: str = "."
     quantiles_path: str | None = None
     reference_season: str | None = None
-    model_kinds: tuple[str, ...] = (dnw.EVT, dnw.HINDCAST, dnw.INDEPENDENCE)
+    model_kinds: tuple[str, ...] = dnw.MODEL_KINDS
     threshold_quantiles: tuple[float, ...] = (0.90, 0.95, 0.98)
     window_weeks: int = SeasonWindow.weeks
     anchor_rule: str = SeasonWindow.anchor_rule
@@ -140,7 +140,7 @@ class RunConfig:
                 for q in self.threshold_quantiles:
                     cols.append((f"evt_{quantile_percent(q)}", dnw.EVT, q))
             else:
-                cols.append((kind if kind != dnw.INDEPENDENCE else "ind", kind, None))
+                cols.append((kind, kind, None))
         return cols
 
 
@@ -148,7 +148,8 @@ def pooled_column(sample: SeasonSample, kind: str, threshold_quantile: float | N
                   counts: np.ndarray, level: float,
                   ) -> tuple[RiskMetrics, evt.GpdFit | None, BlockBootstrapResult]:
     """The pooled metrics of one column of ``RunConfig.columns()``, its evt fit
-    (None for other kinds) and its block bootstrap over the rows of ``counts``.
+    (None for other kinds) and its block bootstrap over the rows of ``counts``,
+    with intervals in the pooled table's metrics and units: "lole_hours", "eeu_gwh".
 
     Nothing is computed per season, so a season that an evt column cannot fit
     on its own does not stop it.
@@ -156,10 +157,13 @@ def pooled_column(sample: SeasonSample, kind: str, threshold_quantile: float | N
     def replicate(counts):
         # evt refits the GPD on every count row, as a fit is not linear
         drawn, _ = sample.metrics(counts, kind, threshold_quantile)
-        return {"lole": drawn.lole_hours, "eeu": drawn.eeu_mwh}
+        return {"lole_hours": drawn.lole_hours, "eeu_mwh": drawn.eeu_mwh}
 
     metrics, fit = sample.metrics(np.ones(len(sample.seasons)), kind, threshold_quantile)
-    return metrics, fit, block_bootstrap(replicate, counts, level)
+    result = block_bootstrap(replicate, counts, level)
+    lole, eeu = result.intervals["lole_hours"], result.intervals["eeu_mwh"]  # GWh once, after the percentiles
+    gwh = ConfidenceInterval(eeu.lower / 1000.0, eeu.upper / 1000.0, eeu.level)
+    return metrics, fit, replace(result, intervals={"lole_hours": lole, "eeu_gwh": gwh})
 
 
 def rescale_traces(traces, history, reference_season, span, iterations,
@@ -188,8 +192,9 @@ def rescale_traces(traces, history, reference_season, span, iterations,
 class Column:
     """An entry of ``RunConfig.columns()`` and what a study computes for it:
     one estimate and one evt fit (None for other kinds) per season, the
-    season-bootstrap CIs of their mean (EEU in GWh), and the pooled estimate,
-    its evt fit and its block bootstrap, which are None without a pooled table.
+    season-bootstrap CI of their mean per table metric, "lole_hours" and "eeu_gwh",
+    and the pooled estimate, its evt fit and its block bootstrap (CIs keyed the
+    same), which are None without a pooled table.
     """
 
     label: str
@@ -197,8 +202,7 @@ class Column:
     threshold_quantile: float | None
     seasons: list[RiskMetrics]
     fits: list[evt.GpdFit | None]
-    lole_ci: ConfidenceInterval
-    eeu_ci: ConfidenceInterval
+    ci: dict[str, ConfidenceInterval]
     pooled: RiskMetrics | None
     pooled_fit: evt.GpdFit | None
     bootstrap: BlockBootstrapResult | None
@@ -277,8 +281,8 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> StudyRes
     # bootstrap up to rounding (pooling is linear)
     counts = [cfg.counts(i, len(labels)) for i in range(len(per_season))]
     season_cis = [
-        [season_bootstrap([getattr(m, metric) for m, _ in results], c, cfg.ci_level)
-         for metric in ("lole_hours", "eeu_gwh")]
+        {metric: season_bootstrap([getattr(m, metric) for m, _ in results], c, cfg.ci_level)
+         for metric in ("lole_hours", "eeu_gwh")}
         for results, c in zip(per_season, counts)
     ]
 
@@ -288,7 +292,7 @@ def run_study_computation(cfg: RunConfig, progress=lambda msg: None) -> StudyRes
         for (_, kind, q), c in zip(cfg.columns(), counts)
     ]
     columns = [
-        Column(label, kind, q, [m for m, _ in results], [fit for _, fit in results], *cis, *pool)
+        Column(label, kind, q, [m for m, _ in results], [fit for _, fit in results], cis, *pool)
         for (label, kind, q), results, cis, pool in zip(cfg.columns(), per_season, season_cis, pooled)
     ]
     return StudyResult(config=cfg, sample=sample, columns=columns, rescale_factors=factors)
@@ -322,7 +326,7 @@ def write_season_tables(columns: list[Column], seasons: list[str], metric: str, 
     labels = [c.label for c in columns]
     values = [c.values(metric) for c in columns]
     means = [getattr(c.mean, metric) for c in columns]
-    cis = [c.lole_ci if metric == "lole_hours" else c.eeu_ci for c in columns]
+    cis = [c.ci[metric] for c in columns]
 
     rows = [*zip(seasons, *values), ("mean", *means),
             ("ci_lower", *(ci.lower for ci in cis)), ("ci_upper", *(ci.upper for ci in cis))]
@@ -350,9 +354,8 @@ def write_pooled_tables(columns: list[Column], stem: Path) -> list[Path]:
     labels = [c.label for c in columns]
     lole = [c.pooled.lole_hours for c in columns]
     eeu = [c.pooled.eeu_gwh for c in columns]
-    lole_ci = [c.bootstrap.intervals["lole"] for c in columns]
-    eeu_ci = [ConfidenceInterval(ci.lower / 1000.0, ci.upper / 1000.0, ci.level)
-              for ci in (c.bootstrap.intervals["eeu"] for c in columns)]
+    lole_ci = [c.bootstrap.intervals["lole_hours"] for c in columns]
+    eeu_ci = [c.bootstrap.intervals["eeu_gwh"] for c in columns]
 
     rows = [("lole", *lole), ("lole_ci_lower", *(ci.lower for ci in lole_ci)),
             ("lole_ci_upper", *(ci.upper for ci in lole_ci)), ("eeu_gwh", *eeu),

@@ -78,7 +78,7 @@ def test_criterion_04_fleet_convolution_oracle():
             GeneratingUnit(f"u{i}", int(rng.integers(1, 600)), float(rng.uniform(0.3, 1.0)))
             for i in range(n)
         ]
-        pmf = convolve_fleet(units, trim_threshold=0.0)
+        pmf = convolve_fleet(units)
         caps = np.array([u.capacity_mw for u in units])
         avail = np.array([u.availability for u in units])
         bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
@@ -102,7 +102,7 @@ def test_criterion_05_monte_carlo_risk_oracle():
     trace = random_season("2007-08", rng, demand_level=0.93 * pmf_mean(fleet), wind_capacity=14_000.0)
     n_draws = 1_000_000
     mc_rng = np.random.default_rng(909)
-    for kind in ("evt", "hindcast", "independence"):
+    for kind in ("evt", "hindcast", "ind"):
         pmf = discretize(build_model(trace, kind, 0.95))
         exact = compute_metrics(balance_distribution(fleet, pmf), trace.n_hours)
         z = sample_pmf(fleet, n_draws, mc_rng) - sample_pmf(pmf, n_draws, mc_rng)
@@ -140,7 +140,7 @@ def test_criterion_07_hindcast_pooled_vs_mean_ci(demo_system):
     sample = SeasonSample(ShortfallFunctionals(fleet), traces, n_hours)
     per_season = [sample.metrics(one, "hindcast")[0].lole_hours for one in np.identity(len(traces))]
     counts = resample_counts(len(traces), 10_000, 5150)
-    block_ci = pooled_column(sample, "hindcast", None, counts, 0.95)[2].intervals["lole"]
+    block_ci = pooled_column(sample, "hindcast", None, counts, 0.95)[2].intervals["lole_hours"]
     season_ci = season_bootstrap(per_season, counts, 0.95)
     assert abs(block_ci.lower - season_ci.lower) <= 0.02 * abs(season_ci.lower)
     assert abs(block_ci.upper - season_ci.upper) <= 0.02 * abs(season_ci.upper)

@@ -548,7 +548,20 @@ class TestTooFewSeasons:
         traces.write_text("season,timestamp,demand_mw,wind_mw\n2010-11,2010-06-01T00:00:00,100,10\n")
         code, _, err = run_cli(capsys, "ingest", "--traces", str(traces), "--out", str(tmp_path / "out"))
         assert code == 3
-        assert "got 0" in err
+        assert f"{traces}: no season inside the 21-week window from the last Sunday in October" in err
+
+    @pytest.mark.parametrize("command", [["dnw", "--model", "ind", "--pooled"],
+                                         ["dnw", "--model", "evt", "--per-season"],
+                                         ["fit", "--season", "2007-08"], ["ingest"]],
+                             ids=["dnw-pooled", "dnw-per-season", "fit", "ingest"])
+    def test_no_season_inside_the_window_is_a_data_error(self, demo_dataset_dir, tmp_path, capsys, command):
+        # the demo's seasons run from October to March
+        code, out, err = run_cli(capsys, *command, "--traces", str(demo_dataset_dir["traces"]),
+                                 "--anchor-rule", "first Monday in April", "--window-weeks", "2",
+                                 "--out", str(tmp_path / "out"))
+        assert (code, out) == (3, "")
+        assert err == (f"data error: {demo_dataset_dir['traces']}: no season inside the 2-week window "
+                       "from the first Monday in April\n")
 
 
 class TestUncertaintyCommand:
@@ -630,10 +643,8 @@ class TestUncertaintyCommand:
             ci_key = "lole_ci" if metric == "lole" else "eeu_ci_gwh"
             expected = [tables["pooled_metrics"][key][label], *tables["pooled_metrics"][ci_key][label]]
         got = [printed[k] for k in ("point_estimate", "ci_lower", "ci_upper")]
-        if metric == "lole":
-            assert got == expected
-        else:  # uncertainty prints MWh, the tables hold GWh
-            assert got == pytest.approx([1000.0 * x for x in expected], rel=1e-12, abs=0.0)
+        scale = 1.0 if metric == "lole" else 1000.0  # uncertainty prints MWh, the tables hold GWh
+        assert got == [scale * x for x in expected]
 
     @pytest.mark.parametrize("metric", ["lole", "eeu"])
     def test_block_mode_needs_no_single_season_fit(self, demo_dataset_dir, capsys, metric):
@@ -663,8 +674,11 @@ class TestUncertaintyCommand:
             return {"lole": drawn.lole_hours, "eeu": drawn.eeu_mwh}
 
         ci = block_bootstrap(replicate, matrix, 0.95).intervals[metric]
-        point = metrics.lole_hours if metric == "lole" else metrics.eeu_mwh
-        assert [printed[k] for k in ("point_estimate", "ci_lower", "ci_upper")] == [point, ci.lower, ci.upper]
+        if metric == "lole":
+            expected = [metrics.lole_hours, ci.lower, ci.upper]
+        else:  # the pooled table's GWh, printed in MWh
+            expected = [1000.0 * x for x in (metrics.eeu_gwh, ci.lower / 1000.0, ci.upper / 1000.0)]
+        assert [printed[k] for k in ("point_estimate", "ci_lower", "ci_upper")] == expected
 
 
 class TestGappedSeason:
@@ -708,6 +722,33 @@ class TestGappedSeason:
         assert json.loads(out)["point_estimate"] == pytest.approx(table["mean"]["hindcast"], rel=1e-9)
 
 
+class TestModelName:
+    def test_ind_is_the_one_name_of_the_independence_model(self, demo_dataset_dir, tmp_path, capsys):
+        inputs = {k: str(demo_dataset_dir[k]) for k in ("traces", "fleet", "quantiles")}
+        cfg = RunConfig(traces_path=inputs["traces"], fleet_path=inputs["fleet"],
+                        quantiles_path=inputs["quantiles"], seed=4, model_kinds=("ind",), replications=100)
+        assert [kind for _, kind, _ in cfg.columns()] == ["ind"]
+        sample, _ = load_inputs(cfg)
+        pooled, fit = sample.metrics(np.ones(len(sample.seasons)), "ind")
+        assert fit is None
+
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({**inputs, "models": ["ind"], "reps": 100, "seed": 4}))
+        code, _, err = run_cli(capsys, "study", "--config", str(config), "--out", str(tmp_path / "out"),
+                               "--quiet")
+        assert code == 0, err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config"]["model_kinds"] == ["ind"]
+        table = json.loads((tmp_path / "out" / "pooled_metrics.json").read_text())
+        assert table["lole"] == {"ind": pooled.lole_hours}
+
+        config.write_text(json.dumps({**inputs, "models": ["independence"], "reps": 100, "seed": 4}))
+        code, _, err = run_cli(capsys, "study", "--config", str(config), "--out", str(tmp_path / "bad"),
+                               "--quiet")
+        assert code == 2
+        assert "'independence'" in err
+
+
 class TestStudyCommand:
     def test_config_file_with_flag_override(self, demo_dataset_dir, tmp_path, capsys):
         config = {
@@ -732,7 +773,7 @@ class TestStudyCommand:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["status"] == "complete"
         assert manifest["config"]["replications"] == 150  # flag beats config file
-        assert manifest["config"]["model_kinds"] == ["hindcast", "independence"]
+        assert manifest["config"]["model_kinds"] == ["hindcast", "ind"]
         assert manifest["config"]["lowess_span"] == 1.0
         assert manifest["config"]["allow_gaps"] is False
         table = json.loads((outdir / "lole_per_season.json").read_text())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adequacy.errors import DataError, NumericalError
+from adequacy.errors import DataError
 from adequacy.genmodel import GeneratingUnit, convolve_fleet, fleet_summary, load_fleet
 from helpers import write_fleet_csv
 from oracles import convolve_fleet_full, pmf_mean
@@ -53,7 +53,7 @@ class TestConvolveFleet:
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(12)
         fleet = random_fleet(rng, 12)
-        pmf = convolve_fleet(fleet, trim_threshold=0.0)
+        pmf = convolve_fleet(fleet)
         np.testing.assert_allclose(pmf.probabilities, brute_force_fleet(fleet), atol=1e-12)
 
     def test_mean_is_sum_of_derated_capacities(self):
@@ -103,15 +103,8 @@ class TestConvolveFleet:
         fleet = random_fleet(rng, 120)
         for i in (0, 1, 40, 119):
             fleet.insert(i, GeneratingUnit(f"firm{i}", int(rng.integers(1, 800)), 1.0))
-        for trim in (1e-15, 0.0):
-            want = convolve_fleet_full(fleet, trim_threshold=trim).probabilities
-            assert np.array_equal(convolve_fleet(fleet, trim_threshold=trim).probabilities, want)
-
-    def test_trimming_all_mass_is_numerical_error(self):
-        # the first half-available unit leaves two states of 0.5 < 0.6
-        units = [GeneratingUnit("a", 100, 0.5), GeneratingUnit("b", 100, 0.5)]
-        with pytest.raises(NumericalError, match=r"removed all probability mass .*\(1\.000e\+00 in all\)"):
-            convolve_fleet(units, trim_threshold=0.6)
+        want = convolve_fleet_full(fleet).probabilities
+        assert np.array_equal(convolve_fleet(fleet).probabilities, want)
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(ValueError):

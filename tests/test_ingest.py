@@ -1,6 +1,7 @@
 import importlib.util
 import re
 import sys
+import tracemalloc
 import warnings
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -21,6 +22,7 @@ from adequacy.ingest import (
     load_quantile_history,
     load_traces,
     lowess_fit,
+    write_csv,
 )
 from helpers import legacy_load_traces, make_trace, write_trace_csv
 
@@ -871,3 +873,19 @@ class TestQuantileHistory:
         path.write_text("season,quantile_mw\n1991-92,much\n")
         with pytest.raises(DataError, match="line 2"):
             load_quantile_history(path)
+
+
+class TestWriteCsv:
+    def test_memory_does_not_grow_with_the_file(self, tmp_path):
+        path = tmp_path / "big.csv"
+        rows = ((i, i / 7.0, "a") for i in range(100_000))
+        tracemalloc.start()
+        try:
+            write_csv(path, ("i", "x", "s"), rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[:2] == ["i,x,s", "0,0.0,a"]
+        assert lines[-1] == f"99999,{99999 / 7.0!r},a" and len(lines) == 100_001

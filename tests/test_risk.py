@@ -86,7 +86,7 @@ class TestShortfallFunctionals:
         fleet = demo_system["fleet"]
         fast = ShortfallFunctionals(fleet)
         trace = demo_system["traces"][0]
-        for kind in ("evt", "hindcast", "independence"):
+        for kind in ("evt", "hindcast", "ind"):
             pmf = discretize(build_model(trace, kind, 0.95))
             full = compute_metrics(balance_distribution(fleet, pmf), trace.n_hours)
             quick = shortfall_metrics(fast, pmf, trace.n_hours)
@@ -398,7 +398,7 @@ class TestIndMultiset:
                    for label, n in (("2007-08", 12), ("2008-09", 9), ("2009-10", 10))]
         sample = SeasonSample(ShortfallFunctionals(convolve_fleet(self.UNITS)), seasons, 12)
         for drawn in draws:
-            got, fit = sample.metrics(np.bincount(drawn, minlength=3), "independence")
+            got, fit = sample.metrics(np.bincount(drawn, minlength=3), "ind")
             demand, wind = (np.concatenate([getattr(seasons[i], name) for i in drawn])
                             for name in ("demand_mw", "wind_mw"))
             lole, eeu = self.enumerated(self.UNITS, demand, wind, 12)

@@ -81,7 +81,8 @@ class TestEmitTable:
     def columns(first_value=2.82):
         def column(label, lole, ci):
             seasons = [risk.RiskMetrics(v, 0.0, 3528) for v in lole]
-            return Column(label, dnw.HINDCAST, None, seasons, [None] * len(lole), ci, ci, None, None, None)
+            return Column(label, dnw.HINDCAST, None, seasons, [None] * len(lole),
+                          {"lole_hours": ci, "eeu_gwh": ci}, None, None, None)
 
         return [
             column("evt_95", [first_value, 2.22], ConfidenceInterval(1.92, 9.37, 0.95)),
@@ -139,7 +140,7 @@ class TestHindcastBootstrapIdentity:
         per_season = [drawn_metrics(sample, [t], "hindcast")["lole"] for t in traces]
         counts = resample_counts(len(traces), 500, 404)
         _, _, block = pooled_column(sample, "hindcast", None, counts, 0.95)
-        block_ci = block.intervals["lole"]
+        block_ci = block.intervals["lole_hours"]
         season_ci = season_bootstrap(per_season, counts, 0.95)
         assert block.replications_dropped == 0  # hindcast has no fit step to fail
         assert block_ci.lower == pytest.approx(season_ci.lower, rel=0.02)
