@@ -92,8 +92,10 @@ def reflect(pmf: DiscretePmf) -> DiscretePmf:
 
 
 def _trimmed(pmf: DiscretePmf) -> tuple[int, np.ndarray]:
-    nz = np.nonzero(pmf.probabilities)[0]
-    return pmf.origin_mw + int(nz[0]), pmf.probabilities[nz[0] : nz[-1] + 1]
+    """The pmf's origin and probabilities with the zero padding at both ends cut."""
+    nonzero = pmf.probabilities != 0.0
+    lo, hi = int(np.argmax(nonzero)), nonzero.size - int(np.argmax(nonzero[::-1]))
+    return pmf.origin_mw + lo, pmf.probabilities[lo:hi]
 
 
 def _fast_length(n: int) -> int:

@@ -32,6 +32,15 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.float64:
     return np.einsum("i,i", a, b)
 
 
+def _invalid_rows(lole_hours, eeu_mwh) -> dict[int, str]:
+    """The message of each row whose LoLE (h) or EEU (MWh) is not finite and
+    non-negative, by row; the arguments are scalars or (D,) arrays."""
+    lole, eeu = np.atleast_1d(lole_hours, eeu_mwh)
+    bad = ~((0.0 <= lole) & (lole < np.inf) & (0.0 <= eeu) & (eeu < np.inf))
+    return {i: f"risk metrics must be finite and non-negative, got LoLE {float(lole[i])!r} "
+               f"h and EEU {float(eeu[i])!r} MWh" for i in np.flatnonzero(bad).tolist()}
+
+
 @dataclass(frozen=True)
 class RiskMetrics:
     """LoLE (h) and EEU (MWh) of an n_hours-hour season; p_shortfall is LoLE / n_hours."""
@@ -43,11 +52,8 @@ class RiskMetrics:
     def __post_init__(self):
         if self.n_hours <= 0:
             raise ValueError("n_hours must be positive")
-        if not (0.0 <= self.lole_hours < np.inf and 0.0 <= self.eeu_mwh < np.inf):
-            raise NumericalError(
-                f"risk metrics must be finite and non-negative, got LoLE {self.lole_hours!r} "
-                f"h and EEU {self.eeu_mwh!r} MWh"
-            )
+        if invalid := _invalid_rows(self.lole_hours, self.eeu_mwh):
+            raise NumericalError(invalid[0])
 
     @classmethod
     def from_hourly(cls, p_shortfall: float, shortfall_mw: float, n_hours: int) -> "RiskMetrics":
@@ -68,10 +74,12 @@ class ShortfallFunctionals:
 
     With X the available capacity, both are precomputed on the fleet's
     integer grid: for v = origin + j + 1 they are cdf[j] and
-    G[j] = v * cdf[j] - E[X ; X <= origin + j]. A demand-net-of-wind pmf's
-    atoms are one contiguous integer range, so its expectations are two dot
-    products over the slice inside the fleet's support plus closed forms
-    above it (P = 1, E = v - E[X]); atoms at or below the fleet's origin
+    G[j] = v * cdf[j] - E[X ; X <= origin + j]. The tables are padded with
+    a slot below the support (both 0) and a slot above it (P = 1; E is
+    v - E[X] there), so ``at`` reads any value through one clipped index. A
+    demand-net-of-wind pmf's atoms are one contiguous integer range, so its
+    expectations are two dot products over the slice inside the fleet's
+    support plus closed forms above it; atoms at or below the fleet's origin
     contribute nothing. Results match the balance-pmf oracle in
     ``tests/oracles.py``, the definition, to floating-point reordering.
     """
@@ -82,27 +90,32 @@ class ShortfallFunctionals:
         p = fleet.probabilities
         x = fleet.values_mw.astype(float)
         first_moment = np.cumsum(x * p)  # E[X ; X <= origin + j]
-        self._cdf = np.cumsum(p)  # P(X <= origin + j)
-        self._gap = (x + 1.0) * self._cdf - first_moment  # E[(origin + j + 1 - X)+]
+        self._cdf = np.zeros(p.size + 2)  # [1 + j]: P(X <= origin + j)
+        self._cdf[-1] = 1.0
+        cdf = np.cumsum(p, out=self._cdf[1:-1])
+        self._gap = np.zeros(p.size + 2)  # [1 + j]: E[(origin + j + 1 - X)+]
+        np.subtract((x + 1.0) * cdf, first_moment, out=self._gap[1:-1])
         self.mean_mw = float(first_moment[-1])
 
     def at(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """P(X < v) and E[(v - X)+] at integer values v, read as ``expect`` reads them."""
+        """P(X < v) and E[(v - X)+] at integer values v, read as ``expect``
+        reads them: v reads slot v - origin of the tables, clipped to them."""
         v = np.asarray(v, dtype=float)
-        j = v - (self._origin + 1)
-        inside = (j >= 0) & (j < self._cdf.size)
-        above = j >= self._cdf.size
-        k = np.clip(j, 0, self._cdf.size - 1).astype(np.int64)
-        cdf = np.where(inside, self._cdf[k], above.astype(float))
-        gap = np.where(inside, self._gap[k], np.where(above, v - self.mean_mw, 0.0))
-        return cdf, gap
+        if np.isnan(v).any():
+            raise ValueError("a NaN value has no grid bin")
+        top = self._cdf.size - 1
+        k = np.clip(v - self._origin, 0, top).astype(np.intp)
+        gap = self._gap[k]
+        np.subtract(v, self.mean_mw, out=gap, where=k == top)
+        return self._cdf[k], gap
 
     def expect(self, origin: int, probs: np.ndarray) -> tuple[float, float]:
         """P(X < V) and E[(V - X)+] for V with mass probs[i] at v = origin + i."""
-        # atom i reads fleet index k0 + i = v - origin - 1
-        k0 = origin - self._origin - 1
-        lo = min(max(-k0, 0), probs.size)
-        hi = min(max(self._cdf.size - k0, lo), probs.size)
+        # atom i reads padded slot k0 + i = v - origin
+        k0 = origin - self._origin
+        size = self._cdf.size - 2
+        lo = min(max(1 - k0, 0), probs.size)
+        hi = min(max(size + 1 - k0, lo), probs.size)
         inside = probs[lo:hi]
         above = probs[hi:]
         excess = origin + np.arange(hi, probs.size) - self.mean_mw  # v - E[X]
@@ -128,7 +141,8 @@ class SeasonSample:
 
     ``metrics(counts, kind, threshold_quantile)``, where counts[s] is how often
     season s is drawn, gives the LoLE/EEU of the concatenated draw: one count
-    is a season on its own, all ones the pooled sample. Each kind equals
+    is a season on its own, all ones the pooled sample; ``replicate`` reads
+    every row of a count matrix at once. Each kind equals
     the oracle in ``tests/oracles.py``: its model of the concatenation,
     projected onto the 1 MW grid and read through ``ShortfallFunctionals``,
     over the fleet's support only:
@@ -187,15 +201,49 @@ class SeasonSample:
         """LoLE/EEU of the drawn multiset under ``kind``, and its evt tail fit (None otherwise)."""
         c = np.asarray(counts, dtype=float)
         fit = None
-        if kind == dnw.HINDCAST:
-            p_shortfall, energy = (c @ self._sums) / (c @ self.hours)
-        elif kind == dnw.INDEPENDENCE:
-            p_shortfall, energy = self._ind(c)
-        elif kind == dnw.EVT:
+        if kind == dnw.EVT:
             p_shortfall, energy, fit = self._evt(c, threshold_quantile)
         else:
-            raise ValueError(f"unknown model kind {kind!r}")
+            [(p_shortfall, energy)] = self._closed_form(c[None], kind)
         return RiskMetrics.from_hourly(float(p_shortfall), float(energy), self.n_hours), fit
+
+    def replicate(self, rows, kind: str, q: float | None = None
+                  ) -> tuple[dict[str, np.ndarray], dict[int, str]]:
+        """``metrics`` of each row of the (D, S) count matrix ``rows`` at once.
+
+        Returns each row's LoLE (h) and EEU (MWh), keyed "lole_hours" and
+        "eeu_mwh", and the message of each row that failed, by row: its
+        model raised NumericalError, or its metrics are not finite and
+        non-negative. A failed row reads NaN. evt fits each row in turn.
+        """
+        c = np.asarray(rows, dtype=float)
+        failed = {}
+        if kind == dnw.EVT:
+            hourly = np.full((len(c), 2), np.nan)
+            for i, row in enumerate(c):
+                try:
+                    hourly[i] = self._evt(row, q)[:2]
+                except NumericalError as exc:
+                    failed[i] = str(exc)
+        else:
+            hourly = self._closed_form(c, kind)
+        lole, eeu = self.n_hours * hourly.T
+        failed = _invalid_rows(lole, eeu) | failed  # a model's own message first
+        lole[list(failed)] = eeu[list(failed)] = np.nan
+        return {"lole_hours": lole, "eeu_mwh": eeu}, failed
+
+    def _closed_form(self, c: np.ndarray, kind: str) -> np.ndarray:
+        """[r, m]: P(Z < 0) (m = 0) and E[max(-Z, 0)] (m = 1) in one hour of
+        count row r's draw under hindcast or ind, the one formula ``metrics``
+        and ``replicate`` read. einsum sums in a fixed order; a BLAS
+        product's last bits depend on the thread count."""
+        hours = np.einsum("rs,s->r", c, self.hours)[:, None]
+        if kind == dnw.HINDCAST:
+            return np.einsum("rs,sm->rm", c, self._sums) / hours
+        if kind == dnw.INDEPENDENCE:
+            against = np.einsum("mab,rb->rma", self._pairs, c * self.hours)  # [r, m, a]
+            return np.einsum("rma,ra->rm", against, c) / hours**2
+        raise ValueError(f"unknown model kind {kind!r}")
 
     @cached_property
     def _pairs(self) -> np.ndarray:
@@ -208,9 +256,6 @@ class SeasonSample:
         for b, total in enumerate(convolve_each(self.functionals.fleet, winds)):
             pairs[:, :, b] = _season_sums(ShortfallFunctionals(total), *demand).T
         return pairs
-
-    def _ind(self, c: np.ndarray) -> np.ndarray:
-        return self._pairs @ (c * self.hours) @ c / (c @ self.hours) ** 2
 
     def _evt(self, c: np.ndarray, q: float) -> tuple[float, float, evt.GpdFit]:
         u_sorted, owner, body_cdf, body_gap, sizes = self._sorted

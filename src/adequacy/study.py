@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -151,16 +152,12 @@ def pooled_column(sample: SeasonSample, kind: str, threshold_quantile: float | N
     (None for other kinds) and its block bootstrap over the rows of ``counts``,
     with intervals in the pooled table's metrics and units: "lole_hours", "eeu_gwh".
 
-    Nothing is computed per season, so a season that an evt column cannot fit
-    on its own does not stop it.
+    The bootstrap hands the distinct count rows to ``SeasonSample.replicate``
+    in one call. Nothing is computed per season, so a season that an evt
+    column cannot fit on its own does not stop it.
     """
-    def replicate(counts):
-        # evt refits the GPD on every count row, as a fit is not linear
-        drawn, _ = sample.metrics(counts, kind, threshold_quantile)
-        return {"lole_hours": drawn.lole_hours, "eeu_mwh": drawn.eeu_mwh}
-
     metrics, fit = sample.metrics(np.ones(len(sample.seasons)), kind, threshold_quantile)
-    result = block_bootstrap(replicate, counts, level)
+    result = block_bootstrap(partial(sample.replicate, kind=kind, q=threshold_quantile), counts, level)
     lole, eeu = result.intervals["lole_hours"], result.intervals["eeu_mwh"]  # GWh once, after the percentiles
     gwh = ConfidenceInterval(eeu.lower / 1000.0, eeu.upper / 1000.0, eeu.level)
     return metrics, fit, replace(result, intervals={"lole_hours": lole, "eeu_gwh": gwh})

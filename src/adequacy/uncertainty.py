@@ -6,8 +6,8 @@ independent blocks:
 * season bootstrap -- resample the per-season metric estimates themselves and
   take percentile quantiles of the resample means;
 * block bootstrap  -- resample whole seasons, recompute the pooled metrics
-  once per distinct replication, and take percentile quantiles of the
-  replicated metrics.
+  of every distinct replication in one call, and take percentile quantiles
+  of the replicated metrics.
 
 Both read a replication as a row of counts, how often each season was drawn:
 an (R, S) count matrix from ``resample_counts``, so that a study column hands
@@ -221,42 +221,50 @@ def season_bootstrap(per_season_values, counts: np.ndarray, level: float) -> Con
     return percentile_interval(means, level)
 
 
+def _distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(counts, axis=0, return_inverse=True)`` by one sort: the
+    distinct rows in lexicographic order, and the index of each row's among them."""
+    order = np.lexsort(counts.T[::-1])  # the first column is the primary key
+    ordered = counts[order]
+    starts = np.ones(len(order), dtype=bool)  # where a run of equal rows starts
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    which = np.empty(len(order), dtype=np.intp)
+    which[order] = np.cumsum(starts) - 1
+    return ordered[starts], which
+
+
 def block_bootstrap(replicate, counts: np.ndarray, level: float) -> BlockBootstrapResult:
     """Percentile CIs from rerunning ``replicate`` on resampled season blocks.
 
     Each row of the (R, S) ``counts`` is a replication, how often each of the
-    S seasons was drawn. ``replicate`` maps a count row to a mapping of metric
-    name to value; it runs once per distinct row. Replications whose
-    ``replicate`` raises NumericalError are dropped and counted; more than
-    MAX_DROP_RATE of them is an error. Any other exception is a bug and
-    propagates.
+    S seasons was drawn. ``replicate`` is called once, on the (D, S) matrix
+    of the distinct rows in ``np.unique``'s order. It returns a mapping of
+    metric name to the (D,) array of that metric's values, and the message
+    of each row that failed with a NumericalError, by row index. The
+    replications of a failed row are dropped and counted; more than
+    MAX_DROP_RATE of them is an error. An exception ``replicate`` raises is
+    a bug and propagates.
     """
     n_replications, n_seasons = counts.shape
     if n_seasons < 2:
         raise ValueError("block bootstrap needs at least 2 seasons")
-    distinct, which = np.unique(counts, axis=0, return_inverse=True)
-    outcomes = []
-    for row in distinct:
-        try:
-            outcomes.append(dict(replicate(row)))
-        except NumericalError as exc:  # recorded, not fatal unless widespread
-            outcomes.append(exc)
-    replications = [outcomes[i] for i in which.ravel().tolist()]
-    kept = [m for m in replications if not isinstance(m, Exception)]
-    dropped = len(replications) - len(kept)
-    first_error = next((f"replication {r}: {m}" for r, m in enumerate(replications)
-                        if isinstance(m, Exception)), None)
-    if dropped > MAX_DROP_RATE * n_replications:
+    distinct, which = _distinct_rows(counts)
+    values, failed = replicate(distinct)
+    dropped = np.isin(which, list(failed))
+    n_dropped = int(dropped.sum())
+    first_error = None
+    if n_dropped:
+        first = int(np.argmax(dropped))
+        first_error = f"replication {first}: {failed[which[first]]}"
+    if n_dropped > MAX_DROP_RATE * n_replications:
         raise NumericalError(
-            f"{dropped}/{n_replications} bootstrap replications failed; first: {first_error}"
+            f"{n_dropped}/{n_replications} bootstrap replications failed; first: {first_error}"
         )
-    intervals = {
-        name: percentile_interval(np.array([m[name] for m in kept]), level)
-        for name in kept[0]
-    }
+    kept = which[~dropped]
+    intervals = {name: percentile_interval(np.asarray(v)[kept], level) for name, v in values.items()}
     return BlockBootstrapResult(
         intervals=intervals,
-        replications_used=len(kept),
-        replications_dropped=dropped,
+        replications_used=kept.size,
+        replications_dropped=n_dropped,
         first_error=first_error,
     )

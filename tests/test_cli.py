@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -669,11 +670,9 @@ class TestUncertaintyCommand:
         metrics, _ = sample.metrics(np.ones(len(sample.seasons)), dnw.EVT, 0.995)
         matrix = resample_counts(len(sample.seasons), 100, (9, 101, 0))
 
-        def replicate(counts):
-            drawn, _ = sample.metrics(counts, dnw.EVT, 0.995)
-            return {"lole": drawn.lole_hours, "eeu": drawn.eeu_mwh}
-
-        ci = block_bootstrap(replicate, matrix, 0.95).intervals[metric]
+        replicate = partial(sample.replicate, kind=dnw.EVT, q=0.995)
+        key = {"lole": "lole_hours", "eeu": "eeu_mwh"}[metric]
+        ci = block_bootstrap(replicate, matrix, 0.95).intervals[key]
         if metric == "lole":
             expected = [metrics.lole_hours, ci.lower, ci.upper]
         else:  # the pooled table's GWh, printed in MWh

@@ -20,7 +20,8 @@ PERFBENCH = ROOT / "perfbench"
 # and the dnw.build_* models, dnw.discretize and ShortfallFunctionals.metrics
 # together that of SeasonSample. perfbench/tracer.py times a replication by
 # wrapping the closure of study.pooled_pipeline, which the package no longer
-# has: a replication is a count row, read by pooled_column's local replicate
+# has: a replication is a count row, and SeasonSample.replicate reads all
+# distinct rows of a column in one call
 NOT_CALLED = {
     "risk.balance_distribution", "dnw.discretize", "risk.ShortfallFunctionals.metrics",
     "dnw.build_evt_model", "dnw.build_hindcast_model", "dnw.build_independence_model",

@@ -141,6 +141,21 @@ class TestShortfallFunctionalsProperty:
         assert m.p_shortfall == 1.0
         assert m.eeu_mwh == pytest.approx(7.0, rel=1e-15)
 
+    def test_at_reads_every_value_as_expect_does(self):
+        # below, inside and above the fleet's support 3..9 MW
+        functionals = ShortfallFunctionals(two_atom(3, 0.3, 9))
+        v = np.arange(-2.0, 15.0)
+        cdf, gap = functionals.at(v)
+        assert list(zip(cdf.tolist(), gap.tolist())) == [functionals.expect(int(x), np.ones(1)) for x in v]
+
+    def test_at_a_nan_value_is_value_error(self):
+        with pytest.raises(ValueError, match="a NaN value has no grid bin"):
+            ShortfallFunctionals(two_atom(0, 0.5, 10)).at(np.array([3.0, np.nan]))
+
+    def test_at_infinities_read_the_ends(self):
+        cdf, gap = ShortfallFunctionals(two_atom(0, 0.5, 10)).at(np.array([np.inf, -np.inf]))
+        assert (cdf.tolist(), gap.tolist()) == ([1.0, 0.0], [np.inf, 0.0])
+
 
 def one_season_metrics(trace, fleet, kind):
     """One season's metrics by the definition: model, discretize, functionals."""

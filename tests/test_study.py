@@ -328,6 +328,18 @@ class TestEvtPipeline:
         assert result.replications_dropped == failing.size
         assert result.first_error.startswith(f"replication {failing[0]}: need at least")
 
+    def test_replicate_fails_exactly_the_rows_drawing_only_the_flat_season(self, demo_system):
+        flat = make_trace("2014-15", np.full(3528, 20_000.0), np.zeros(3528))
+        sample = self.sample(demo_system, demo_system["traces"][:3] + [flat])
+        rows = np.unique(resample_counts(4, 1000, 1), axis=0)
+        only_flat = rows[:, 3] == rows.sum(axis=1)
+        assert only_flat.any()
+        values, failed = sample.replicate(rows, dnw.EVT, 0.95)
+        assert sorted(failed) == np.flatnonzero(only_flat).tolist()
+        assert all("exceedances" in message for message in failed.values())
+        for name in ("lole_hours", "eeu_mwh"):
+            assert np.array_equal(np.isnan(values[name]), only_flat)
+
 
 class TestManifestOnFailure:
     def test_failed_stage_recorded(self, tmp_path, demo_dataset_dir):

@@ -1,15 +1,20 @@
 import collections
+from functools import partial
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from adequacy.errors import NumericalError
+from adequacy.risk import RiskMetrics, SeasonSample
 from adequacy.study import RunConfig
 from adequacy.uncertainty import (
     MAX_DROP_RATE,
     ConfidenceInterval,
     _bounded,
+    _distinct_rows,
     block_bootstrap,
     percentile_interval,
     resample_counts,
@@ -168,12 +173,12 @@ class TestSeasonBootstrap:
 class TestBlockBootstrap:
     @staticmethod
     def mean_replicate(seasons):
-        """The count-row replicate of the pooled mean of ``seasons``."""
+        """The batch replicate of the pooled mean of ``seasons``: one mean per count row."""
         sums = np.array([np.sum(s, dtype=float) for s in seasons])
         sizes = np.array([np.size(s) for s in seasons], dtype=float)
 
-        def replicate(counts):
-            return {"mean": float(counts @ sums / (counts @ sizes))}
+        def replicate(rows):
+            return {"mean": rows @ sums / (rows @ sizes)}, {}
 
         return replicate
 
@@ -198,10 +203,10 @@ class TestBlockBootstrap:
     def test_failures_counted_and_bounded(self):
         # the replicate fails on exactly the row that draws season 0 every
         # time, so the drop count is fixed by the index matrix alone
-        def flaky(counts):
-            if counts[0] == counts.sum():
-                raise NumericalError("numerical hiccup")
-            return {"m": 1.0}
+        def flaky(rows):
+            failing = rows[:, 0] == rows.sum(axis=1)
+            return ({"m": np.where(failing, np.nan, 1.0)},
+                    {i: "numerical hiccup" for i in np.flatnonzero(failing).tolist()})
 
         reps = 1000
         failing = np.flatnonzero((resample_indices(4, reps, 1) == 0).all(axis=1))
@@ -215,42 +220,70 @@ class TestBlockBootstrap:
     def test_replicate_runs_once_per_distinct_count_row(self):
         calls = []
 
-        def recording(counts):
-            calls.append(tuple(counts.tolist()))
-            return {"m": float(counts @ np.arange(5.0)) / 5.0}
+        def recording(rows):
+            calls.append(rows.copy())
+            return {"m": rows @ np.arange(5.0) / 5.0}, {}
 
         reps = 400
-        result = block_bootstrap(recording, resample_counts(5, reps, 8), 0.95)
+        counts = resample_counts(5, reps, 8)
+        result = block_bootstrap(recording, counts, 0.95)
         rows = {tuple(np.bincount(row, minlength=5).tolist())
                 for row in resample_indices(5, reps, 8)}
-        assert len(calls) == len(set(calls)) == len(rows) < reps
-        assert set(calls) == rows  # a row counts how often each season was drawn
+        [batch] = calls  # one call with every distinct row
+        assert len(batch) == len({tuple(r) for r in batch.tolist()}) == len(rows) < reps
+        assert {tuple(r) for r in batch.tolist()} == rows  # a row counts how often each season was drawn
+        np.testing.assert_array_equal(batch, np.unique(counts, axis=0))  # in np.unique's order
         assert result.replications_used == reps
         assert result.first_error is None
 
     def test_widespread_failure_is_error(self):
-        def broken(counts):
-            raise NumericalError("always fails")
+        def broken(rows):
+            return {"m": np.full(len(rows), np.nan)}, {i: "always fails" for i in range(len(rows))}
 
         with pytest.raises(NumericalError, match="replications failed"):
             block_bootstrap(broken, resample_counts(4, 200, 1), 0.95)
 
     def test_a_bug_aborts_instead_of_dropping(self):
-        # only NumericalError is a droppable replication; a TypeError is a bug
-        calls = []
-
-        def buggy(counts):
-            calls.append(counts.sum())
-            if len(calls) == 3:
-                raise TypeError("unsupported operand")
-            return {"m": 1.0}
+        # only a row reported failed is a droppable replication; a TypeError is a bug
+        def buggy(rows):
+            raise TypeError("unsupported operand")
 
         with pytest.raises(TypeError, match="unsupported operand"):
             block_bootstrap(buggy, resample_counts(4, 200, 1), 0.95)
 
+    def test_a_negative_metric_drops_its_row_with_risk_metrics_message(self, monkeypatch):
+        # SeasonSample.replicate checks every row as RiskMetrics checks one
+        # metric pair: a row whose model gives a negative EEU is dropped
+        counts = resample_counts(6, 500, 4)
+        rows, which = np.unique(counts, axis=0, return_inverse=True)
+        bad = int(np.flatnonzero(np.bincount(which.ravel()) == 1)[0])  # drawn by one replication
+        hourly = np.tile([0.01, 2.0], (len(rows), 1))
+        hourly[bad, 1] = -1.0
+        sample = SeasonSample.__new__(SeasonSample)  # only n_hours and the model are read
+        sample.n_hours = 100
+        monkeypatch.setattr(SeasonSample, "_closed_form", lambda self, c, kind: hourly.copy())
+        with pytest.raises(NumericalError) as single:
+            RiskMetrics.from_hourly(0.01, -1.0, 100)
+        values, failed = sample.replicate(rows, "hindcast")
+        assert failed == {bad: str(single.value)}
+        assert np.isnan(values["lole_hours"][bad]) and np.isnan(values["eeu_mwh"][bad])
+        result = block_bootstrap(partial(sample.replicate, kind="hindcast"), counts, 0.95)
+        assert (result.replications_used, result.replications_dropped) == (499, 1)
+        assert result.first_error == f"replication {np.flatnonzero(which.ravel() == bad)[0]}: {single.value}"
+
     def test_needs_two_seasons(self):
         with pytest.raises(ValueError):
             block_bootstrap(self.mean_replicate([np.arange(3.0)]), resample_counts(1, 100, 1), 0.95)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300).flatmap(lambda n: st.integers(2, 30).flatmap(  # small entries, so rows repeat
+    lambda s: hnp.arrays(np.int64, (n, s), elements=st.integers(-3, 3)))))
+def test_distinct_rows_match_np_unique(counts):
+    distinct, which = _distinct_rows(counts)
+    want, want_which = np.unique(counts, axis=0, return_inverse=True)
+    np.testing.assert_array_equal(distinct, want)  # the same rows in the same order
+    np.testing.assert_array_equal(which, want_which.ravel())
 
 
 def test_percentile_interval_type7():
