@@ -109,17 +109,29 @@ class GpdFit:
 def gpd_survivor(params: GpdParams, y):
     """1 - H(y) = P(Y > y) for excess y >= 0, computed directly so that tail
     masses far below 1e-16 keep their relative precision. Accepts scalars or
-    arrays."""
+    arrays; +inf survives with probability 0, and a negative or NaN excess
+    raises ValueError. Each step runs in place on one buffer of the result,
+    never on the caller's array."""
     y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr < 0.0):
-        raise ValueError("excess values must be non-negative")
-    if abs(params.xi) < XI_ZERO_GUARD:
-        out = np.exp(-y_arr / params.sigma)
+    if not (y_arr >= 0.0).all():
+        raise ValueError("excess values must be non-negative, not NaN")
+    sigma, xi = params.sigma, params.xi
+    out = np.empty(y_arr.shape)
+    if abs(xi) < XI_ZERO_GUARD:
+        np.negative(y_arr, out=out)
+        out /= sigma
+        np.exp(out, out=out)
     else:
-        z = params.xi * y_arr / params.sigma
-        # beyond the finite endpoint (xi < 0) nothing survives
-        inside = z > -1.0
-        out = np.where(inside, np.exp(np.log1p(np.where(inside, z, 0.0)) / -params.xi), 0.0)
+        np.multiply(xi, y_arr, out=out)
+        out /= sigma
+        if xi < 0.0:  # beyond the finite endpoint nothing survives
+            past = ~(out > -1.0)
+            out[past] = 0.0
+        np.log1p(out, out=out)
+        out /= -xi
+        np.exp(out, out=out)
+        if xi < 0.0:
+            out[past] = 0.0
     return float(out) if np.isscalar(y) or y_arr.ndim == 0 else out
 
 

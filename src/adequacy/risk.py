@@ -158,13 +158,16 @@ class SeasonSample:
       filled on the first ind call: one fleet + wind convolution each, with
       the fleet transformed once per FFT length, and one gather of every
       season's floored demand each;
-    * evt sorts all seasons' values together once, on its first call, so a
-      multiset is a weight per value. The threshold is numpy's linear
-      quantile of the weighted values, bit for bit, found by a reverse
-      cumulative sum over the largest values only (``_threshold``),
-      and the GPD is fitted to the exceedances of positive weight. The fit's
-      standard errors are computed only if they are read. Values at or below
-      the threshold are a weighted dot over a prefix;
+    * evt sorts all seasons' values together once, on its first call, with
+      each season's running sums of the gathered functionals in sorted
+      order, so a multiset reads only its exceedances and O(S) sums. The
+      threshold is numpy's linear quantile of the drawn values, bit for bit,
+      found by a reverse cumulative sum of the counts of the largest values
+      only (``_threshold``), and the GPD is fitted to the exceedances of
+      positive count. The fit's standard errors are computed only if they
+      are read. Values at or below the threshold are one sum over the
+      seasons of count times running sum at the season's number of values
+      below it (``_body_sums``);
     * the tail's bins from floor(u) up to the fleet's top difference the GPD
       survivor; the tail mass P at or above the top needs no bins: it adds P
       to P(Z < 0) and P (top + e(y) - 1/2 - E[X]) to E[(V - X)+], with the
@@ -172,8 +175,8 @@ class SeasonSample:
       JRSS B 52(3)) and 1/2 for the floor binning. With xi >= 1 that mean is
       infinite, which raises NumericalError.
 
-    Ties in the sort are broken by season label, so the order of ``seasons``
-    does not change any sum.
+    Ties in the sort are broken by season label, and the season sums run in
+    label order, so the order of ``seasons`` does not change any sum.
     """
 
     def __init__(self, functionals: ShortfallFunctionals, seasons, n_hours: int):
@@ -181,30 +184,39 @@ class SeasonSample:
         self.seasons = list(seasons)
         self.n_hours = n_hours
         self.hours = np.array([s.n_hours for s in self.seasons], dtype=float)  # observed
+        self._by_label = np.argsort([s.season_label for s in self.seasons], kind="stable")
         self._sums = _season_sums(functionals, *_floors([s.net_demand_mw for s in self.seasons]))
 
     @cached_property
     def _sorted(self) -> tuple[np.ndarray, ...]:
-        """All values sorted, their season ids, the functionals at their floors,
-        and each season's number of values; evt only."""
+        """All values sorted, their season ids, ``prefix`` and each season's
+        number of values; evt only.
+
+        prefix[s, j, m] is the sum of functional m (P(X < v), E[(v - X)+])
+        at the floors of season s's j smallest values, in sorted order.
+        """
         values = [s.net_demand_mw for s in self.seasons]
-        label_rank = np.argsort(np.argsort([s.season_label for s in self.seasons], kind="stable"))
+        label_rank = np.argsort(self._by_label)
         pooled = np.concatenate(values)
         sizes = np.array([v.size for v in values])
         owner = np.repeat(np.arange(len(values)), sizes)
         order = np.lexsort((label_rank[owner], pooled))
-        u = pooled[order]
-        return (u, owner[order], *self.functionals.at(np.floor(u)), sizes.astype(float))
+        u, owner = pooled[order], owner[order]
+        grouped = np.stack(self.functionals.at(np.floor(u)), axis=1)[np.argsort(owner, kind="stable")]
+        prefix = np.zeros((len(values), sizes.max() + 1, 2))
+        for s, part in enumerate(np.split(grouped, np.cumsum(sizes)[:-1])):
+            np.cumsum(part, axis=0, out=prefix[s, 1 : part.shape[0] + 1])
+        return u, owner, prefix, sizes
 
     def metrics(self, counts, kind: str, threshold_quantile: float | None = None
                 ) -> tuple[RiskMetrics, evt.GpdFit | None]:
         """LoLE/EEU of the drawn multiset under ``kind``, and its evt tail fit (None otherwise)."""
-        c = np.asarray(counts, dtype=float)
+        c = np.asarray(counts, dtype=float)[None]
         fit = None
         if kind == dnw.EVT:
-            p_shortfall, energy, fit = self._evt(c, threshold_quantile)
+            p_shortfall, energy, fit = self._evt(self._counts(c)[0], threshold_quantile)
         else:
-            [(p_shortfall, energy)] = self._closed_form(c[None], kind)
+            [(p_shortfall, energy)] = self._closed_form(c, kind)
         return RiskMetrics.from_hourly(float(p_shortfall), float(energy), self.n_hours), fit
 
     def replicate(self, rows, kind: str, q: float | None = None
@@ -220,7 +232,7 @@ class SeasonSample:
         failed = {}
         if kind == dnw.EVT:
             hourly = np.full((len(c), 2), np.nan)
-            for i, row in enumerate(c):
+            for i, row in enumerate(self._counts(c)):
                 try:
                     hourly[i] = self._evt(row, q)[:2]
                 except NumericalError as exc:
@@ -232,12 +244,24 @@ class SeasonSample:
         lole[list(failed)] = eeu[list(failed)] = np.nan
         return {"lole_hours": lole, "eeu_mwh": eeu}, failed
 
+    def _counts(self, c: np.ndarray) -> np.ndarray:
+        """The (D, S) count matrix c, checked in one pass: each row holds a
+        finite non-negative integer count per season and draws at least one."""
+        n_seasons = len(self.seasons)
+        if c.ndim != 2 or c.shape[1] != n_seasons:
+            raise ValueError(f"need one count per season, {n_seasons} a row; got shape {c.shape}")
+        if not ((0.0 <= c) & (c < np.inf) & (np.floor(c) == c)).all():
+            raise ValueError("season counts must be finite non-negative integers")
+        if not (c.sum(axis=1) > 0.0).all():
+            raise ValueError("a row of season counts draws no season")
+        return c
+
     def _closed_form(self, c: np.ndarray, kind: str) -> np.ndarray:
         """[r, m]: P(Z < 0) (m = 0) and E[max(-Z, 0)] (m = 1) in one hour of
         count row r's draw under hindcast or ind, the one formula ``metrics``
         and ``replicate`` read. einsum sums in a fixed order; a BLAS
         product's last bits depend on the thread count."""
-        hours = np.einsum("rs,s->r", c, self.hours)[:, None]
+        hours = np.einsum("rs,s->r", self._counts(c), self.hours)[:, None]
         if kind == dnw.HINDCAST:
             return np.einsum("rs,sm->rm", c, self._sums) / hours
         if kind == dnw.INDEPENDENCE:
@@ -258,22 +282,28 @@ class SeasonSample:
         return pairs
 
     def _evt(self, c: np.ndarray, q: float) -> tuple[float, float, evt.GpdFit]:
-        u_sorted, owner, body_cdf, body_gap, sizes = self._sorted
-        w = c[owner]
+        u_sorted, owner, _, sizes = self._sorted
         n = int(c @ sizes)
-        u = self._threshold(w, n, q)
+        u = self._threshold(c, n, q)
 
         cut = int(np.searchsorted(u_sorted, u, side="right"))
-        keep = w[cut:] > 0.0
-        fit = replace(evt.fit_gpd(u_sorted[cut:][keep] - u, w[cut:][keep]), threshold_u=u, n_total=n)
+        w = c[owner[cut:]]
+        keep = w > 0.0
+        fit = replace(evt.fit_gpd(u_sorted[cut:][keep] - u, w[keep]), threshold_u=u, n_total=n)
 
         functionals = self.functionals
         top = functionals.fleet.last_mw + 2  # the first v that ``at`` reads in closed form
         first = int(np.floor(u))
-        edges = np.concatenate([[u], np.arange(first + 1.0, top + 1.0)])  # [u] past the top
-        start = edges[-1]  # where the closed-form tail begins
-        survive = evt.gpd_survivor(fit.params, edges - u)
-        tail_cdf, tail_gap = functionals.expect(first, np.clip(survive[:-1] - survive[1:], 0.0, None))
+        # excesses of u and of the integer edges up to the top; the last is where
+        # the closed-form tail begins, u itself when u is past the top
+        y = np.arange(first, max(top, first) + 1.0)
+        y -= u
+        y[0] = 0.0
+        start = float(top) if y.size > 1 else u
+        survive = evt.gpd_survivor(fit.params, y)
+        bins = survive[:-1]
+        np.subtract(bins, survive[1:], out=bins)
+        tail_cdf, tail_gap = functionals.expect(first, np.clip(bins, 0.0, None, out=bins))
         p_above = survive[-1]
         energy_above = 0.0
         if p_above > 0.0:
@@ -283,34 +313,48 @@ class SeasonSample:
             mean_excess = (sigma + xi * (start - u)) / (1.0 - xi)
             energy_above = p_above * (start + mean_excess - 0.5 - functionals.mean_mw)
         p_tail = fit.exceedance_prob
-        p_shortfall = _dot(w[:cut], body_cdf[:cut]) / n + p_tail * (tail_cdf + p_above)
-        energy = _dot(w[:cut], body_gap[:cut]) / n + p_tail * (tail_gap + energy_above)
+        body_cdf, body_gap = self._body_sums(c, cut)
+        p_shortfall = body_cdf / n + p_tail * (tail_cdf + p_above)
+        energy = body_gap / n + p_tail * (tail_gap + energy_above)
         return p_shortfall, energy, fit
 
-    def _threshold(self, w: np.ndarray, n: int, q: float) -> float:
-        """np.quantile(method="linear") at q of the n draws with weight w[i] on sorted value i.
+    def _body_sums(self, c: np.ndarray, cut: int) -> np.ndarray:
+        """[m]: the sum over the sorted values below ``cut`` of their season's
+        count times functional m at their floor, from each season's ``prefix``
+        at its number of values below the cut, summed in season-label order."""
+        _, owner, prefix, sizes = self._sorted
+        below = sizes - np.bincount(owner[cut:], minlength=sizes.size)
+        s = self._by_label
+        return np.einsum("s,sm->m", c[s], prefix[s, below[s]])
+
+    def _threshold(self, c: np.ndarray, n: int, q: float) -> float:
+        """np.quantile(method="linear") at q of the n draws of the seasons drawn
+        c[s] times each.
 
         The order statistics it interpolates are those at the indices
-        ``searchsorted(cumsum(w), positions, "right")``, found from the top:
-        the index of position p is the last whose weight from there up is
-        at least n - p. A reverse cumulative sum over a slice of the largest
-        values finds both once the slice holds weight n - p for the lower
-        position. The largest values can belong to seasons drawn 0 times, so
-        the slice doubles until it does. Every count is an integer held
-        exactly in float64, so the comparisons are exact.
+        ``searchsorted(cumsum(w), positions, "right")``, w[i] the count of
+        sorted value i's season, found from the top: the index of position p
+        is the last whose weight from there up is at least n - p. A reverse
+        cumulative sum of the weights of a slice of the largest values finds
+        both once the slice holds weight n - p for the lower position; only
+        that slice's weights are gathered. The largest values can belong to
+        seasons drawn 0 times, so the slice doubles until it does. Every
+        count is an integer held exactly in float64, so the comparisons are
+        exact.
         """
+        u_sorted, owner = self._sorted[:2]
         virtual = (n - 1) * q
         below = np.floor(virtual)
         gamma = virtual - below
         positions = np.minimum([below, below + 1.0], n - 1)
         need = n - positions[0]
-        size = min(int(need), w.size)
+        size = min(int(need), owner.size)
         while True:
-            above = np.cumsum(w[w.size - size:][::-1])  # weight of the top 1, 2, ... values
-            if above[-1] >= need or size == w.size:
+            above = np.cumsum(c[owner[owner.size - size:]][::-1])  # weight of the top 1, 2, ... values
+            if above[-1] >= need or size == owner.size:
                 break
-            size = min(2 * size, w.size)
-        lo, hi = self._sorted[0][w.size - 1 - np.searchsorted(above, n - positions, side="left")]
+            size = min(2 * size, owner.size)
+        lo, hi = u_sorted[owner.size - 1 - np.searchsorted(above, n - positions, side="left")]
         diff = hi - lo
         return float(hi - diff * (1.0 - gamma) if gamma >= 0.5 else lo + diff * gamma)
 

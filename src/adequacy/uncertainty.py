@@ -41,8 +41,9 @@ class ConfidenceInterval:
     level: float
 
     def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError("lower endpoint above upper endpoint")
+        if not self.lower <= self.upper:  # NaN fails this too
+            raise ValueError(f"lower endpoint {self.lower!r} is not at or below "
+                             f"upper endpoint {self.upper!r}")
 
 
 @dataclass(frozen=True)
@@ -243,14 +244,23 @@ def block_bootstrap(replicate, counts: np.ndarray, level: float) -> BlockBootstr
     of each row that failed with a NumericalError, by row index. The
     replications of a failed row are dropped and counted; more than
     MAX_DROP_RATE of them is an error. An exception ``replicate`` raises is
-    a bug and propagates.
+    a bug and propagates, and a value that is not finite on a row it did not
+    report failed breaks its contract: ValueError.
     """
     n_replications, n_seasons = counts.shape
     if n_seasons < 2:
         raise ValueError("block bootstrap needs at least 2 seasons")
     distinct, which = _distinct_rows(counts)
     values, failed = replicate(distinct)
-    dropped = np.isin(which, list(failed))
+    reported = np.zeros(len(distinct), dtype=bool)
+    reported[list(failed)] = True
+    values = {name: np.asarray(v, dtype=float) for name, v in values.items()}
+    for name, v in values.items():
+        if (unreported := np.flatnonzero(~(reported | np.isfinite(v)))).size:
+            i = int(unreported[0])
+            raise ValueError(f"replicate gave {name} = {float(v[i])!r} for count row {distinct[i].tolist()} "
+                             "without reporting it failed")
+    dropped = reported[which]
     n_dropped = int(dropped.sum())
     first_error = None
     if n_dropped:
@@ -261,7 +271,7 @@ def block_bootstrap(replicate, counts: np.ndarray, level: float) -> BlockBootstr
             f"{n_dropped}/{n_replications} bootstrap replications failed; first: {first_error}"
         )
     kept = which[~dropped]
-    intervals = {name: percentile_interval(np.asarray(v)[kept], level) for name, v in values.items()}
+    intervals = {name: percentile_interval(v[kept], level) for name, v in values.items()}
     return BlockBootstrapResult(
         intervals=intervals,
         replications_used=kept.size,

@@ -102,6 +102,38 @@ class TestGpdSurvivor:
         np.testing.assert_array_equal(gpd_survivor(params, [4.0, 10.0]), [0.0, 0.0])
         assert gpd_survivor(params, 3.0) == pytest.approx(0.25**2, rel=1e-15, abs=0.0)
 
+    @staticmethod
+    def direct(params, y):
+        """The survivor as one expression of temporaries, which the in-place steps equal bit for bit."""
+        y = np.asarray(y, dtype=float)
+        if abs(params.xi) < XI_ZERO_GUARD:
+            return np.exp(-y / params.sigma)
+        z = params.xi * y / params.sigma
+        inside = z > -1.0
+        return np.where(inside, np.exp(np.log1p(np.where(inside, z, 0.0)) / -params.xi), 0.0)
+
+    @pytest.mark.parametrize("xi", [0.3, -0.3, -1.0, 0.5 * XI_ZERO_GUARD, -0.5 * XI_ZERO_GUARD, 0.0])
+    def test_in_place_steps_are_the_direct_expression(self, xi):
+        params = GpdParams(2.5, xi)
+        endpoint = -2.5 / xi if xi < 0.0 else 8.0  # points before, at and past a finite endpoint
+        y = np.concatenate([np.linspace(0.0, 12.0, 401), np.nextafter(endpoint, [0.0, np.inf]),
+                            [endpoint, 1e300, np.inf]])
+        before = y.copy()
+        assert gpd_survivor(params, y).tobytes() == self.direct(params, y).tobytes()
+        assert y.tobytes() == before.tobytes()  # the caller's array is left as it was
+        for scalar in (3.0, np.float64(endpoint), np.array(12.0)):
+            got = gpd_survivor(params, scalar)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == self.direct(params, scalar).tobytes()
+
+    @pytest.mark.parametrize("xi", [0.2, 0.0, -0.2])
+    def test_a_nan_excess_is_value_error_at_every_shape(self, xi):
+        params = GpdParams(2.0, xi)
+        for y in (np.nan, [1.0, np.nan]):
+            with pytest.raises(ValueError, match="non-negative"):
+                gpd_survivor(params, y)
+        assert gpd_survivor(params, np.inf) == 0.0
+
 
 class TestGpdQuantile:
     def test_exponential_median(self):

@@ -309,9 +309,9 @@ class TestEvtMultiset:
     @staticmethod
     def threshold(sample, counts, q):
         """The threshold of a draw, read even where it leaves too few exceedances to fit."""
-        _, owner, _, _, sizes = sample._sorted
+        sizes = sample._sorted[-1]
         c = np.asarray(counts, dtype=float)
-        return sample._threshold(c[owner], int(c @ sizes), q)
+        return sample._threshold(c, int(c @ sizes), q)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -379,6 +379,90 @@ class TestEvtMultiset:
     def test_negative_metrics_are_numerical_errors(self):
         with pytest.raises(NumericalError, match="non-negative"):
             from_lole_eeu(1.0, -1e-9, 3528)
+
+
+@pytest.fixture(scope="module")
+def evt_samples(demo_system):
+    """The demo sample and the hot/cold pair of ``test_threshold_when_the_largest_values_are_not_drawn``,
+    each with its seasons as given and reversed."""
+    functionals = ShortfallFunctionals(demo_system["fleet"])
+    cold = demo_system["traces"][0].net_demand_mw
+    hot = cold + (cold.max() - cold.min() + 1.0)
+    cases = {"demo": demo_system["traces"],
+             "hot_cold": [make_trace("2008-09", hot, np.zeros(hot.size)),
+                          make_trace("2007-08", cold, np.zeros(cold.size))]}
+    return {name: (SeasonSample(functionals, seasons, 3528), SeasonSample(functionals, seasons[::-1], 3528))
+            for name, seasons in cases.items()}
+
+
+class TestEvtSums:
+    """SeasonSample's evt reads only the exceedances and O(S) season sums."""
+
+    @staticmethod
+    def outputs(sample, c, q):
+        """_evt's LoLE and EEU terms and fit, or the message it failed with."""
+        try:
+            return sample._evt(c, q)
+        except NumericalError as exc:
+            return str(exc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(["demo", "hot_cold"]), q=st.floats(0.5, 0.999), data=st.data())
+    def test_threshold_body_sums_and_season_order(self, evt_samples, case, q, data):
+        sample, reversed_sample = evt_samples[case]
+        seasons = sample.seasons
+        c = np.array(data.draw(st.lists(st.integers(0, 4), min_size=len(seasons), max_size=len(seasons))
+                               .filter(any), label="counts"), dtype=float)
+        values, owner, _, sizes = sample._sorted
+        n = int(c @ sizes)
+        u = sample._threshold(c, n, q)
+        drawn = np.concatenate([np.tile(t.net_demand_mw, int(k)) for t, k in zip(seasons, c)])
+        assert u == np.quantile(drawn, q)
+
+        cdf, gap = sample.functionals.at(np.floor(values))
+        for cut in (int(np.searchsorted(values, u, side="right")), data.draw(st.integers(0, values.size))):
+            w = c[owner[:cut]]
+            got = sample._body_sums(c, cut)
+            assert got[0] == pytest.approx(w @ cdf[:cut], rel=1e-13, abs=0.0)
+            assert got[1] == pytest.approx(w @ gap[:cut], rel=1e-13, abs=0.0)
+
+        got, want = self.outputs(sample, c, q), self.outputs(reversed_sample, c[::-1], q)
+        assert got == want  # bit for bit: the order of the seasons changes no sum
+        if not isinstance(got, str):
+            np.testing.assert_array_equal(got[2].excesses, want[2].excesses)
+            np.testing.assert_array_equal(got[2].weights, want[2].weights)
+
+    def test_sorted_sample_is_linear_in_the_values(self, demo_system):
+        # 28 seasons of 3,528 values: the values, their season ids, each season's
+        # prefix sums and sizes; a matrix of ranks by season would add S N entries
+        rng = np.random.default_rng(5)
+        size, n_seasons = 3528, 28
+        seasons = [make_trace(f"{1990 + s}-{(91 + s) % 100:02d}", rng.uniform(30_000.0, 60_000.0, size),
+                              np.zeros(size)) for s in range(n_seasons)]
+        sample = SeasonSample(ShortfallFunctionals(demo_system["fleet"]), seasons, size)
+        n = size * n_seasons
+        assert sum(a.nbytes for a in sample._sorted) <= 8 * (5 * n + 2 * n_seasons * (size + 1) + n_seasons)
+
+
+class TestSeasonCounts:
+    """Every count row is one finite non-negative integer per season, drawing at least one."""
+
+    @pytest.mark.parametrize("kind", ["evt", "hindcast", "ind"])
+    @pytest.mark.parametrize("counts, match", [
+        ([-1, 2, 0, 0, 0, 0, 0], "finite non-negative integers"),
+        ([0.5, 0.5, 0, 0, 0, 0, 0], "finite non-negative integers"),
+        ([np.nan, 1, 0, 0, 0, 0, 0], "finite non-negative integers"),
+        ([np.inf, 1, 0, 0, 0, 0, 0], "finite non-negative integers"),
+        ([0, 0, 0, 0, 0, 0, 0], "draws no season"),
+        ([1, 1, 1], "one count per season"),
+    ])
+    def test_metrics_and_replicate_refuse_what_is_not_a_count_row(self, evt_samples, kind, counts, match):
+        sample = evt_samples["demo"][0]
+        assert len(sample.seasons) == 7
+        with pytest.raises(ValueError, match=match):
+            sample.metrics(counts, kind, 0.95)
+        with pytest.raises(ValueError, match=match):  # one bad row fails the whole matrix
+            sample.replicate([np.ones(len(counts)), counts], kind, 0.95)
 
 
 class TestIndMultiset:

@@ -33,6 +33,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ConfidenceInterval(2.0, 1.0, 0.95)
 
+    @pytest.mark.parametrize("lower, upper", [(np.nan, np.nan), (np.nan, 1.0), (1.0, np.nan)])
+    def test_a_nan_endpoint_is_refused(self, lower, upper):
+        with pytest.raises(ValueError, match="not at or below"):
+            ConfidenceInterval(lower, upper, 0.95)
+
 
 class TestResampleIndices:
     def test_single_item(self):
@@ -270,6 +275,17 @@ class TestBlockBootstrap:
         result = block_bootstrap(partial(sample.replicate, kind="hindcast"), counts, 0.95)
         assert (result.replications_used, result.replications_dropped) == (499, 1)
         assert result.first_error == f"replication {np.flatnonzero(which.ravel() == bad)[0]}: {single.value}"
+
+    def test_an_unreported_nan_breaks_the_contract(self):
+        # the rows that draw season 0 three times read NaN with no message:
+        # the bootstrap neither keeps them nor drops them silently
+        def silent(rows):
+            return {"m": np.where(rows[:, 0] == 3, np.nan, 1.0)}, {}
+
+        counts = resample_counts(4, 200, 1)
+        assert (counts[:, 0] == 3).any()
+        with pytest.raises(ValueError, match=r"m = nan for count row \[3, "):
+            block_bootstrap(silent, counts, 0.95)
 
     def test_needs_two_seasons(self):
         with pytest.raises(ValueError):
