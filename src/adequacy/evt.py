@@ -55,8 +55,10 @@ class GpdParams:
     xi: float
 
     def __post_init__(self):
-        if not (self.sigma > 0.0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not math.isfinite(self.xi):
+            raise ValueError(f"xi must be finite, got {self.xi}")
 
 
 @dataclass(frozen=True)
@@ -138,8 +140,8 @@ def gpd_survivor(params: GpdParams, y):
 def gpd_quantile(params: GpdParams, p):
     """Inverse of the excess cdf H. p in [0, 1); p = 1 allowed only for xi < 0."""
     p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
+    if not ((0.0 <= p_arr) & (p_arr <= 1.0)).all():
+        raise ValueError("probabilities must lie in [0, 1], not NaN")
     if params.xi >= 0.0 and np.any(p_arr >= 1.0):
         raise ValueError("quantile at p = 1 is infinite for xi >= 0")
     if abs(params.xi) < XI_ZERO_GUARD:

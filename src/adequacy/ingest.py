@@ -370,11 +370,16 @@ def load_traces(
             raise DataError(f"season label {season!r} holds a comma, quote or line break, "
                             f"which the CSV tables cannot hold")
 
+    # each season's row numbers in file order, from one stable sort of the codes
+    by_code = np.argsort(codes, kind="stable")
+    groups = np.split(by_code, np.cumsum(np.bincount(codes, minlength=len(codes_of)))[:-1])
     traces = []
     wind_violations = 0
     for season in sorted(codes_of):
         lo, hi = (np.datetime64(b, "us") for b in window.bounds(season))
-        rows = np.flatnonzero((codes == codes_of[season]) & (ts >= lo) & (ts < hi))
+        rows = groups[codes_of[season]]
+        stamps = ts[rows]
+        rows = rows[(stamps >= lo) & (stamps < hi)]
         if not rows.size:
             continue  # season present in the file but entirely outside the window
         rows = rows[np.argsort(ts[rows], kind="stable")]

@@ -4,6 +4,7 @@ import pytest
 from adequacy.demo import demo_fleet, demo_quantile_history, demo_traces, write_demo_dataset
 from adequacy.genmodel import convolve_fleet
 from adequacy.study import rescale_traces
+from helpers import random_season
 
 
 @pytest.fixture(scope="session")
@@ -17,6 +18,14 @@ def demo_system():
         "fleet": convolve_fleet(demo_fleet()),
         "factors": factors,
     }
+
+
+@pytest.fixture(scope="session")
+def many_seasons(demo_system):
+    """28 random seasons, 1986-87 to 2013-14, with the demo fleet."""
+    rng = np.random.default_rng(28)
+    return {"traces": [random_season(f"{y}-{(y + 1) % 100:02d}", rng) for y in range(1986, 2014)],
+            "fleet": demo_system["fleet"]}
 
 
 @pytest.fixture(scope="session")

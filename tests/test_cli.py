@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import adequacy
-from adequacy import cli, demo, dnw, study, uncertainty
+from adequacy import cli, demo, dnw, pmf, study, uncertainty
 from adequacy.cli import main
 from adequacy.demo import DEMO_SEED
 from adequacy.study import RunConfig, load_inputs, run_study_computation
@@ -356,6 +356,25 @@ class TestRiskCommand:
         assert outputs[0].keys() == outputs[1].keys()
         for name in outputs[0]:
             assert outputs[0][name] == outputs[1][name], f"{name} differs between thread counts"
+
+    def test_outputs_do_not_depend_on_the_worker_count(self, demo_dataset_dir, tmp_path, capsys, monkeypatch):
+        # ind's fleet + wind convolutions run on pmf._worker_count() threads
+        inputs = ["--traces", str(demo_dataset_dir["traces"]), "--fleet", str(demo_dataset_dir["fleet"]),
+                  "--quantiles", str(demo_dataset_dir["quantiles"]), "--seed", "1", "--reps", "100", "--quiet"]
+        commands = {"study": ["study"], "risk": ["risk", "--model", "hindcast", "ind", "--pooled"]}
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(pmf, "_worker_count", lambda: workers)
+            files = {}
+            for name, command in commands.items():
+                outdir = tmp_path / f"{name}_{workers}"
+                code, _, err = run_cli(capsys, *command, *inputs, "--out", str(outdir))
+                assert code == 0, err
+                files |= {(name, path.name): path.read_bytes() for path in outdir.iterdir()}
+            outputs.append(files)
+        assert outputs[0].keys() == outputs[1].keys()
+        for key in outputs[0]:
+            assert outputs[0][key] == outputs[1][key], f"{key} differs between worker counts"
 
 
 class TestSettingsTable:

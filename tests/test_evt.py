@@ -53,6 +53,16 @@ def _finite_difference_standard_errors(y, sigma, xi):
     return np.sqrt(np.diag(np.linalg.inv(-hess)))
 
 
+class TestGpdParams:
+    @pytest.mark.parametrize("sigma, xi", [
+        (0.0, 0.1), (-1.0, 0.1), (np.nan, 0.1), (np.inf, 0.1),
+        (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf),
+    ])
+    def test_rejects_a_scale_or_shape_out_of_range(self, sigma, xi):
+        with pytest.raises(ValueError, match="sigma must be positive and finite|xi must be finite"):
+            GpdParams(sigma, xi)
+
+
 class TestGpdCdf:
     def test_reference_value(self):
         # direct formula: 1 - (1 + xi*y/sigma)^(-1/xi) = 1 - 0.68**(1/0.32)
@@ -146,6 +156,11 @@ class TestGpdQuantile:
         p = np.arange(0.1, 1.0, 0.01)
         y = gpd_quantile(TABLE_PARAMS, p)
         np.testing.assert_allclose(gpd_cdf(TABLE_PARAMS, y), p, atol=1e-10)
+
+    def test_nan_probability_rejected(self):
+        for p in (np.nan, [0.5, np.nan]):
+            with pytest.raises(ValueError, match="not NaN"):
+                gpd_quantile(TABLE_PARAMS, p)
 
     def test_infinite_quantile_rejected_for_nonnegative_shape(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -178,6 +180,110 @@ class TestConvolveEach:
         for got in (convolve(a, b), *convolve_each(a, [b, b])):
             assert got.origin_mw == want.origin_mw == 15
             np.testing.assert_array_equal(got.probabilities, want.probabilities)
+
+
+def _winds(system):
+    return [pmf_from_samples(t.wind_mw) for t in system["traces"]]
+
+
+class TestConvolveEachWorkers:
+    """``convolve_each`` on worker threads: the bits, the order and the errors
+    of a serial loop, and no thread left behind."""
+
+    @pytest.fixture(params=["demo_system", "many_seasons"])
+    def system(self, request):
+        return request.getfixturevalue(request.param)
+
+    def test_same_bits_at_one_and_two_workers(self, system, monkeypatch):
+        fleet, winds = system["fleet"], _winds(system)
+        want = [fft_convolve(fleet, wind) for wind in winds]
+        for workers in (1, 2):
+            monkeypatch.setattr(pmf_module, "_worker_count", lambda: workers)
+            got = list(convolve_each(fleet, winds))
+            assert [g.origin_mw for g in got] == [w.origin_mw for w in want]
+            for g, w in zip(got, want, strict=True):
+                assert g.probabilities.tobytes() == w.probabilities.tobytes()
+
+    def test_many_threads_keep_the_order(self, monkeypatch):
+        # more workers than cores, switching threads as often as the interpreter
+        # allows: each result must still be its own B's, in the order of bs
+        rng = np.random.default_rng(8)
+        a = _random_pmf(rng, 300)
+        bs = [_random_pmf(rng, m, origin=i) for i, m in enumerate(rng.integers(1, 200, 120))]
+        monkeypatch.setattr(pmf_module, "_worker_count", lambda: 1)
+        want = list(convolve_each(a, bs))
+        monkeypatch.setattr(pmf_module, "_worker_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = list(convolve_each(a, bs))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [g.origin_mw for g in got] == [w.origin_mw for w in want]
+        for g, w in zip(got, want, strict=True):
+            assert g.probabilities.tobytes() == w.probabilities.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_worker_error_comes_in_its_place(self, demo_system, monkeypatch, workers):
+        # the third sum fails on its worker; the two before it are yielded
+        # first, and a failure of bs after it does not overtake it
+        fleet, winds = demo_system["fleet"], _winds(demo_system)
+        origins = [convolve(fleet, w).origin_mw for w in winds[:4]]
+        doomed = origins[2]
+        assert origins.count(doomed) == 1
+        normalized = pmf_module._normalized
+
+        def failing(origin, raw):
+            if origin == doomed:
+                raise NumericalError("convolution produced a degenerate mass function")
+            return normalized(origin, raw)
+
+        def bs():
+            yield from winds[:4]
+            raise ValueError("no more winds")
+
+        monkeypatch.setattr(pmf_module, "_worker_count", lambda: workers)
+        monkeypatch.setattr(pmf_module, "_normalized", failing)
+        got = []
+        with pytest.raises(NumericalError, match="^convolution produced a degenerate mass function$"):
+            for total in convolve_each(fleet, bs()):
+                got.append(total)
+        assert len(got) == 2
+        # without a failed sum, the failure of bs follows every result before it
+        monkeypatch.setattr(pmf_module, "_normalized", normalized)
+        got = []
+        with pytest.raises(ValueError, match="no more winds"):
+            for total in convolve_each(fleet, bs()):
+                got.append(total)
+        assert len(got) == 4
+
+    def test_no_thread_outlives_its_generator(self, demo_system, monkeypatch):
+        fleet, winds = demo_system["fleet"], _winds(demo_system)
+        monkeypatch.setattr(pmf_module, "_worker_count", lambda: 2)
+        start = threading.active_count()
+
+        sums = convolve_each(fleet, winds)
+        next(sums)
+        assert threading.active_count() == start + 2
+        sums.close()  # abandoned mid-iteration
+        assert threading.active_count() == start
+
+        sums = convolve_each(fleet, winds)
+        next(sums)
+        del sums  # dropped without a close
+        assert threading.active_count() == start
+
+        def consumer_raises():
+            for i, _ in enumerate(convolve_each(fleet, winds)):
+                if i == 1:
+                    raise RuntimeError("the consumer failed")
+
+        with pytest.raises(RuntimeError, match="the consumer failed"):
+            consumer_raises()
+        assert threading.active_count() == start
+
+        list(convolve_each(fleet, winds))
+        assert threading.active_count() == start
 
 
 class TestRebin:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adequacy import pmf
 from adequacy.errors import NumericalError
 from adequacy.evt import fit_threshold_excesses, select_threshold
 from adequacy.genmodel import GeneratingUnit, convolve_fleet
@@ -482,6 +483,17 @@ class TestIndMultiset:
         pairs = demand.size * wind.size
         return (n_hours * ((short > 0) * prob).sum() / pairs,
                 n_hours * (np.maximum(short, 0) * prob).sum() / pairs)
+
+    @pytest.mark.parametrize("system", ["demo_system", "many_seasons"])
+    def test_pairs_have_the_same_bits_at_one_and_two_workers(self, request, system, monkeypatch):
+        system = request.getfixturevalue(system)
+        functionals = ShortfallFunctionals(system["fleet"])
+        pairs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(pmf, "_worker_count", lambda: workers)
+            pairs.append(SeasonSample(functionals, system["traces"], 3528)._pairs)
+        assert pairs[0].shape == (2, len(system["traces"]), len(system["traces"]))
+        assert pairs[0].tobytes() == pairs[1].tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
