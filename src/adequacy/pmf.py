@@ -9,7 +9,7 @@ contributes to the bin floor(x).
 from __future__ import annotations
 
 import collections
-import os
+import queue
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -134,13 +134,14 @@ def convolve_each(a: DiscretePmf, bs) -> Iterator[DiscretePmf]:
 
     The calling thread advances ``bs`` and transforms A; each B's own work
     (its transform, the product, the inverse, the clip and the
-    normalization) runs on worker threads (``_worker_count``, ``_in_order``),
-    all in numpy calls that release the interpreter lock. The results, and
-    any error, come in the order of ``bs``, and their bits do not depend on
-    the number of threads. At most workers + 1 results are in flight, so a
+    normalization) runs on a background thread (``_WORKERS``, ``_in_order``),
+    all in numpy calls that release the interpreter lock, so it overlaps the
+    caller's work on each result and on the next B. The results, and any
+    error, come in the order of ``bs``, and their bits do not depend on the
+    number of threads. At most workers + 1 results are in flight, so a
     caller need hold only the one it reads.
     """
-    return _in_order(_sum_of, _sums(a, bs), _worker_count())
+    return _in_order(_sum_of, _sums(a, bs), _WORKERS)
 
 
 def _sums(a: DiscretePmf, bs) -> Iterator[tuple]:
@@ -174,20 +175,17 @@ def _sum_of(origin: int, a: np.ndarray, b_probs: np.ndarray, size: int, n_fft: i
     return _normalized(origin, np.clip(np.fft.irfft(a * b_spectrum, n_fft)[:size], 0.0, None))
 
 
-def _worker_count() -> int:
-    """Worker threads for ``convolve_each``: one per CPU this process may run
-    on, less one for the calling thread, which is busy reading each result
-    (on a two-CPU machine, a 28-season ``risk --model hindcast ind`` ran
-    about 10% slower on two workers than on one); at least one."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(cpus - 1, 1)
+# Threads that run convolve_each's sums while the calling thread builds each
+# B and reads each result. One is the setting measured, on 2 CPUs: it took a
+# 28-season SeasonSample._pairs from about 0.15 to 0.09 s for 6-7 MB more
+# peak RSS, and a second worker there was slower and held about 7 MB more.
+# More wait for a measurement on more CPUs. Tests set 2 to check that no
+# output depends on the count.
+_WORKERS = 1
 
 
-class _Slot:
-    """One call's result or exception, set once by a worker thread."""
+class _Result:
+    """One call's value or exception, set once by a worker thread."""
 
     __slots__ = ("done", "value", "error")
 
@@ -195,7 +193,15 @@ class _Slot:
         self.done = threading.Event()
         self.value = self.error = None
 
-    def result(self):
+    def run(self, fn, args):
+        try:
+            self.value = fn(*args)
+        except Exception as exc:  # handed to the consumer in the call's place
+            self.error = exc
+        finally:
+            self.done.set()
+
+    def get(self):
         self.done.wait()
         if self.error is not None:
             raise self.error
@@ -204,39 +210,30 @@ class _Slot:
 
 def _in_order(fn, jobs, workers: int) -> Iterator:
     """fn(*job) for each job of ``jobs``, yielded in order, the calls run on
-    up to ``workers`` threads, one started per job until there are that many.
+    ``workers`` threads that live as long as the generator.
 
-    The calling thread advances ``jobs``, at most workers + 1 jobs ahead of
+    The calling thread advances ``jobs``, at most ``workers`` jobs ahead of
     the result it yields. An exception is raised in its job's place: one that
     a call raised when its result is due, one that advancing ``jobs`` raised
-    after every result before it, as a serial loop would. The threads stop
-    when the generator ends, is closed or is abandoned to the collector:
-    jobs no thread has taken are dropped and the ones running are waited for.
+    after every result before it, as a serial loop would. When the generator
+    ends, is closed or is abandoned to the collector, the threads finish the
+    jobs handed to them and are waited for.
     """
-    ready = threading.Condition()
-    todo = collections.deque()  # (job, slot) no thread has taken; None stops a thread
-    pending = collections.deque()  # slots in job order, not yet yielded
-    threads = []
+    inbox = queue.SimpleQueue()  # (job, result) for the threads; None stops one
 
     def work():
-        while True:
-            with ready:
-                while not todo:
-                    ready.wait()
-                item = todo.popleft()
-            if item is None:
-                return
-            job, slot = item
-            try:
-                slot.value = fn(*job)
-            except Exception as exc:  # handed to the consumer in the job's place
-                slot.error = exc
-            finally:
-                slot.done.set()
+        for job, result in iter(inbox.get, None):
+            result.run(fn, job)
 
+    threads = []
+    pending = collections.deque()  # _Results in job order, not yet yielded
     jobs = iter(jobs)
     failure = None
     try:
+        for _ in range(workers):
+            thread = threading.Thread(target=work, daemon=True)
+            thread.start()
+            threads.append(thread)
         while True:
             try:
                 job = next(jobs)
@@ -245,25 +242,17 @@ def _in_order(fn, jobs, workers: int) -> Iterator:
             except Exception as exc:  # raised once the results before it are out
                 failure = exc
                 break
-            slot = _Slot()
-            pending.append(slot)
-            with ready:
-                todo.append((job, slot))
-                ready.notify()
-            if len(threads) < workers:
-                threads.append(threading.Thread(target=work, daemon=True))
-                threads[-1].start()
+            pending.append(_Result())
+            inbox.put((job, pending[-1]))
             if len(pending) > workers:
-                yield pending.popleft().result()
+                yield pending.popleft().get()
         while pending:
-            yield pending.popleft().result()
+            yield pending.popleft().get()
         if failure is not None:
             raise failure
     finally:
-        with ready:
-            todo.clear()
-            todo.extend([None] * len(threads))
-            ready.notify_all()
+        for thread in threads:
+            inbox.put(None)
         for thread in threads:
             thread.join()
 

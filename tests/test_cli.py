@@ -358,13 +358,13 @@ class TestRiskCommand:
             assert outputs[0][name] == outputs[1][name], f"{name} differs between thread counts"
 
     def test_outputs_do_not_depend_on_the_worker_count(self, demo_dataset_dir, tmp_path, capsys, monkeypatch):
-        # ind's fleet + wind convolutions run on pmf._worker_count() threads
+        # ind's fleet + wind convolutions run on pmf._WORKERS threads
         inputs = ["--traces", str(demo_dataset_dir["traces"]), "--fleet", str(demo_dataset_dir["fleet"]),
                   "--quantiles", str(demo_dataset_dir["quantiles"]), "--seed", "1", "--reps", "100", "--quiet"]
         commands = {"study": ["study"], "risk": ["risk", "--model", "hindcast", "ind", "--pooled"]}
         outputs = []
         for workers in (1, 2):
-            monkeypatch.setattr(pmf, "_worker_count", lambda: workers)
+            monkeypatch.setattr(pmf, "_WORKERS", workers)
             files = {}
             for name, command in commands.items():
                 outdir = tmp_path / f"{name}_{workers}"

@@ -3,7 +3,9 @@
 The tracer names a span after the public function it wraps, so a function
 that is moved or renamed turns its metric into a silent 0. This runs one
 traced study through ``perfbench/child.py`` and checks that every span
-``perfbench/run.py:layer_values`` reads was entered.
+``perfbench/run.py:layer_values`` reads was entered. The tracer keeps one
+span stack, so a second check finds every span entered on the main thread
+while ``pmf.convolve_each`` runs on worker threads.
 """
 
 import importlib.util
@@ -81,3 +83,49 @@ def test_every_span_perfbench_reads_is_called(demo_dataset_dir, tmp_path):
     spans = result["trace"]["spans"]
     uncalled = sorted(n for n in names - NOT_CALLED if spans.get(n, {}).get("calls", 0) == 0)
     assert not uncalled, f"perfbench reads spans that were never entered: {uncalled}"
+
+
+# Runs an ind risk call with the tracer installed and pmf's convolutions on
+# two worker threads, and reports the threads the traced spans ran on.
+_THREADS_CHILD = """
+import json, sys, threading
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer
+import adequacy.cli
+from adequacy import pmf
+
+class ThreadTracer(Tracer):
+    threads = {}
+
+    def _record(self, name, fn, args, kwargs):
+        self.threads.setdefault(name, set()).add(threading.current_thread().name)
+        return super()._record(name, fn, args, kwargs)
+
+ThreadTracer().install()
+pmf._WORKERS = 2
+rc = adequacy.cli.main(sys.argv[2:])
+print(json.dumps({"rc": rc, "threads": {k: sorted(v) for k, v in ThreadTracer.threads.items()}}))
+"""
+
+
+def test_spans_run_on_the_main_thread_only(demo_dataset_dir, tmp_path):
+    # the tracer keeps one span stack for the process, so convolve_each's
+    # worker threads must call no traced (public) adequacy function
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", _THREADS_CHILD, str(PERFBENCH), "risk",
+            "--traces", str(demo_dataset_dir["traces"]),
+            "--fleet", str(demo_dataset_dir["fleet"]),
+            "--quantiles", str(demo_dataset_dir["quantiles"]),
+            "--model", "hindcast", "ind", "--pooled", "--reps", "100", "--seed", "1",
+            "--out", str(tmp_path / "out"), "--quiet",
+        ],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["rc"] == 0
+    assert "pmf.convolve_each" in result["threads"]
+    off_main = {name: on for name, on in result["threads"].items() if on != ["MainThread"]}
+    assert not off_main, f"spans entered off the main thread: {off_main}"

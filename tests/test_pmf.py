@@ -198,7 +198,7 @@ class TestConvolveEachWorkers:
         fleet, winds = system["fleet"], _winds(system)
         want = [fft_convolve(fleet, wind) for wind in winds]
         for workers in (1, 2):
-            monkeypatch.setattr(pmf_module, "_worker_count", lambda: workers)
+            monkeypatch.setattr(pmf_module, "_WORKERS", workers)
             got = list(convolve_each(fleet, winds))
             assert [g.origin_mw for g in got] == [w.origin_mw for w in want]
             for g, w in zip(got, want, strict=True):
@@ -210,9 +210,9 @@ class TestConvolveEachWorkers:
         rng = np.random.default_rng(8)
         a = _random_pmf(rng, 300)
         bs = [_random_pmf(rng, m, origin=i) for i, m in enumerate(rng.integers(1, 200, 120))]
-        monkeypatch.setattr(pmf_module, "_worker_count", lambda: 1)
+        monkeypatch.setattr(pmf_module, "_WORKERS", 1)
         want = list(convolve_each(a, bs))
-        monkeypatch.setattr(pmf_module, "_worker_count", lambda: 8)
+        monkeypatch.setattr(pmf_module, "_WORKERS", 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -242,7 +242,7 @@ class TestConvolveEachWorkers:
             yield from winds[:4]
             raise ValueError("no more winds")
 
-        monkeypatch.setattr(pmf_module, "_worker_count", lambda: workers)
+        monkeypatch.setattr(pmf_module, "_WORKERS", workers)
         monkeypatch.setattr(pmf_module, "_normalized", failing)
         got = []
         with pytest.raises(NumericalError, match="^convolution produced a degenerate mass function$"):
@@ -259,7 +259,7 @@ class TestConvolveEachWorkers:
 
     def test_no_thread_outlives_its_generator(self, demo_system, monkeypatch):
         fleet, winds = demo_system["fleet"], _winds(demo_system)
-        monkeypatch.setattr(pmf_module, "_worker_count", lambda: 2)
+        monkeypatch.setattr(pmf_module, "_WORKERS", 2)
         start = threading.active_count()
 
         sums = convolve_each(fleet, winds)

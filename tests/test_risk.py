@@ -490,7 +490,7 @@ class TestIndMultiset:
         functionals = ShortfallFunctionals(system["fleet"])
         pairs = []
         for workers in (1, 2):
-            monkeypatch.setattr(pmf, "_worker_count", lambda: workers)
+            monkeypatch.setattr(pmf, "_WORKERS", workers)
             pairs.append(SeasonSample(functionals, system["traces"], 3528)._pairs)
         assert pairs[0].shape == (2, len(system["traces"]), len(system["traces"]))
         assert pairs[0].tobytes() == pairs[1].tobytes()
