@@ -28,7 +28,7 @@ MODEL_KINDS = (EVT, HINDCAST, INDEPENDENCE)
 
 def survivor(seasons, kind: str, v, fit: evt.GpdFit | None = None):
     """P(D - W > v) under the ``kind`` model of one season trace, or of a list
-    of them pooled. Accepts scalars or arrays.
+    of them pooled. Accepts scalars or arrays; a NaN raises ValueError.
 
     hindcast is the empirical survivor of the net demand; evt is the same below
     ``fit.threshold_u`` and the fitted GPD tail from there up; ind reads the
@@ -42,6 +42,8 @@ def survivor(seasons, kind: str, v, fit: evt.GpdFit | None = None):
 
     scalar = np.isscalar(v) or np.asarray(v).ndim == 0
     v_arr = np.atleast_1d(np.asarray(v, dtype=float))
+    if np.isnan(v_arr).any():
+        raise ValueError("a NaN value has no survivor probability")
     if kind == INDEPENDENCE:
         wind = reflect(pmf_from_samples(pooled("wind_mw")))
         out = convolve(pmf_from_samples(pooled("demand_mw")), wind).survivor(v_arr)

@@ -385,7 +385,9 @@ def _excesses(v: np.ndarray, u: float) -> np.ndarray:
 
 
 def _fit_sorted(v: np.ndarray, u: float) -> GpdFit:
-    """Fit v's excesses over u, v ascending; a NaN among them raises ValueError."""
+    """Fit v's excesses over u, v ascending; a NaN u or excess raises ValueError."""
+    if math.isnan(u):
+        raise ValueError(f"threshold {u} is not a number")
     return replace(fit_gpd(_excesses(v, u)), threshold_u=u, n_total=v.size)
 
 

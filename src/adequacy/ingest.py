@@ -31,7 +31,8 @@ from math import ceil
 from pathlib import Path
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.median loads it: at import, not inside a run
+import numpy.ma  # noqa: F401  at import, not inside a run: np.median loads it, and so do
+# np.unique (its _unique1d calls np.ma.is_masked) and np.quantile, which calls np.unique
 
 from .errors import ConfigError, DataError
 

@@ -8,7 +8,6 @@ contributes to the bin floor(x).
 
 from __future__ import annotations
 
-import collections
 import queue
 import threading
 from collections.abc import Iterator
@@ -63,8 +62,10 @@ class DiscretePmf:
         return self.origin_mw + self.probabilities.size - 1
 
     def survivor(self, v) -> np.ndarray | float:
-        """P(V > v), with atoms treated as point masses at their integer value."""
+        """P(V > v), atoms being point masses at their integer value; a NaN v raises ValueError."""
         v_arr = np.asarray(v, dtype=float)
+        if np.isnan(v_arr).any():
+            raise ValueError("a NaN value has no survivor probability")
         # suffix[k] = P(V > origin + k - 1) = sum of atoms k..end
         suffix = np.concatenate([np.cumsum(self.probabilities[::-1])[::-1], [0.0]])
         suffix = np.clip(suffix, 0.0, 1.0)  # cumsum round-off can overshoot 1
@@ -133,15 +134,14 @@ def convolve_each(a: DiscretePmf, bs) -> Iterator[DiscretePmf]:
     negative entries, which are clipped before renormalizing.
 
     The calling thread advances ``bs`` and transforms A; each B's own work
-    (its transform, the product, the inverse, the clip and the
-    normalization) runs on a background thread (``_WORKERS``, ``_in_order``),
-    all in numpy calls that release the interpreter lock, so it overlaps the
-    caller's work on each result and on the next B. The results, and any
-    error, come in the order of ``bs``, and their bits do not depend on the
-    number of threads. At most workers + 1 results are in flight, so a
-    caller need hold only the one it reads.
+    (its transform, the product, the inverse, the clip and the normalization)
+    runs on one background thread (``_in_order``) in numpy calls that release
+    the interpreter lock, so it overlaps the caller's work on each result and
+    on the next B. The results, and any error, come in the order of ``bs``,
+    bit for bit those of ``convolve``; at most two are in flight, so a caller
+    need hold only the one it reads.
     """
-    return _in_order(_sum_of, _sums(a, bs), _WORKERS)
+    return _in_order(_sum_of, _sums(a, bs))
 
 
 def _sums(a: DiscretePmf, bs) -> Iterator[tuple]:
@@ -165,8 +165,8 @@ def _sum_of(origin: int, a: np.ndarray, b_probs: np.ndarray, size: int, n_fft: i
             ) -> DiscretePmf:
     """The ``size`` bins of A + B from ``origin``: a is A's probabilities when
     n_fft is 0 (a direct sum), else A's rfft at length n_fft. It runs on
-    ``convolve_each``'s worker threads, so it calls nothing public: a traced
-    span would land on another thread's stack."""
+    ``convolve_each``'s background thread, so it calls nothing public: a
+    traced span would land on another thread's stack."""
     if not n_fft:
         return _normalized(origin, np.convolve(a, b_probs))
     # a named operand: numpy reuses a temporary right operand in place and
@@ -175,65 +175,37 @@ def _sum_of(origin: int, a: np.ndarray, b_probs: np.ndarray, size: int, n_fft: i
     return _normalized(origin, np.clip(np.fft.irfft(a * b_spectrum, n_fft)[:size], 0.0, None))
 
 
-# Threads that run convolve_each's sums while the calling thread builds each
-# B and reads each result. One is the setting measured, on 2 CPUs: it took a
-# 28-season SeasonSample._pairs from about 0.15 to 0.09 s for 6-7 MB more
-# peak RSS, and a second worker there was slower and held about 7 MB more.
-# More wait for a measurement on more CPUs. Tests set 2 to check that no
-# output depends on the count.
-_WORKERS = 1
+def _in_order(fn, jobs: Iterator) -> Iterator:
+    """fn(*job) for each job of the iterator ``jobs``, yielded in order, the
+    calls run on one thread that lives as long as the generator.
 
-
-class _Result:
-    """One call's value or exception, set once by a worker thread."""
-
-    __slots__ = ("done", "value", "error")
-
-    def __init__(self):
-        self.done = threading.Event()
-        self.value = self.error = None
-
-    def run(self, fn, args):
-        try:
-            self.value = fn(*args)
-        except Exception as exc:  # handed to the consumer in the call's place
-            self.error = exc
-        finally:
-            self.done.set()
-
-    def get(self):
-        self.done.wait()
-        if self.error is not None:
-            raise self.error
-        return self.value
-
-
-def _in_order(fn, jobs, workers: int) -> Iterator:
-    """fn(*job) for each job of ``jobs``, yielded in order, the calls run on
-    ``workers`` threads that live as long as the generator.
-
-    The calling thread advances ``jobs``, at most ``workers`` jobs ahead of
-    the result it yields. An exception is raised in its job's place: one that
-    a call raised when its result is due, one that advancing ``jobs`` raised
-    after every result before it, as a serial loop would. When the generator
-    ends, is closed or is abandoned to the collector, the threads finish the
-    jobs handed to them and are waited for.
+    The calling thread advances ``jobs``, at most one job ahead of the result
+    it yields. An exception is raised in its job's place: one that a call
+    raised when its result is due, one that advancing ``jobs`` raised after
+    every result before it, as a serial loop would. When the generator ends,
+    is closed or is abandoned to the collector, the thread finishes the jobs
+    handed to it and is waited for.
     """
-    inbox = queue.SimpleQueue()  # (job, result) for the threads; None stops one
+    inbox, outbox = queue.SimpleQueue(), queue.SimpleQueue()  # jobs, None to stop; (value, error)
 
     def work():
-        for job, result in iter(inbox.get, None):
-            result.run(fn, job)
+        for job in iter(inbox.get, None):
+            try:
+                outbox.put((fn(*job), None))
+            except BaseException as exc:  # raised by the consumer in the call's place
+                outbox.put((None, exc))
 
-    threads = []
-    pending = collections.deque()  # _Results in job order, not yet yielded
-    jobs = iter(jobs)
+    def result():
+        value, error = outbox.get()
+        if error is not None:
+            raise error
+        return value
+
+    thread = threading.Thread(target=work, daemon=True)
+    due = False  # a job handed to the thread whose result is not yet yielded
     failure = None
     try:
-        for _ in range(workers):
-            thread = threading.Thread(target=work, daemon=True)
-            thread.start()
-            threads.append(thread)
+        thread.start()
         while True:
             try:
                 job = next(jobs)
@@ -242,18 +214,17 @@ def _in_order(fn, jobs, workers: int) -> Iterator:
             except Exception as exc:  # raised once the results before it are out
                 failure = exc
                 break
-            pending.append(_Result())
-            inbox.put((job, pending[-1]))
-            if len(pending) > workers:
-                yield pending.popleft().get()
-        while pending:
-            yield pending.popleft().get()
+            inbox.put(job)
+            if due:  # read the job before's result while the thread runs this one
+                yield result()
+            due = True
+        if due:
+            yield result()
         if failure is not None:
             raise failure
     finally:
-        for thread in threads:
+        if thread.is_alive():  # started, and not yet stopped
             inbox.put(None)
-        for thread in threads:
             thread.join()
 
 

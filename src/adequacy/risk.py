@@ -157,7 +157,7 @@ class SeasonSample:
       the functionals of the fleet plus season b's wind. All S columns are
       filled on the first ind call: one fleet + wind convolution each, with
       the fleet transformed once per FFT length and the convolutions run on
-      a background thread (``convolve_each``), and one gather of every
+      one background thread (``convolve_each``), and one gather of every
       season's floored demand each;
     * evt sorts all seasons' values together once, on its first call, with
       each season's running sums of the gathered functionals in sorted
@@ -273,10 +273,9 @@ class SeasonSample:
     @cached_property
     def _pairs(self) -> np.ndarray:
         """[m, a, b]: season a's demand sums of metric m against the fleet plus
-        season b's wind; ind only. One ``convolve_each`` makes every fleet +
-        wind pmf on a background thread, while this one builds each wind pmf
-        and reads each sum, in season order, at every season's demand in one
-        gather."""
+        season b's wind; ind only. ``convolve_each`` makes the fleet + wind pmfs
+        on one background thread while this one builds each wind pmf and reads
+        each sum, in season order, at every season's demand in one gather."""
         winds = (pmf_from_samples(s.wind_mw) for s in self.seasons)
         demand = _floors([s.demand_mw for s in self.seasons])
         pairs = np.zeros((2, len(self.seasons), len(self.seasons)))

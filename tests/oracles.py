@@ -9,7 +9,7 @@ row, the stream ``uncertainty.resample_indices`` reproduces.
 ``convolve_fleet_full`` updates every bin for every unit, the loop
 ``genmodel.convolve_fleet`` reproduces bit for bit on its live window, and
 ``fft_convolve`` is the product of padded real FFTs ``pmf.convolve_each``
-reproduces bit for bit on any number of worker threads. ``threshold_scan``
+reproduces bit for bit on its background thread. ``threshold_scan``
 masks, counts and sorts the exceedances of every threshold afresh, the scan
 ``evt.threshold_scan`` reproduces on values sorted once.
 """

@@ -80,6 +80,16 @@ class TestSurvivor:
         assert survivor(season, HINDCAST, -1e12) == 1.0
         assert survivor(season, HINDCAST, 4.0) == 0.0
 
+    def test_nan_value_rejected(self, demo_system):
+        # a NaN used to read as probability 0 under every model
+        season = demo_system["traces"][0]
+        fit = quantile_fit(season.net_demand_mw, 0.95)
+        for kind in (EVT, HINDCAST, INDEPENDENCE):
+            for v in (np.nan, [30_000.0, np.nan]):
+                with pytest.raises(ValueError, match="^a NaN value has no survivor probability$"):
+                    survivor(season, kind, v, fit)
+            np.testing.assert_array_equal(survivor(season, kind, [-np.inf, np.inf], fit), [1.0, 0.0])
+
     def test_rejects_unknown_kind_and_missing_fit(self):
         for kind in ("oracle", EVT):
             with pytest.raises(ValueError):

@@ -649,6 +649,15 @@ class TestThresholds:
         with pytest.raises(ValueError):
             threshold_scan([1.0, 2.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("thresholds", [[0.5, np.nan], [np.nan, 0.5]])
+    def test_scan_rejects_a_nan_threshold(self, thresholds):
+        # NaN compares false, so it passed the increasing check, and its empty fit was left out
+        data = np.linspace(0.0, 1.0, 200)
+        with pytest.raises(ValueError, match="^threshold nan is not a number$"):
+            threshold_scan(data, thresholds)
+        # +inf has no exceedances: its row is left out, as for too few exceedances
+        assert [f.threshold_u for f in threshold_scan(data, [0.5, np.inf])] == [0.5]
+
 
 class TestQqPoints:
     @staticmethod
@@ -710,6 +719,14 @@ class TestFitThresholdExcesses:
         data = np.concatenate([np.full(50, 5.0), 5.0 + np.linspace(0.01, 2.0, 60)])
         fit = fit_threshold_excesses(data, 5.0)
         assert fit.n_exceedances == 60
+
+    def test_nan_threshold_rejected(self):
+        # it used to raise "need at least 30 exceedances to fit, got 0"
+        data = np.linspace(0.0, 10.0, 400)
+        with pytest.raises(ValueError, match="^threshold nan is not a number$"):
+            fit_threshold_excesses(data, np.nan)
+        with pytest.raises(NumericalError, match="^need at least 30 exceedances to fit, got 0$"):
+            fit_threshold_excesses(data, np.inf)
 
     def test_nan_value_rejected(self):
         # a NaN used to drop out of the excesses but count in n_total

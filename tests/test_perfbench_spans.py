@@ -85,14 +85,13 @@ def test_every_span_perfbench_reads_is_called(demo_dataset_dir, tmp_path):
     assert not uncalled, f"perfbench reads spans that were never entered: {uncalled}"
 
 
-# Runs an ind risk call with the tracer installed and pmf's convolutions on
-# two worker threads, and reports the threads the traced spans ran on.
+# Runs an ind risk call with the tracer installed, pmf's convolutions on their
+# background thread, and reports the threads the traced spans ran on.
 _THREADS_CHILD = """
 import json, sys, threading
 sys.path.insert(0, sys.argv[1])
 from tracer import Tracer
 import adequacy.cli
-from adequacy import pmf
 
 class ThreadTracer(Tracer):
     threads = {}
@@ -102,7 +101,6 @@ class ThreadTracer(Tracer):
         return super()._record(name, fn, args, kwargs)
 
 ThreadTracer().install()
-pmf._WORKERS = 2
 rc = adequacy.cli.main(sys.argv[2:])
 print(json.dumps({"rc": rc, "threads": {k: sorted(v) for k, v in ThreadTracer.threads.items()}}))
 """
@@ -110,7 +108,7 @@ print(json.dumps({"rc": rc, "threads": {k: sorted(v) for k, v in ThreadTracer.th
 
 def test_spans_run_on_the_main_thread_only(demo_dataset_dir, tmp_path):
     # the tracer keeps one span stack for the process, so convolve_each's
-    # worker threads must call no traced (public) adequacy function
+    # background thread must call no traced (public) adequacy function
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [

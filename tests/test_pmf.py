@@ -42,6 +42,14 @@ class TestDiscretePmf:
         assert p.survivor(1.0) == pytest.approx(0.5)
         assert p.survivor(2.0) == 0.0
 
+    def test_survivor_rejects_nan(self):
+        # a NaN used to sort past every atom and read as probability 0
+        p = pmf_from_samples([1.0, 2.0, 3.0])
+        for v in (np.nan, [np.nan], [2.0, np.nan]):
+            with pytest.raises(ValueError, match="^a NaN value has no survivor probability$"):
+                p.survivor(v)
+        np.testing.assert_array_equal(p.survivor([-np.inf, np.inf]), [1.0, 0.0])
+
     def test_immutable(self):
         p = DiscretePmf(0, np.array([1.0]))
         with pytest.raises(ValueError):
@@ -187,32 +195,28 @@ def _winds(system):
 
 
 class TestConvolveEachWorkers:
-    """``convolve_each`` on worker threads: the bits, the order and the errors
-    of a serial loop, and no thread left behind."""
+    """``convolve_each`` on its background thread: the bits, the order and the
+    errors of a serial loop, and no thread left behind."""
 
     @pytest.fixture(params=["demo_system", "many_seasons"])
     def system(self, request):
         return request.getfixturevalue(request.param)
 
-    def test_same_bits_at_one_and_two_workers(self, system, monkeypatch):
+    def test_same_bits_as_the_fft_oracle(self, system):
         fleet, winds = system["fleet"], _winds(system)
         want = [fft_convolve(fleet, wind) for wind in winds]
-        for workers in (1, 2):
-            monkeypatch.setattr(pmf_module, "_WORKERS", workers)
-            got = list(convolve_each(fleet, winds))
-            assert [g.origin_mw for g in got] == [w.origin_mw for w in want]
-            for g, w in zip(got, want, strict=True):
-                assert g.probabilities.tobytes() == w.probabilities.tobytes()
+        got = list(convolve_each(fleet, winds))
+        assert [g.origin_mw for g in got] == [w.origin_mw for w in want]
+        for g, w in zip(got, want, strict=True):
+            assert g.probabilities.tobytes() == w.probabilities.tobytes()
 
-    def test_many_threads_keep_the_order(self, monkeypatch):
-        # more workers than cores, switching threads as often as the interpreter
-        # allows: each result must still be its own B's, in the order of bs
+    def test_many_threads_keep_the_order(self):
+        # switching threads as often as the interpreter allows: each result
+        # must still be its own B's, in the order of bs
         rng = np.random.default_rng(8)
         a = _random_pmf(rng, 300)
         bs = [_random_pmf(rng, m, origin=i) for i, m in enumerate(rng.integers(1, 200, 120))]
-        monkeypatch.setattr(pmf_module, "_WORKERS", 1)
-        want = list(convolve_each(a, bs))
-        monkeypatch.setattr(pmf_module, "_WORKERS", 8)
+        want = [convolve(a, b) for b in bs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -223,8 +227,7 @@ class TestConvolveEachWorkers:
         for g, w in zip(got, want, strict=True):
             assert g.probabilities.tobytes() == w.probabilities.tobytes()
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_a_worker_error_comes_in_its_place(self, demo_system, monkeypatch, workers):
+    def test_a_worker_error_comes_in_its_place(self, demo_system, monkeypatch):
         # the third sum fails on its worker; the two before it are yielded
         # first, and a failure of bs after it does not overtake it
         fleet, winds = demo_system["fleet"], _winds(demo_system)
@@ -242,7 +245,6 @@ class TestConvolveEachWorkers:
             yield from winds[:4]
             raise ValueError("no more winds")
 
-        monkeypatch.setattr(pmf_module, "_WORKERS", workers)
         monkeypatch.setattr(pmf_module, "_normalized", failing)
         got = []
         with pytest.raises(NumericalError, match="^convolution produced a degenerate mass function$"):
@@ -257,14 +259,13 @@ class TestConvolveEachWorkers:
                 got.append(total)
         assert len(got) == 4
 
-    def test_no_thread_outlives_its_generator(self, demo_system, monkeypatch):
+    def test_no_thread_outlives_its_generator(self, demo_system):
         fleet, winds = demo_system["fleet"], _winds(demo_system)
-        monkeypatch.setattr(pmf_module, "_WORKERS", 2)
         start = threading.active_count()
 
         sums = convolve_each(fleet, winds)
         next(sums)
-        assert threading.active_count() == start + 2
+        assert threading.active_count() == start + 1
         sums.close()  # abandoned mid-iteration
         assert threading.active_count() == start
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adequacy import pmf
 from adequacy.errors import NumericalError
 from adequacy.evt import fit_threshold_excesses, select_threshold
 from adequacy.genmodel import GeneratingUnit, convolve_fleet
 from adequacy.pmf import DiscretePmf
 from adequacy.risk import SeasonSample, ShortfallFunctionals, long_run_mean
+from adequacy.uncertainty import resample_counts
 from conftest import sample_pmf
 from helpers import make_trace, point_mass
 from oracles import (balance_distribution, build_evt_model, build_hindcast_model, build_model,
@@ -433,6 +433,20 @@ class TestEvtSums:
             np.testing.assert_array_equal(got[2].excesses, want[2].excesses)
             np.testing.assert_array_equal(got[2].weights, want[2].weights)
 
+    def test_a_replication_does_not_depend_on_its_batch(self, evt_samples):
+        # each row's evt metrics, bit for bit, whether it is replicated alone,
+        # among other rows or in reversed order: the rows can be split into chunks
+        sample = evt_samples["demo"][0]
+        rows = np.unique(resample_counts(len(sample.seasons), 40, 3), axis=0)
+        want = [sample.metrics(row, "evt", 0.95)[0] for row in rows]
+        batches = [(rows, range(len(rows))), (rows[::-1], range(len(rows))[::-1])]
+        batches += [(row[None], [i]) for i, row in enumerate(rows)]
+        for batch, at in batches:
+            values, failed = sample.replicate(batch, "evt", 0.95)
+            assert not failed
+            assert values["lole_hours"].tolist() == [want[i].lole_hours for i in at]
+            assert values["eeu_mwh"].tolist() == [want[i].eeu_mwh for i in at]
+
     def test_sorted_sample_is_linear_in_the_values(self, demo_system):
         # 28 seasons of 3,528 values: the values, their season ids, each season's
         # prefix sums and sizes; a matrix of ranks by season would add S N entries
@@ -483,17 +497,6 @@ class TestIndMultiset:
         pairs = demand.size * wind.size
         return (n_hours * ((short > 0) * prob).sum() / pairs,
                 n_hours * (np.maximum(short, 0) * prob).sum() / pairs)
-
-    @pytest.mark.parametrize("system", ["demo_system", "many_seasons"])
-    def test_pairs_have_the_same_bits_at_one_and_two_workers(self, request, system, monkeypatch):
-        system = request.getfixturevalue(system)
-        functionals = ShortfallFunctionals(system["fleet"])
-        pairs = []
-        for workers in (1, 2):
-            monkeypatch.setattr(pmf, "_WORKERS", workers)
-            pairs.append(SeasonSample(functionals, system["traces"], 3528)._pairs)
-        assert pairs[0].shape == (2, len(system["traces"]), len(system["traces"]))
-        assert pairs[0].tobytes() == pairs[1].tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
